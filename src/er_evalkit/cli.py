@@ -31,7 +31,8 @@ DEFAULTS = (
     ("default_component_score", "0.5", "component score for absent features"),
     ("target_bin", "high", "bin a diagnosed success must reach"),
     ("year_window", "1870,2100", "plausible release-year window"),
-    ("threads", "1", f"worker threads; env {ENV_THREADS} overrides"),
+    ("threads", "1",
+     f"validated, starts no workers yet; env {ENV_THREADS} overrides"),
     ("n_titles", "1000", "simulate: catalog size"),
     ("n_queries", "500", "simulate: number of queries"),
     ("typo_rate", "0.02", "simulate: per-character edit probability"),
@@ -207,24 +208,24 @@ def cmd_score_importance(args: argparse.Namespace, cfg: Settings) -> int:
 
 
 def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> int:
-    threads = cfg.threads()
-    stats = clickstream.ParseStats()
-    events = clickstream.parse_events(
-        args.events, strict=cfg.get_bool("strict", False), stats=stats)
-    records = clickstream.aggregate_in_shards(events, n_shards=threads,
-                                              threads=threads)
+    # Validated so a bad value still exits 1, but aggregation is one
+    # streaming pass and starts no workers.
+    cfg.threads()
     ctr_filter = clickstream.CtrFilter(
         min_impressions=cfg.get_int("min_impressions",
                                     clickstream.DEFAULT_MIN_IMPRESSIONS),
         min_ctr=cfg.get_float("min_ctr", clickstream.DEFAULT_MIN_CTR),
     )
-    kept, summary = clickstream.filter_records(records, ctr_filter)
+    stats = clickstream.ParseStats()
+    events = clickstream.parse_events(
+        args.events, strict=cfg.get_bool("strict", False), stats=stats)
+    kept, summary = clickstream.aggregate_filtered(events, ctr_filter)
     clickstream.write_ctr_records(kept, args.out)
     _emit({
         "command": "aggregate-ctr",
         "events": stats.events,
         "rejected_events": stats.rejected,
-        "pairs": len(records),
+        "pairs": summary.kept + summary.dropped,
         "kept": summary.kept,
         "dropped": summary.dropped,
         "out": str(args.out),
@@ -398,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-impressions", dest="min_impressions", type=int)
     p.add_argument("--min-ctr", dest="min_ctr", type=float)
     p.add_argument("--threads", type=int,
-                   help=f"worker threads (env {ENV_THREADS})")
+                   help=f"worker count, >= 1 (env {ENV_THREADS}); validated "
+                        "but starts no workers: aggregation is one "
+                        "streaming pass")
     p.add_argument("--strict", action="store_true", default=None,
                    help="error on the first malformed event")
 

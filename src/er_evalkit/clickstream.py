@@ -6,15 +6,16 @@ trivially different spellings aggregate together. Per (query, entity) pair,
 nimp counts the events whose impressions contain the entity and nclick the
 events that clicked it; ctr is the exact quotient.
 
-Aggregation is a monoid on (nimp, nclick): sharding the event stream,
-aggregating shards independently, and merging sums gives exactly the
-single-pass answer, which is what makes thread-parallel aggregation safe.
+Aggregation is one streaming pass: each event is counted into a
+(nimp, nclick) table as it is parsed, so memory is O(distinct pairs), not
+O(events). The table is a monoid: sharding the event stream, counting shards
+independently, and merging sums gives exactly the single-pass answer, which
+is what makes a parallel split safe. Aggregation starts no workers.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -81,8 +82,10 @@ class CtrFilter:
             raise ConfigError(f"min_ctr {self.min_ctr} outside [0, 1]")
 
     def keeps(self, record: CtrRecord) -> bool:
-        return (record.nimp >= self.min_impressions
-                and record.ctr >= self.min_ctr)
+        return self.admits(record.nimp, record.ctr)
+
+    def admits(self, nimp: int, ctr: float) -> bool:
+        return nimp >= self.min_impressions and ctr >= self.min_ctr
 
 
 @dataclass
@@ -139,7 +142,8 @@ def parse_events(path: str | Path, *, strict: bool = False,
         if clicked is not None and not isinstance(clicked, str):
             reject(lineno, "clicked must be an id or null")
             continue
-        if ts is not None and not isinstance(ts, int):
+        if ts is not None and (not isinstance(ts, int)
+                               or isinstance(ts, bool)):
             reject(lineno, "ts must be an integer or null")
             continue
         try:
@@ -161,59 +165,86 @@ def compute_ctr(nclick: int, nimp: int) -> float:
     return nclick / nimp
 
 
-def aggregate_pairs(events: Iterable[ClickEvent]) -> list[CtrRecord]:
-    """Count impressions and clicks per (query, entity) pair.
+_PairCounts = dict[tuple[str, str], list[int]]
 
-    An entity impressed several times within one event still counts as one
-    impression: nimp is the number of events containing it.
+
+def _tally(counts: _PairCounts, event: ClickEvent) -> None:
+    # An entity impressed several times within one event still counts as
+    # one impression: nimp is the number of events containing it.
+    for entity_id in set(event.impressions):
+        pair = counts.setdefault((event.query, entity_id), [0, 0])
+        pair[0] += 1
+        if event.clicked == entity_id:
+            pair[1] += 1
+
+
+def _count_pairs(events: Iterable[ClickEvent]) -> _PairCounts:
+    """(nimp, nclick) per (query, entity) pair, in one pass over the stream.
+
+    Events are consumed one at a time and never held, so a generator such as
+    parse_events keeps memory at O(distinct pairs).
     """
-    counts: dict[tuple[str, str], list[int]] = {}
+    counts: _PairCounts = {}
     for event in events:
-        for entity_id in set(event.impressions):
-            pair = counts.setdefault((event.query, entity_id), [0, 0])
-            pair[0] += 1
-            if event.clicked == entity_id:
-                pair[1] += 1
-    return [
-        CtrRecord(query=q, entity_id=e, nimp=nimp, nclick=nclick,
-                  ctr=compute_ctr(nclick, nimp))
-        for (q, e), (nimp, nclick) in sorted(counts.items())
-    ]
+        _tally(counts, event)
+    return counts
+
+
+def _records(counts: _PairCounts,
+             ctr_filter: CtrFilter | None = None) -> list[CtrRecord]:
+    """Sorted records for the pairs ``ctr_filter`` keeps (all if None)."""
+    kept = []
+    for (q, e), (nimp, nclick) in counts.items():
+        if ctr_filter is None or ctr_filter.admits(nimp, nclick / nimp):
+            kept.append((q, e, nimp, nclick))
+    kept.sort()
+    return [CtrRecord(query=q, entity_id=e, nimp=nimp, nclick=nclick,
+                      ctr=compute_ctr(nclick, nimp))
+            for q, e, nimp, nclick in kept]
+
+
+def aggregate_pairs(events: Iterable[ClickEvent]) -> list[CtrRecord]:
+    """Count impressions and clicks per (query, entity) pair, sorted."""
+    return _records(_count_pairs(events))
+
+
+def aggregate_filtered(events: Iterable[ClickEvent], ctr_filter: CtrFilter
+                       ) -> tuple[list[CtrRecord], FilterSummary]:
+    """aggregate_pairs then filter_records, building only the kept records.
+
+    Same records and summary as the two-step form; the pair count is
+    ``kept + dropped``.
+    """
+    counts = _count_pairs(events)
+    kept = _records(counts, ctr_filter)
+    return kept, FilterSummary(kept=len(kept), dropped=len(counts) - len(kept))
 
 
 def merge_records(shards: Iterable[Iterable[CtrRecord]]) -> list[CtrRecord]:
     """Sum (nimp, nclick) across shard outputs and recompute ctr."""
-    counts: dict[tuple[str, str], list[int]] = {}
+    counts: _PairCounts = {}
     for shard in shards:
         for rec in shard:
             pair = counts.setdefault((rec.query, rec.entity_id), [0, 0])
             pair[0] += rec.nimp
             pair[1] += rec.nclick
-    return [
-        CtrRecord(query=q, entity_id=e, nimp=nimp, nclick=nclick,
-                  ctr=compute_ctr(nclick, nimp))
-        for (q, e), (nimp, nclick) in sorted(counts.items())
-    ]
+    return _records(counts)
 
 
 def aggregate_in_shards(events: Iterable[ClickEvent], n_shards: int,
                         threads: int | None = None) -> list[CtrRecord]:
-    """Round-robin the stream into shards, aggregate each, merge.
+    """Round-robin the stream into per-shard counts, then merge the shards.
 
-    Exactly equivalent to single-pass aggregate_pairs; ``threads`` > 1 runs
-    shard aggregation on a thread pool.
+    Exactly equivalent to single-pass aggregate_pairs. Events are counted as
+    they arrive, so memory is O(distinct pairs per shard). ``threads`` is
+    accepted for compatibility and starts no workers.
     """
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
-    shards: list[list[ClickEvent]] = [[] for _ in range(n_shards)]
+    shards: list[_PairCounts] = [{} for _ in range(n_shards)]
     for i, event in enumerate(events):
-        shards[i % n_shards].append(event)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(aggregate_pairs, shards))
-    else:
-        partials = [aggregate_pairs(shard) for shard in shards]
-    return merge_records(partials)
+        _tally(shards[i % n_shards], event)
+    return merge_records(_records(shard) for shard in shards)
 
 
 def filter_records(records: Iterable[CtrRecord],

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ConfigError, IngestError
-from .jsonl import dumps, read_lines, write_jsonl
+from .jsonl import atomic_open, dumps, read_lines, write_jsonl
 from .metrics import (
     BINS,
     MACRO,
@@ -262,7 +262,8 @@ class DeltaReport:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(dumps(self.to_dict()) + "\n", encoding="utf-8")
+        with atomic_open(path) as fh:
+            fh.write(dumps(self.to_dict()) + "\n")
 
     def render_table(self) -> str:
         """Aligned comparison, one block per aggregation mode.

@@ -8,8 +8,10 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 from .errors import IngestError
 
@@ -18,11 +20,31 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[IO[str]]:
+    """Open a temp file beside ``path`` for writing text.
+
+    On a clean exit the temp file replaces ``path`` in one rename, so
+    ``path`` holds either its old bytes or the complete new ones; on an
+    exception the temp file is removed and ``path`` is left untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
-    """Write one JSON document per line; returns the number of lines."""
+    """Write one JSON document per line, atomically; returns the line count."""
     count = 0
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for rec in records:
                 fh.write(dumps(rec))
                 fh.write("\n")

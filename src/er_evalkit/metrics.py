@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import IngestError
-from .jsonl import dumps, read_lines, write_jsonl
+from .jsonl import atomic_open, dumps, read_lines, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -233,7 +233,8 @@ class MetricsReport:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(dumps(self.to_dict()) + "\n", encoding="utf-8")
+        with atomic_open(path) as fh:
+            fh.write(dumps(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "MetricsReport":

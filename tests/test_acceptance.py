@@ -5,6 +5,7 @@ assertions hold, so a full run reads as a checklist. Criteria with runtime
 budgets assert the elapsed wall time too.
 """
 
+import hashlib
 import random
 import time
 
@@ -26,7 +27,9 @@ from er_evalkit.clickstream import (
     compute_ctr,
     filter_records,
     write_ctr_records,
+    write_events,
 )
+from er_evalkit.cli import dispatch
 from er_evalkit.diagnose import compare_reports, diagnose_run
 from er_evalkit.importance import (
     ImportanceConfig,
@@ -350,6 +353,38 @@ def test_c8_shard_merge_byte_identical(capsys, noisy_sim, tmp_path):
     announce(capsys, "C8",
              f"100,000 events aggregated in 1, 4, and 16 shards wrote "
              f"byte-identical files ({len(blobs[0])} bytes)")
+
+
+# sha256 of the seed-42 click log and of aggregate-ctr's output on it, pinned
+# from an earlier release: a faster aggregation must write the same bytes.
+GOLDEN_CLICKLOG = ("390a779219d3cc6a0be149bb32be62f0"
+                   "32ee935114403d205b2fce818e0664a8")
+GOLDEN_CTR = {
+    (): (500, "a21810062182d20edacc0e3c4b21e8b3"
+              "8940e0ffa38567cee782e828be95b2cd"),
+    ("--min-impressions", "1", "--min-ctr", "0"):
+        (5000, "5b943c48c3535918e27b332a0009ae65"
+               "b654e4c4b108ae7c855636e3bf31e3f4"),
+}
+
+
+def test_c8_aggregate_ctr_golden_bytes(capsys, noisy_sim, tmp_path):
+    _, _, _, _, _, events = noisy_sim
+    clicklog = tmp_path / "clicklog.jsonl"
+    write_events(events, clicklog)
+    assert hashlib.sha256(clicklog.read_bytes()).hexdigest() == GOLDEN_CLICKLOG
+    for i, (flags, (lines, digest)) in enumerate(GOLDEN_CTR.items()):
+        out = tmp_path / f"ctr_{i}.jsonl"
+        code = dispatch(["aggregate-ctr", "--events", str(clicklog),
+                         "--out", str(out), *flags])
+        capsys.readouterr()
+        assert code == 0
+        blob = out.read_bytes()
+        assert blob.count(b"\n") == lines
+        assert hashlib.sha256(blob).hexdigest() == digest
+    announce(capsys, "C8",
+             "aggregate-ctr on the seed-42 click log matches the pinned "
+             "sha256 digests at the default and the vacuous filter")
 
 
 def test_c9_delta_formatting(capsys):

@@ -348,6 +348,38 @@ class TestStrictMode:
         assert summary["events"] == 1
         assert summary["rejected_events"] == 1
 
+    def test_strict_names_lowest_bad_line(self, capsys, tmp_path):
+        good = [{"query": f"q{i % 2}", "impressions": ["a", "b"],
+                 "clicked": "a" if i % 3 else None} for i in range(6)]
+        lines = [dumps(row) for row in good]
+        lines.insert(2, "not json")
+        lines.insert(6, '{"query":"q0","impressions":["a"],"clicked":"z"}')
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        flags = ("--min-impressions", "1", "--min-ctr", "0.0")
+
+        out_path = tmp_path / "ctr.jsonl"
+        code, _, err = run_cli(capsys, "aggregate-ctr", "--events",
+                               str(events), "--out", str(out_path),
+                               "--strict", *flags)
+        assert code == 1
+        error_lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(error_lines) == 1
+        assert "events.jsonl:3:" in error_lines[0]
+        assert not out_path.exists()
+
+        clean = tmp_path / "clean.jsonl"
+        write_jsonl_file(clean, good)
+        expected = tmp_path / "expected.jsonl"
+        code, _, err = run_cli(capsys, "aggregate-ctr", "--events",
+                               str(clean), "--out", str(expected), *flags)
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                 str(events), "--out", str(out_path), *flags)
+        assert code == 0, err
+        assert json.loads(out)["rejected_events"] == 2
+        assert out_path.read_bytes() == expected.read_bytes()
+
 
 class TestDiagnoseCommand:
     def test_target_bin_flag_changes_classification(self, capsys, tmp_path):

@@ -11,6 +11,7 @@ from er_evalkit.clickstream import (
     CtrRecord,
     FilterSummary,
     ParseStats,
+    aggregate_filtered,
     aggregate_in_shards,
     aggregate_pairs,
     compute_ctr,
@@ -79,6 +80,20 @@ class TestParseEvents:
     def test_strict_raises_with_location(self, tmp_path):
         path = self.write(tmp_path, ["not json"])
         with pytest.raises(IngestError, match="events.jsonl:1"):
+            list(parse_events(path, strict=True))
+
+    @pytest.mark.parametrize("flag", ["true", "false"])
+    def test_boolean_ts_rejected(self, tmp_path, flag):
+        path = self.write(tmp_path, [
+            '{"query":"q","impressions":["tt1"],"ts":%s}' % flag,
+            '{"query":"q","impressions":["tt1"],"ts":7}',
+        ])
+        stats = ParseStats()
+        events = list(parse_events(path, stats=stats))
+        assert [e.ts for e in events] == [7]
+        assert stats.rejected == 1
+        with pytest.raises(IngestError,
+                           match="events.jsonl:1: ts must be an integer"):
             list(parse_events(path, strict=True))
 
     def test_null_click_means_no_click(self, tmp_path):
@@ -190,6 +205,16 @@ class TestShardMerge:
     def test_zero_shards_rejected(self):
         with pytest.raises(ConfigError):
             aggregate_in_shards([], 0)
+
+
+class TestAggregateFiltered:
+    @given(events_strategy, st.integers(min_value=1, max_value=6),
+           st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_aggregate_then_filter(self, events, min_imp, min_ctr):
+        ctr_filter = CtrFilter(min_impressions=min_imp, min_ctr=min_ctr)
+        expected = filter_records(aggregate_pairs(events), ctr_filter)
+        assert aggregate_filtered(iter(events), ctr_filter) == expected
 
 
 class TestFilterRecords:
