@@ -12,12 +12,11 @@ semantics.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import IngestError
-from .jsonl import read_lines, write_jsonl
+from .jsonl import iter_records, require, write_jsonl
 
 MISSING_TOKEN = "\\N"
 DEFAULT_YEAR_WINDOW = (1870, 2100)
@@ -63,16 +62,7 @@ class IngestStats:
         return self.basics_rejected + self.ratings_rejected + self.ranks_rejected
 
     def as_dict(self) -> dict:
-        return {
-            "basics_rows": self.basics_rows,
-            "basics_rejected": self.basics_rejected,
-            "ratings_rows": self.ratings_rows,
-            "ratings_rejected": self.ratings_rejected,
-            "ratings_orphaned": self.ratings_orphaned,
-            "ranks_rows": self.ranks_rows,
-            "ranks_rejected": self.ranks_rejected,
-            "ranks_orphaned": self.ranks_orphaned,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -157,116 +147,104 @@ def parse_catalog(
         if strict:
             raise IngestError(f"{path}:{lineno}: {why}")
 
-    # basics: entity universe, file order preserved
-    rows: dict[str, dict] = {}
-    fh, reader, pos = _open_tsv(basics_path, BASICS_COLUMNS)
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            stats.basics_rows += 1
-            if len(row) <= max(pos.values()):
-                bad_row("basics_rejected", basics_path, lineno, "too few columns")
-                continue
-            entity_id = _cell(row, pos["tconst"])
-            name = _cell(row, pos["primaryTitle"])
-            if entity_id is None or name is None:
-                bad_row("basics_rejected", basics_path, lineno, "missing id or title")
-                continue
-            year_raw = _cell(row, pos["startYear"])
-            year = None
-            if year_raw is not None:
-                try:
-                    year = _parse_int(year_raw)
-                except ValueError:
-                    bad_row("basics_rejected", basics_path, lineno,
-                            f"unparseable year {year_raw!r}")
-                    continue
-                if not (min_year <= year <= max_year):
-                    bad_row("basics_rejected", basics_path, lineno,
-                            f"implausible year {year}")
-                    continue
-            if entity_id in rows:
-                raise IngestError(
-                    f"{basics_path}:{lineno}: duplicate entity_id {entity_id!r}")
-            rows[entity_id] = {"entity_id": entity_id, "name": name,
-                               "release_year": year, "rank": None,
-                               "rating_count": None, "rating": None}
-
-    # ratings: left join on entity id
-    fh, reader, pos = _open_tsv(ratings_path, RATINGS_COLUMNS)
-    seen_rating_ids: set[str] = set()
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            stats.ratings_rows += 1
-            if len(row) <= max(pos.values()):
-                bad_row("ratings_rejected", ratings_path, lineno, "too few columns")
-                continue
-            entity_id = _cell(row, pos["tconst"])
-            if entity_id is None:
-                bad_row("ratings_rejected", ratings_path, lineno, "missing id")
-                continue
-            rating_raw = _cell(row, pos["averageRating"])
-            votes_raw = _cell(row, pos["numVotes"])
-            try:
-                rating = None if rating_raw is None else float(rating_raw)
-                votes = None if votes_raw is None else _parse_int(votes_raw)
-            except ValueError:
-                bad_row("ratings_rejected", ratings_path, lineno,
-                        "unparseable rating or vote count")
-                continue
-            if rating is not None and not (0.0 <= rating <= 10.0):
-                bad_row("ratings_rejected", ratings_path, lineno,
-                        f"rating {rating} outside [0, 10]")
-                continue
-            if entity_id in seen_rating_ids:
-                raise IngestError(
-                    f"{ratings_path}:{lineno}: duplicate entity_id {entity_id!r}")
-            seen_rating_ids.add(entity_id)
-            target = rows.get(entity_id)
-            if target is None:
-                stats.ratings_orphaned += 1
-                continue
-            target["rating"] = rating
-            target["rating_count"] = votes
-
-    # ranks: optional left join; else derive pseudo-rank from rating counts
-    if ranks_path is not None:
-        fh, reader, pos = _open_tsv(ranks_path, RANKS_COLUMNS)
-        seen_rank_ids: set[str] = set()
+    def data_rows(path, required: tuple[str, ...], kind: str):
+        """(lineno, required cells) per nonblank row; short rows rejected."""
+        fh, reader, pos = _open_tsv(path, required)
+        columns = [pos[name] for name in required]
+        last = max(columns)
+        counter = f"{kind}_rows"
         with fh:
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                stats.ranks_rows += 1
-                if len(row) <= max(pos.values()):
-                    bad_row("ranks_rejected", ranks_path, lineno, "too few columns")
+                setattr(stats, counter, getattr(stats, counter) + 1)
+                if len(row) <= last:
+                    bad_row(f"{kind}_rejected", path, lineno, "too few columns")
                     continue
-                entity_id = _cell(row, pos["tconst"])
-                rank_raw = _cell(row, pos["rank"])
-                if entity_id is None or rank_raw is None:
-                    bad_row("ranks_rejected", ranks_path, lineno, "missing id or rank")
-                    continue
-                try:
-                    rank = _parse_int(rank_raw)
-                except ValueError:
-                    bad_row("ranks_rejected", ranks_path, lineno,
-                            f"unparseable rank {rank_raw!r}")
-                    continue
-                if rank < 1:
-                    bad_row("ranks_rejected", ranks_path, lineno, f"rank {rank} < 1")
-                    continue
-                if entity_id in seen_rank_ids:
-                    raise IngestError(
-                        f"{ranks_path}:{lineno}: duplicate entity_id {entity_id!r}")
-                seen_rank_ids.add(entity_id)
-                target = rows.get(entity_id)
-                if target is None:
-                    stats.ranks_orphaned += 1
-                    continue
-                target["rank"] = rank
+                yield lineno, [_cell(row, i) for i in columns]
+
+    # basics: entity universe, file order preserved
+    rows: dict[str, dict] = {}
+    for lineno, (entity_id, name, year_raw) in data_rows(
+            basics_path, BASICS_COLUMNS, "basics"):
+        if entity_id is None or name is None:
+            bad_row("basics_rejected", basics_path, lineno, "missing id or title")
+            continue
+        year = None
+        if year_raw is not None:
+            try:
+                year = _parse_int(year_raw)
+            except ValueError:
+                bad_row("basics_rejected", basics_path, lineno,
+                        f"unparseable year {year_raw!r}")
+                continue
+            if not (min_year <= year <= max_year):
+                bad_row("basics_rejected", basics_path, lineno,
+                        f"implausible year {year}")
+                continue
+        if entity_id in rows:
+            raise IngestError(
+                f"{basics_path}:{lineno}: duplicate entity_id {entity_id!r}")
+        rows[entity_id] = {"entity_id": entity_id, "name": name,
+                           "release_year": year, "rank": None,
+                           "rating_count": None, "rating": None}
+
+    # ratings: left join on entity id
+    seen_rating_ids: set[str] = set()
+    for lineno, (entity_id, rating_raw, votes_raw) in data_rows(
+            ratings_path, RATINGS_COLUMNS, "ratings"):
+        if entity_id is None:
+            bad_row("ratings_rejected", ratings_path, lineno, "missing id")
+            continue
+        try:
+            rating = None if rating_raw is None else float(rating_raw)
+            votes = None if votes_raw is None else _parse_int(votes_raw)
+        except ValueError:
+            bad_row("ratings_rejected", ratings_path, lineno,
+                    "unparseable rating or vote count")
+            continue
+        if rating is not None and not (0.0 <= rating <= 10.0):
+            bad_row("ratings_rejected", ratings_path, lineno,
+                    f"rating {rating} outside [0, 10]")
+            continue
+        if entity_id in seen_rating_ids:
+            raise IngestError(
+                f"{ratings_path}:{lineno}: duplicate entity_id {entity_id!r}")
+        seen_rating_ids.add(entity_id)
+        target = rows.get(entity_id)
+        if target is None:
+            stats.ratings_orphaned += 1
+            continue
+        target["rating"] = rating
+        target["rating_count"] = votes
+
+    # ranks: optional left join; else derive pseudo-rank from rating counts
+    if ranks_path is not None:
+        seen_rank_ids: set[str] = set()
+        for lineno, (entity_id, rank_raw) in data_rows(
+                ranks_path, RANKS_COLUMNS, "ranks"):
+            if entity_id is None or rank_raw is None:
+                bad_row("ranks_rejected", ranks_path, lineno,
+                        "missing id or rank")
+                continue
+            try:
+                rank = _parse_int(rank_raw)
+            except ValueError:
+                bad_row("ranks_rejected", ranks_path, lineno,
+                        f"unparseable rank {rank_raw!r}")
+                continue
+            if rank < 1:
+                bad_row("ranks_rejected", ranks_path, lineno, f"rank {rank} < 1")
+                continue
+            if entity_id in seen_rank_ids:
+                raise IngestError(
+                    f"{ranks_path}:{lineno}: duplicate entity_id {entity_id!r}")
+            seen_rank_ids.add(entity_id)
+            target = rows.get(entity_id)
+            if target is None:
+                stats.ranks_orphaned += 1
+                continue
+            target["rank"] = rank
     else:
         assign_pseudo_ranks(rows)
 
@@ -305,25 +283,20 @@ def write_catalog(catalog: Catalog, path: str | Path) -> None:
 
 def load_catalog(path: str | Path) -> Catalog:
     """Load a catalog previously written by :func:`write_catalog`."""
-    titles = []
     seen: set[str] = set()
-    for lineno, line in read_lines(path):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(rec, dict) or "entity_id" not in rec or "name" not in rec:
-            raise IngestError(f"{path}:{lineno}: not a catalog record")
-        entity_id = rec["entity_id"]
+
+    def parse(rec: dict) -> Title:
+        entity_id = require(rec, "entity_id", str)
         if entity_id in seen:
-            raise IngestError(f"{path}:{lineno}: duplicate entity_id {entity_id!r}")
+            raise ValueError(f"duplicate entity_id {entity_id!r}")
         seen.add(entity_id)
-        titles.append(Title(
+        return Title(
             entity_id=entity_id,
-            name=rec["name"],
+            name=require(rec, "name", str),
             release_year=rec.get("release_year"),
             rank=rec.get("rank"),
             rating_count=rec.get("rating_count"),
             rating=rec.get("rating"),
-        ))
-    return Catalog(titles=titles)
+        )
+
+    return Catalog(titles=list(iter_records(path, parse, "catalog record")))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import catalog as catalog_mod
@@ -19,30 +20,45 @@ from .errors import ConfigError, EvalKitError
 from .jsonl import dumps
 
 ENV_THREADS = "ER_EVALKIT_THREADS"
+DEFAULT_THREADS = 1
 
+_SIM_DEFAULTS = {f.name: f.default for f in fields(simulate.SimConfig)
+                 if f.name != "seed"}
+_IMPORTANCE_DEFAULTS = importance.ImportanceConfig()
+
+# The --help defaults table, rendered from the constants the code uses.
 DEFAULTS = (
-    ("k", "5", "top-k cutoff for all metrics"),
-    ("min_impressions", "25", "CTR filter: minimum impressions per pair"),
-    ("min_ctr", "0.3", "CTR filter: minimum click-through rate"),
-    ("min_importance", "0.3", "relevance merge: minimum importance score"),
-    ("weights", "1/3,1/3,1/3", "importance weights w_year,w_rank,w_count"),
-    ("missing_feature_policy", "default_score",
+    ("k", metrics.DEFAULT_K, "top-k cutoff for all metrics"),
+    ("min_impressions", clickstream.DEFAULT_MIN_IMPRESSIONS,
+     "CTR filter: minimum impressions per pair"),
+    ("min_ctr", clickstream.DEFAULT_MIN_CTR,
+     "CTR filter: minimum click-through rate"),
+    ("min_importance", relevance.DEFAULT_MIN_IMPORTANCE,
+     "relevance merge: minimum importance score"),
+    # Thirds show as 1/3, a form --weights also accepts.
+    ("weights", tuple(f"1/{round(1 / w)}" for w in _IMPORTANCE_DEFAULTS.weights),
+     "importance weights w_year,w_rank,w_count"),
+    ("missing_feature_policy", _IMPORTANCE_DEFAULTS.missing_feature_policy,
      "absent feature handling: default_score or exclude_title"),
-    ("default_component_score", "0.5", "component score for absent features"),
-    ("target_bin", "high", "bin a diagnosed success must reach"),
-    ("year_window", "1870,2100", "plausible release-year window"),
-    ("threads", "1",
+    ("default_component_score", _IMPORTANCE_DEFAULTS.default_component_score,
+     "component score for absent features"),
+    ("target_bin", diagnose.DEFAULT_TARGET_BIN.value,
+     "bin a diagnosed success must reach"),
+    ("year_window", catalog_mod.DEFAULT_YEAR_WINDOW,
+     "plausible release-year window"),
+    ("threads", DEFAULT_THREADS,
      f"validated, starts no workers yet; env {ENV_THREADS} overrides"),
-    ("n_titles", "1000", "simulate: catalog size"),
-    ("n_queries", "500", "simulate: number of queries"),
-    ("typo_rate", "0.02", "simulate: per-character edit probability"),
-    ("score_noise_sigma", "0.05", "simulate: Gaussian score noise sigma"),
-    ("bin_thresholds", "0.8,0.5", "simulate: t_high,t_medium score cutoffs"),
-    ("retrieve_m", "10", "simulate: results retrieved per query"),
-    ("click_position_decay", "0.7",
-     "simulate: click probability decay per rank position"),
-    ("n_replays", "200", "simulate: impression replays per query"),
-)
+) + tuple((name, _SIM_DEFAULTS[name], f"simulate: {help_text}")
+         for name, help_text in {
+             "n_titles": "catalog size",
+             "n_queries": "number of queries",
+             "typo_rate": "per-character edit probability",
+             "score_noise_sigma": "Gaussian score noise sigma",
+             "bin_thresholds": "t_high,t_medium score cutoffs",
+             "retrieve_m": "results retrieved per query",
+             "click_position_decay": "click probability decay per rank position",
+             "n_replays": "impression replays per query",
+         }.items())
 
 
 def _parse_bool(text: str) -> bool:
@@ -54,44 +70,32 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
-def _parse_floats(text: str, n: int, what: str) -> tuple[float, ...]:
+def _parse_numbers(text: str, n: int, what: str, kind=float) -> tuple:
+    """Exactly ``n`` comma-separated values, each parsed by ``kind``."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise ConfigError(f"{what} needs {n} comma-separated values, "
                           f"got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
+        return tuple(kind(p) for p in parts)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
 
 
-def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
-        raise ConfigError(f"{what} needs {n} comma-separated values, "
-                          f"got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
-
-
-def _parse_weights(text: str) -> tuple[float, float, float]:
+def _weight(text: str) -> float:
     # Accept "1/3" style fractions so the documented default is writable.
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"weights need 3 comma-separated values, got {text!r}")
-    values = []
-    for part in parts:
-        try:
-            if "/" in part:
-                num, den = part.split("/", 1)
-                values.append(float(num) / float(den))
-            else:
-                values.append(float(part))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad weight {part!r}: {exc}") from exc
-    return tuple(values)
+    num, _, den = text.partition("/")
+    return float(num) / float(den or 1)
+
+
+def _converter(name: str, default):
+    """Parse a flag or config string into the type of ``default``."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return lambda text: _parse_numbers(text, len(default), name,
+                                           type(default[0]))
+    return type(default)
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -126,28 +130,20 @@ class Settings:
         return self.config.get(key)
 
     def get(self, key: str, default, convert=None):
+        """Resolve ``key``; a string parses by ``convert`` or as ``default``."""
         value = self._raw(key)
         if value is None:
             return default
-        if isinstance(value, str) and convert is not None:
-            return convert(value)
+        if isinstance(value, str):
+            return (convert or _converter(key, default))(value)
         return value
-
-    def get_int(self, key: str, default: int) -> int:
-        return self.get(key, default, int)
-
-    def get_float(self, key: str, default: float) -> float:
-        return self.get(key, default, float)
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        return self.get(key, default, _parse_bool)
 
     def threads(self) -> int:
         value = self._raw("threads")
         if value is None:
             value = os.environ.get(ENV_THREADS)
         if value is None:
-            return 1
+            return DEFAULT_THREADS
         try:
             threads = int(value)
         except ValueError as exc:
@@ -161,12 +157,18 @@ def _emit(summary: dict) -> None:
     print(dumps(summary))
 
 
+def _wants_table(cfg: Settings) -> bool:
+    fmt = cfg.get("format", "json")
+    if fmt not in ("json", "table"):
+        raise ConfigError(f"format must be json or table, got {fmt!r}")
+    return fmt == "table"
+
+
 def cmd_ingest_catalog(args: argparse.Namespace, cfg: Settings) -> int:
-    window = cfg.get("year_window", catalog_mod.DEFAULT_YEAR_WINDOW,
-                     lambda t: _parse_ints(t, 2, "year_window"))
+    window = cfg.get("year_window", catalog_mod.DEFAULT_YEAR_WINDOW)
     parsed = catalog_mod.parse_catalog(
         args.basics, args.ratings, args.ranks,
-        strict=cfg.get_bool("strict", False),
+        strict=cfg.get("strict", False),
         year_window=tuple(window),
     )
     catalog_mod.write_catalog(parsed, args.out)
@@ -181,16 +183,16 @@ def cmd_ingest_catalog(args: argparse.Namespace, cfg: Settings) -> int:
 
 
 def _importance_config(cfg: Settings) -> importance.ImportanceConfig:
-    bounds = cfg.get("bounds", None,
-                     lambda t: _parse_ints(t, 5, "bounds"))
-    if bounds is not None and not isinstance(bounds, importance.ScoreBounds):
-        bounds = importance.ScoreBounds(*bounds)
+    defaults = _IMPORTANCE_DEFAULTS
     return importance.ImportanceConfig(
-        weights=cfg.get("weights", (1 / 3, 1 / 3, 1 / 3), _parse_weights),
+        weights=cfg.get("weights", defaults.weights,
+                        lambda t: _parse_numbers(t, 3, "weights", _weight)),
         missing_feature_policy=cfg.get("missing_feature_policy",
-                                       importance.POLICY_DEFAULT_SCORE),
-        default_component_score=cfg.get_float("default_component_score", 0.5),
-        bounds=bounds,
+                                       defaults.missing_feature_policy),
+        default_component_score=cfg.get("default_component_score",
+                                        defaults.default_component_score),
+        bounds=cfg.get("bounds", None, lambda t: importance.ScoreBounds(
+            *_parse_numbers(t, 5, "bounds", int))),
     )
 
 
@@ -212,13 +214,13 @@ def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> int:
     # streaming pass and starts no workers.
     cfg.threads()
     ctr_filter = clickstream.CtrFilter(
-        min_impressions=cfg.get_int("min_impressions",
-                                    clickstream.DEFAULT_MIN_IMPRESSIONS),
-        min_ctr=cfg.get_float("min_ctr", clickstream.DEFAULT_MIN_CTR),
+        min_impressions=cfg.get("min_impressions",
+                                clickstream.DEFAULT_MIN_IMPRESSIONS),
+        min_ctr=cfg.get("min_ctr", clickstream.DEFAULT_MIN_CTR),
     )
     stats = clickstream.ParseStats()
     events = clickstream.parse_events(
-        args.events, strict=cfg.get_bool("strict", False), stats=stats)
+        args.events, strict=cfg.get("strict", False), stats=stats)
     kept, summary = clickstream.aggregate_filtered(events, ctr_filter)
     clickstream.write_ctr_records(kept, args.out)
     _emit({
@@ -238,8 +240,8 @@ def cmd_build_relevance(args: argparse.Namespace, cfg: Settings) -> int:
     scored = importance.load_scored(args.scored)
     relset, summary = relevance.merge_relevance(
         ctr_records, scored,
-        min_importance=cfg.get_float("min_importance",
-                                     relevance.DEFAULT_MIN_IMPORTANCE),
+        min_importance=cfg.get("min_importance",
+                               relevance.DEFAULT_MIN_IMPORTANCE),
     )
     provenance_path = (Path(args.provenance) if args.provenance
                        else relevance.default_provenance_path(args.out))
@@ -257,68 +259,44 @@ def cmd_build_relevance(args: argparse.Namespace, cfg: Settings) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: Settings) -> int:
+    table = _wants_table(cfg)
     qrels = relevance.load_qrels(args.qrels)
     run = metrics.load_run(args.run)
-    report = metrics.evaluate_run(qrels, run, k=cfg.get_int("k", metrics.DEFAULT_K))
+    report = metrics.evaluate_run(qrels, run, k=cfg.get("k", metrics.DEFAULT_K))
     if args.out:
         report.save(args.out)
-    if cfg.get("format", "json") == "table":
-        print(report.render_table())
-    else:
-        print(dumps(report.to_dict()))
+    print(report.render_table() if table else dumps(report.to_dict()))
     return 0
 
 
 def cmd_diagnose(args: argparse.Namespace, cfg: Settings) -> int:
+    table = _wants_table(cfg)
+    target = cfg.get("target_bin", diagnose.DEFAULT_TARGET_BIN)
     qrels = relevance.load_qrels(args.qrels)
     run = metrics.load_run(args.run)
-    target = metrics.ConfidenceBin(cfg.get("target_bin", "high"))
     diagnoses, summary = diagnose.diagnose_run(
-        qrels, run, k=cfg.get_int("k", metrics.DEFAULT_K), target_bin=target)
+        qrels, run, k=cfg.get("k", metrics.DEFAULT_K), target_bin=target)
     if args.out:
         diagnose.write_diagnoses(diagnoses, args.out)
-    if cfg.get("format", "json") == "table":
-        width = max(len(c.value) for c in diagnose.CATEGORIES)
-        lines = [f"{'category':<{width}}  {'count':>7}  {'fraction':>8}"]
-        for category in diagnose.CATEGORIES:
-            name = category.value
-            lines.append(f"{name:<{width}}  {summary.counts[name]:>7}  "
-                         f"{summary.fractions[name]:>8.4f}")
-        lines.append(f"hit_rate {summary.hit_rate:.4f} "
-                     f"consistent={str(summary.consistent).lower()}")
-        print("\n".join(lines))
-    else:
-        print(dumps(summary.to_dict()))
+    print(summary.render_table() if table else dumps(summary.to_dict()))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace, cfg: Settings) -> int:
+    table = _wants_table(cfg)
     baseline = metrics.MetricsReport.load(args.baseline)
     candidate = metrics.MetricsReport.load(args.candidate)
     delta = diagnose.compare_reports(baseline, candidate)
     if args.out:
         delta.save(args.out)
-    if cfg.get("format", "json") == "table":
-        print(delta.render_table())
-    else:
-        print(dumps(delta.to_dict()))
+    print(delta.render_table() if table else dumps(delta.to_dict()))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: Settings) -> int:
-    sim_config = simulate.SimConfig(
-        seed=args.seed,
-        n_titles=cfg.get_int("n_titles", 1000),
-        n_queries=cfg.get_int("n_queries", 500),
-        typo_rate=cfg.get_float("typo_rate", 0.02),
-        score_noise_sigma=cfg.get_float("score_noise_sigma", 0.05),
-        bin_thresholds=tuple(cfg.get(
-            "bin_thresholds", simulate.DEFAULT_BIN_THRESHOLDS,
-            lambda t: _parse_floats(t, 2, "bin_thresholds"))),
-        retrieve_m=cfg.get_int("retrieve_m", 10),
-        click_position_decay=cfg.get_float("click_position_decay", 0.7),
-        n_replays=cfg.get_int("n_replays", 200),
-    )
+    sim_config = simulate.SimConfig(seed=args.seed, **{
+        name: cfg.get(name, default)
+        for name, default in _SIM_DEFAULTS.items()})
     out_dir = Path(args.out_dir)
     generated = simulate.gen_catalog(sim_config)
     queries = simulate.gen_queries(generated, sim_config)
@@ -342,11 +320,20 @@ def cmd_simulate(args: argparse.Namespace, cfg: Settings) -> int:
     return 0
 
 
+def _show(value) -> str:
+    """Spell a default the way a flag or config value would."""
+    if isinstance(value, tuple):
+        return ",".join(map(_show, value))
+    return str(value)
+
+
 def _defaults_epilog() -> str:
-    width = max(len(name) for name, _, _ in DEFAULTS)
-    value_width = max(len(value) for _, value, _ in DEFAULTS)
+    rows = [(name, _show(value), help_text)
+            for name, value, help_text in DEFAULTS]
+    width = max(len(name) for name, _, _ in rows)
+    value_width = max(len(value) for _, value, _ in rows)
     lines = ["defaults:"]
-    for name, value, help_text in DEFAULTS:
+    for name, value, help_text in rows:
         lines.append(f"  {name:<{width}}  {value:<{value_width}}  {help_text}")
     return "\n".join(lines)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, IngestError
-from .jsonl import read_lines, write_jsonl
+from .jsonl import iter_records, read_lines, require, write_jsonl
 
 DEFAULT_MIN_IMPRESSIONS = 25
 DEFAULT_MIN_CTR = 0.3
@@ -279,13 +279,12 @@ def write_ctr_records(records: Iterable[CtrRecord], path: str | Path) -> int:
 
 
 def load_ctr_records(path: str | Path) -> list[CtrRecord]:
-    out = []
-    for lineno, line in read_lines(path):
-        try:
-            rec = json.loads(line)
-            out.append(CtrRecord(query=rec["query"], entity_id=rec["entity_id"],
-                                 nimp=rec["nimp"], nclick=rec["nclick"],
-                                 ctr=rec["ctr"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"{path}:{lineno}: bad CTR record: {exc}") from exc
-    return out
+    """Load CTR JSONL; counts are ints (never bools) and ctr a number."""
+    def parse(rec: dict) -> CtrRecord:
+        return CtrRecord(query=require(rec, "query", str),
+                         entity_id=require(rec, "entity_id", str),
+                         nimp=require(rec, "nimp", int),
+                         nclick=require(rec, "nclick", int),
+                         ctr=require(rec, "ctr", int, float))
+
+    return list(iter_records(path, parse, "CTR record"))

@@ -15,21 +15,24 @@ each rendered with an explicit sign marker.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import ConfigError, IngestError
-from .jsonl import atomic_open, dumps, read_lines, write_jsonl
+from .errors import ConfigError
+from .jsonl import atomic_open, dumps, iter_records, write_jsonl
 from .metrics import (
     BINS,
+    DEFAULT_K,
     MACRO,
     MICRO,
     ConfidenceBin,
     MetricsReport,
+    QueryScan,
     RunResult,
+    index_run,
     metric_names,
+    scan_query,
 )
 
 DEFAULT_TARGET_BIN = ConfidenceBin.HIGH
@@ -67,20 +70,24 @@ class DiagnosisSummary:
     topk_bin_histogram: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "counts": {c.value: self.counts[c.value] for c in CATEGORIES},
-            "fractions": {c.value: self.fractions[c.value] for c in CATEGORIES},
-            "success_fraction": self.success_fraction,
-            "hit_rate": self.hit_rate,
-            "consistent": self.consistent,
-            "topk_bin_histogram": {
-                bin.value: self.topk_bin_histogram[bin.value] for bin in BINS
-            },
-        }
+        # Declaration order, with the dicts built in CATEGORIES and BINS
+        # order by diagnose_run, is the canonical key order.
+        return asdict(self)
+
+    def render_table(self) -> str:
+        """Aligned count and fraction per category, then the hit-rate check."""
+        width = max(len(c.value) for c in CATEGORIES)
+        lines = [f"{'category':<{width}}  {'count':>7}  {'fraction':>8}"]
+        for category in CATEGORIES:
+            name = category.value
+            lines.append(f"{name:<{width}}  {self.counts[name]:>7}  "
+                         f"{self.fractions[name]:>8.4f}")
+        lines.append(f"hit_rate {self.hit_rate:.4f} "
+                     f"consistent={str(self.consistent).lower()}")
+        return "\n".join(lines)
 
 
-def classify_query(relevant: set[str], result: RunResult, k: int = 5,
+def classify_query(relevant: set[str], result: RunResult, k: int = DEFAULT_K,
                    target_bin: ConfidenceBin = DEFAULT_TARGET_BIN) -> Diagnosis:
     """Assign exactly one failure category to one query.
 
@@ -91,84 +98,53 @@ def classify_query(relevant: set[str], result: RunResult, k: int = 5,
     the lowest-rank relevant hit anywhere in the ranked list, whatever its
     bin.
     """
-    if not relevant:
+    return _classify(result.query, scan_query(relevant, result.ranked, k),
+                     target_bin)
+
+
+def _classify(query: str, scan: QueryScan,
+              target_bin: ConfidenceBin) -> Diagnosis:
+    if not scan.n_relevant:
         raise ValueError("relevant set must be nonempty")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    best_rank = None
-    best_bin = None
-    in_topk = False
-    meets_target = False
-    for rank, item in enumerate(result.ranked, start=1):
-        if item.entity_id not in relevant:
-            continue
-        if best_rank is None:
-            best_rank = rank
-            best_bin = item.bin
-        if rank <= k:
-            in_topk = True
-            if item.bin >= target_bin:
-                meets_target = True
-    if meets_target:
+    if sum(scan.topk_hits[:BINS.index(target_bin) + 1]):
         category = FailureCategory.SUCCESS
-    elif in_topk:
+    elif sum(scan.topk_hits):
         category = FailureCategory.BINNING_MISS
-    elif best_rank is not None:
+    elif scan.best_rank is not None:
         category = FailureCategory.RANKING_MISS
     else:
         category = FailureCategory.RETRIEVAL_MISS
-    return Diagnosis(query=result.query, category=category,
-                     best_rank=best_rank, best_bin=best_bin)
+    return Diagnosis(query=query, category=category,
+                     best_rank=scan.best_rank, best_bin=scan.best_bin)
 
 
-def diagnose_run(qrels, run: Iterable[RunResult], k: int = 5,
+def diagnose_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
                  target_bin: ConfidenceBin = DEFAULT_TARGET_BIN,
                  ) -> tuple[list[Diagnosis], DiagnosisSummary]:
     """Classify every qrels query and summarize the category partition.
 
-    Queries the run never answered classify as retrieval_miss. The summary
-    recomputes the success rate as a plain hit rate over a second pass and
-    flags whether the two agree.
+    Queries the run never answered are scanned as empty lists, so they
+    classify as retrieval_miss. The summary also counts hits at bins ≥
+    target_bin straight from each scan, without the category decision
+    table, and flags whether that hit rate agrees with the success rate.
     """
     entries: Mapping[str, set[str]] = getattr(qrels, "entries", qrels)
-    by_query: dict[str, RunResult] = {}
-    for result in run:
-        if result.query in by_query:
-            raise ValueError(f"duplicate query in run: {result.query!r}")
-        by_query[result.query] = result
-
+    by_query = index_run(run)
+    at_target = BINS.index(target_bin) + 1
     diagnoses = []
-    histogram = {bin.value: 0 for bin in BINS}
+    histogram = [0] * len(BINS)
+    hits = 0
     for query in sorted(entries):
-        relevant = set(entries[query])
-        result = by_query.get(query)
-        if result is None:
-            diagnoses.append(Diagnosis(
-                query=query, category=FailureCategory.RETRIEVAL_MISS))
-            continue
-        diagnoses.append(classify_query(relevant, result, k, target_bin))
-        for item in result.ranked[:k]:
-            if item.entity_id in relevant:
-                histogram[item.bin.value] += 1
+        scan = scan_query(set(entries[query]), by_query.get(query, ()), k)
+        diagnoses.append(_classify(query, scan, target_bin))
+        histogram = [a + b for a, b in zip(histogram, scan.topk_hits)]
+        hits += any(scan.topk_hits[:at_target])
 
-    counts = {c.value: 0 for c in CATEGORIES}
-    for diagnosis in diagnoses:
-        counts[diagnosis.category.value] += 1
+    counts = {c.value: sum(d.category is c for d in diagnoses)
+              for c in CATEGORIES}
     total = len(diagnoses)
     fractions = {name: (count / total if total else 0.0)
                  for name, count in counts.items()}
-
-    # Independent cross-check: count hits directly, without the category
-    # decision table.
-    hits = 0
-    for query in entries:
-        result = by_query.get(query)
-        if result is None:
-            continue
-        relevant = entries[query]
-        if any(item.entity_id in relevant and item.bin >= target_bin
-               for item in result.ranked[:k]):
-            hits += 1
     hit_rate = hits / total if total else 0.0
     success_fraction = fractions[FailureCategory.SUCCESS.value]
     summary = DiagnosisSummary(
@@ -178,7 +154,7 @@ def diagnose_run(qrels, run: Iterable[RunResult], k: int = 5,
         success_fraction=success_fraction,
         hit_rate=hit_rate,
         consistent=(success_fraction == hit_rate),
-        topk_bin_histogram=histogram,
+        topk_bin_histogram={bin.value: n for bin, n in zip(BINS, histogram)},
     )
     return diagnoses, summary
 
@@ -197,20 +173,16 @@ def write_diagnoses(diagnoses: Iterable[Diagnosis], path: str | Path) -> int:
 
 
 def load_diagnoses(path: str | Path) -> list[Diagnosis]:
-    out = []
-    for lineno, line in read_lines(path):
-        try:
-            rec = json.loads(line)
-            bin_value = rec.get("best_bin")
-            out.append(Diagnosis(
-                query=rec["query"],
-                category=FailureCategory(rec["category"]),
-                best_rank=rec.get("best_rank"),
-                best_bin=ConfidenceBin(bin_value) if bin_value else None,
-            ))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"{path}:{lineno}: bad diagnosis: {exc}") from exc
-    return out
+    def parse(rec: dict) -> Diagnosis:
+        bin_value = rec.get("best_bin")
+        return Diagnosis(
+            query=rec["query"],
+            category=FailureCategory(rec["category"]),
+            best_rank=rec.get("best_rank"),
+            best_bin=ConfidenceBin(bin_value) if bin_value else None,
+        )
+
+    return list(iter_records(path, parse, "diagnosis"))
 
 
 def format_signed(value: float, suffix: str) -> str:

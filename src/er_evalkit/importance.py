@@ -8,15 +8,14 @@ the components under simplex weights.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .catalog import Catalog, Title
-from .errors import ConfigError, IngestError
-from .jsonl import read_lines, write_jsonl
+from .errors import ConfigError
+from .jsonl import iter_records, write_jsonl
 
 WEIGHT_SUM_TOL = 1e-9
 IMPORTANCE_TOL = 1e-12
@@ -219,18 +218,10 @@ def write_scored(scored: Iterable[ScoredTitle], path: str | Path) -> int:
 
 
 def load_scored(path: str | Path) -> list[ScoredTitle]:
-    out = []
-    for lineno, line in read_lines(path):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        try:
-            components = ComponentScores(
-                rec["release_year_score"], rec["rank_score"],
-                rec["rating_count_score"])
-            out.append(ScoredTitle(rec["entity_id"], components,
-                                   rec["importance"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"{path}:{lineno}: not a scored record: {exc}") from exc
-    return out
+    def parse(rec: dict) -> ScoredTitle:
+        components = ComponentScores(rec["release_year_score"],
+                                     rec["rank_score"],
+                                     rec["rating_count_score"])
+        return ScoredTitle(rec["entity_id"], components, rec["importance"])
+
+    return list(iter_records(path, parse, "scored record"))

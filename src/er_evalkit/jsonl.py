@@ -8,12 +8,15 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import IngestError
+
+T = TypeVar("T")
 
 
 def dumps(obj: Any) -> str:
@@ -66,12 +69,40 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
 
-def load_jsonl(path: str | Path) -> list[Any]:
-    """Strict loader: any malformed line is an ingest error."""
-    records = []
+def iter_records(path: str | Path, parse: Callable[[Any], T],
+                 what: str) -> Iterator[T]:
+    """Yield ``parse(record)`` for each JSON line of ``path``, in file order.
+
+    Invalid JSON, and a KeyError, TypeError or ValueError raised by
+    ``parse``, become one IngestError naming the file and line.
+    """
     for lineno, line in read_lines(path):
         try:
-            records.append(json.loads(line))
+            rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise IngestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-    return records
+        try:
+            value = parse(rec)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+        yield value
+
+
+def require(rec: dict, key: str, *kinds: type) -> Any:
+    """``rec[key]``, checked to be exactly one of ``kinds``.
+
+    The check is on the exact type, so a bool never passes for an int, and
+    a float must also be finite.
+    """
+    value = rec[key]
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{key} must be {names}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
+
+
+def load_jsonl(path: str | Path) -> list[Any]:
+    """Strict loader: any malformed line is an ingest error."""
+    return list(iter_records(path, lambda rec: rec, "record"))

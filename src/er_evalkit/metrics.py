@@ -20,10 +20,10 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import IngestError
-from .jsonl import atomic_open, dumps, read_lines, write_jsonl
+from .jsonl import atomic_open, dumps, iter_records, require, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -94,48 +94,75 @@ def _check_k(k: int):
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _topk_ids(ranked: tuple[RankedEntity, ...], k: int) -> set[str]:
-    return {item.entity_id for item in ranked[:k]}
+class QueryScan(NamedTuple):
+    """What one walk over a ranked list finds for one qrels query.
+
+    ``topk_hits`` and ``topk_counts`` count, per bin in BINS order, the
+    relevant results and all results in the top k; ``best_rank`` and
+    ``best_bin`` locate the first relevant result anywhere in the list.
+    """
+
+    n_relevant: int
+    topk_hits: tuple[int, ...]
+    topk_counts: tuple[int, ...]
+    first_bin: ConfidenceBin | None
+    best_rank: int | None
+    best_bin: ConfidenceBin | None
 
 
-def _topk_bin_ids(ranked: tuple[RankedEntity, ...], k: int,
-                  bin: ConfidenceBin) -> set[str]:
-    return {item.entity_id for item in ranked[:k] if item.bin is bin}
+def scan_query(relevant: set[str], ranked: tuple[RankedEntity, ...],
+               k: int) -> QueryScan:
+    """Walk one ranked list once against one relevant set.
 
-
-def recall_fraction(relevant: set[str], ranked: tuple[RankedEntity, ...],
-                    k: int) -> Fraction | None:
+    An unanswered query is scanned as an empty list. The walk stops below
+    rank k as soon as the first relevant result is known.
+    """
     _check_k(k)
-    if not relevant:
-        return None
-    return len(relevant & _topk_ids(ranked, k)), len(relevant)
+    top_bins: list[ConfidenceBin] = []
+    hit_bins: list[ConfidenceBin] = []
+    best_rank = best_bin = None
+    for rank, item in enumerate(ranked, start=1):
+        if rank > k and best_rank is not None:
+            break
+        hit = item.entity_id in relevant
+        if hit and best_rank is None:
+            best_rank = rank
+            best_bin = item.bin
+        if rank <= k:
+            top_bins.append(item.bin)
+            if hit:
+                hit_bins.append(item.bin)
+    # list.count compares by identity; a dict keyed by the enum would hash
+    # each bin in Python.
+    return QueryScan(
+        n_relevant=len(relevant),
+        topk_hits=tuple(hit_bins.count(bin) for bin in BINS),
+        topk_counts=tuple(top_bins.count(bin) for bin in BINS),
+        first_bin=ranked[0].bin if ranked else None,
+        best_rank=best_rank,
+        best_bin=best_bin,
+    )
 
 
-def precision_fraction(relevant: set[str], ranked: tuple[RankedEntity, ...],
-                       k: int) -> Fraction | None:
-    _check_k(k)
-    if not ranked:
-        return None
-    denom = min(k, len(ranked))
-    return len(relevant & _topk_ids(ranked, k)), denom
+def _fraction(num: int, den: int) -> Fraction | None:
+    return (num, den) if den else None
 
 
-def recall_bin_fraction(relevant: set[str], ranked: tuple[RankedEntity, ...],
-                        k: int, bin: ConfidenceBin) -> Fraction | None:
-    _check_k(k)
-    if not relevant:
-        return None
-    return len(relevant & _topk_bin_ids(ranked, k, bin)), len(relevant)
+def _fractions(scan: QueryScan, k: int) -> dict[str, Fraction | None]:
+    """Every metric of one query as a (num, den) pair; None when 0/0.
 
-
-def precision_bin_fraction(relevant: set[str],
-                           ranked: tuple[RankedEntity, ...],
-                           k: int, bin: ConfidenceBin) -> Fraction | None:
-    _check_k(k)
-    in_bin = _topk_bin_ids(ranked, k, bin)
-    if not in_bin:
-        return None
-    return len(relevant & in_bin), len(in_bin)
+    precision@1@high is defined only when the first result is high.
+    """
+    found = sum(scan.topk_hits)
+    n_relevant = scan.n_relevant
+    out = {f"precision@{k}": _fraction(found, sum(scan.topk_counts)),
+           f"recall@{k}": _fraction(found, n_relevant)}
+    for bin, hits, shown in zip(BINS, scan.topk_hits, scan.topk_counts):
+        out[f"precision@{k}@{bin.value}"] = _fraction(hits, shown)
+        out[f"recall@{k}@{bin.value}"] = _fraction(hits, n_relevant)
+    out["precision@1@high"] = _fraction(
+        int(scan.best_rank == 1), int(scan.first_bin is ConfidenceBin.HIGH))
+    return out
 
 
 def _value(fraction: Fraction | None) -> float | None:
@@ -145,27 +172,31 @@ def _value(fraction: Fraction | None) -> float | None:
     return num / den
 
 
+def _metric(relevant, ranked, k: int, name: str) -> float | None:
+    return _value(_fractions(scan_query(relevant, ranked, k), k)[name])
+
+
 def recall_at_k(relevant: set[str], ranked: tuple[RankedEntity, ...],
                 k: int) -> float | None:
     """|relevant ∩ top-k| / |relevant|; None when relevant is empty."""
-    return _value(recall_fraction(relevant, ranked, k))
+    return _metric(relevant, ranked, k, f"recall@{k}")
 
 
 def precision_at_k(relevant: set[str], ranked: tuple[RankedEntity, ...],
                    k: int) -> float | None:
     """|relevant ∩ top-k| / min(k, |ranked|); None when ranked is empty."""
-    return _value(precision_fraction(relevant, ranked, k))
+    return _metric(relevant, ranked, k, f"precision@{k}")
 
 
 def recall_at_k_bin(relevant: set[str], ranked: tuple[RankedEntity, ...],
                     k: int, bin: ConfidenceBin) -> float | None:
-    return _value(recall_bin_fraction(relevant, ranked, k, bin))
+    return _metric(relevant, ranked, k, f"recall@{k}@{bin.value}")
 
 
 def precision_at_k_bin(relevant: set[str], ranked: tuple[RankedEntity, ...],
                        k: int, bin: ConfidenceBin) -> float | None:
     """Precision over the top-k results carrying ``bin``; None when none do."""
-    return _value(precision_bin_fraction(relevant, ranked, k, bin))
+    return _metric(relevant, ranked, k, f"precision@{k}@{bin.value}")
 
 
 def aggregate(fractions: Iterable[Fraction | None], mode: str) -> float | None:
@@ -222,12 +253,15 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsReport":
+        """Rebuild a report; only the metric columns of ``k`` are read."""
+        names = metric_names(data["k"])
         return cls(
             k=data["k"],
             bins=tuple(data["bins"]),
             counts=dict(data["counts"]),
-            aggregates={name: dict(modes)
-                        for name, modes in data["aggregates"].items()},
+            aggregates={name: {mode: data["aggregates"][name][mode]
+                               for mode in (MICRO, MACRO)}
+                        for name in names},
             per_query={query: dict(values)
                        for query, values in data["per_query"].items()},
         )
@@ -239,10 +273,12 @@ class MetricsReport:
     @classmethod
     def load(cls, path: str | Path) -> "MetricsReport":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            return cls.from_dict(
+                json.loads(Path(path).read_text(encoding="utf-8")))
+        except (OSError, ValueError) as exc:
             raise IngestError(f"cannot load report {path}: {exc}") from exc
-        return cls.from_dict(data)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise IngestError(f"{path}: not a metrics report: {exc!r}") from exc
 
     def render_table(self) -> str:
         """Aligned metric table, one row per metric, micro/macro columns."""
@@ -263,35 +299,14 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _query_fractions(relevant: set[str], result: RunResult | None,
-                     k: int) -> dict[str, Fraction | None]:
-    """All metric fractions for one qrels query.
-
-    ``result=None`` means the run never answered the query: every recall
-    variant gets a zero numerator over the full relevant set, precision
-    stays undefined.
-    """
-    out: dict[str, Fraction | None] = {}
-    if result is None:
-        zero = (0, len(relevant))
-        out[f"precision@{k}"] = None
-        out[f"recall@{k}"] = zero
-        for bin in BINS:
-            out[f"precision@{k}@{bin.value}"] = None
-            out[f"recall@{k}@{bin.value}"] = zero
-        out["precision@1@high"] = None
-        return out
-    ranked = result.ranked
-    out[f"precision@{k}"] = precision_fraction(relevant, ranked, k)
-    out[f"recall@{k}"] = recall_fraction(relevant, ranked, k)
-    for bin in BINS:
-        out[f"precision@{k}@{bin.value}"] = precision_bin_fraction(
-            relevant, ranked, k, bin)
-        out[f"recall@{k}@{bin.value}"] = recall_bin_fraction(
-            relevant, ranked, k, bin)
-    out["precision@1@high"] = precision_bin_fraction(
-        relevant, ranked, 1, ConfidenceBin.HIGH)
-    return out
+def index_run(run: Iterable[RunResult]) -> dict[str, tuple[RankedEntity, ...]]:
+    """Map each run query to its ranked list; a repeated query is an error."""
+    by_query: dict[str, tuple[RankedEntity, ...]] = {}
+    for result in run:
+        if result.query in by_query:
+            raise ValueError(f"duplicate query in run: {result.query!r}")
+        by_query[result.query] = result.ranked
+    return by_query
 
 
 def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
@@ -300,29 +315,20 @@ def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
 
     ``qrels`` is a RelevanceSet or a plain mapping query → set of ids. Run
     queries absent from qrels are ignored (tallied); qrels queries absent
-    from the run contribute recall 0. A query appearing twice in the run is
-    an error naming it.
+    from the run are scanned as empty lists, so they contribute recall 0.
+    A query appearing twice in the run is an error naming it.
     """
     _check_k(k)
     entries: Mapping[str, set[str]] = getattr(qrels, "entries", qrels)
-    by_query: dict[str, RunResult] = {}
-    for result in run:
-        if result.query in by_query:
-            raise ValueError(f"duplicate query in run: {result.query!r}")
-        by_query[result.query] = result
+    by_query = index_run(run)
 
     names = metric_names(k)
-    fractions: dict[str, dict[str, Fraction | None]] = {}
-    evaluated = skipped = 0
-    for query in sorted(entries):
-        result = by_query.get(query)
-        if result is None:
-            skipped += 1
-        else:
-            evaluated += 1
-        fractions[query] = _query_fractions(set(entries[query]), result, k)
-
-    ignored = sum(1 for query in by_query if query not in entries)
+    fractions = {
+        query: _fractions(
+            scan_query(set(entries[query]), by_query.get(query, ()), k), k)
+        for query in sorted(entries)
+    }
+    evaluated = sum(1 for query in entries if query in by_query)
     aggregates = {
         name: {
             MICRO: aggregate((fractions[q][name] for q in fractions), MICRO),
@@ -337,45 +343,38 @@ def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
     return MetricsReport(
         k=k,
         bins=tuple(bin.value for bin in BINS),
-        counts={"evaluated": evaluated, "skipped": skipped,
-                "ignored_run_queries": ignored},
+        counts={"evaluated": evaluated,
+                "skipped": len(entries) - evaluated,
+                "ignored_run_queries": len(by_query) - evaluated},
         aggregates=aggregates,
         per_query=per_query,
     )
 
 
+_BIN_BY_VALUE = {bin.value: bin for bin in BINS}
+
+
 def load_run(path: str | Path) -> list[RunResult]:
-    """Load run JSONL: {"query", "results": [{entity_id, score, bin},…]}."""
-    out = []
+    """Load run JSONL: {"query", "results": [{entity_id, score, bin},…]}.
+
+    Ids are strings and a score is a finite int or float; the file order of
+    results is the rank order.
+    """
     seen: set[str] = set()
-    for lineno, line in read_lines(path):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if (not isinstance(rec, dict) or not isinstance(rec.get("query"), str)
-                or not isinstance(rec.get("results"), list)):
-            raise IngestError(f"{path}:{lineno}: not a run record")
-        query = rec["query"]
+
+    def parse(rec: dict) -> RunResult:
+        query = require(rec, "query", str)
         if query in seen:
-            raise IngestError(f"{path}:{lineno}: duplicate query {query!r}")
+            raise ValueError(f"duplicate query {query!r}")
         seen.add(query)
-        ranked = []
-        for item in rec["results"]:
-            try:
-                ranked.append(RankedEntity(
-                    entity_id=item["entity_id"],
-                    score=float(item["score"]),
-                    bin=ConfidenceBin(item["bin"]),
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise IngestError(
-                    f"{path}:{lineno}: bad result entry: {exc}") from exc
-        try:
-            out.append(RunResult(query=query, ranked=tuple(ranked)))
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: {exc}") from exc
-    return out
+        ranked = tuple(
+            RankedEntity(entity_id=require(item, "entity_id", str),
+                         score=float(require(item, "score", int, float)),
+                         bin=_BIN_BY_VALUE[item["bin"]])
+            for item in require(rec, "results", list))
+        return RunResult(query=query, ranked=ranked)
+
+    return list(iter_records(path, parse, "run record"))
 
 
 def save_run(run: Iterable[RunResult], path: str | Path) -> int:

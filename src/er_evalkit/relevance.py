@@ -8,15 +8,14 @@ nimp, importance) so the thresholds it passed stay auditable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .clickstream import CtrRecord
-from .errors import ConfigError, IngestError
+from .errors import ConfigError
 from .importance import ScoredTitle
-from .jsonl import read_lines, write_jsonl
+from .jsonl import iter_records, require, write_jsonl
 
 DEFAULT_MIN_IMPORTANCE = 0.3
 
@@ -113,22 +112,21 @@ def emit_qrels(relset: RelevanceSet, path: str | Path,
 def load_qrels(path: str | Path) -> RelevanceSet:
     """Load qrels written by :func:`emit_qrels` (provenance not restored)."""
     relset = RelevanceSet()
-    for lineno, line in read_lines(path):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if (not isinstance(rec, dict) or not isinstance(rec.get("query"), str)
-                or not isinstance(rec.get("relevant"), list)):
-            raise IngestError(f"{path}:{lineno}: not a qrels record")
-        query = rec["query"]
-        relevant = rec["relevant"]
+
+    def parse(rec: dict) -> tuple[str, set[str]]:
+        query = require(rec, "query", str)
+        relevant = require(rec, "relevant", list)
         if query in relset.entries:
-            raise IngestError(f"{path}:{lineno}: duplicate query {query!r}")
+            raise ValueError(f"duplicate query {query!r}")
         if not relevant:
-            raise IngestError(f"{path}:{lineno}: empty relevant set")
+            raise ValueError("empty relevant set")
+        if not all(type(entity_id) is str for entity_id in relevant):
+            raise TypeError("relevant ids must be strings")
         ids = set(relevant)
         if len(ids) != len(relevant):
-            raise IngestError(f"{path}:{lineno}: duplicate entity in relevant set")
+            raise ValueError("duplicate entity in relevant set")
+        return query, ids
+
+    for query, ids in iter_records(path, parse, "qrels record"):
         relset.entries[query] = ids
     return relset

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .catalog import Catalog, Title
+from .catalog import (BASICS_COLUMNS, MISSING_TOKEN, RANKS_COLUMNS,
+                      RATINGS_COLUMNS, Catalog, Title)
 from .clickstream import ClickEvent, normalize_query
 from .errors import ConfigError
 from .jsonl import write_jsonl
@@ -294,32 +295,21 @@ def write_catalog_tsv(catalog: Catalog, out_dir: str | Path,
     """Write basics/ratings/ranks TSVs in the ingestable dump format."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    basics = out_dir / "basics.tsv"
-    ratings = out_dir / "ratings.tsv"
-    ranks = out_dir / "ranks.tsv"
-
-    def cell(value) -> str:
-        return "\\N" if value is None else str(value)
-
-    with open(basics, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", quoting=csv.QUOTE_NONE,
-                            lineterminator="\n")
-        writer.writerow(["tconst", "primaryTitle", "startYear"])
-        for t in catalog.titles:
-            writer.writerow([t.entity_id, t.name, cell(t.release_year)])
-    with open(ratings, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", quoting=csv.QUOTE_NONE,
-                            lineterminator="\n")
-        writer.writerow(["tconst", "averageRating", "numVotes"])
-        for t in catalog.titles:
-            writer.writerow([t.entity_id, cell(t.rating), cell(t.rating_count)])
-    with open(ranks, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", quoting=csv.QUOTE_NONE,
-                            lineterminator="\n")
-        writer.writerow(["tconst", "rank"])
-        for t in catalog.titles:
-            writer.writerow([t.entity_id, cell(t.rank)])
-    return basics, ratings, ranks
+    paths = []
+    for name, header, attrs in (
+            ("basics", BASICS_COLUMNS, ("name", "release_year")),
+            ("ratings", RATINGS_COLUMNS, ("rating", "rating_count")),
+            ("ranks", RANKS_COLUMNS, ("rank",))):
+        paths.append(out_dir / f"{name}.tsv")
+        with open(paths[-1], "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, delimiter="\t", quoting=csv.QUOTE_NONE,
+                                lineterminator="\n")
+            writer.writerow(header)
+            for t in catalog.titles:
+                values = [getattr(t, attr) for attr in attrs]
+                writer.writerow([t.entity_id] + [
+                    MISSING_TOKEN if v is None else str(v) for v in values])
+    return tuple(paths)
 
 
 def write_truth_qrels(queries: list[tuple[str, str]], path: str | Path) -> int:

@@ -87,6 +87,46 @@ def brute_precision_at_k_bin(relevant, ranked, k, bin_value) -> Fraction | None:
     return Fraction(hits, len(top_in_bin))
 
 
+def brute_classify(relevant, ranked, k, target_bin):
+    """Failure category, best rank and best bin by explicit enumeration.
+
+    Returns (category, best_rank, best_bin) with the category as its string
+    value; best_rank is 1-based and, like best_bin, None when no relevant id
+    was retrieved. Bins compare by their position in BIN_VALUES, which lists
+    them strongest first.
+    """
+    target_level = BIN_VALUES.index(target_bin)
+    found_in_top = False
+    found_at_target = False
+    best_rank = None
+    best_bin = None
+    position = 0
+    for item in ranked:
+        position += 1
+        is_relevant = False
+        for rel_id in relevant:
+            if item.entity_id == rel_id:
+                is_relevant = True
+        if not is_relevant:
+            continue
+        if best_rank is None:
+            best_rank = position
+            best_bin = item.bin
+        if position <= k:
+            found_in_top = True
+            if BIN_VALUES.index(item.bin) <= target_level:
+                found_at_target = True
+    if found_at_target:
+        category = "success"
+    elif found_in_top:
+        category = "binning_miss"
+    elif best_rank is not None:
+        category = "ranking_miss"
+    else:
+        category = "retrieval_miss"
+    return category, best_rank, best_bin
+
+
 def random_instance(rng: random.Random) -> Instance:
     """Small random instance: ≤ 8 ranked items, ≤ 4 relevant, k ∈ {1,3,5}.
 

@@ -1,10 +1,20 @@
 """End-to-end CLI tests driving dispatch() in process."""
 
+import hashlib
 import json
 
 import pytest
 
-from er_evalkit.cli import ENV_THREADS, dispatch, load_config_file
+from er_evalkit.cli import (
+    DEFAULTS,
+    ENV_THREADS,
+    _defaults_epilog,
+    _parse_numbers,
+    _weight,
+    dispatch,
+    load_config_file,
+)
+from er_evalkit.importance import ImportanceConfig
 from er_evalkit.errors import ConfigError
 from er_evalkit.jsonl import dumps
 
@@ -398,6 +408,19 @@ class TestDiagnoseCommand:
         assert json.loads(out)["counts"]["success"] == 1
 
 
+    @pytest.mark.parametrize("value,code", [("medium", 0), ("huge", 1)])
+    def test_target_bin_from_config_file(self, capsys, tmp_path, value, code):
+        qrels, run = write_worked_fixture(tmp_path)
+        config = tmp_path / "settings.conf"
+        config.write_text(f"target-bin = {value}\n", encoding="utf-8")
+        got, out, err = run_cli(capsys, "diagnose", "--qrels", str(qrels),
+                                "--run", str(run), "--config", str(config))
+        assert got == code
+        assert len(error_lines(err)) == code
+        if code == 0:
+            assert json.loads(out)["counts"]["success"] == 1
+
+
 class TestScoreImportanceFlags:
     def test_bad_weights_flag_is_module_error(self, capsys, tmp_path):
         catalog_path = tmp_path / "catalog.jsonl"
@@ -427,3 +450,126 @@ class TestScoreImportanceFlags:
         assert code == 0, err
         row = json.loads(out_path.read_text().splitlines()[0])
         assert row["release_year_score"] == 0.5
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+class TestOutputFormat:
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose", "compare"])
+    def test_misspelled_format_in_config_is_module_error(self, capsys,
+                                                         tmp_path, command):
+        qrels, run = write_worked_fixture(tmp_path)
+        report = tmp_path / "report.json"
+        assert run_cli(capsys, "evaluate", "--qrels", str(qrels),
+                       "--run", str(run), "--out", str(report))[0] == 0
+        config = tmp_path / "settings.conf"
+        config.write_text("format = tabel\n", encoding="utf-8")
+        out = tmp_path / "out"
+        inputs = (["--baseline", str(report), "--candidate", str(report)]
+                  if command == "compare"
+                  else ["--qrels", str(qrels), "--run", str(run)])
+        code, stdout, err = run_cli(capsys, command, *inputs,
+                                    "--out", str(out), "--config", str(config))
+        assert code == 1
+        assert stdout == ""
+        assert len(error_lines(err)) == 1
+        assert "tabel" in err
+        assert not out.exists()
+
+    def test_table_from_config_file(self, capsys, tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        config = tmp_path / "settings.conf"
+        config.write_text("format = table\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "diagnose", "--qrels", str(qrels),
+                               "--run", str(run), "--config", str(config))
+        assert code == 0
+        assert "consistent=true" in out
+
+
+class TestCompareMalformedReport:
+    @pytest.mark.parametrize("text", [
+        '{"k": 5}',
+        '[]',
+        '{"k": 5, "bins": ["high", "medium", "low"], "counts": {}, '
+        '"aggregates": {}, "per_query": {}}',
+        '{"k": 5, "bins": [], "counts": {}, "aggregates": [], '
+        '"per_query": {}}',
+        'not json',
+    ])
+    def test_exits_one_with_one_error_line(self, capsys, tmp_path, text):
+        qrels, run = write_worked_fixture(tmp_path)
+        good = tmp_path / "good.json"
+        run_cli(capsys, "evaluate", "--qrels", str(qrels), "--run", str(run),
+                "--out", str(good))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "compare", "--baseline", str(bad),
+                               "--candidate", str(good))
+        assert code == 1
+        assert len(error_lines(err)) == 1
+        assert "bad.json" in error_lines(err)[0]
+        assert "Traceback" not in err
+
+
+# sha256 of the --help defaults table as it was written out by hand, before
+# the rows were rendered from the module constants.
+DEFAULTS_EPILOG = \
+    "c8fe55f1df0d40a26f11e1950a4ca36c4bc4a5ea2f95900391752e0067e2dfb9"
+
+
+class TestDefaults:
+    def test_epilog_bytes_unchanged(self):
+        digest = hashlib.sha256(_defaults_epilog().encode()).hexdigest()
+        assert digest == DEFAULTS_EPILOG
+
+    def test_weights_row_parses_back_to_the_default_weights(self):
+        shown = dict((name, value) for name, value, _ in DEFAULTS)
+        text = ",".join(shown["weights"])
+        assert _parse_numbers(text, 3, "weights", _weight) == \
+            ImportanceConfig().weights
+
+    def test_simulate_rows_follow_sim_config(self):
+        from dataclasses import fields
+
+        from er_evalkit.simulate import SimConfig
+        shown = {name: value for name, value, _ in DEFAULTS}
+        for f in fields(SimConfig):
+            if f.name != "seed":
+                assert shown[f.name] == f.default
+
+    def test_simulate_reads_config_file_like_flags(self, capsys, tmp_path):
+        flags_dir, _ = simulate_fixture(capsys, tmp_path, "flags",
+                                        bin_thresholds="0.9,0.4",
+                                        click_position_decay=0.5)
+        config = tmp_path / "sim.conf"
+        config.write_text("n_titles = 30\nn_queries = 10\ntypo_rate = 0.0\n"
+                          "score_noise_sigma = 0.0\nn_replays = 40\n"
+                          "bin_thresholds = 0.9,0.4\n"
+                          "click-position-decay = 0.5\n", encoding="utf-8")
+        config_dir = tmp_path / "config"
+        code, _, err = run_cli(capsys, "simulate", "--seed", "5",
+                               "--out-dir", str(config_dir),
+                               "--config", str(config))
+        assert code == 0, err
+        for name in FIXTURE_FILES:
+            assert (config_dir / name).read_bytes() == \
+                (flags_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("weights,code", [
+        ("1/2,1/4,1/4", 0), ("0.5,0.25,0.25", 0), ("1/0,0,0", 1),
+        ("1/3,1/3", 1), ("a,b,c", 1),
+    ])
+    def test_weights_accept_fractions(self, capsys, tmp_path, weights, code):
+        catalog_path = tmp_path / "catalog.jsonl"
+        write_jsonl_file(catalog_path, [
+            {"entity_id": "tt1", "name": "Only", "release_year": 2000,
+             "rank": 1, "rating_count": 10, "rating": 7.0},
+        ])
+        got, _, err = run_cli(capsys, "score-importance",
+                              "--catalog", str(catalog_path),
+                              "--out", str(tmp_path / "s.jsonl"),
+                              "--weights", weights)
+        assert got == code
+        assert len(error_lines(err)) == code

@@ -305,3 +305,24 @@ class TestJsonlRoundTrips:
         path.write_text('{"query":"q"}\n', encoding="utf-8")
         with pytest.raises(IngestError, match="ctr.jsonl:1"):
             load_ctr_records(path)
+
+    @pytest.mark.parametrize("fields", [
+        '"nimp":true,"nclick":true,"ctr":1.0',
+        '"nimp":4.0,"nclick":3.0,"ctr":0.75',
+        '"nimp":4,"nclick":3,"ctr":"0.75"',
+        '"nimp":4,"nclick":3,"ctr":NaN',
+    ])
+    def test_counts_must_be_ints_and_ctr_a_number(self, tmp_path, fields):
+        path = tmp_path / "ctr.jsonl"
+        path.write_text('{"query":"q","entity_id":"tt1","nimp":4,"nclick":3,'
+                        '"ctr":0.75}\n{"query":"q","entity_id":"tt2",'
+                        + fields + '}\n', encoding="utf-8")
+        with pytest.raises(IngestError, match="ctr.jsonl:2: bad CTR record"):
+            load_ctr_records(path)
+
+    def test_ids_must_be_strings(self, tmp_path):
+        path = tmp_path / "ctr.jsonl"
+        path.write_text('{"query":"q","entity_id":7,"nimp":4,"nclick":3,'
+                        '"ctr":0.75}\n', encoding="utf-8")
+        with pytest.raises(IngestError, match="entity_id must be str"):
+            load_ctr_records(path)

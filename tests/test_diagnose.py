@@ -17,11 +17,14 @@ from er_evalkit.diagnose import (
 )
 from er_evalkit.errors import ConfigError
 from er_evalkit.metrics import (
+    BINS,
     ConfidenceBin,
     RankedEntity,
     RunResult,
     evaluate_run,
 )
+
+from oracle import brute_classify, random_instance
 
 HIGH = ConfidenceBin.HIGH
 MEDIUM = ConfidenceBin.MEDIUM
@@ -275,3 +278,72 @@ class TestCompareReports:
     def test_every_category_listed_once(self):
         assert [c.value for c in CATEGORIES] == [
             "success", "binning_miss", "ranking_miss", "retrieval_miss"]
+
+
+class TestBruteForceClassifier:
+    """classify_query and diagnose_run against a loop-based oracle."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        rng = random.Random(20240817)
+        out = []
+        for i in range(10_000):
+            inst = random_instance(rng)
+            ranked = tuple(RankedEntity(entity_id=item.entity_id,
+                                        score=1.0 - 0.01 * rank,
+                                        bin=ConfidenceBin(item.bin))
+                           for rank, item in enumerate(inst.ranked))
+            out.append((f"q{i:05d}", inst, RunResult(f"q{i:05d}", ranked)))
+        return out
+
+    @staticmethod
+    def as_tuple(diagnosis):
+        return (diagnosis.category.value, diagnosis.best_rank,
+                diagnosis.best_bin.value if diagnosis.best_bin else None)
+
+    @pytest.mark.parametrize("target", BINS)
+    def test_classify_query_matches_oracle(self, instances, target):
+        checked = 0
+        for _, inst, result in instances:
+            if not inst.relevant:
+                continue
+            got = classify_query(set(inst.relevant), result, inst.k, target)
+            assert self.as_tuple(got) == brute_classify(
+                inst.relevant, inst.ranked, inst.k, target.value)
+            checked += 1
+        assert checked > 7500
+
+    @pytest.mark.parametrize("target", BINS)
+    @pytest.mark.parametrize("k", (1, 3, 5))
+    def test_diagnose_run_matches_oracle(self, instances, target, k):
+        kept = [(query, inst, result) for query, inst, result in instances
+                if inst.relevant]
+        qrels = {query: set(inst.relevant) for query, inst, _ in kept}
+        # Every third query goes unanswered and must be a retrieval miss.
+        run = [result for i, (_, _, result) in enumerate(kept) if i % 3]
+        diagnoses, summary = diagnose_run(qrels, run, k=k, target_bin=target)
+        expected = [
+            brute_classify(inst.relevant, inst.ranked if i % 3 else (), k,
+                           target.value)
+            for i, (_, inst, _) in enumerate(kept)
+        ]
+        assert [d.query for d in diagnoses] == [q for q, _, _ in kept]
+        assert [self.as_tuple(d) for d in diagnoses] == expected
+        for category in CATEGORIES:
+            assert summary.counts[category.value] == sum(
+                1 for e in expected if e[0] == category.value)
+        assert summary.consistent
+        assert summary.hit_rate == summary.success_fraction
+
+
+class TestEmptyRelevantSet:
+    def test_unanswered_and_answered_agree(self):
+        unanswered = evaluate_run({"q": set()}, [], 5)
+        answered = evaluate_run(
+            {"q": set()}, [run_result("q", ("A", HIGH))], 5)
+        for name in ("recall@5", "recall@5@high", "recall@5@low"):
+            assert unanswered.per_query["q"][name] is None
+            assert answered.per_query["q"][name] is None
+        assert unanswered.per_query["q"]["precision@5"] is None
+        assert unanswered.counts == {"evaluated": 0, "skipped": 1,
+                                     "ignored_run_queries": 0}

@@ -332,3 +332,29 @@ class TestRunFiles:
                         encoding="utf-8")
         with pytest.raises(IngestError):
             load_run(path)
+
+    @pytest.mark.parametrize("entry", [
+        '{"entity_id":"A","score":"NaN","bin":"high"}',
+        '{"entity_id":"A","score":NaN,"bin":"high"}',
+        '{"entity_id":"A","score":Infinity,"bin":"high"}',
+        '{"entity_id":"A","score":true,"bin":"high"}',
+        '{"entity_id":["a"],"score":1.0,"bin":"high"}',
+        '{"entity_id":7,"score":1.0,"bin":"high"}',
+        '{"entity_id":"A","score":1.0,"bin":["high"]}',
+        '"A"',
+    ])
+    def test_bad_entry_is_an_ingest_error(self, tmp_path, entry):
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"query":"q","results":[' + entry + ']}\n',
+                        encoding="utf-8")
+        with pytest.raises(IngestError, match="run.jsonl:1: bad run record"):
+            load_run(path)
+
+    def test_integer_score_loads_as_float(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"query":"q","results":'
+                        '[{"entity_id":"A","score":1,"bin":"high"}]}\n',
+                        encoding="utf-8")
+        [result] = load_run(path)
+        assert result.ranked[0].score == 1.0
+        assert isinstance(result.ranked[0].score, float)

@@ -167,3 +167,16 @@ class TestQrelsFiles:
                         encoding="utf-8")
         with pytest.raises(IngestError, match="duplicate entity"):
             load_qrels(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"query":"q","relevant":[1,2]}',
+        '{"query":"q","relevant":["tt1",null]}',
+        '{"query":1,"relevant":["tt1"]}',
+        '{"query":"q","relevant":"tt1"}',
+        '["q",["tt1"]]',
+    ])
+    def test_non_string_ids_rejected_on_load(self, tmp_path, line):
+        path = tmp_path / "qrels.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="qrels.jsonl:1: bad qrels"):
+            load_qrels(path)
