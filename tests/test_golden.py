@@ -1,4 +1,11 @@
-"""Golden bytes for evaluate, diagnose and compare on a seed-42 fixture.
+"""Golden bytes for simulate, and for evaluate, diagnose and compare on a
+seed-42 fixture.
+
+The simulate digests were taken from the scalar edit-distance kernel with
+one Gaussian draw per call, so they pin any faster matcher to exactly the
+same fixture bytes. The ``ties`` run turns the noise off and keeps every
+title, so equal scores are common and the entity_id tie-break decides much
+of each ranking.
 
 The digests were taken from the implementation that scored each metric and
 each diagnosis in separate passes over the ranked list, so they pin the
@@ -41,6 +48,34 @@ DIAGNOSE = {
         "5f0681016963791f11736d0f78ee0bfc0d4948487f3b96f70eb4e9eddfac6483"),
 }
 
+SIMULATE_FILES = ("basics.tsv", "ratings.tsv", "ranks.tsv", "clicklog.jsonl",
+                  "run.jsonl", "truth_qrels.jsonl")
+
+SIMULATE = {
+    "seed0": (("--seed", 0), (
+        "d581101cbf4b85d3c7e54fce0ae6feb95b5cc5c020c9f0d775b822ce069907b3",
+        "a07dfdab7a2db988dc439d28ee3820e84c326e6e3423551a0aa35e627b3c37da",
+        "92238f0bc8c615752c70949ea1e964ec86b851e89dbfaa950c906f008a610df4",
+        "04420dd57ce24703dd2a73b38e45260706022f60ec14141dbedb6f9ac4c9a27e",
+        "52cf92bafbc29b7ebbcb9edd280ab4fd9c2b41872f6d1bb2c10a6771bdfc76da",
+        "1a075d0888999e1ad2f8482084565441a58e136488431826444dec007dcae5a4")),
+    "seed42": (("--seed", 42), (
+        "2b178349bc7d01dba758d13c9a0cc83296841bb0618e5a6ebe16bb38d2105809",
+        "405b47fad3e281a7206fcc0aaf002ce7f6fea453870bff078d12b975099e5c33",
+        "c8686871dd54186e2e52e1633400b31423d01a4c37fa447332bc89064dac9838",
+        "390a779219d3cc6a0be149bb32be62f032ee935114403d205b2fce818e0664a8",
+        "5242b36987f0d0f911d4e489825b2a2f01e22b12b08c11907d84bfd4fb6ac934",
+        "51fb1dc879e9acc000f46e364218e43a93647bc9462bcda48232eeeb95b82776")),
+    "ties": (("--seed", 7, "--score-noise-sigma", 0, "--retrieve-m", 1000,
+              "--n-queries", 100, "--n-replays", 1), (
+        "604721e62db31e252272e6a4e960f0326ea588a1a6d3fedc968eac9af6a7dc64",
+        "513501ad51f0fc53dc9c07505522108053a3f00dfa461b18ebbeba1ef1aefd03",
+        "def1660f4852f374b800913ac1e859b2de99acab0204eeeccb3069e8ecf5536c",
+        "da25aec86391d38d490944137211d0e398e8bb18e8f0b4c1e14002adb8f8ecc5",
+        "3719a2364d2167c2c446f38fb46963231635609716c18f1a14a2407b6fbe451b",
+        "adeb48351e9d0e379b48c208ff7bf2396cfd76c6ac9081a87143011a8d254c45")),
+}
+
 COMPARE = "c8d4c5955bdd211722b6057fde76198b4576a82e986f55a410739d6dd5821e32"
 
 
@@ -53,6 +88,14 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     return captured.out
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE))
+def test_simulate_bytes(capsys, tmp_path, name):
+    argv, digests = SIMULATE[name]
+    run_cli(capsys, "simulate", *argv, "--out-dir", tmp_path)
+    got = {f: sha256((tmp_path / f).read_bytes()) for f in SIMULATE_FILES}
+    assert got == dict(zip(SIMULATE_FILES, digests))
 
 
 def multi_qrels_rows(truth_rows, run_rows):
