@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import IngestError
-from .jsonl import iter_records, require, write_jsonl
+from .jsonl import iter_records, optional, require, write_jsonl
 
 MISSING_TOKEN = "\\N"
 DEFAULT_YEAR_WINDOW = (1870, 2100)
@@ -282,7 +282,11 @@ def write_catalog(catalog: Catalog, path: str | Path) -> None:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    """Load a catalog previously written by :func:`write_catalog`."""
+    """Load a catalog previously written by :func:`write_catalog`.
+
+    The optional fields are null or absent, or else typed: year, rank and
+    rating count are ints (never bools), rating a finite number.
+    """
     seen: set[str] = set()
 
     def parse(rec: dict) -> Title:
@@ -293,10 +297,10 @@ def load_catalog(path: str | Path) -> Catalog:
         return Title(
             entity_id=entity_id,
             name=require(rec, "name", str),
-            release_year=rec.get("release_year"),
-            rank=rec.get("rank"),
-            rating_count=rec.get("rating_count"),
-            rating=rec.get("rating"),
+            release_year=optional(rec, "release_year", int),
+            rank=optional(rec, "rank", int),
+            rating_count=optional(rec, "rating_count", int),
+            rating=optional(rec, "rating", int, float),
         )
 
     return Catalog(titles=list(iter_records(path, parse, "catalog record")))

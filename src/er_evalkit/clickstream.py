@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, IngestError
-from .jsonl import iter_records, read_lines, require, write_jsonl
+from .jsonl import (dumps, iter_records, read_lines, require, write_jsonl,
+                    write_lines)
 
 DEFAULT_MIN_IMPRESSIONS = 25
 DEFAULT_MIN_CTR = 0.3
@@ -261,12 +262,18 @@ def filter_records(records: Iterable[CtrRecord],
 
 
 def write_events(events: Iterable[ClickEvent], path: str | Path) -> int:
-    def records():
+    """Write events as JSONL; a run of equal events is serialized once."""
+    def lines():
+        last = line = None
         for ev in events:
-            yield {"query": ev.query, "impressions": list(ev.impressions),
-                   "clicked": ev.clicked, "ts": ev.ts}
+            if ev is not last and ev != last:
+                last = ev
+                line = dumps({"query": ev.query,
+                              "impressions": list(ev.impressions),
+                              "clicked": ev.clicked, "ts": ev.ts})
+            yield line
 
-    return write_jsonl(path, records())
+    return write_lines(path, lines())
 
 
 def write_ctr_records(records: Iterable[CtrRecord], path: str | Path) -> int:

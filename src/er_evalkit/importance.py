@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .catalog import Catalog, Title
 from .errors import ConfigError
-from .jsonl import iter_records, write_jsonl
+from .jsonl import iter_records, require, write_jsonl
 
 WEIGHT_SUM_TOL = 1e-9
 IMPORTANCE_TOL = 1e-12
@@ -65,6 +65,8 @@ class ImportanceConfig:
     def __post_init__(self):
         if len(self.weights) != 3:
             raise ConfigError("weights must be a (year, rank, count) triple")
+        if not all(map(math.isfinite, self.weights)):
+            raise ConfigError(f"weights must be finite, got {self.weights}")
         if any(w < 0 for w in self.weights):
             raise ConfigError(f"weights must be nonnegative, got {self.weights}")
         total = sum(self.weights)
@@ -218,10 +220,20 @@ def write_scored(scored: Iterable[ScoredTitle], path: str | Path) -> int:
 
 
 def load_scored(path: str | Path) -> list[ScoredTitle]:
+    """Load scored JSONL; every score is a finite number in [0, 1].
+
+    Importance may exceed 1 by the weight-sum tolerance, as scoring with
+    weights that sum to 1 + WEIGHT_SUM_TOL can produce it.
+    """
     def parse(rec: dict) -> ScoredTitle:
-        components = ComponentScores(rec["release_year_score"],
-                                     rec["rank_score"],
-                                     rec["rating_count_score"])
-        return ScoredTitle(rec["entity_id"], components, rec["importance"])
+        components = ComponentScores(*(
+            require(rec, name, int, float)
+            for name in ("release_year_score", "rank_score",
+                         "rating_count_score")))
+        importance = require(rec, "importance", int, float)
+        if not 0.0 <= importance <= 1.0 + WEIGHT_SUM_TOL:
+            raise ValueError(f"importance {importance} outside [0, 1]")
+        return ScoredTitle(require(rec, "entity_id", str), components,
+                           importance)
 
     return list(iter_records(path, parse, "scored record"))

@@ -25,7 +25,8 @@ def dumps(obj: Any) -> str:
 
 @contextmanager
 def atomic_open(path: str | Path) -> Iterator[IO[str]]:
-    """Open a temp file beside ``path`` for writing text.
+    """Open a temp file beside ``path`` for writing UTF-8 text, with no
+    newline translation.
 
     On a clean exit the temp file replaces ``path`` in one rename, so
     ``path`` holds either its old bytes or the complete new ones; on an
@@ -34,7 +35,7 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -43,18 +44,23 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
-def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
-    """Write one JSON document per line, atomically; returns the line count."""
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each string as one line, atomically; returns the line count."""
     count = 0
     try:
         with atomic_open(path) as fh:
-            for rec in records:
-                fh.write(dumps(rec))
+            for line in lines:
+                fh.write(line)
                 fh.write("\n")
                 count += 1
     except OSError as exc:
         raise IngestError(f"cannot write {path}: {exc}") from exc
     return count
+
+
+def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
+    """Write one JSON document per line, atomically; returns the line count."""
+    return write_lines(path, map(dumps, records))
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -96,11 +102,17 @@ def require(rec: dict, key: str, *kinds: type) -> Any:
     """
     value = rec[key]
     if type(value) not in kinds:
-        names = " or ".join(kind.__name__ for kind in kinds)
+        names = " or ".join("null" if kind is type(None) else kind.__name__
+                            for kind in kinds)
         raise TypeError(f"{key} must be {names}, got {value!r}")
     if type(value) is float and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return value
+
+
+def optional(rec: dict, key: str, *kinds: type) -> Any:
+    """None if ``key`` is absent or null, else ``require(rec, key, *kinds)``."""
+    return None if rec.get(key) is None else require(rec, key, *kinds)
 
 
 def load_jsonl(path: str | Path) -> list[Any]:

@@ -253,17 +253,24 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsReport":
-        """Rebuild a report; only the metric columns of ``k`` are read."""
+        """Rebuild a report; only the metric columns of ``k`` are read.
+
+        Every metric value must be a finite number or null.
+        """
         names = metric_names(data["k"])
+
+        def values(row: dict, keys: Iterable[str]) -> dict:
+            return {key: require(row, key, int, float, type(None))
+                    for key in keys}
+
         return cls(
             k=data["k"],
             bins=tuple(data["bins"]),
             counts=dict(data["counts"]),
-            aggregates={name: {mode: data["aggregates"][name][mode]
-                               for mode in (MICRO, MACRO)}
+            aggregates={name: values(data["aggregates"][name], (MICRO, MACRO))
                         for name in names},
-            per_query={query: dict(values)
-                       for query, values in data["per_query"].items()},
+            per_query={query: values(row, row)
+                       for query, row in data["per_query"].items()},
         )
 
     def save(self, path: str | Path) -> None:

@@ -5,22 +5,26 @@ streams (catalog, queries, matcher noise, clicks) draw from sub-seeds split
 off the master seed by label, so regenerating one stream never perturbs the
 others. The mock matcher scores candidates by normalized edit-distance
 similarity with optional Gaussian noise, which gives the pipeline a ground
-truth with controllable, graded errors.
+truth with controllable, graded errors. Its edit distances come from one
+kernel, :class:`PackedMyers`, which packs every catalog name into its own
+lane of one Python int and scores a query against all of them in a single
+bit-parallel pass; :func:`levenshtein` is its one-lane case.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .catalog import (BASICS_COLUMNS, MISSING_TOKEN, RANKS_COLUMNS,
                       RATINGS_COLUMNS, Catalog, Title)
 from .clickstream import ClickEvent, normalize_query
-from .errors import ConfigError
-from .jsonl import write_jsonl
+from .errors import ConfigError, IngestError
+from .jsonl import atomic_open, write_jsonl
 from .metrics import ConfidenceBin, RankedEntity, RunResult
 from .rng import SplitMix64, derive_seed
 
@@ -75,41 +79,86 @@ class SimConfig:
             raise ConfigError(f"n_replays must be >= 1, got {self.n_replays}")
 
 
-def _pattern_masks(pattern: str) -> dict[str, int]:
-    masks: dict[str, int] = {}
-    for i, ch in enumerate(pattern):
-        masks[ch] = masks.get(ch, 0) | (1 << i)
-    return masks
+class PackedMyers:
+    """Edit distances from one text to many fixed patterns in one pass.
 
+    Myers' bit-parallel algorithm (1999) holds a column of the edit-distance
+    matrix as two bit vectors, VP and VN, the +1 and -1 vertical deltas, one
+    bit per pattern character. Following Hyyrö, Fredriksson & Navarro
+    (2005), every pattern gets its own lane of bits in one Python int, each
+    lane starting on a byte boundary, so one step per text character
+    advances every pattern at once. Nothing crosses a lane edge: the add
+    masks off each lane's top bit and XORs it back in, and the shift clears
+    each top bit before and sets each low bit after. The distance to a
+    pattern is ``len(text) + popcount(VP) - popcount(VN)`` over its lane,
+    read for all lanes from one SWAR popcount.
+    """
 
-def _levenshtein_with_masks(masks: dict[str, int], m: int, text: str) -> int:
-    # Myers bit-parallel edit distance; Python ints make any m legal.
-    if m == 0:
-        return len(text)
-    full = (1 << m) - 1
-    top = 1 << (m - 1)
-    vp = full
-    vn = 0
-    score = m
-    for ch in text:
-        pm = masks.get(ch, 0)
-        d0 = (((pm & vp) + vp) ^ vp) | pm | vn
-        hp = vn | ~(d0 | vp)
-        hn = d0 & vp
-        if hp & top:
-            score += 1
-        elif hn & top:
-            score -= 1
-        hp = (hp << 1) | 1
-        hn = hn << 1
-        vp = (hn | ~(d0 | hp)) & full
-        vn = d0 & hp
-    return score
+    def __init__(self, patterns: Sequence[str]):
+        self._widths = [len(pattern) for pattern in patterns]
+        # Lane i covers bytes bounds[i]:bounds[i + 1].
+        bounds = [0]
+        for width in self._widths:
+            bounds.append(bounds[-1] + (width + 7) // 8)
+        self._starts, self._ends = bounds[:-1], bounds[1:]
+        self._n_bytes = n_bytes = bounds[-1]
+        masks: dict[str, bytearray] = {}
+        lanes, tops, lows = (bytearray(n_bytes) for _ in range(3))
+        for pattern, start, width in zip(patterns, self._starts, self._widths):
+            for j, ch in enumerate(pattern):
+                byte, flag = start + (j >> 3), 1 << (j & 7)
+                if ch not in masks:
+                    masks[ch] = bytearray(n_bytes)
+                masks[ch][byte] |= flag
+                lanes[byte] |= flag
+            if width:
+                lows[start] |= 1
+                tops[start + ((width - 1) >> 3)] |= 1 << ((width - 1) & 7)
+
+        def to_int(buf: bytes) -> int:
+            return int.from_bytes(buf, "little")
+
+        self._masks = {ch: to_int(buf) for ch, buf in masks.items()}
+        self._lanes, self._tops, self._lows = map(to_int, (lanes, tops, lows))
+        self._swar = tuple(to_int(byte * n_bytes)
+                           for byte in (b"\x55", b"\x33", b"\x0f"))
+
+    def _byte_popcounts(self, x: int) -> int:
+        m1, m2, m4 = self._swar
+        x -= (x >> 1) & m1
+        x = (x & m2) + ((x >> 2) & m2)
+        return (x + (x >> 4)) & m4
+
+    def distances(self, text: str) -> list[int]:
+        """Edit distance from ``text`` to each pattern, in pattern order."""
+        masks, lanes, tops, lows = (self._masks, self._lanes, self._tops,
+                                    self._lows)
+        body = lanes ^ tops
+        vp, vn = lanes, 0
+        for ch in text:
+            pm = masks.get(ch, 0)
+            x = pm & vp
+            d0 = ((((x & body) + (vp & body)) ^ ((x ^ vp) & tops)) ^ vp
+                  | pm | vn)
+            hp = vn | (lanes ^ (d0 | vp))
+            hn = d0 & vp
+            hp = ((hp & body) << 1) | lows
+            hn = (hn & body) << 1
+            vp = hn | (lanes ^ (d0 | hp))
+            vn = d0 & hp
+        # A lane's byte sum is popcount(VP) + width - popcount(VN). Per byte
+        # the two counts add to at most 16, so no byte carries.
+        counts = (self._byte_popcounts(vp)
+                  + self._byte_popcounts(lanes ^ vn)).to_bytes(
+                      self._n_bytes, "little")
+        n = len(text)
+        return [n - width + sum(counts[start:end]) for start, end, width
+                in zip(self._starts, self._ends, self._widths)]
 
 
 def levenshtein(a: str, b: str) -> int:
     """Edit distance (insert, delete, substitute all cost 1)."""
-    return _levenshtein_with_masks(_pattern_masks(a), len(a), b)
+    return PackedMyers([a]).distances(b)[0]
 
 
 def similarity(a: str, b: str) -> float:
@@ -237,28 +286,31 @@ def run_mock_er(catalog: Catalog, queries: list[tuple[str, str]],
 
     Score = edit-distance similarity against the normalized title name,
     plus Gaussian noise when score_noise_sigma > 0. Ties break by
-    entity_id so output order is total.
+    entity_id so output order is total. The names are packed once into a
+    :class:`PackedMyers`; each query then takes one kernel pass and one
+    batch of noise draws, in title order.
     """
     rng = SplitMix64(derive_seed(config.seed, "matcher"))
     sigma = config.score_noise_sigma
-    names = [(title.entity_id, normalize_query(title.name))
-             for title in catalog.titles]
+    ids = [title.entity_id for title in catalog.titles]
+    names = [normalize_query(title.name) for title in catalog.titles]
+    widths = [len(name) for name in names]
+    kernel = PackedMyers(names)
     results = []
     for query, _truth in queries:
-        masks = _pattern_masks(query)
-        m = len(query)
-        scored = []
-        for entity_id, name in names:
-            longest = max(m, len(name))
-            sim = 1.0 - _levenshtein_with_masks(masks, m, name) / longest
-            if sigma > 0.0:
-                sim += rng.gauss(0.0, sigma)
-            scored.append((sim, entity_id))
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
+        # An empty query against an empty name is identical: similarity 1.
+        m = len(query) or 1
+        noise = (rng.normals(len(ids), 0.0, sigma) if sigma > 0.0
+                 else [0.0] * len(ids))
+        # The smallest (-score, entity_id) pairs rank by score, ties by id.
+        top = heapq.nsmallest(config.retrieve_m, (
+            (-(1.0 - d / (w if w > m else m) + e), entity_id)
+            for d, w, e, entity_id in zip(kernel.distances(query), widths,
+                                          noise, ids)))
         ranked = tuple(
-            RankedEntity(entity_id=entity_id, score=score,
-                         bin=_bin_for(score, config.bin_thresholds))
-            for score, entity_id in scored[:config.retrieve_m]
+            RankedEntity(entity_id=entity_id, score=-neg,
+                         bin=_bin_for(-neg, config.bin_thresholds))
+            for neg, entity_id in top
         )
         results.append(RunResult(query=query, ranked=ranked))
     return results
@@ -282,17 +334,24 @@ def gen_clicklog(run: list[RunResult], truth: dict[str, str],
         if truth_id is not None and truth_id in impressions:
             position = impressions.index(truth_id) + 1
         click_prob = decay ** (position - 1) if position is not None else 0.0
+        # Events are immutable, so every replay yields one of two objects.
+        shown = ClickEvent(query=result.query, impressions=impressions)
+        if position is not None:
+            hit = ClickEvent(query=result.query, impressions=impressions,
+                             clicked=truth_id)
         for _ in range(config.n_replays):
-            clicked = None
             if position is not None and rng.random() < click_prob:
-                clicked = truth_id
-            yield ClickEvent(query=result.query, impressions=impressions,
-                             clicked=clicked)
+                yield hit
+            else:
+                yield shown
 
 
 def write_catalog_tsv(catalog: Catalog, out_dir: str | Path,
                       ) -> tuple[Path, Path, Path]:
-    """Write basics/ratings/ranks TSVs in the ingestable dump format."""
+    """Write basics/ratings/ranks TSVs in the ingestable dump format.
+
+    Each file is written atomically: an error partway leaves the old file.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -301,14 +360,18 @@ def write_catalog_tsv(catalog: Catalog, out_dir: str | Path,
             ("ratings", RATINGS_COLUMNS, ("rating", "rating_count")),
             ("ranks", RANKS_COLUMNS, ("rank",))):
         paths.append(out_dir / f"{name}.tsv")
-        with open(paths[-1], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter="\t", quoting=csv.QUOTE_NONE,
-                                lineterminator="\n")
-            writer.writerow(header)
-            for t in catalog.titles:
-                values = [getattr(t, attr) for attr in attrs]
-                writer.writerow([t.entity_id] + [
-                    MISSING_TOKEN if v is None else str(v) for v in values])
+        try:
+            with atomic_open(paths[-1]) as fh:
+                writer = csv.writer(fh, delimiter="\t",
+                                    quoting=csv.QUOTE_NONE, lineterminator="\n")
+                writer.writerow(header)
+                for t in catalog.titles:
+                    values = [getattr(t, attr) for attr in attrs]
+                    writer.writerow([t.entity_id] + [
+                        MISSING_TOKEN if v is None else str(v)
+                        for v in values])
+        except OSError as exc:
+            raise IngestError(f"cannot write {paths[-1]}: {exc}") from exc
     return tuple(paths)
 
 

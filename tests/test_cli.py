@@ -573,3 +573,111 @@ class TestDefaults:
                               "--weights", weights)
         assert got == code
         assert len(error_lines(err)) == code
+
+
+GOOD_TITLE = {"entity_id": "tt1", "name": "Only", "release_year": 2000,
+              "rank": 1, "rating_count": 10, "rating": 7.0}
+GOOD_SCORED = {"entity_id": "tt1", "release_year_score": 0.5,
+               "rank_score": 0.5, "rating_count_score": 0.5,
+               "importance": 0.5}
+
+
+def assert_one_error_line(code, err):
+    assert code == 1
+    assert len(error_lines(err)) == 1
+    assert "Traceback" not in err
+
+
+class TestInputTyping:
+    """Malformed values in each loaded file exit 1 with one error line."""
+
+    @pytest.mark.parametrize("weights", [
+        "nan,0,1", "0.5,nan,0.5", "nan,nan,nan", "inf,0,0", "-inf,1,1",
+    ])
+    def test_non_finite_weights_rejected(self, capsys, tmp_path, weights):
+        catalog_path = tmp_path / "catalog.jsonl"
+        write_jsonl_file(catalog_path, [GOOD_TITLE])
+        out = tmp_path / "s.jsonl"
+        code, _, err = run_cli(capsys, "score-importance",
+                               "--catalog", str(catalog_path),
+                               "--out", str(out), f"--weights={weights}")
+        assert_one_error_line(code, err)
+        assert "weights" in err
+        assert not out.exists()
+
+    def test_non_finite_weights_rejected_by_config(self):
+        with pytest.raises(ConfigError, match="finite"):
+            ImportanceConfig(weights=(float("nan"), 0.0, 1.0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("release_year", "1999"), ("release_year", True),
+        ("release_year", 1999.0), ("rank", False), ("rank", "3"),
+        ("rating_count", 10.5), ("rating_count", True),
+        ("rating", "7.5"), ("rating", True), ("rating", float("nan")),
+        ("rating", float("inf")),
+    ])
+    def test_catalog_optional_fields_typed(self, capsys, tmp_path, field,
+                                           value):
+        catalog_path = tmp_path / "catalog.jsonl"
+        write_jsonl_file(catalog_path, [
+            GOOD_TITLE, {**GOOD_TITLE, "entity_id": "tt2", field: value}])
+        code, _, err = run_cli(capsys, "score-importance",
+                               "--catalog", str(catalog_path),
+                               "--out", str(tmp_path / "s.jsonl"))
+        assert_one_error_line(code, err)
+        assert f"{field} must be" in err
+
+    def test_catalog_optional_fields_may_be_null_or_absent(self, capsys,
+                                                           tmp_path):
+        catalog_path = tmp_path / "catalog.jsonl"
+        write_jsonl_file(catalog_path, [
+            GOOD_TITLE,
+            {**GOOD_TITLE, "entity_id": "tt2", "rating": None, "rank": 5},
+            {"entity_id": "tt3", "name": "Bare"}])
+        code, _, err = run_cli(capsys, "score-importance",
+                               "--catalog", str(catalog_path),
+                               "--out", str(tmp_path / "s.jsonl"))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("field,value", [
+        ("importance", float("nan")), ("importance", float("inf")),
+        ("importance", 7.5), ("importance", -0.1), ("importance", "0.5"),
+        ("importance", True), ("release_year_score", float("nan")),
+        ("rank_score", 1.5), ("rating_count_score", -1),
+        ("rating_count_score", True), ("rank_score", None),
+        ("entity_id", 1),
+    ])
+    def test_scored_values_checked(self, capsys, tmp_path, field, value):
+        ctr_path = tmp_path / "ctr.jsonl"
+        write_jsonl_file(ctr_path, [{"query": "q", "entity_id": "tt1",
+                                     "nimp": 10, "nclick": 5, "ctr": 0.5}])
+        scored_path = tmp_path / "scored.jsonl"
+        write_jsonl_file(scored_path, [{**GOOD_SCORED, field: value}])
+        out = tmp_path / "qrels.jsonl"
+        code, _, err = run_cli(capsys, "build-relevance",
+                               "--ctr", str(ctr_path),
+                               "--scored", str(scored_path),
+                               "--out", str(out))
+        assert_one_error_line(code, err)
+        assert field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0.5", float("nan"), float("inf"),
+                                       True, [0.5], {"v": 1}])
+    @pytest.mark.parametrize("where", ["aggregate", "per_query"])
+    def test_report_values_checked(self, capsys, tmp_path, value, where):
+        qrels, run = write_worked_fixture(tmp_path)
+        good = tmp_path / "good.json"
+        run_cli(capsys, "evaluate", "--qrels", str(qrels), "--run", str(run),
+                "--out", str(good))
+        report = json.loads(good.read_text())
+        if where == "aggregate":
+            report["aggregates"]["recall@5"]["micro"] = value
+        else:
+            report["per_query"]["q"]["recall@5"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(dumps(report), encoding="utf-8")
+        code, _, err = run_cli(capsys, "compare", "--baseline", str(bad),
+                               "--candidate", str(good))
+        assert_one_error_line(code, err)
+        assert "bad.json" in error_lines(err)[0]

@@ -300,6 +300,27 @@ class TestJsonlRoundTrips:
         write_events(events, path)
         assert list(parse_events(path)) == events
 
+    def test_runs_of_equal_events_write_every_line(self, tmp_path):
+        """Repeated events, as one object or as equal copies, each get a
+        line, the same bytes as writing each event on its own."""
+        shown = event("q", ["tt1", "tt2"])
+        hit = event("q", ["tt1", "tt2"], clicked="tt2")
+        events = [shown, shown, event("q", ["tt1", "tt2"]), hit, hit, shown,
+                  ClickEvent("q", ("tt1",), ts=3), ClickEvent("q", ("tt1",), ts=4)]
+        path = tmp_path / "events.jsonl"
+        assert write_events(events, path) == len(events)
+        one_by_one = b""
+        for i, ev in enumerate(events):
+            write_events([ev], tmp_path / f"{i}.jsonl")
+            one_by_one += (tmp_path / f"{i}.jsonl").read_bytes()
+        assert path.read_bytes() == one_by_one
+        assert list(parse_events(path)) == events
+
+    def test_unwritable_events_path_is_an_ingest_error(self, tmp_path):
+        with pytest.raises(IngestError, match="cannot write"):
+            write_events([event("q", ["tt1"])],
+                         tmp_path / "missing" / "events.jsonl")
+
     def test_bad_record_names_line(self, tmp_path):
         path = tmp_path / "ctr.jsonl"
         path.write_text('{"query":"q"}\n', encoding="utf-8")

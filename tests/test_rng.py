@@ -2,7 +2,21 @@
 
 import math
 
+import pytest
+
 from er_evalkit.rng import SplitMix64, derive_seed
+
+
+def box_muller(rng, mu, sigma):
+    """The documented recipe, one draw at a time from two uniforms."""
+    u1 = rng.random()
+    u2 = rng.random()
+    radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+    return mu + sigma * radius * math.cos(2.0 * math.pi * u2)
+
+
+def bits(values):
+    return [value.hex() for value in values]
 
 
 class TestSplitMix64:
@@ -45,6 +59,25 @@ class TestSplitMix64:
         var = sum((d - mean) ** 2 for d in draws) / len(draws)
         assert abs(mean - 2.0) < 0.1
         assert abs(math.sqrt(var) - 3.0) < 0.1
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1, -7])
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 1000, 1300])
+    def test_normals_equal_repeated_gauss(self, seed, n):
+        """A batch is bit for bit n gauss calls and leaves the same state,
+        across the packed-pass boundaries."""
+        batch, single = SplitMix64(seed), SplitMix64(seed)
+        got = batch.normals(n, 0.25, 0.05)
+        assert bits(got) == bits(single.gauss(0.25, 0.05) for _ in range(n))
+        assert batch.gauss(-1.0, 2.0) == single.gauss(-1.0, 2.0)
+        assert batch.next_u64() == single.next_u64()
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
+    def test_normals_follow_the_scalar_recipe(self, seed):
+        batch, scalar = SplitMix64(seed), SplitMix64(seed)
+        got = batch.normals(700, 3.0, 0.5)
+        assert bits(got) == bits(box_muller(scalar, 3.0, 0.5)
+                                 for _ in range(700))
+        assert batch.random() == scalar.random()
 
     def test_negative_seed_masked(self):
         rng = SplitMix64(-1)

@@ -1,16 +1,21 @@
 """Tests for the seeded simulator and its edit-distance matcher."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracle import binomial_bounds, dp_levenshtein
 
 from er_evalkit.catalog import Catalog, Title, parse_catalog
 from er_evalkit.clickstream import normalize_query
 from er_evalkit.errors import ConfigError
+from er_evalkit.errors import IngestError
 from er_evalkit.metrics import ConfidenceBin, RankedEntity, RunResult, evaluate_run
+from er_evalkit.rng import SplitMix64, derive_seed
 from er_evalkit.simulate import (
+    PackedMyers,
     SimConfig,
     gen_catalog,
     gen_clicklog,
@@ -90,6 +95,27 @@ class TestLevenshtein:
             a = "".join(rng.choice("ab") for _ in range(rng.randint(0, 8)))
             b = "".join(rng.choice("ab") for _ in range(rng.randint(0, 8)))
             assert 0.0 <= similarity(a, b) <= 1.0
+
+
+# Short strings over a small alphabet, with a non-ASCII letter, make equal
+# characters (and so every branch of the recurrence) common.
+_TEXT = st.text(alphabet="abcé ", max_size=12)
+
+
+class TestPackedMyers:
+    @settings(max_examples=300, deadline=None)
+    @given(names=st.lists(st.one_of(_TEXT, st.text(max_size=80)),
+                          min_size=1, max_size=40),
+           text=_TEXT)
+    @example(names=[""], text="")
+    @example(names=["", "a", ""], text="")
+    @example(names=["abc", ""], text="abc")
+    @example(names=["x" * 70 + "y", "x", "y", "x" * 64], text="x" * 65 + "y")
+    @example(names=["日本語", "naïve", "ü"], text="naïve")
+    @example(names=["only"], text="one")
+    def test_every_lane_matches_dp_oracle(self, names, text):
+        got = PackedMyers(names).distances(text)
+        assert got == [dp_levenshtein(name, text) for name in names]
 
 
 class TestGenCatalog:
@@ -198,6 +224,37 @@ class TestRunMockEr:
         results = run_mock_er(catalog, [("same words", "tt1")], config)
         assert [r.entity_id for r in results[0].ranked] == ["tt1", "tt2"]
 
+    def test_empty_catalog_gives_empty_lists(self):
+        config = SimConfig(seed=14, n_titles=1, n_queries=1)
+        results = run_mock_er(Catalog(titles=[]), [("abc", "tt1"), ("d", "tt2")],
+                              config)
+        assert results == [RunResult(query="abc", ranked=()),
+                           RunResult(query="d", ranked=())]
+
+    def test_empty_query_and_empty_name_score_one(self):
+        catalog = Catalog(titles=[Title(entity_id="tt1", name=""),
+                                  Title(entity_id="tt2", name="ab")])
+        config = SimConfig(seed=14, n_titles=2, n_queries=1,
+                           score_noise_sigma=0.0)
+        ranked = run_mock_er(catalog, [("", "tt1")], config)[0].ranked
+        assert [(r.entity_id, r.score) for r in ranked] == \
+            [("tt1", 1.0), ("tt2", 0.0)]
+
+    def test_scores_are_similarity_plus_noise_in_title_order(self):
+        """Each title's score is its similarity plus the matcher stream's
+        next normal draw, drawn in catalog order."""
+        config = SimConfig(seed=17, n_titles=30, n_queries=4,
+                           retrieve_m=30, score_noise_sigma=0.2)
+        catalog = gen_catalog(config)
+        queries = gen_queries(catalog, config)
+        rng = SplitMix64(derive_seed(config.seed, "matcher"))
+        for (query, _), result in zip(queries,
+                                      run_mock_er(catalog, queries, config)):
+            want = {t.entity_id: similarity(query, normalize_query(t.name))
+                    + rng.gauss(0.0, config.score_noise_sigma)
+                    for t in catalog.titles}
+            assert {r.entity_id: r.score for r in result.ranked} == want
+
     def test_degenerate_thresholds_make_bins_vacuous_for_recall(self):
         """With t_high near zero every retrieved entity bins high, so
         high-conditioned recall collapses to plain recall."""
@@ -295,6 +352,31 @@ class TestFixtureFiles:
         second = write_catalog_tsv(gen_catalog(config), tmp_path / "b")
         for path_a, path_b in zip(first, second):
             assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_error_partway_leaves_old_tsv_intact(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("boom")
+
+        config = SimConfig(seed=33, n_titles=10, n_queries=2)
+        catalog = gen_catalog(config)
+        paths = write_catalog_tsv(catalog, tmp_path)
+        before = [path.read_bytes() for path in paths]
+        titles = list(catalog.titles)
+        titles[5] = replace(titles[5], rating=Unprintable())
+        with pytest.raises(RuntimeError, match="boom"):
+            write_catalog_tsv(Catalog(titles=titles), tmp_path)
+        # basics.tsv was rewritten whole (same bytes); ratings.tsv failed
+        # partway and still holds the old file; ranks.tsv was not reached.
+        assert [path.read_bytes() for path in paths] == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["basics.tsv", "ranks.tsv", "ratings.tsv"]
+
+    def test_unwritable_tsv_is_an_ingest_error(self, tmp_path):
+        config = SimConfig(seed=33, n_titles=3, n_queries=1)
+        (tmp_path / "ratings.tsv").mkdir()
+        with pytest.raises(IngestError, match="ratings.tsv"):
+            write_catalog_tsv(gen_catalog(config), tmp_path)
 
     def test_truth_qrels_sorted_and_loadable(self, tmp_path):
         config = SimConfig(seed=32, n_titles=30, n_queries=12, typo_rate=0.1)
