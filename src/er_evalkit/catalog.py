@@ -99,6 +99,9 @@ def _open_tsv(path: str | Path, required: tuple[str, ...]):
     except StopIteration:
         fh.close()
         raise IngestError(f"{path}: missing header row")
+    except csv.Error as exc:
+        fh.close()
+        raise IngestError(f"{path}:1: {exc}") from exc
     positions = {}
     for name in required:
         if name not in header:
@@ -148,20 +151,28 @@ def parse_catalog(
             raise IngestError(f"{path}:{lineno}: {why}")
 
     def data_rows(path, required: tuple[str, ...], kind: str):
-        """(lineno, required cells) per nonblank row; short rows rejected."""
+        """(lineno, required cells) per nonblank row; short rows rejected.
+
+        A row the csv module cannot read (a cell over its field size
+        limit) is fatal in either mode.
+        """
         fh, reader, pos = _open_tsv(path, required)
         columns = [pos[name] for name in required]
         last = max(columns)
         counter = f"{kind}_rows"
         with fh:
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                setattr(stats, counter, getattr(stats, counter) + 1)
-                if len(row) <= last:
-                    bad_row(f"{kind}_rejected", path, lineno, "too few columns")
-                    continue
-                yield lineno, [_cell(row, i) for i in columns]
+            try:
+                for lineno, row in enumerate(reader, start=2):
+                    if not row:
+                        continue
+                    setattr(stats, counter, getattr(stats, counter) + 1)
+                    if len(row) <= last:
+                        bad_row(f"{kind}_rejected", path, lineno,
+                                "too few columns")
+                        continue
+                    yield lineno, [_cell(row, i) for i in columns]
+            except csv.Error as exc:
+                raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
 
     # basics: entity universe, file order preserved
     rows: dict[str, dict] = {}
@@ -285,7 +296,9 @@ def load_catalog(path: str | Path) -> Catalog:
     """Load a catalog previously written by :func:`write_catalog`.
 
     The optional fields are null or absent, or else typed: year, rank and
-    rating count are ints (never bools), rating a finite number.
+    rating count are ints (never bools), rating a finite number. The ranges
+    :func:`parse_catalog` enforces hold too: rank >= 1, rating count >= 0
+    and rating in [0, 10].
     """
     seen: set[str] = set()
 
@@ -294,7 +307,7 @@ def load_catalog(path: str | Path) -> Catalog:
         if entity_id in seen:
             raise ValueError(f"duplicate entity_id {entity_id!r}")
         seen.add(entity_id)
-        return Title(
+        title = Title(
             entity_id=entity_id,
             name=require(rec, "name", str),
             release_year=optional(rec, "release_year", int),
@@ -302,5 +315,12 @@ def load_catalog(path: str | Path) -> Catalog:
             rating_count=optional(rec, "rating_count", int),
             rating=optional(rec, "rating", int, float),
         )
+        if title.rank is not None and title.rank < 1:
+            raise ValueError(f"rank {title.rank} < 1")
+        if title.rating_count is not None and title.rating_count < 0:
+            raise ValueError(f"rating_count {title.rating_count} < 0")
+        if title.rating is not None and not 0.0 <= title.rating <= 10.0:
+            raise ValueError(f"rating {title.rating} outside [0, 10]")
+        return title
 
     return Catalog(titles=list(iter_records(path, parse, "catalog record")))

@@ -9,7 +9,6 @@ subcommand writes a machine-readable JSON summary to stdout; exit status is
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -19,11 +18,19 @@ from . import clickstream, diagnose, importance, metrics, relevance, simulate
 from .errors import ConfigError, EvalKitError
 from .jsonl import dumps
 
-ENV_THREADS = "ER_EVALKIT_THREADS"
-DEFAULT_THREADS = 1
-
 _SIM_DEFAULTS = {f.name: f.default for f in fields(simulate.SimConfig)
                  if f.name != "seed"}
+# One help text per simulate setting: its --help defaults row and its flag.
+_SIM_HELP = {
+    "n_titles": "catalog size",
+    "n_queries": "number of queries",
+    "typo_rate": "per-character edit probability",
+    "score_noise_sigma": "Gaussian score noise sigma",
+    "bin_thresholds": "t_high,t_medium score cutoffs",
+    "retrieve_m": "results retrieved per query",
+    "click_position_decay": "click probability decay per rank position",
+    "n_replays": "impression replays per query",
+}
 _IMPORTANCE_DEFAULTS = importance.ImportanceConfig()
 
 # The --help defaults table, rendered from the constants the code uses.
@@ -46,19 +53,8 @@ DEFAULTS = (
      "bin a diagnosed success must reach"),
     ("year_window", catalog_mod.DEFAULT_YEAR_WINDOW,
      "plausible release-year window"),
-    ("threads", DEFAULT_THREADS,
-     f"validated, starts no workers yet; env {ENV_THREADS} overrides"),
-) + tuple((name, _SIM_DEFAULTS[name], f"simulate: {help_text}")
-         for name, help_text in {
-             "n_titles": "catalog size",
-             "n_queries": "number of queries",
-             "typo_rate": "per-character edit probability",
-             "score_noise_sigma": "Gaussian score noise sigma",
-             "bin_thresholds": "t_high,t_medium score cutoffs",
-             "retrieve_m": "results retrieved per query",
-             "click_position_decay": "click probability decay per rank position",
-             "n_replays": "impression replays per query",
-         }.items())
+) + tuple((name, default, f"simulate: {_SIM_HELP[name]}")
+         for name, default in _SIM_DEFAULTS.items())
 
 
 def _parse_bool(text: str) -> bool:
@@ -123,34 +119,16 @@ class Settings:
         self.args = args
         self.config = config
 
-    def _raw(self, key: str):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        return self.config.get(key)
-
     def get(self, key: str, default, convert=None):
         """Resolve ``key``; a string parses by ``convert`` or as ``default``."""
-        value = self._raw(key)
+        value = getattr(self.args, key, None)
+        if value is None:
+            value = self.config.get(key)
         if value is None:
             return default
         if isinstance(value, str):
             return (convert or _converter(key, default))(value)
         return value
-
-    def threads(self) -> int:
-        value = self._raw("threads")
-        if value is None:
-            value = os.environ.get(ENV_THREADS)
-        if value is None:
-            return DEFAULT_THREADS
-        try:
-            threads = int(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad thread count {value!r}") from exc
-        if threads < 1:
-            raise ConfigError(f"thread count must be >= 1, got {threads}")
-        return threads
 
 
 def _emit(summary: dict) -> None:
@@ -210,9 +188,6 @@ def cmd_score_importance(args: argparse.Namespace, cfg: Settings) -> int:
 
 
 def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> int:
-    # Validated so a bad value still exits 1, but aggregation is one
-    # streaming pass and starts no workers.
-    cfg.threads()
     ctr_filter = clickstream.CtrFilter(
         min_impressions=cfg.get("min_impressions",
                                 clickstream.DEFAULT_MIN_IMPRESSIONS),
@@ -385,10 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CTR record JSONL output")
     p.add_argument("--min-impressions", dest="min_impressions", type=int)
     p.add_argument("--min-ctr", dest="min_ctr", type=float)
-    p.add_argument("--threads", type=int,
-                   help=f"worker count, >= 1 (env {ENV_THREADS}); validated "
-                        "but starts no workers: aggregation is one "
-                        "streaming pass")
     p.add_argument("--strict", action="store_true", default=None,
                    help="error on the first malformed event")
 
@@ -429,16 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="PRNG seed (required: output depends on it)")
     p.add_argument("--out-dir", dest="out_dir", required=True,
                    help="directory for the generated files")
-    p.add_argument("--n-titles", dest="n_titles", type=int)
-    p.add_argument("--n-queries", dest="n_queries", type=int)
-    p.add_argument("--typo-rate", dest="typo_rate", type=float)
-    p.add_argument("--score-noise-sigma", dest="score_noise_sigma", type=float)
-    p.add_argument("--bin-thresholds", dest="bin_thresholds",
-                   help="t_high,t_medium")
-    p.add_argument("--retrieve-m", dest="retrieve_m", type=int)
-    p.add_argument("--click-position-decay", dest="click_position_decay",
-                   type=float)
-    p.add_argument("--n-replays", dest="n_replays", type=int)
+    # A tuple stays a string here and is parsed by Settings.get (exit 1).
+    for name, default in _SIM_DEFAULTS.items():
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                       type=None if isinstance(default, tuple) else type(default),
+                       help=_SIM_HELP[name])
 
     return parser
 

@@ -9,8 +9,8 @@ events that clicked it; ctr is the exact quotient.
 Aggregation is one streaming pass: each event is counted into a
 (nimp, nclick) table as it is parsed, so memory is O(distinct pairs), not
 O(events). The table is a monoid: sharding the event stream, counting shards
-independently, and merging sums gives exactly the single-pass answer, which
-is what makes a parallel split safe. Aggregation starts no workers.
+independently, and merging sums gives exactly the single-pass answer
+(:func:`aggregate_in_shards`). Aggregation runs in one thread.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class CtrFilter:
                 f"min_impressions must be >= 1, got {self.min_impressions}")
         if not 0.0 <= self.min_ctr <= 1.0:
             raise ConfigError(f"min_ctr {self.min_ctr} outside [0, 1]")
-
-    def keeps(self, record: CtrRecord) -> bool:
-        return self.admits(record.nimp, record.ctr)
 
     def admits(self, nimp: int, ctr: float) -> bool:
         return nimp >= self.min_impressions and ctr >= self.min_ctr
@@ -238,7 +235,8 @@ def aggregate_in_shards(events: Iterable[ClickEvent], n_shards: int,
 
     Exactly equivalent to single-pass aggregate_pairs. Events are counted as
     they arrive, so memory is O(distinct pairs per shard). ``threads`` is
-    accepted for compatibility and starts no workers.
+    ignored and starts no workers; it exists only because the benchmark's
+    traced pass (``perfbench/traced.py``) passes ``threads=1``.
     """
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
@@ -254,7 +252,7 @@ def filter_records(records: Iterable[CtrRecord],
     kept = []
     dropped = 0
     for rec in records:
-        if ctr_filter.keeps(rec):
+        if ctr_filter.admits(rec.nimp, rec.ctr):
             kept.append(rec)
         else:
             dropped += 1

@@ -18,7 +18,6 @@ from .errors import ConfigError
 from .jsonl import iter_records, require, write_jsonl
 
 WEIGHT_SUM_TOL = 1e-9
-IMPORTANCE_TOL = 1e-12
 
 POLICY_DEFAULT_SCORE = "default_score"
 POLICY_EXCLUDE_TITLE = "exclude_title"

@@ -255,18 +255,28 @@ class MetricsReport:
     def from_dict(cls, data: dict) -> "MetricsReport":
         """Rebuild a report; only the metric columns of ``k`` are read.
 
-        Every metric value must be a finite number or null.
+        ``k`` must be an int >= 1 (never a bool), ``bins`` a list of
+        strings, ``counts`` a dict of ints, and every metric value a finite
+        number or null.
         """
-        names = metric_names(data["k"])
+        k = require(data, "k", int)
+        _check_k(k)
+        bins = require(data, "bins", list)
+        if not all(type(name) is str for name in bins):
+            raise TypeError(f"bins must be a list of strings, got {bins!r}")
+        counts = require(data, "counts", dict)
+        if not all(type(n) is int for n in counts.values()):
+            raise TypeError(f"counts must be a dict of ints, got {counts!r}")
+        names = metric_names(k)
 
         def values(row: dict, keys: Iterable[str]) -> dict:
             return {key: require(row, key, int, float, type(None))
                     for key in keys}
 
         return cls(
-            k=data["k"],
-            bins=tuple(data["bins"]),
-            counts=dict(data["counts"]),
+            k=k,
+            bins=tuple(bins),
+            counts=dict(counts),
             aggregates={name: values(data["aggregates"][name], (MICRO, MACRO))
                         for name in names},
             per_query={query: values(row, row)

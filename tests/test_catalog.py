@@ -161,6 +161,15 @@ class TestParseCatalog:
         with pytest.raises(IngestError, match="startYear"):
             parse_catalog(basics, ratings)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_header_cell_over_field_limit(self, tmp_path, dumps, strict):
+        _, ratings, ranks = dumps([("tt1", "A", 2000)], [], [])
+        write_tsv(ranks, ("tconst", "rank", "x" * 200_000), [])
+        with pytest.raises(IngestError,
+                           match="ranks.tsv:1: field larger than field limit"):
+            parse_catalog(tmp_path / "basics.tsv", ratings, ranks,
+                          strict=strict)
+
     def test_deterministic(self, dumps):
         basics, ratings, _ = dumps(
             [("tt1", "A", 2000), ("tt2", "B", 2001)],

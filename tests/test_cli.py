@@ -2,21 +2,25 @@
 
 import hashlib
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from er_evalkit.cli import (
+    _SIM_HELP,
     DEFAULTS,
-    ENV_THREADS,
     _defaults_epilog,
     _parse_numbers,
     _weight,
+    build_parser,
     dispatch,
     load_config_file,
 )
 from er_evalkit.importance import ImportanceConfig
 from er_evalkit.errors import ConfigError
 from er_evalkit.jsonl import dumps
+from er_evalkit.simulate import SimConfig
 
 
 def run_cli(capsys, *argv):
@@ -294,42 +298,41 @@ class TestPipeline:
         assert "recall@5@high" in out
 
 
-class TestThreads:
-    def test_env_var_sets_thread_count(self, capsys, tmp_path, monkeypatch):
-        sim_dir, _ = simulate_fixture(capsys, tmp_path, "sim")
-        events = sim_dir / "clicklog.jsonl"
+class TestNoThreadSetting:
+    """Aggregation is one streaming pass; no setting names a worker count."""
 
-        single = tmp_path / "single.jsonl"
-        code, _, err = run_cli(capsys, "aggregate-ctr", "--events",
-                               str(events), "--out", str(single),
-                               "--threads", "1")
+    def test_threads_flag_is_usage_error(self, capsys, tmp_path):
+        sim_dir, _ = simulate_fixture(capsys, tmp_path, "sim")
+        code, _, _ = run_cli(capsys, "aggregate-ctr",
+                             "--events", str(sim_dir / "clicklog.jsonl"),
+                             "--out", str(tmp_path / "ctr.jsonl"),
+                             "--threads", "2")
+        assert code == 2
+
+    def test_environment_and_config_line_are_ignored(self, capsys, tmp_path,
+                                                     monkeypatch):
+        sim_dir, _ = simulate_fixture(capsys, tmp_path, "sim")
+        events = str(sim_dir / "clicklog.jsonl")
+        plain = tmp_path / "plain.jsonl"
+        code, _, err = run_cli(capsys, "aggregate-ctr", "--events", events,
+                               "--out", str(plain))
         assert code == 0, err
 
-        monkeypatch.setenv(ENV_THREADS, "4")
-        threaded = tmp_path / "threaded.jsonl"
-        code, _, err = run_cli(capsys, "aggregate-ctr", "--events",
-                               str(events), "--out", str(threaded))
+        monkeypatch.setenv("ER_EVALKIT_THREADS", "0")
+        with_env = tmp_path / "with_env.jsonl"
+        code, _, err = run_cli(capsys, "aggregate-ctr", "--events", events,
+                               "--out", str(with_env))
         assert code == 0, err
-        assert single.read_bytes() == threaded.read_bytes()
+        assert with_env.read_bytes() == plain.read_bytes()
 
-    def test_flag_beats_env(self, capsys, tmp_path, monkeypatch):
-        sim_dir, _ = simulate_fixture(capsys, tmp_path, "sim")
-        monkeypatch.setenv(ENV_THREADS, "not-a-number")
-        out_path = tmp_path / "ctr.jsonl"
-        code, _, err = run_cli(capsys, "aggregate-ctr",
-                               "--events", str(sim_dir / "clicklog.jsonl"),
-                               "--out", str(out_path), "--threads", "2")
+        config = tmp_path / "threads.conf"
+        config.write_text("threads = 0\n", encoding="utf-8")
+        with_config = tmp_path / "with_config.jsonl"
+        code, _, err = run_cli(capsys, "aggregate-ctr", "--events", events,
+                               "--out", str(with_config),
+                               "--config", str(config))
         assert code == 0, err
-
-    def test_bad_env_value_is_module_error(self, capsys, tmp_path,
-                                           monkeypatch):
-        sim_dir, _ = simulate_fixture(capsys, tmp_path, "sim")
-        monkeypatch.setenv(ENV_THREADS, "0")
-        code, _, err = run_cli(capsys, "aggregate-ctr",
-                               "--events", str(sim_dir / "clicklog.jsonl"),
-                               "--out", str(tmp_path / "ctr.jsonl"))
-        assert code == 1
-        assert "error:" in err
+        assert with_config.read_bytes() == plain.read_bytes()
 
 
 class TestStrictMode:
@@ -512,11 +515,46 @@ class TestCompareMalformedReport:
         assert "bad.json" in error_lines(err)[0]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("k", "5"), ("k", True), ("k", 0), ("k", 5.0),
+        ("bins", "xyz"), ("bins", ["high", 1]), ("bins", {"high": 1}),
+        ("counts", {"evaluated": "1"}), ("counts", {"evaluated": True}),
+        ("counts", [1]),
+    ])
+    def test_header_types_checked(self, capsys, tmp_path, field, value):
+        qrels, run = write_worked_fixture(tmp_path)
+        good = tmp_path / "good.json"
+        run_cli(capsys, "evaluate", "--qrels", str(qrels), "--run", str(run),
+                "--out", str(good))
+        report = json.loads(good.read_text())
+        report[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(dumps(report), encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--baseline", str(bad),
+                                 "--candidate", str(good))
+        assert code == 1
+        assert out == ""
+        assert len(error_lines(err)) == 1
+        assert "bad.json" in error_lines(err)[0]
+        assert f"{field} must be" in error_lines(err)[0]
+        assert "Traceback" not in err
+
 
 # sha256 of the --help defaults table as it was written out by hand, before
-# the rows were rendered from the module constants.
+# the rows were rendered from the module constants, less the row of the
+# removed `threads` setting (the column widths are unchanged).
 DEFAULTS_EPILOG = \
-    "c8fe55f1df0d40a26f11e1950a4ca36c4bc4a5ea2f95900391752e0067e2dfb9"
+    "e9900dafe29c3b94baad5e8c4bf36e6aaad8661bb6f89a979438f9feb9f12477"
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def simulate_flags():
+    """{dest: action} for simulate's tuning flags, the non-seed fields."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.dest: a for a in sub.choices["simulate"]._actions
+            if a.option_strings and a.dest not in
+            ("help", "config", "seed", "out_dir")}
 
 
 class TestDefaults:
@@ -531,13 +569,55 @@ class TestDefaults:
             ImportanceConfig().weights
 
     def test_simulate_rows_follow_sim_config(self):
-        from dataclasses import fields
-
-        from er_evalkit.simulate import SimConfig
         shown = {name: value for name, value, _ in DEFAULTS}
         for f in fields(SimConfig):
             if f.name != "seed":
                 assert shown[f.name] == f.default
+
+    def test_one_simulate_flag_per_sim_config_field(self):
+        flags = simulate_flags()
+        rows = {name: help_text for name, _, help_text in DEFAULTS}
+        names = [f.name for f in fields(SimConfig) if f.name != "seed"]
+        assert sorted(flags) == sorted(names)
+        for name in names:
+            action = flags[name]
+            assert action.option_strings == [f"--{name.replace('_', '-')}"]
+            assert action.help == _SIM_HELP[name]
+            assert rows[name] == f"simulate: {_SIM_HELP[name]}"
+        # bin_thresholds stays a string that Settings.get parses.
+        assert {name: action.type for name, action in flags.items()} == {
+            "n_titles": int, "n_queries": int, "typo_rate": float,
+            "score_noise_sigma": float, "bin_thresholds": None,
+            "retrieve_m": int, "click_position_decay": float,
+            "n_replays": int,
+        }
+
+    @pytest.mark.parametrize("flag,value,code", [
+        ("--n-titles", "abc", 2), ("--typo-rate", "x", 2),
+        ("--bin-thresholds", "0.9", 1), ("--bin-thresholds", "a,b", 1),
+    ])
+    def test_bad_simulate_flag_values(self, capsys, tmp_path, flag, value,
+                                      code):
+        got, _, err = run_cli(capsys, "simulate", "--seed", "1",
+                              "--out-dir", str(tmp_path / "sim"), flag, value)
+        assert got == code
+        if code == 1:
+            assert len(error_lines(err)) == 1
+
+    def test_readme_table_matches_help(self, capsys):
+        _, out, _ = run_cli(capsys, "--help")
+        shown = dict(line.split()[:2] for line in
+                     out.split("defaults:\n", 1)[1].splitlines())
+        text = README.read_text(encoding="utf-8")
+        table = text.split("| key | default | meaning |\n", 1)[1]
+        rows = [line for line in table.split("\n\n", 1)[0].splitlines()
+                if line.startswith("| `")]
+        assert rows
+        for row in rows:
+            key, value = (cell.strip() for cell in row.split("|")[1:3])
+            key = key.strip("`")
+            assert key in shown, row
+            assert value == shown[key], row
 
     def test_simulate_reads_config_file_like_flags(self, capsys, tmp_path):
         flags_dir, _ = simulate_fixture(capsys, tmp_path, "flags",
@@ -626,6 +706,53 @@ class TestInputTyping:
                                "--out", str(tmp_path / "s.jsonl"))
         assert_one_error_line(code, err)
         assert f"{field} must be" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("rank", 0), ("rank", -3), ("rating_count", -1), ("rating", -0.5),
+        ("rating", 10.5), ("rating", 11),
+    ])
+    def test_catalog_ranges_checked_on_load(self, capsys, tmp_path, field,
+                                            value):
+        catalog_path = tmp_path / "catalog.jsonl"
+        write_jsonl_file(catalog_path, [
+            GOOD_TITLE, {**GOOD_TITLE, "entity_id": "tt2", field: value}])
+        code, _, err = run_cli(capsys, "score-importance",
+                               "--catalog", str(catalog_path),
+                               "--out", str(tmp_path / "s.jsonl"))
+        assert_one_error_line(code, err)
+        assert f"catalog.jsonl:2: bad catalog record: {field} {value}" in err
+
+    def test_catalog_range_bounds_load(self, capsys, tmp_path):
+        catalog_path = tmp_path / "catalog.jsonl"
+        write_jsonl_file(catalog_path, [
+            {**GOOD_TITLE, "rank": 1, "rating_count": 0, "rating": 0},
+            {**GOOD_TITLE, "entity_id": "tt2", "rank": 2, "rating": 10.0}])
+        code, _, err = run_cli(capsys, "score-importance",
+                               "--catalog", str(catalog_path),
+                               "--out", str(tmp_path / "s.jsonl"))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_tsv_cell_over_field_limit(self, capsys, tmp_path, strict,
+                                       column):
+        row = ["tt1", "Title", "2000"]
+        row[column] = "x" * 200_000
+        basics = tmp_path / "basics.tsv"
+        basics.write_text("tconst\tprimaryTitle\tstartYear\n"
+                          "tt0\tFine\t1999\n" + "\t".join(row) + "\n",
+                          encoding="utf-8")
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("tconst\taverageRating\tnumVotes\n",
+                           encoding="utf-8")
+        out = tmp_path / "catalog.jsonl"
+        argv = ["ingest-catalog", "--basics", str(basics),
+                "--ratings", str(ratings), "--out", str(out)]
+        code, _, err = run_cli(capsys, *argv + ["--strict"] * strict)
+        assert_one_error_line(code, err)
+        assert "basics.tsv:3:" in err
+        assert "field larger than field limit" in err
+        assert not out.exists()
 
     def test_catalog_optional_fields_may_be_null_or_absent(self, capsys,
                                                            tmp_path):
