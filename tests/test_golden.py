@@ -13,10 +13,18 @@ single-scan kernel to exactly the same report, diagnosis and delta bytes.
 Two qrels files are scored: the simulator's truth set, and a derived
 multi-relevant set that drops, widens and redirects queries so every
 failure category occurs and one query is missing from the run.
+
+The ``layout`` digests were taken from the implementation that built one
+RankedEntity object per result, so they pin the columnar run lists to the
+same report, diagnosis and warning bytes. Its run mixes integer and float
+scores, lists that rise down the ranking, empty lists and lists longer
+than k.
 """
 
 import hashlib
 import json
+import logging
+import random
 
 import pytest
 
@@ -177,3 +185,88 @@ def test_compare_delta_bytes(capsys, fixture_dir, tmp_path):
     run_cli(capsys, "compare", "--baseline", reports["truth"],
             "--candidate", reports["multi"], "--out", out)
     assert sha256(out.read_bytes()) == COMPARE
+
+
+# The columnar layout pin: (k -> report), (target bin -> (diagnoses file,
+# stdout summary)) at k=5, and the non-monotone warning lines of one load.
+LAYOUT_EVALUATE = {
+    1: "72ec29cf40e21a480aec00b2aa58b5c2baea97d39adfb8808669eea6a7ccf55b",
+    3: "ee1bb5065cc8ebad573adc02504aa3af6b1b3d5ccd80158c385372bc2dc98f24",
+    5: "26dff7f533af84faf609345add1b42563e89c7585dc9e139ad793c4f68c82add",
+}
+
+LAYOUT_DIAGNOSE = {
+    "high": (
+        "25024b261a8f93840e867a59132b27ec4cd304bc6bc29ddf985338f64b696804",
+        "ef503145160bdb3f5d49af24626539971c3686d790fe52d4a374cedbb5bab278"),
+    "low": (
+        "02f1fd07bf3a104d1ce7554e0bb83eafd54e99ff163fe5f8cc543e5681577144",
+        "e62e9606c6d9d0771b72e482de2cee3f0e1f28cf9ea96c8d98966c44c84720fc"),
+}
+
+LAYOUT_WARNINGS = (
+    26, "1ba7f258ec78318c0d7d5599d593b73c65328867eb70af70dc0da5adcdead771")
+
+
+def layout_rows(seed=11):
+    """Run and qrels rows whose ranked lists exercise every column case."""
+    rng = random.Random(seed)
+    universe = [f"e{i:02d}" for i in range(40)]
+    bins = ("high", "medium", "low")
+    run, qrels = [], []
+    for i in range(300):
+        query = f"q{i:03d}"
+        n = (0, 1, 3, 5, 8, 20)[i % 6]
+        scores = sorted((rng.randint(0, 100) if rng.random() < 0.3
+                         else round(rng.random() * 100, 3)
+                         for _ in range(n)), reverse=True)
+        if i % 7 == 3 and n > 1:
+            j = rng.randrange(n - 1)
+            scores[j], scores[j + 1] = scores[j + 1], scores[j] - 1
+        results = [{"entity_id": entity_id, "score": score,
+                    "bin": rng.choice(bins)}
+                   for entity_id, score in zip(rng.sample(universe, n),
+                                               scores)]
+        if i % 11 != 5:
+            run.append({"query": query, "results": results})
+        if i % 13 != 4:
+            qrels.append({"query": query, "relevant": sorted(
+                rng.sample(universe, rng.randint(1, 4)))})
+    run.append({"query": "zz stray", "results": [
+        {"entity_id": "e00", "score": 1, "bin": "low"}]})
+    return run, qrels
+
+
+@pytest.fixture(scope="module")
+def layout_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("layout")
+    run, qrels = layout_rows()
+    write_jsonl(out / "run.jsonl", run)
+    write_jsonl(out / "qrels.jsonl", qrels)
+    return out
+
+
+@pytest.mark.parametrize("k", sorted(LAYOUT_EVALUATE))
+def test_layout_evaluate_bytes(capsys, layout_dir, tmp_path, k):
+    out = tmp_path / "report.json"
+    run_cli(capsys, "evaluate", "--qrels", layout_dir / "qrels.jsonl",
+            "--run", layout_dir / "run.jsonl", "-k", k, "--out", out)
+    assert sha256(out.read_bytes()) == LAYOUT_EVALUATE[k]
+
+
+@pytest.mark.parametrize("target", sorted(LAYOUT_DIAGNOSE))
+def test_layout_diagnose_bytes(capsys, layout_dir, tmp_path, target):
+    out = tmp_path / "diagnoses.jsonl"
+    stdout = run_cli(capsys, "diagnose", "--qrels", layout_dir / "qrels.jsonl",
+                     "--run", layout_dir / "run.jsonl", "--target-bin",
+                     target, "--out", out)
+    assert (sha256(out.read_bytes()), sha256(stdout.encode())) == \
+        LAYOUT_DIAGNOSE[target]
+
+
+def test_layout_warning_lines(capsys, caplog, layout_dir):
+    with caplog.at_level(logging.WARNING, logger="er_evalkit.metrics"):
+        run_cli(capsys, "evaluate", "--qrels", layout_dir / "qrels.jsonl",
+                "--run", layout_dir / "run.jsonl")
+    lines = [record.getMessage() for record in caplog.records]
+    assert (len(lines), sha256("\n".join(lines).encode())) == LAYOUT_WARNINGS

@@ -307,6 +307,35 @@ class TestReportSerialization:
             assert name in table
 
 
+# Each bad result entry and the exact error it raises after the file and
+# line prefix.
+BAD_ENTRIES = {
+    '{"entity_id":"A","score":"NaN","bin":"high"}':
+        "score must be int or float, got 'NaN'",
+    '{"entity_id":"A","score":NaN,"bin":"high"}':
+        "score must be finite, got nan",
+    '{"entity_id":"A","score":Infinity,"bin":"high"}':
+        "score must be finite, got inf",
+    '{"entity_id":"A","score":true,"bin":"high"}':
+        "score must be int or float, got True",
+    '{"entity_id":["a"],"score":1.0,"bin":"high"}':
+        "entity_id must be str, got ['a']",
+    '{"entity_id":7,"score":1.0,"bin":"high"}':
+        "entity_id must be str, got 7",
+    '{"entity_id":"A","score":1.0,"bin":["high"]}':
+        "unhashable type: 'list'",
+    '"A"': "string indices must be integers, not 'str'",
+}
+
+
+def write_results(tmp_path, entries):
+    """A one-line run file for query q holding the given result entries."""
+    path = tmp_path / "run.jsonl"
+    path.write_text('{"query":"q","results":[' + entries + ']}\n',
+                    encoding="utf-8")
+    return path
+
+
 class TestRunFiles:
     def test_round_trip(self, tmp_path):
         run = [
@@ -333,22 +362,31 @@ class TestRunFiles:
         with pytest.raises(IngestError):
             load_run(path)
 
-    @pytest.mark.parametrize("entry", [
-        '{"entity_id":"A","score":"NaN","bin":"high"}',
-        '{"entity_id":"A","score":NaN,"bin":"high"}',
-        '{"entity_id":"A","score":Infinity,"bin":"high"}',
-        '{"entity_id":"A","score":true,"bin":"high"}',
-        '{"entity_id":["a"],"score":1.0,"bin":"high"}',
-        '{"entity_id":7,"score":1.0,"bin":"high"}',
-        '{"entity_id":"A","score":1.0,"bin":["high"]}',
-        '"A"',
-    ])
+    @pytest.mark.parametrize("entry", list(BAD_ENTRIES))
     def test_bad_entry_is_an_ingest_error(self, tmp_path, entry):
-        path = tmp_path / "run.jsonl"
-        path.write_text('{"query":"q","results":[' + entry + ']}\n',
-                        encoding="utf-8")
-        with pytest.raises(IngestError, match="run.jsonl:1: bad run record"):
-            load_run(path)
+        with pytest.raises(IngestError) as caught:
+            load_run(write_results(tmp_path, entry))
+        assert str(caught.value) == \
+            f"{tmp_path / 'run.jsonl'}:1: bad run record: {BAD_ENTRIES[entry]}"
+
+    @pytest.mark.parametrize("entries,message", [
+        ('{"entity_id":"A","score":1.0}', "'bin'"),
+        ('{"score":1.0,"bin":"high"}', "'entity_id'"),
+        ('{"entity_id":"A","score":1.0,"bin":"huge"}', "'huge'"),
+        ('{"entity_id":"A","score":2,"bin":"high"},"A"',
+         "string indices must be integers, not 'str'"),
+        ('{"entity_id":"A","score":1.0,"bin":"high"},'
+         '{"entity_id":"A","score":0.5,"bin":"low"}',
+         "query 'q': duplicate entity_id 'A' in ranked list"),
+        ('{"entity_id":"A","score":0.5,"bin":"high"},'
+         '{"entity_id":"A","score":true,"bin":"low"}',
+         "score must be int or float, got True"),
+    ])
+    def test_first_bad_item_is_named(self, tmp_path, entries, message):
+        with pytest.raises(IngestError) as caught:
+            load_run(write_results(tmp_path, entries))
+        assert str(caught.value) == \
+            f"{tmp_path / 'run.jsonl'}:1: bad run record: {message}"
 
     def test_integer_score_loads_as_float(self, tmp_path):
         path = tmp_path / "run.jsonl"
