@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
-from .jsonl import atomic_open, dumps, iter_records, write_jsonl
+from .jsonl import iter_records, write_jsonl
 from .metrics import (
     BINS,
     DEFAULT_K,
@@ -98,7 +98,7 @@ def classify_query(relevant: set[str], result: RunResult, k: int = DEFAULT_K,
     the lowest-rank relevant hit anywhere in the ranked list, whatever its
     bin.
     """
-    return _classify(result.query, scan_query(relevant, result.ranked, k),
+    return _classify(result.query, scan_query(relevant, result, k),
                      target_bin)
 
 
@@ -135,7 +135,7 @@ def diagnose_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
     histogram = [0] * len(BINS)
     hits = 0
     for query in sorted(entries):
-        scan = scan_query(set(entries[query]), by_query.get(query, ()), k)
+        scan = scan_query(set(entries[query]), by_query.get(query), k)
         diagnoses.append(_classify(query, scan, target_bin))
         histogram = [a + b for a, b in zip(histogram, scan.topk_hits)]
         hits += any(scan.topk_hits[:at_target])
@@ -147,7 +147,7 @@ def diagnose_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
                  for name, count in counts.items()}
     hit_rate = hits / total if total else 0.0
     success_fraction = fractions[FailureCategory.SUCCESS.value]
-    summary = DiagnosisSummary(
+    return diagnoses, DiagnosisSummary(
         total=total,
         counts=counts,
         fractions=fractions,
@@ -156,7 +156,6 @@ def diagnose_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
         consistent=(success_fraction == hit_rate),
         topk_bin_histogram={bin.value: n for bin, n in zip(BINS, histogram)},
     )
-    return diagnoses, summary
 
 
 def write_diagnoses(diagnoses: Iterable[Diagnosis], path: str | Path) -> int:
@@ -185,8 +184,11 @@ def load_diagnoses(path: str | Path) -> list[Diagnosis]:
     return list(iter_records(path, parse, "diagnosis"))
 
 
-def format_signed(value: float, suffix: str) -> str:
-    """Render a delta with an explicit sign, e.g. +5.00pp or -10.00%."""
+def format_signed(value: float | None, suffix: str) -> str | None:
+    """Render a delta with an explicit sign, e.g. +5.00pp or -10.00%; an
+    undefined delta stays None."""
+    if value is None:
+        return None
     if value == 0:
         value = 0.0
     return f"{value:+.2f}{suffix}"
@@ -211,10 +213,8 @@ class DeltaCell:
             "candidate": self.candidate,
             "absolute_pp": self.absolute_pp,
             "relative_pct": self.relative_pct,
-            "absolute_label": (None if self.absolute_pp is None
-                               else format_signed(self.absolute_pp, "pp")),
-            "relative_label": (None if self.relative_pct is None
-                               else format_signed(self.relative_pct, "%")),
+            "absolute_label": format_signed(self.absolute_pp, "pp"),
+            "relative_label": format_signed(self.relative_pct, "%"),
             "marker": self.marker,
             "comparable": self.comparable,
         }
@@ -234,8 +234,7 @@ class DeltaReport:
         }
 
     def save(self, path: str | Path) -> None:
-        with atomic_open(path) as fh:
-            fh.write(dumps(self.to_dict()) + "\n")
+        write_jsonl(path, [self.to_dict()])
 
     def render_table(self) -> str:
         """Aligned comparison, one block per aggregation mode.
@@ -256,10 +255,8 @@ class DeltaReport:
             for cell in self.cells:
                 if cell.mode != mode:
                     continue
-                abs_label = ("-" if cell.absolute_pp is None
-                             else format_signed(cell.absolute_pp, "pp"))
-                rel_label = ("-" if cell.relative_pct is None
-                             else format_signed(cell.relative_pct, "%"))
+                abs_label = format_signed(cell.absolute_pp, "pp") or "-"
+                rel_label = format_signed(cell.relative_pct, "%") or "-"
                 lines.append(f"{cell.metric:<{width}}  {fmt(cell.baseline):>9}  "
                              f"{fmt(cell.candidate):>9}  {abs_label:>9}  "
                              f"{rel_label:>9}")

@@ -18,12 +18,15 @@ import enum
 import functools
 import json
 import logging
+import math
+import operator
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import IngestError
-from .jsonl import atomic_open, dumps, iter_records, require, write_jsonl
+from .jsonl import iter_records, require, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -43,17 +46,17 @@ class ConfidenceBin(enum.Enum):
     MEDIUM = "medium"
     LOW = "low"
 
-    @property
-    def _level(self) -> int:
-        return {"low": 0, "medium": 1, "high": 2}[self.value]
-
     def __lt__(self, other) -> bool:
         if not isinstance(other, ConfidenceBin):
             return NotImplemented
-        return self._level < other._level
+        return _LEVEL[self] < _LEVEL[other]
 
 
 BINS = (ConfidenceBin.HIGH, ConfidenceBin.MEDIUM, ConfidenceBin.LOW)
+# A bin's level is its byte in RunResult.levels: 0 low, 1 medium, 2 high.
+_BIN_AT_LEVEL = BINS[::-1]
+_LEVEL = {bin: level for level, bin in enumerate(_BIN_AT_LEVEL)}
+_BIN_LEVELS = bytes(map(_LEVEL.__getitem__, BINS))
 
 
 @dataclass(frozen=True)
@@ -63,30 +66,49 @@ class RankedEntity:
     bin: ConfidenceBin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RunResult:
-    """One query's retrieved list, in the system's rank order.
+    """One query's retrieved list as columns, in the system's rank order.
 
-    The order given is authoritative; scores are never re-sorted here, and a
-    score that increases down the list only logs a warning.
+    ``RunResult(query, ranked)`` builds the columns from RankedEntity rows
+    and walks them once: a repeated entity_id is an error, and a score that
+    increases down the list only logs a warning. ``columns=(ids, scores,
+    levels)`` stands in for rows the caller has already checked. The order
+    given is authoritative; scores are never re-sorted here.
     """
 
     query: str
-    ranked: tuple[RankedEntity, ...]
+    ids: tuple[str, ...]
+    scores: tuple[float, ...]
+    levels: bytes
 
-    def __post_init__(self):
-        seen = set()
-        for item in self.ranked:
-            if item.entity_id in seen:
-                raise ValueError(
-                    f"query {self.query!r}: duplicate entity_id "
-                    f"{item.entity_id!r} in ranked list")
-            seen.add(item.entity_id)
-        for prev, cur in zip(self.ranked, self.ranked[1:]):
-            if cur.score > prev.score:
-                log.warning("query %r: score increases down the ranking "
-                            "(%s < %s)", self.query, prev.score, cur.score)
-                break
+    def __init__(self, query: str, ranked: Iterable[RankedEntity] = (), *,
+                 columns: tuple[tuple, tuple, bytes] | None = None):
+        if columns is None:
+            ranked = tuple(ranked)
+            seen = set()
+            for item in ranked:
+                if item.entity_id in seen:
+                    raise ValueError(
+                        f"query {query!r}: duplicate entity_id "
+                        f"{item.entity_id!r} in ranked list")
+                seen.add(item.entity_id)
+            for prev, cur in zip(ranked, ranked[1:]):
+                if cur.score > prev.score:
+                    log.warning("query %r: score increases down the ranking "
+                                "(%s < %s)", query, prev.score, cur.score)
+                    break
+            columns = (tuple(item.entity_id for item in ranked),
+                       tuple(item.score for item in ranked),
+                       bytes(_LEVEL[item.bin] for item in ranked))
+        for name, value in zip(("query", "ids", "scores", "levels"),
+                               (query, *columns)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def ranked(self) -> tuple[RankedEntity, ...]:
+        return tuple(map(RankedEntity, self.ids, self.scores,
+                         map(_BIN_AT_LEVEL.__getitem__, self.levels)))
 
 
 def _check_k(k: int):
@@ -110,37 +132,25 @@ class QueryScan(NamedTuple):
     best_bin: ConfidenceBin | None
 
 
-def scan_query(relevant: set[str], ranked: tuple[RankedEntity, ...],
+def scan_query(relevant: set[str], result: RunResult | None,
                k: int) -> QueryScan:
-    """Walk one ranked list once against one relevant set.
+    """Scan one query's columns against one relevant set.
 
-    An unanswered query is scanned as an empty list. The walk stops below
-    rank k as soon as the first relevant result is known.
+    An unanswered query (None) scans as an empty list. The relevant ids in
+    the list are found by one set intersection and the top-k bins counted
+    on a slice of the levels, so no Python loop runs per result.
     """
     _check_k(k)
-    top_bins: list[ConfidenceBin] = []
-    hit_bins: list[ConfidenceBin] = []
-    best_rank = best_bin = None
-    for rank, item in enumerate(ranked, start=1):
-        if rank > k and best_rank is not None:
-            break
-        hit = item.entity_id in relevant
-        if hit and best_rank is None:
-            best_rank = rank
-            best_bin = item.bin
-        if rank <= k:
-            top_bins.append(item.bin)
-            if hit:
-                hit_bins.append(item.bin)
-    # list.count compares by identity; a dict keyed by the enum would hash
-    # each bin in Python.
+    ids, levels = (result.ids, result.levels) if result else ((), b"")
+    ranks = sorted(map(ids.index, relevant.intersection(ids)))
+    hit_levels = bytes(levels[rank] for rank in ranks if rank < k)
     return QueryScan(
         n_relevant=len(relevant),
-        topk_hits=tuple(hit_bins.count(bin) for bin in BINS),
-        topk_counts=tuple(top_bins.count(bin) for bin in BINS),
-        first_bin=ranked[0].bin if ranked else None,
-        best_rank=best_rank,
-        best_bin=best_bin,
+        topk_hits=tuple(map(hit_levels.count, _BIN_LEVELS)),
+        topk_counts=tuple(map(levels[:k].count, _BIN_LEVELS)),
+        first_bin=_BIN_AT_LEVEL[levels[0]] if levels else None,
+        best_rank=ranks[0] + 1 if ranks else None,
+        best_bin=_BIN_AT_LEVEL[levels[ranks[0]]] if ranks else None,
     )
 
 
@@ -148,32 +158,32 @@ def _fraction(num: int, den: int) -> Fraction | None:
     return (num, den) if den else None
 
 
-def _fractions(scan: QueryScan, k: int) -> dict[str, Fraction | None]:
+def _fractions(scan: QueryScan,
+               names: list[str]) -> dict[str, Fraction | None]:
     """Every metric of one query as a (num, den) pair; None when 0/0.
 
-    precision@1@high is defined only when the first result is high.
+    ``names`` is ``metric_names(k)``. precision@1@high is defined only when
+    the first result is high. At k=1 it is also the high bin's precision@k,
+    the same fraction, so the names list it once and zip drops the repeat.
     """
     found = sum(scan.topk_hits)
     n_relevant = scan.n_relevant
-    out = {f"precision@{k}": _fraction(found, sum(scan.topk_counts)),
-           f"recall@{k}": _fraction(found, n_relevant)}
-    for bin, hits, shown in zip(BINS, scan.topk_hits, scan.topk_counts):
-        out[f"precision@{k}@{bin.value}"] = _fraction(hits, shown)
-        out[f"recall@{k}@{bin.value}"] = _fraction(hits, n_relevant)
-    out["precision@1@high"] = _fraction(
-        int(scan.best_rank == 1), int(scan.first_bin is ConfidenceBin.HIGH))
-    return out
+    values = [_fraction(found, sum(scan.topk_counts)),
+              _fraction(found, n_relevant)]
+    for hits, shown in zip(scan.topk_hits, scan.topk_counts):
+        values += _fraction(hits, shown), _fraction(hits, n_relevant)
+    values.append(_fraction(int(scan.best_rank == 1),
+                            int(scan.first_bin is ConfidenceBin.HIGH)))
+    return dict(zip(names, values))
 
 
 def _value(fraction: Fraction | None) -> float | None:
-    if fraction is None:
-        return None
-    num, den = fraction
-    return num / den
+    return None if fraction is None else fraction[0] / fraction[1]
 
 
 def _metric(relevant, ranked, k: int, name: str) -> float | None:
-    return _value(_fractions(scan_query(relevant, ranked, k), k)[name])
+    scan = scan_query(relevant, RunResult("", ranked), k)
+    return _value(_fractions(scan, metric_names(k))[name])
 
 
 def recall_at_k(relevant: set[str], ranked: tuple[RankedEntity, ...],
@@ -218,12 +228,10 @@ def aggregate(fractions: Iterable[Fraction | None], mode: str) -> float | None:
 
 def metric_names(k: int) -> list[str]:
     """Canonical report column order; precision@1@high always present."""
-    names = [f"precision@{k}", f"recall@{k}"]
-    for bin in BINS:
-        names.append(f"precision@{k}@{bin.value}")
-        names.append(f"recall@{k}@{bin.value}")
-    names.append("precision@1@high")
-    return list(dict.fromkeys(names))
+    return list(dict.fromkeys((
+        f"precision@{k}", f"recall@{k}",
+        *(f"{metric}@{k}@{bin.value}" for bin in BINS
+          for metric in ("precision", "recall")), "precision@1@high")))
 
 
 @dataclass
@@ -284,8 +292,7 @@ class MetricsReport:
         )
 
     def save(self, path: str | Path) -> None:
-        with atomic_open(path) as fh:
-            fh.write(dumps(self.to_dict()) + "\n")
+        write_jsonl(path, [self.to_dict()])
 
     @classmethod
     def load(cls, path: str | Path) -> "MetricsReport":
@@ -316,13 +323,13 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def index_run(run: Iterable[RunResult]) -> dict[str, tuple[RankedEntity, ...]]:
-    """Map each run query to its ranked list; a repeated query is an error."""
-    by_query: dict[str, tuple[RankedEntity, ...]] = {}
+def index_run(run: Iterable[RunResult]) -> dict[str, RunResult]:
+    """Map each run query to its result; a repeated query is an error."""
+    by_query: dict[str, RunResult] = {}
     for result in run:
         if result.query in by_query:
             raise ValueError(f"duplicate query in run: {result.query!r}")
-        by_query[result.query] = result.ranked
+        by_query[result.query] = result
     return by_query
 
 
@@ -341,41 +348,38 @@ def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
 
     names = metric_names(k)
     fractions = {
-        query: _fractions(
-            scan_query(set(entries[query]), by_query.get(query, ()), k), k)
+        query: _fractions(scan_query(set(entries[query]), by_query.get(query),
+                                     k), names)
         for query in sorted(entries)
     }
+    columns = {name: [row[name] for row in fractions.values()]
+               for name in names}
     evaluated = sum(1 for query in entries if query in by_query)
-    aggregates = {
-        name: {
-            MICRO: aggregate((fractions[q][name] for q in fractions), MICRO),
-            MACRO: aggregate((fractions[q][name] for q in fractions), MACRO),
-        }
-        for name in names
-    }
-    per_query = {
-        query: {name: _value(values[name]) for name in names}
-        for query, values in fractions.items()
-    }
     return MetricsReport(
         k=k,
         bins=tuple(bin.value for bin in BINS),
         counts={"evaluated": evaluated,
                 "skipped": len(entries) - evaluated,
                 "ignored_run_queries": len(by_query) - evaluated},
-        aggregates=aggregates,
-        per_query=per_query,
+        aggregates={name: {mode: aggregate(column, mode)
+                           for mode in (MICRO, MACRO)}
+                    for name, column in columns.items()},
+        per_query={query: {name: _value(row[name]) for name in names}
+                   for query, row in fractions.items()},
     )
 
 
-_BIN_BY_VALUE = {bin.value: bin for bin in BINS}
+_LEVEL_BY_VALUE = {bin.value: level for bin, level in _LEVEL.items()}
+_FIELDS = operator.itemgetter("entity_id", "score", "bin")
 
 
 def load_run(path: str | Path) -> list[RunResult]:
     """Load run JSONL: {"query", "results": [{entity_id, score, bin},…]}.
 
     Ids are strings and a score is a finite int or float; the file order of
-    results is the rank order.
+    results is the rank order. Each list is checked a column at a time; a
+    list that fails a check, or whose score rises, is walked again item by
+    item, which names its first bad item or logs its warning.
     """
     seen: set[str] = set()
 
@@ -384,12 +388,22 @@ def load_run(path: str | Path) -> list[RunResult]:
         if query in seen:
             raise ValueError(f"duplicate query {query!r}")
         seen.add(query)
-        ranked = tuple(
+        results = require(rec, "results", list)
+        with suppress(KeyError, TypeError, OverflowError):
+            ids, scores, bins = list(zip(*map(_FIELDS, results))) or [()] * 3
+            levels = bytes(map(_LEVEL_BY_VALUE.__getitem__, bins))
+            if (set(map(type, ids)) <= {str}
+                    and set(map(type, scores)) <= {int, float}
+                    and math.isfinite(sum(scores))
+                    and len(set(ids)) == len(ids)
+                    and not any(map(operator.lt, scores, scores[1:]))):
+                return RunResult(query, columns=(
+                    ids, tuple(map(float, scores)), levels))
+        return RunResult(query, (
             RankedEntity(entity_id=require(item, "entity_id", str),
                          score=float(require(item, "score", int, float)),
-                         bin=_BIN_BY_VALUE[item["bin"]])
-            for item in require(rec, "results", list))
-        return RunResult(query=query, ranked=ranked)
+                         bin=_BIN_AT_LEVEL[_LEVEL_BY_VALUE[item["bin"]]])
+            for item in results))
 
     return list(iter_records(path, parse, "run record"))
 
@@ -400,9 +414,10 @@ def save_run(run: Iterable[RunResult], path: str | Path) -> int:
             yield {
                 "query": result.query,
                 "results": [
-                    {"entity_id": item.entity_id, "score": item.score,
-                     "bin": item.bin.value}
-                    for item in result.ranked
+                    {"entity_id": entity_id, "score": score,
+                     "bin": _BIN_AT_LEVEL[level].value}
+                    for entity_id, score, level in zip(
+                        result.ids, result.scores, result.levels)
                 ],
             }
 

@@ -25,7 +25,7 @@ from .catalog import (BASICS_COLUMNS, MISSING_TOKEN, RANKS_COLUMNS,
 from .clickstream import ClickEvent, normalize_query
 from .errors import ConfigError, IngestError
 from .jsonl import atomic_open, write_jsonl
-from .metrics import ConfidenceBin, RankedEntity, RunResult
+from .metrics import RunResult
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_BIN_THRESHOLDS = (0.8, 0.5)
@@ -271,15 +271,6 @@ def gen_queries(catalog: Catalog, config: SimConfig) -> list[tuple[str, str]]:
     return out
 
 
-def _bin_for(score: float, thresholds: tuple[float, float]) -> ConfidenceBin:
-    t_high, t_medium = thresholds
-    if score >= t_high:
-        return ConfidenceBin.HIGH
-    if score >= t_medium:
-        return ConfidenceBin.MEDIUM
-    return ConfidenceBin.LOW
-
-
 def run_mock_er(catalog: Catalog, queries: list[tuple[str, str]],
                 config: SimConfig) -> list[RunResult]:
     """Score every catalog title per query, keep the top retrieve_m.
@@ -292,6 +283,7 @@ def run_mock_er(catalog: Catalog, queries: list[tuple[str, str]],
     """
     rng = SplitMix64(derive_seed(config.seed, "matcher"))
     sigma = config.score_noise_sigma
+    t_high, t_medium = config.bin_thresholds
     ids = [title.entity_id for title in catalog.titles]
     names = [normalize_query(title.name) for title in catalog.titles]
     widths = [len(name) for name in names]
@@ -307,12 +299,11 @@ def run_mock_er(catalog: Catalog, queries: list[tuple[str, str]],
             (-(1.0 - d / (w if w > m else m) + e), entity_id)
             for d, w, e, entity_id in zip(kernel.distances(query), widths,
                                           noise, ids)))
-        ranked = tuple(
-            RankedEntity(entity_id=entity_id, score=-neg,
-                         bin=_bin_for(-neg, config.bin_thresholds))
-            for neg, entity_id in top
-        )
-        results.append(RunResult(query=query, ranked=ranked))
+        # Ids are distinct and scores fall; a level is thresholds reached.
+        scores = tuple(-neg for neg, _ in top)
+        levels = bytes((s >= t_high) + (s >= t_medium) for s in scores)
+        results.append(RunResult(query, columns=(
+            tuple(entity_id for _, entity_id in top), scores, levels)))
     return results
 
 
@@ -326,13 +317,12 @@ def gen_clicklog(run: list[RunResult], truth: dict[str, str],
     rng = SplitMix64(derive_seed(config.seed, "clicklog"))
     decay = config.click_position_decay
     for result in run:
-        impressions = tuple(item.entity_id for item in result.ranked)
+        impressions = result.ids
         if not impressions:
             continue
         truth_id = truth.get(result.query)
-        position = None
-        if truth_id is not None and truth_id in impressions:
-            position = impressions.index(truth_id) + 1
+        position = (impressions.index(truth_id) + 1
+                    if truth_id in impressions else None)
         click_prob = decay ** (position - 1) if position is not None else 0.0
         # Events are immutable, so every replay yields one of two objects.
         shown = ClickEvent(query=result.query, impressions=impressions)
@@ -340,10 +330,8 @@ def gen_clicklog(run: list[RunResult], truth: dict[str, str],
             hit = ClickEvent(query=result.query, impressions=impressions,
                              clicked=truth_id)
         for _ in range(config.n_replays):
-            if position is not None and rng.random() < click_prob:
-                yield hit
-            else:
-                yield shown
+            yield (hit if position is not None and rng.random() < click_prob
+                   else shown)
 
 
 def write_catalog_tsv(catalog: Catalog, out_dir: str | Path,
