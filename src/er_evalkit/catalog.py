@@ -15,7 +15,7 @@ import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .errors import IngestError
+from .errors import ConfigError, IngestError
 from .jsonl import iter_records, optional, require, write_jsonl
 
 MISSING_TOKEN = "\\N"
@@ -140,10 +140,14 @@ def parse_catalog(
     and ratings/ranks rows for unknown ids are ignored and tallied. A
     malformed row is skipped and counted unless ``strict`` is set, in which
     case it raises :class:`IngestError` naming the file and line. A
-    duplicated entity id is always an error.
+    duplicated entity id is always an error. A reversed ``year_window`` is
+    a ConfigError, raised before any file is read.
     """
     stats = IngestStats()
     min_year, max_year = year_window
+    if min_year > max_year:
+        raise ConfigError(f"year_window {min_year},{max_year} is reversed: "
+                          f"{min_year} > {max_year}")
 
     def bad_row(counter: str, path, lineno: int, why: str):
         setattr(stats, counter, getattr(stats, counter) + 1)

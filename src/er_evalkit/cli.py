@@ -120,15 +120,24 @@ class Settings:
         self.config = config
 
     def get(self, key: str, default, convert=None):
-        """Resolve ``key``; a string parses by ``convert`` or as ``default``."""
+        """Resolve ``key``; a string parses by ``convert`` or as ``default``.
+
+        A string that does not parse is a ConfigError naming the key and
+        where the string came from: its flag, or the config file.
+        """
         value = getattr(self.args, key, None)
+        source = f"flag --{key.replace('_', '-')}"
         if value is None:
             value = self.config.get(key)
+            source = f"config file {self.args.config}"
         if value is None:
             return default
-        if isinstance(value, str):
+        if not isinstance(value, str):
+            return value
+        try:
             return (convert or _converter(key, default))(value)
-        return value
+        except (ValueError, EvalKitError) as exc:
+            raise ConfigError(f"{key} {value!r} from {source}: {exc}") from exc
 
 
 def _emit(summary: dict) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
-from .jsonl import iter_records, write_jsonl
+from .jsonl import iter_records, optional, require, write_jsonl
 from .metrics import (
     BINS,
     DEFAULT_K,
@@ -172,13 +172,21 @@ def write_diagnoses(diagnoses: Iterable[Diagnosis], path: str | Path) -> int:
 
 
 def load_diagnoses(path: str | Path) -> list[Diagnosis]:
+    """Load diagnoses JSONL, typed as :func:`write_diagnoses` writes them.
+
+    ``query`` is a string, ``category`` a category name, ``best_rank`` an
+    int >= 1 (never a bool) or null, and ``best_bin`` a bin name or null.
+    """
     def parse(rec: dict) -> Diagnosis:
-        bin_value = rec.get("best_bin")
+        best_rank = optional(rec, "best_rank", int)
+        if best_rank is not None and best_rank < 1:
+            raise ValueError(f"best_rank must be >= 1, got {best_rank}")
+        best_bin = optional(rec, "best_bin", str)
         return Diagnosis(
-            query=rec["query"],
-            category=FailureCategory(rec["category"]),
-            best_rank=rec.get("best_rank"),
-            best_bin=ConfidenceBin(bin_value) if bin_value else None,
+            query=require(rec, "query", str),
+            category=FailureCategory(require(rec, "category", str)),
+            best_rank=best_rank,
+            best_bin=None if best_bin is None else ConfidenceBin(best_bin),
         )
 
     return list(iter_records(path, parse, "diagnosis"))

@@ -98,15 +98,21 @@ def require(rec: dict, key: str, *kinds: type) -> Any:
     """``rec[key]``, checked to be exactly one of ``kinds``.
 
     The check is on the exact type, so a bool never passes for an int, and
-    a float must also be finite.
+    a float must also be finite. Where a float is allowed, an int must
+    convert to a finite float.
     """
     value = rec[key]
     if type(value) not in kinds:
         names = " or ".join("null" if kind is type(None) else kind.__name__
                             for kind in kinds)
         raise TypeError(f"{key} must be {names}, got {value!r}")
-    if type(value) is float and not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value!r}")
+    if type(value) in (int, float) and float in kinds:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{key} must be finite, got {value!r}")
     return value
 
 

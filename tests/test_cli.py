@@ -152,6 +152,27 @@ class TestConfigPrecedence:
         with pytest.raises(ConfigError, match="1"):
             load_config_file(config)
 
+    def test_unparsable_config_value_names_key_and_file(self, capsys,
+                                                        tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        config = tmp_path / "settings.conf"
+        config.write_text("k = true\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "evaluate", "--qrels", str(qrels),
+                               "--run", str(run), "--config", str(config))
+        assert_one_error_line(code, err)
+        assert error_lines(err)[0] == (
+            f"error: k 'true' from config file {config}: "
+            "invalid literal for int() with base 10: 'true'")
+
+    def test_unparsable_flag_value_names_key_and_flag(self, capsys,
+                                                      tmp_path):
+        code, _, err = run_cli(capsys, "simulate", "--seed", "1",
+                               "--out-dir", str(tmp_path / "sim"),
+                               "--bin-thresholds", "0.5")
+        assert_one_error_line(code, err)
+        assert error_lines(err)[0].startswith(
+            "error: bin_thresholds '0.5' from flag --bin-thresholds: ")
+
     def test_missing_config_file_is_module_error(self, capsys, tmp_path):
         qrels, run = write_worked_fixture(tmp_path)
         code, _, err = run_cli(capsys, "evaluate", "--qrels", str(qrels),
@@ -788,6 +809,54 @@ class TestInputTyping:
         assert_one_error_line(code, err)
         assert field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    def test_huge_integer_run_score_rejected(self, capsys, tmp_path,
+                                             command):
+        qrels, run = write_worked_fixture(tmp_path)
+        huge = 10 ** 400
+        run.write_text(dumps({"query": "q", "results": [
+            {"entity_id": "A", "score": huge, "bin": "high"}]}) + "\n",
+            encoding="utf-8")
+        code, _, err = run_cli(capsys, command, "--qrels", str(qrels),
+                               "--run", str(run))
+        assert_one_error_line(code, err)
+        assert error_lines(err)[0] == (
+            f"error: {run}:1: bad run record: score must be finite, "
+            f"got {huge}")
+
+    def test_huge_integer_report_value_rejected(self, capsys, tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        good = tmp_path / "good.json"
+        run_cli(capsys, "evaluate", "--qrels", str(qrels), "--run", str(run),
+                "--out", str(good))
+        report = json.loads(good.read_text())
+        report["aggregates"]["recall@5"]["micro"] = 10 ** 400
+        bad = tmp_path / "bad.json"
+        bad.write_text(dumps(report), encoding="utf-8")
+        code, _, err = run_cli(capsys, "compare", "--baseline", str(bad),
+                               "--candidate", str(good))
+        assert_one_error_line(code, err)
+        assert error_lines(err)[0].startswith(
+            f"error: cannot load report {bad}: micro must be finite, got 1000")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_reversed_year_window_rejected_before_reading(self, capsys,
+                                                         tmp_path, source):
+        argv = ["ingest-catalog", "--basics", str(tmp_path / "no-basics.tsv"),
+                "--ratings", str(tmp_path / "no-ratings.tsv"),
+                "--out", str(tmp_path / "catalog.jsonl")]
+        if source == "flag":
+            argv += ["--year-window", "2100,1870"]
+        else:
+            config = tmp_path / "settings.conf"
+            config.write_text("year_window = 2100,1870\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, err)
+        assert out == ""
+        assert error_lines(err)[0] == \
+            "error: year_window 2100,1870 is reversed: 2100 > 1870"
 
     @pytest.mark.parametrize("value", ["0.5", float("nan"), float("inf"),
                                        True, [0.5], {"v": 1}])

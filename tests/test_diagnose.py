@@ -1,5 +1,6 @@
 """Tests for failure-category classification and report comparison."""
 
+import json
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from er_evalkit.diagnose import (
     load_diagnoses,
     write_diagnoses,
 )
-from er_evalkit.errors import ConfigError
+from er_evalkit.errors import ConfigError, IngestError
 from er_evalkit.metrics import (
     BINS,
     ConfidenceBin,
@@ -188,6 +189,34 @@ class TestDiagnosisFiles:
         path = tmp_path / "diagnoses.jsonl"
         write_diagnoses(diagnoses, path)
         assert load_diagnoses(path) == diagnoses
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("query", 5, "query must be str, got 5"),
+        ("query", None, "query must be str, got None"),
+        ("category", "bogus", "'bogus' is not a valid FailureCategory"),
+        ("category", 1, "category must be str, got 1"),
+        ("best_rank", True, "best_rank must be int, got True"),
+        ("best_rank", 1.0, "best_rank must be int, got 1.0"),
+        ("best_rank", 0, "best_rank must be >= 1, got 0"),
+        ("best_bin", "huge", "'huge' is not a valid ConfidenceBin"),
+        ("best_bin", 2, "best_bin must be str, got 2"),
+    ])
+    def test_fields_typed_on_load(self, tmp_path, field, value, message):
+        good = {"query": "q", "category": "success", "best_rank": 1,
+                "best_bin": "high"}
+        path = tmp_path / "diagnoses.jsonl"
+        path.write_text(json.dumps({**good, field: value}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(IngestError) as caught:
+            load_diagnoses(path)
+        assert str(caught.value) == f"{path}:1: bad diagnosis: {message}"
+
+    def test_missing_evidence_loads_as_none(self, tmp_path):
+        path = tmp_path / "diagnoses.jsonl"
+        path.write_text('{"query":"q","category":"retrieval_miss"}\n',
+                        encoding="utf-8")
+        assert load_diagnoses(path) == [
+            Diagnosis("q", FailureCategory.RETRIEVAL_MISS)]
 
 
 class TestFormatSigned:

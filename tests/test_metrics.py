@@ -1,10 +1,13 @@
 """Tests for plain and bin-conditioned precision/recall."""
 
+import itertools
 import json
 import logging
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from er_evalkit.errors import IngestError
 from er_evalkit.metrics import (
@@ -22,10 +25,12 @@ from er_evalkit.metrics import (
     recall_at_k,
     recall_at_k_bin,
     save_run,
+    scan_query,
 )
 
 from oracle import (
     OracleItem,
+    brute_classify,
     brute_precision_at_k,
     brute_precision_at_k_bin,
     brute_recall_at_k,
@@ -388,6 +393,27 @@ class TestRunFiles:
         assert str(caught.value) == \
             f"{tmp_path / 'run.jsonl'}:1: bad run record: {message}"
 
+    @pytest.mark.parametrize("scores", [
+        [10 ** 400], [10 ** 400, -10 ** 400], [0.5, -10 ** 400],
+    ])
+    def test_huge_integer_score_is_an_ingest_error(self, tmp_path, scores):
+        entries = ",".join(
+            f'{{"entity_id":"e{i}","score":{score},"bin":"high"}}'
+            for i, score in enumerate(scores))
+        with pytest.raises(IngestError) as caught:
+            load_run(write_results(tmp_path, entries))
+        huge = next(score for score in scores if abs(score) > 1e308)
+        assert str(caught.value) == (
+            f"{tmp_path / 'run.jsonl'}:1: bad run record: score must be "
+            f"finite, got {huge}")
+
+    def test_large_finite_scores_load(self, tmp_path):
+        path = write_results(
+            tmp_path, '{"entity_id":"A","score":1e308,"bin":"high"},'
+            '{"entity_id":"B","score":1e308,"bin":"low"}')
+        [result] = load_run(path)
+        assert result.scores == (1e308, 1e308)
+
     def test_integer_score_loads_as_float(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text('{"query":"q","results":'
@@ -396,3 +422,75 @@ class TestRunFiles:
         [result] = load_run(path)
         assert result.ranked[0].score == 1.0
         assert isinstance(result.ranked[0].score, float)
+
+
+# A run of up to six queries over twelve ids; scores may rise down a list.
+ids_strategy = st.sampled_from([f"e{i}" for i in range(12)])
+row_strategy = st.tuples(
+    ids_strategy,
+    st.one_of(st.integers(-1000, 1000),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    st.sampled_from(BINS))
+ranked_strategy = st.lists(row_strategy, max_size=10,
+                           unique_by=lambda row: row[0]).map(
+    lambda rows: tuple(RankedEntity(*row) for row in rows))
+run_strategy = st.lists(st.tuples(st.text(max_size=4), ranked_strategy),
+                        max_size=6, unique_by=lambda pair: pair[0]).map(
+    lambda pairs: [RunResult(query, ranked) for query, ranked in pairs])
+
+
+class TestColumnarLayout:
+    """The columns load back equal and scan like the rows they came from.
+
+    Each example writes a fresh file name: on some file systems, writing
+    again to a name just replaced by a rename is slow.
+    """
+
+    names = itertools.count()
+
+    def path(self, tmp_path):
+        return tmp_path / f"run{next(self.names)}.jsonl"
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(run=run_strategy)
+    def test_save_load_round_trip(self, tmp_path, run):
+        path = self.path(tmp_path)
+        save_run(run, path)
+        loaded = load_run(path)
+        assert loaded == run
+        assert [result.ranked for result in loaded] == \
+            [result.ranked for result in run]
+        assert all(type(score) is float
+                   for result in loaded for score in result.scores)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ranked=ranked_strategy,
+           relevant=st.sets(ids_strategy, min_size=1, max_size=4),
+           k=st.integers(1, 12))
+    def test_scan_of_loaded_columns_matches_oracle(self, tmp_path, ranked,
+                                                   relevant, k):
+        path = self.path(tmp_path)
+        save_run([RunResult("q", ranked)], path)
+        [loaded] = load_run(path)
+        scan = scan_query(relevant, loaded, k)
+        rows = tuple(OracleItem(item.entity_id, item.bin.value)
+                     for item in ranked)
+
+        def fraction(num, den):
+            return Fraction(num, den) if den else None
+
+        assert fraction(sum(scan.topk_hits), scan.n_relevant) == \
+            brute_recall_at_k(relevant, rows, k)
+        assert fraction(sum(scan.topk_hits), sum(scan.topk_counts)) == \
+            brute_precision_at_k(relevant, rows, k)
+        for bin, hits, shown in zip(BINS, scan.topk_hits, scan.topk_counts):
+            assert fraction(hits, scan.n_relevant) == \
+                brute_recall_at_k_bin(relevant, rows, k, bin.value)
+            assert fraction(hits, shown) == \
+                brute_precision_at_k_bin(relevant, rows, k, bin.value)
+        _, best_rank, best_bin = brute_classify(relevant, rows, k, "high")
+        assert (scan.best_rank, scan.best_bin) == \
+            (best_rank, best_bin and ConfidenceBin(best_bin))
+        assert scan.first_bin == (ranked[0].bin if ranked else None)
