@@ -377,9 +377,9 @@ def load_run(path: str | Path) -> list[RunResult]:
     """Load run JSONL: {"query", "results": [{entity_id, score, bin},…]}.
 
     Ids are strings and a score is a finite int or float; the file order of
-    results is the rank order. Each list is checked a column at a time; a
-    list that fails a check, or whose score rises, is walked again item by
-    item, which names its first bad item or logs its warning.
+    results is the rank order. Each list is checked a column at a time, and
+    one that fails a check or overflows a float, or whose score rises, is
+    walked again item by item to name its first bad item or log its warning.
     """
     seen: set[str] = set()
 
