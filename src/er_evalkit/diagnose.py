@@ -193,8 +193,7 @@ def load_diagnoses(path: str | Path) -> list[Diagnosis]:
 
 
 def format_signed(value: float | None, suffix: str) -> str | None:
-    """Render a delta with an explicit sign, e.g. +5.00pp or -10.00%; an
-    undefined delta stays None."""
+    """A delta with its sign, e.g. +5.00pp or -10.00%; None stays None."""
     if value is None:
         return None
     if value == 0:
