@@ -87,30 +87,6 @@ class Catalog:
         return self.index.get(entity_id)
 
 
-def _open_tsv(path: str | Path, required: tuple[str, ...]):
-    """Open a TSV and map required column names to indexes from the header."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-    try:
-        header = next(reader)
-    except StopIteration:
-        fh.close()
-        raise IngestError(f"{path}: missing header row")
-    except csv.Error as exc:
-        fh.close()
-        raise IngestError(f"{path}:1: {exc}") from exc
-    positions = {}
-    for name in required:
-        if name not in header:
-            fh.close()
-            raise IngestError(f"{path}: missing required column {name!r}")
-        positions[name] = header.index(name)
-    return fh, reader, positions
-
-
 def _cell(row: list[str], idx: int) -> str | None:
     value = row[idx].strip()
     if not value or value == MISSING_TOKEN:
@@ -118,12 +94,101 @@ def _cell(row: list[str], idx: int) -> str | None:
     return value
 
 
-def _parse_int(value: str) -> int:
+def _parse_int(value: str, reason: str) -> int:
     # Reject floats and signs that int() would also reject anyway, but keep
     # plain digit runs like "0123" out too: dump rows never zero-pad counts.
     if not value.isdigit():
-        raise ValueError(value)
+        raise ValueError(reason)
     return int(value)
+
+
+def _basics_row(cells: list, min_year: int, max_year: int) -> tuple[str, dict]:
+    entity_id, name, year = cells
+    if entity_id is None or name is None:
+        raise ValueError("missing id or title")
+    if year is not None:
+        year = _parse_int(year, f"unparseable year {year!r}")
+        if not min_year <= year <= max_year:
+            raise ValueError(f"implausible year {year}")
+    return entity_id, {"entity_id": entity_id, "name": name,
+                       "release_year": year, "rank": None,
+                       "rating_count": None, "rating": None}
+
+
+def _ratings_row(cells: list) -> tuple[str, dict]:
+    entity_id, rating, votes = cells
+    if entity_id is None:
+        raise ValueError("missing id")
+    reason = "unparseable rating or vote count"
+    try:
+        rating = None if rating is None else float(rating)
+    except ValueError:
+        raise ValueError(reason) from None
+    votes = None if votes is None else _parse_int(votes, reason)
+    if rating is not None and not 0.0 <= rating <= 10.0:
+        raise ValueError(f"rating {rating} outside [0, 10]")
+    return entity_id, {"rating": rating, "rating_count": votes}
+
+
+def _ranks_row(cells: list) -> tuple[str, dict]:
+    entity_id, rank = cells
+    if entity_id is None or rank is None:
+        raise ValueError("missing id or rank")
+    rank = _parse_int(rank, f"unparseable rank {rank!r}")
+    if rank < 1:
+        raise ValueError(f"rank {rank} < 1")
+    return entity_id, {"rank": rank}
+
+
+def _read_dump(path: str | Path, required: tuple[str, ...], check,
+               strict: bool) -> tuple[dict[str, dict], int, int]:
+    """Read one TSV dump: ``({entity_id: fields}, rows, rejected)``.
+
+    ``check`` maps a row's required cells to ``(entity_id, fields)`` or
+    raises ValueError naming the reason; a row too short to hold them is
+    rejected first. A rejected row is counted, or under ``strict`` raises an
+    IngestError naming the file and line. A repeated id among the accepted
+    rows is an error in either mode, and so is a row the csv module cannot
+    read (a cell over its field size limit).
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    accepted: dict[str, dict] = {}
+    rows = rejected = 0
+    with fh:
+        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: missing header row")
+            for name in required:
+                if name not in header:
+                    raise IngestError(
+                        f"{path}: missing required column {name!r}")
+            columns = [header.index(name) for name in required]
+            last = max(columns)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                rows += 1
+                try:
+                    if len(row) <= last:
+                        raise ValueError("too few columns")
+                    entity_id, fields = check([_cell(row, i) for i in columns])
+                except ValueError as exc:
+                    rejected += 1
+                    if strict:
+                        raise IngestError(f"{path}:{lineno}: {exc}") from exc
+                    continue
+                if entity_id in accepted:
+                    raise IngestError(
+                        f"{path}:{lineno}: duplicate entity_id {entity_id!r}")
+                accepted[entity_id] = fields
+        except csv.Error as exc:
+            raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
+    return accepted, rows, rejected
 
 
 def parse_catalog(
@@ -143,124 +208,32 @@ def parse_catalog(
     duplicated entity id is always an error. A reversed ``year_window`` is
     a ConfigError, raised before any file is read.
     """
-    stats = IngestStats()
     min_year, max_year = year_window
     if min_year > max_year:
         raise ConfigError(f"year_window {min_year},{max_year} is reversed: "
                           f"{min_year} > {max_year}")
-
-    def bad_row(counter: str, path, lineno: int, why: str):
-        setattr(stats, counter, getattr(stats, counter) + 1)
-        if strict:
-            raise IngestError(f"{path}:{lineno}: {why}")
-
-    def data_rows(path, required: tuple[str, ...], kind: str):
-        """(lineno, required cells) per nonblank row; short rows rejected.
-
-        A row the csv module cannot read (a cell over its field size
-        limit) is fatal in either mode.
-        """
-        fh, reader, pos = _open_tsv(path, required)
-        columns = [pos[name] for name in required]
-        last = max(columns)
-        counter = f"{kind}_rows"
-        with fh:
-            try:
-                for lineno, row in enumerate(reader, start=2):
-                    if not row:
-                        continue
-                    setattr(stats, counter, getattr(stats, counter) + 1)
-                    if len(row) <= last:
-                        bad_row(f"{kind}_rejected", path, lineno,
-                                "too few columns")
-                        continue
-                    yield lineno, [_cell(row, i) for i in columns]
-            except csv.Error as exc:
-                raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
-
-    # basics: entity universe, file order preserved
-    rows: dict[str, dict] = {}
-    for lineno, (entity_id, name, year_raw) in data_rows(
-            basics_path, BASICS_COLUMNS, "basics"):
-        if entity_id is None or name is None:
-            bad_row("basics_rejected", basics_path, lineno, "missing id or title")
+    stats = IngestStats()
+    rows, stats.basics_rows, stats.basics_rejected = _read_dump(
+        basics_path, BASICS_COLUMNS,
+        lambda cells: _basics_row(cells, min_year, max_year), strict)
+    # ratings, then ranks: left joins on entity id
+    joins = [("ratings", ratings_path, RATINGS_COLUMNS, _ratings_row),
+             ("ranks", ranks_path, RANKS_COLUMNS, _ranks_row)]
+    for kind, path, required, check in joins:
+        if path is None:
             continue
-        year = None
-        if year_raw is not None:
-            try:
-                year = _parse_int(year_raw)
-            except ValueError:
-                bad_row("basics_rejected", basics_path, lineno,
-                        f"unparseable year {year_raw!r}")
-                continue
-            if not (min_year <= year <= max_year):
-                bad_row("basics_rejected", basics_path, lineno,
-                        f"implausible year {year}")
-                continue
-        if entity_id in rows:
-            raise IngestError(
-                f"{basics_path}:{lineno}: duplicate entity_id {entity_id!r}")
-        rows[entity_id] = {"entity_id": entity_id, "name": name,
-                           "release_year": year, "rank": None,
-                           "rating_count": None, "rating": None}
-
-    # ratings: left join on entity id
-    seen_rating_ids: set[str] = set()
-    for lineno, (entity_id, rating_raw, votes_raw) in data_rows(
-            ratings_path, RATINGS_COLUMNS, "ratings"):
-        if entity_id is None:
-            bad_row("ratings_rejected", ratings_path, lineno, "missing id")
-            continue
-        try:
-            rating = None if rating_raw is None else float(rating_raw)
-            votes = None if votes_raw is None else _parse_int(votes_raw)
-        except ValueError:
-            bad_row("ratings_rejected", ratings_path, lineno,
-                    "unparseable rating or vote count")
-            continue
-        if rating is not None and not (0.0 <= rating <= 10.0):
-            bad_row("ratings_rejected", ratings_path, lineno,
-                    f"rating {rating} outside [0, 10]")
-            continue
-        if entity_id in seen_rating_ids:
-            raise IngestError(
-                f"{ratings_path}:{lineno}: duplicate entity_id {entity_id!r}")
-        seen_rating_ids.add(entity_id)
-        target = rows.get(entity_id)
-        if target is None:
-            stats.ratings_orphaned += 1
-            continue
-        target["rating"] = rating
-        target["rating_count"] = votes
-
-    # ranks: optional left join; else derive pseudo-rank from rating counts
-    if ranks_path is not None:
-        seen_rank_ids: set[str] = set()
-        for lineno, (entity_id, rank_raw) in data_rows(
-                ranks_path, RANKS_COLUMNS, "ranks"):
-            if entity_id is None or rank_raw is None:
-                bad_row("ranks_rejected", ranks_path, lineno,
-                        "missing id or rank")
-                continue
-            try:
-                rank = _parse_int(rank_raw)
-            except ValueError:
-                bad_row("ranks_rejected", ranks_path, lineno,
-                        f"unparseable rank {rank_raw!r}")
-                continue
-            if rank < 1:
-                bad_row("ranks_rejected", ranks_path, lineno, f"rank {rank} < 1")
-                continue
-            if entity_id in seen_rank_ids:
-                raise IngestError(
-                    f"{ranks_path}:{lineno}: duplicate entity_id {entity_id!r}")
-            seen_rank_ids.add(entity_id)
-            target = rows.get(entity_id)
-            if target is None:
-                stats.ranks_orphaned += 1
-                continue
-            target["rank"] = rank
-    else:
+        updates, n_rows, n_rejected = _read_dump(path, required, check, strict)
+        orphaned = 0
+        for entity_id, fields in updates.items():
+            if entity_id in rows:
+                rows[entity_id].update(fields)
+            else:
+                orphaned += 1
+        setattr(stats, f"{kind}_rows", n_rows)
+        setattr(stats, f"{kind}_rejected", n_rejected)
+        setattr(stats, f"{kind}_orphaned", orphaned)
+    if ranks_path is None:
+        # derive a pseudo-rank from rating counts
         assign_pseudo_ranks(rows)
 
     titles = [Title(**fields) for fields in rows.values()]

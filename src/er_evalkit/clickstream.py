@@ -6,23 +6,25 @@ trivially different spellings aggregate together. Per (query, entity) pair,
 nimp counts the events whose impressions contain the entity and nclick the
 events that clicked it; ctr is the exact quotient.
 
-Aggregation is one streaming pass: each event is counted into a
-(nimp, nclick) table as it is parsed, so memory is O(distinct pairs), not
-O(events). The table is a monoid: sharding the event stream, counting shards
-independently, and merging sums gives exactly the single-pass answer
+Aggregation is one streaming pass: each event is counted into two
+``collections.Counter`` tables keyed by (query, entity_id), nimp and nclick,
+as it is parsed, so memory is O(distinct pairs), not O(events). The tables
+are a monoid: sharding the event stream, counting shards independently, and
+summing the Counters gives exactly the single-pass answer
 (:func:`aggregate_in_shards`). Aggregation runs in one thread.
 """
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, IngestError
-from .jsonl import (dumps, iter_records, read_lines, require, write_jsonl,
-                    write_lines)
+from .jsonl import (decode, dumps, iter_records, read_lines, require,
+                    write_jsonl, write_lines)
 
 DEFAULT_MIN_IMPRESSIONS = 25
 DEFAULT_MIN_CTR = 0.3
@@ -99,6 +101,27 @@ class FilterSummary:
     dropped: int
 
 
+def _event(raw) -> ClickEvent:
+    """The normalized event one decoded line holds, or ValueError(reason)."""
+    if not isinstance(raw, dict):
+        raise ValueError("event is not an object")
+    query = raw.get("query")
+    impressions = raw.get("impressions")
+    clicked = raw.get("clicked")
+    ts = raw.get("ts")
+    if not isinstance(query, str) or not query.strip():
+        raise ValueError("missing or empty query")
+    if (not isinstance(impressions, list) or not impressions
+            or not all(isinstance(i, str) for i in impressions)):
+        raise ValueError("impressions must be a nonempty list of ids")
+    if clicked is not None and not isinstance(clicked, str):
+        raise ValueError("clicked must be an id or null")
+    if ts is not None and (not isinstance(ts, int) or isinstance(ts, bool)):
+        raise ValueError("ts must be an integer or null")
+    return ClickEvent(query=normalize_query(query),
+                      impressions=tuple(impressions), clicked=clicked, ts=ts)
+
+
 def parse_events(path: str | Path, *, strict: bool = False,
                  stats: ParseStats | None = None) -> Iterator[ClickEvent]:
     """Yield normalized events in file order.
@@ -110,46 +133,14 @@ def parse_events(path: str | Path, *, strict: bool = False,
     """
     if stats is None:
         stats = ParseStats()
-
-    def reject(lineno: int, why: str):
-        stats.rejected += 1
-        if strict:
-            raise IngestError(f"{path}:{lineno}: {why}")
-
     for lineno, line in read_lines(path):
         stats.lines += 1
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            reject(lineno, f"invalid JSON: {exc}")
-            continue
-        if not isinstance(raw, dict):
-            reject(lineno, "event is not an object")
-            continue
-        query = raw.get("query")
-        impressions = raw.get("impressions")
-        clicked = raw.get("clicked")
-        ts = raw.get("ts")
-        if not isinstance(query, str) or not query.strip():
-            reject(lineno, "missing or empty query")
-            continue
-        if (not isinstance(impressions, list) or not impressions
-                or not all(isinstance(i, str) for i in impressions)):
-            reject(lineno, "impressions must be a nonempty list of ids")
-            continue
-        if clicked is not None and not isinstance(clicked, str):
-            reject(lineno, "clicked must be an id or null")
-            continue
-        if ts is not None and (not isinstance(ts, int)
-                               or isinstance(ts, bool)):
-            reject(lineno, "ts must be an integer or null")
-            continue
-        try:
-            event = ClickEvent(query=normalize_query(query),
-                               impressions=tuple(impressions),
-                               clicked=clicked, ts=ts)
+            event = _event(decode(line))
         except ValueError as exc:
-            reject(lineno, str(exc))
+            stats.rejected += 1
+            if strict:
+                raise IngestError(f"{path}:{lineno}: {exc}") from exc
             continue
         stats.events += 1
         yield event
@@ -163,47 +154,37 @@ def compute_ctr(nclick: int, nimp: int) -> float:
     return nclick / nimp
 
 
-_PairCounts = dict[tuple[str, str], list[int]]
-
-
-def _tally(counts: _PairCounts, event: ClickEvent) -> None:
-    # An entity impressed several times within one event still counts as
-    # one impression: nimp is the number of events containing it.
-    for entity_id in set(event.impressions):
-        pair = counts.setdefault((event.query, entity_id), [0, 0])
-        pair[0] += 1
-        if event.clicked == entity_id:
-            pair[1] += 1
-
-
-def _count_pairs(events: Iterable[ClickEvent]) -> _PairCounts:
-    """(nimp, nclick) per (query, entity) pair, in one pass over the stream.
+def _tally(events: Iterable[ClickEvent]) -> tuple[Counter, Counter]:
+    """(nimp, nclick) Counters keyed by (query, entity_id), in one pass.
 
     Events are consumed one at a time and never held, so a generator such as
     parse_events keeps memory at O(distinct pairs).
     """
-    counts: _PairCounts = {}
+    nimp: Counter = Counter()
+    nclick: Counter = Counter()
     for event in events:
-        _tally(counts, event)
-    return counts
+        # An entity impressed several times within one event still counts
+        # as one impression: nimp is the number of events containing it.
+        nimp.update(zip(repeat(event.query), set(event.impressions)))
+        if event.clicked is not None:
+            nclick[event.query, event.clicked] += 1
+    return nimp, nclick
 
 
-def _records(counts: _PairCounts,
+def _records(nimp: Counter, nclick: Counter,
              ctr_filter: CtrFilter | None = None) -> list[CtrRecord]:
     """Sorted records for the pairs ``ctr_filter`` keeps (all if None)."""
-    kept = []
-    for (q, e), (nimp, nclick) in counts.items():
-        if ctr_filter is None or ctr_filter.admits(nimp, nclick / nimp):
-            kept.append((q, e, nimp, nclick))
-    kept.sort()
-    return [CtrRecord(query=q, entity_id=e, nimp=nimp, nclick=nclick,
-                      ctr=compute_ctr(nclick, nimp))
-            for q, e, nimp, nclick in kept]
+    kept = sorted(pair for pair, n in nimp.items() if ctr_filter is None
+                  or ctr_filter.admits(n, nclick[pair] / n))
+    return [CtrRecord(query=q, entity_id=e, nimp=nimp[q, e],
+                      nclick=nclick[q, e],
+                      ctr=compute_ctr(nclick[q, e], nimp[q, e]))
+            for q, e in kept]
 
 
 def aggregate_pairs(events: Iterable[ClickEvent]) -> list[CtrRecord]:
     """Count impressions and clicks per (query, entity) pair, sorted."""
-    return _records(_count_pairs(events))
+    return _records(*_tally(events))
 
 
 def aggregate_filtered(events: Iterable[ClickEvent], ctr_filter: CtrFilter
@@ -213,37 +194,31 @@ def aggregate_filtered(events: Iterable[ClickEvent], ctr_filter: CtrFilter
     Same records and summary as the two-step form; the pair count is
     ``kept + dropped``.
     """
-    counts = _count_pairs(events)
-    kept = _records(counts, ctr_filter)
-    return kept, FilterSummary(kept=len(kept), dropped=len(counts) - len(kept))
-
-
-def merge_records(shards: Iterable[Iterable[CtrRecord]]) -> list[CtrRecord]:
-    """Sum (nimp, nclick) across shard outputs and recompute ctr."""
-    counts: _PairCounts = {}
-    for shard in shards:
-        for rec in shard:
-            pair = counts.setdefault((rec.query, rec.entity_id), [0, 0])
-            pair[0] += rec.nimp
-            pair[1] += rec.nclick
-    return _records(counts)
+    nimp, nclick = _tally(events)
+    kept = _records(nimp, nclick, ctr_filter)
+    return kept, FilterSummary(kept=len(kept), dropped=len(nimp) - len(kept))
 
 
 def aggregate_in_shards(events: Iterable[ClickEvent], n_shards: int,
                         threads: int | None = None) -> list[CtrRecord]:
-    """Round-robin the stream into per-shard counts, then merge the shards.
+    """Count round-robin shards of the stream apart, then sum the counts.
 
-    Exactly equivalent to single-pass aggregate_pairs. Events are counted as
-    they arrive, so memory is O(distinct pairs per shard). ``threads`` is
-    ignored and starts no workers; it exists only because the benchmark's
-    traced pass (``perfbench/traced.py``) passes ``threads=1``.
+    Exactly equivalent to single-pass aggregate_pairs, because the count
+    tables sum as Counters (``Counter.update``). The events are held in a
+    list so each shard can be read from it. ``threads`` is ignored and
+    starts no workers; it exists only because the benchmark's traced pass
+    (``perfbench/traced.py``) passes ``threads=1``.
     """
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
-    shards: list[_PairCounts] = [{} for _ in range(n_shards)]
-    for i, event in enumerate(events):
-        _tally(shards[i % n_shards], event)
-    return merge_records(_records(shard) for shard in shards)
+    events = list(events)
+    nimp: Counter = Counter()
+    nclick: Counter = Counter()
+    for shard in range(n_shards):
+        shard_nimp, shard_nclick = _tally(islice(events, shard, None, n_shards))
+        nimp.update(shard_nimp)
+        nclick.update(shard_nclick)
+    return _records(nimp, nclick)
 
 
 def filter_records(records: Iterable[CtrRecord],

@@ -75,6 +75,19 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
 
+def decode(line: str) -> Any:
+    """``json.loads(line)``; any failure to decode is one ValueError.
+
+    Besides a syntax error, that covers an integer literal over the
+    interpreter's digit limit (a plain ValueError) and nesting too deep for
+    the decoder (a RecursionError). The message starts ``invalid JSON:``.
+    """
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+
+
 def iter_records(path: str | Path, parse: Callable[[Any], T],
                  what: str) -> Iterator[T]:
     """Yield ``parse(record)`` for each JSON line of ``path``, in file order.
@@ -84,9 +97,9 @@ def iter_records(path: str | Path, parse: Callable[[Any], T],
     """
     for lineno, line in read_lines(path):
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            rec = decode(line)
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {exc}") from exc
         try:
             value = parse(rec)
         except (KeyError, TypeError, ValueError) as exc:

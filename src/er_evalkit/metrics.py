@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import logging
 import math
 import operator
@@ -26,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import IngestError
-from .jsonl import iter_records, require, write_jsonl
+from .jsonl import decode, iter_records, require, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -70,11 +69,12 @@ class RankedEntity:
 class RunResult:
     """One query's retrieved list as columns, in the system's rank order.
 
-    ``RunResult(query, ranked)`` builds the columns from RankedEntity rows
-    and walks them once: a repeated entity_id is an error, and a score that
-    increases down the list only logs a warning. ``columns=(ids, scores,
-    levels)`` stands in for rows the caller has already checked. The order
-    given is authoritative; scores are never re-sorted here.
+    ``RunResult(query, ranked)`` builds the columns from RankedEntity rows;
+    ``columns=(ids, scores, levels)`` takes them as they are. Either way the
+    columns are checked in passes that run in C: a repeated entity_id is an
+    error, and a score that increases down the list only logs a warning,
+    naming the first such pair. The order given is authoritative; scores
+    are never re-sorted here.
     """
 
     query: str
@@ -86,21 +86,19 @@ class RunResult:
                  columns: tuple[tuple, tuple, bytes] | None = None):
         if columns is None:
             ranked = tuple(ranked)
-            seen = set()
-            for item in ranked:
-                if item.entity_id in seen:
-                    raise ValueError(
-                        f"query {query!r}: duplicate entity_id "
-                        f"{item.entity_id!r} in ranked list")
-                seen.add(item.entity_id)
-            for prev, cur in zip(ranked, ranked[1:]):
-                if cur.score > prev.score:
-                    log.warning("query %r: score increases down the ranking "
-                                "(%s < %s)", query, prev.score, cur.score)
-                    break
             columns = (tuple(item.entity_id for item in ranked),
                        tuple(item.score for item in ranked),
                        bytes(_LEVEL[item.bin] for item in ranked))
+        ids, scores, _ = columns
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            repeated = next(i for i in ids if i in seen or seen.add(i))
+            raise ValueError(f"query {query!r}: duplicate entity_id "
+                             f"{repeated!r} in ranked list")
+        if any(map(operator.lt, scores, scores[1:])):
+            at = list(map(operator.lt, scores, scores[1:])).index(True)
+            log.warning("query %r: score increases down the ranking "
+                        "(%s < %s)", query, scores[at], scores[at + 1])
         for name, value in zip(("query", "ids", "scores", "levels"),
                                (query, *columns)):
             object.__setattr__(self, name, value)
@@ -298,7 +296,7 @@ class MetricsReport:
     def load(cls, path: str | Path) -> "MetricsReport":
         try:
             return cls.from_dict(
-                json.loads(Path(path).read_text(encoding="utf-8")))
+                decode(Path(path).read_text(encoding="utf-8")))
         except (OSError, ValueError) as exc:
             raise IngestError(f"cannot load report {path}: {exc}") from exc
         except (KeyError, TypeError, AttributeError) as exc:
@@ -377,9 +375,10 @@ def load_run(path: str | Path) -> list[RunResult]:
     """Load run JSONL: {"query", "results": [{entity_id, score, bin},…]}.
 
     Ids are strings and a score is a finite int or float; the file order of
-    results is the rank order. Each list is checked a column at a time, and
-    one that fails a check or overflows a float, or whose score rises, is
-    walked again item by item to name its first bad item or log its warning.
+    results is the rank order. Each list's types, scores and bins are
+    checked a column at a time, and one that fails a check or overflows a
+    float is walked again item by item to name its first bad item.
+    RunResult checks for repeated ids and rising scores.
     """
     seen: set[str] = set()
 
@@ -394,9 +393,7 @@ def load_run(path: str | Path) -> list[RunResult]:
             levels = bytes(map(_LEVEL_BY_VALUE.__getitem__, bins))
             if (set(map(type, ids)) <= {str}
                     and set(map(type, scores)) <= {int, float}
-                    and math.isfinite(sum(scores))
-                    and len(set(ids)) == len(ids)
-                    and not any(map(operator.lt, scores, scores[1:]))):
+                    and math.isfinite(sum(scores))):
                 return RunResult(query, columns=(
                     ids, tuple(map(float, scores)), levels))
         return RunResult(query, (

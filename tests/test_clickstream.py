@@ -17,7 +17,6 @@ from er_evalkit.clickstream import (
     compute_ctr,
     filter_records,
     load_ctr_records,
-    merge_records,
     normalize_query,
     parse_events,
     write_ctr_records,
@@ -190,12 +189,6 @@ class TestShardMerge:
     def test_sharded_equals_single_pass(self, events, n_shards):
         """Aggregation is a monoid merge: shard count cannot matter."""
         assert aggregate_in_shards(events, n_shards) == aggregate_pairs(events)
-
-    def test_merge_records_sums_counts(self):
-        shard_a = [CtrRecord("q", "tt1", nimp=2, nclick=1, ctr=0.5)]
-        shard_b = [CtrRecord("q", "tt1", nimp=2, nclick=2, ctr=1.0)]
-        merged = merge_records([shard_a, shard_b])
-        assert merged == [CtrRecord("q", "tt1", nimp=4, nclick=3, ctr=0.75)]
 
     def test_threaded_aggregation_matches(self):
         events = [event("q", ["tt1", "tt2"], clicked="tt1")] * 50
