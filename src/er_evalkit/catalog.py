@@ -149,7 +149,7 @@ def _read_dump(path: str | Path, required: tuple[str, ...], check,
     rejected first. A rejected row is counted, or under ``strict`` raises an
     IngestError naming the file and line. A repeated id among the accepted
     rows is an error in either mode, and so is a row the csv module cannot
-    read (a cell over its field size limit).
+    read (a cell over its field size limit) or a file that is not UTF-8.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -188,6 +188,8 @@ def _read_dump(path: str | Path, required: tuple[str, ...], check,
                 accepted[entity_id] = fields
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"cannot read {path}: {exc}") from exc
     return accepted, rows, rejected
 
 

@@ -98,7 +98,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat key-value file: one `key = value` per line, # comments."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

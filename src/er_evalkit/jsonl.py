@@ -64,14 +64,17 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, raw_line) pairs, skipping blank lines."""
+    """Yield (line_number, raw_line) pairs, skipping blank lines.
+
+    A file that cannot be opened or is not UTF-8 is an IngestError naming it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
                 if stripped:
                     yield lineno, stripped
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
 

@@ -877,3 +877,120 @@ class TestInputTyping:
                                "--candidate", str(good))
         assert_one_error_line(code, err)
         assert "bad.json" in error_lines(err)[0]
+
+
+# JSON values the decoder cannot take: an integer literal over the
+# interpreter's 4,300-digit limit, and nesting far past the recursion limit.
+UNDECODABLE = {"digits": "1" * 5001,
+               "nesting": "[" * 100_000 + "]" * 100_000}
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
+
+
+class TestUndecodableInput:
+    """Values json cannot decode, and files that are not UTF-8, exit 1 with
+    one error line naming the file, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    @pytest.mark.parametrize("value", sorted(UNDECODABLE))
+    def test_run_score(self, capsys, tmp_path, command, value):
+        qrels, run = write_worked_fixture(tmp_path)
+        run.write_text('{"query":"q","results":[{"entity_id":"A","score":'
+                       + UNDECODABLE[value] + ',"bin":"high"}]}\n',
+                       encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--qrels", str(qrels),
+                                 "--run", str(run))
+        assert_one_error_line(code, err)
+        assert out == ""
+        assert error_lines(err)[0].startswith(f"error: {run}:1: invalid JSON: ")
+
+    @pytest.mark.parametrize("value", sorted(UNDECODABLE))
+    def test_report(self, capsys, tmp_path, value):
+        qrels, run = write_worked_fixture(tmp_path)
+        good = tmp_path / "good.json"
+        run_cli(capsys, "evaluate", "--qrels", str(qrels), "--run", str(run),
+                "--out", str(good))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"k":' + UNDECODABLE[value] + "}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--baseline", str(bad),
+                                 "--candidate", str(good))
+        assert_one_error_line(code, err)
+        assert out == ""
+        assert error_lines(err)[0].startswith(
+            f"error: cannot load report {bad}: invalid JSON: ")
+
+    def write_clicklog(self, tmp_path, value):
+        events = tmp_path / "clicklog.jsonl"
+        events.write_text('{"query":"q","impressions":["a"],"ts":'
+                          + UNDECODABLE[value] + "}\n"
+                          '{"query":"q","impressions":["a"],"clicked":"a"}\n',
+                          encoding="utf-8")
+        return events
+
+    @pytest.mark.parametrize("value", sorted(UNDECODABLE))
+    def test_click_log_lenient(self, capsys, tmp_path, value):
+        events = self.write_clicklog(tmp_path, value)
+        code, out, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                 str(events), "--out", str(tmp_path / "c.jsonl"))
+        assert (code, err) == (0, "")
+        summary = json.loads(out)
+        assert (summary["events"], summary["rejected_events"]) == (1, 1)
+
+    @pytest.mark.parametrize("value", sorted(UNDECODABLE))
+    def test_click_log_strict(self, capsys, tmp_path, value):
+        events = self.write_clicklog(tmp_path, value)
+        out_path = tmp_path / "c.jsonl"
+        code, out, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                 str(events), "--out", str(out_path),
+                                 "--strict")
+        assert_one_error_line(code, err)
+        assert error_lines(err)[0].startswith(
+            f"error: {events}:1: invalid JSON: ")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_jsonl_not_utf8(self, capsys, tmp_path, strict):
+        events = tmp_path / "clicklog.jsonl"
+        events.write_bytes(b'{"query":"q","impressions":["a"]}\n'
+                           b'{"query":"\xff","impressions":["a"]}\n')
+        out_path = tmp_path / "c.jsonl"
+        code, out, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                 str(events), "--out", str(out_path),
+                                 *["--strict"] * strict)
+        assert_one_error_line(code, err)
+        assert out == ""
+        assert error_lines(err)[0].startswith(
+            f"error: cannot read {events}: {NOT_UTF8}")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_tsv_not_utf8(self, capsys, tmp_path, strict, line):
+        rows = [b"tconst\tprimaryTitle\tstartYear", b"tt1\tFine\t1999",
+                b"tt2\tTitle\t2000"]
+        rows[line - 1] = rows[line - 1].replace(b"t", b"\xff", 1)
+        basics = tmp_path / "basics.tsv"
+        basics.write_bytes(b"\n".join(rows) + b"\n")
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("tconst\taverageRating\tnumVotes\n",
+                           encoding="utf-8")
+        out_path = tmp_path / "catalog.jsonl"
+        code, out, err = run_cli(capsys, "ingest-catalog", "--basics",
+                                 str(basics), "--ratings", str(ratings),
+                                 "--out", str(out_path),
+                                 *["--strict"] * strict)
+        assert_one_error_line(code, err)
+        assert out == ""
+        assert error_lines(err)[0].startswith(
+            f"error: cannot read {basics}: {NOT_UTF8}")
+        assert not out_path.exists()
+
+    def test_config_not_utf8(self, capsys, tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        config = tmp_path / "settings.conf"
+        config.write_bytes(b"k = 3\n# \xff\n")
+        code, out, err = run_cli(capsys, "evaluate", "--qrels", str(qrels),
+                                 "--run", str(run), "--config", str(config))
+        assert_one_error_line(code, err)
+        assert out == ""
+        assert error_lines(err)[0].startswith(
+            f"error: cannot read config {config}: {NOT_UTF8}")
