@@ -95,9 +95,10 @@ def _cell(row: list[str], idx: int) -> str | None:
 
 
 def _parse_int(value: str, reason: str) -> int:
-    # Reject floats and signs that int() would also reject anyway, but keep
-    # plain digit runs like "0123" out too: dump rows never zero-pad counts.
-    if not value.isdigit():
+    # ASCII digit runs only: no sign, point or exponent, and no other
+    # script's digits, which int() would also read. A zero-padded run such
+    # as "0123" parses (as 123).
+    if not (value.isascii() and value.isdigit()):
         raise ValueError(reason)
     return int(value)
 

@@ -217,3 +217,28 @@ class TestCatalogJsonl:
                         '{"entity_id":"tt1","name":"B"}\n', encoding="utf-8")
         with pytest.raises(IngestError, match="tt1"):
             load_catalog(path)
+
+
+class TestDigitRuns:
+    """Year, vote count and rank cells parse as ASCII digit runs only."""
+
+    @pytest.mark.parametrize("year", ["١٩٩٩", "１９９９", "²", "+1999", "1999.0"])
+    def test_other_digits_are_an_unparseable_year(self, dumps, year):
+        basics, ratings, _ = dumps([("tt1", "A", year)], [])
+        assert parse_catalog(basics, ratings).stats.basics_rejected == 1
+        with pytest.raises(IngestError) as excinfo:
+            parse_catalog(basics, ratings, strict=True)
+        assert str(excinfo.value) == f"{basics}:2: unparseable year {year!r}"
+
+    def test_other_digits_in_votes_and_ranks_rejected(self, dumps):
+        basics, ratings, ranks = dumps([("tt1", "A", 2000)],
+                                       [("tt1", 5.0, "١٠")], [("tt1", "٣")])
+        stats = parse_catalog(basics, ratings, ranks).stats
+        assert (stats.ratings_rejected, stats.ranks_rejected) == (1, 1)
+
+    def test_zero_padded_runs_parse(self, dumps):
+        basics, ratings, ranks = dumps([("tt1", "A", "01999")],
+                                       [("tt1", 5.0, "0010")], [("tt1", "0123")])
+        title = parse_catalog(basics, ratings, ranks, strict=True).lookup("tt1")
+        assert (title.release_year, title.rating_count, title.rank) == \
+            (1999, 10, 123)
