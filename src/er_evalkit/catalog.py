@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ConfigError, IngestError
 from .jsonl import iter_records, optional, require, write_jsonl
@@ -141,9 +142,9 @@ def _ranks_row(cells: list) -> tuple[str, dict]:
     return entity_id, {"rank": rank}
 
 
-def _read_dump(path: str | Path, required: tuple[str, ...], check,
-               strict: bool) -> tuple[dict[str, dict], int, int]:
-    """Read one TSV dump: ``({entity_id: fields}, rows, rejected)``.
+def _read_dump(path: str | Path, kind: str, required: tuple[str, ...], check,
+               stats: IngestStats, strict: bool) -> Iterator[tuple[str, dict]]:
+    """Yield ``(entity_id, fields)`` for each row of one dump ``check`` takes.
 
     ``check`` maps a row's required cells to ``(entity_id, fields)`` or
     raises ValueError naming the reason; a row too short to hold them is
@@ -151,12 +152,14 @@ def _read_dump(path: str | Path, required: tuple[str, ...], check,
     IngestError naming the file and line. A repeated id among the accepted
     rows is an error in either mode, and so is a row the csv module cannot
     read (a cell over its field size limit) or a file that is not UTF-8.
+    Once the dump is read, ``stats`` holds its ``<kind>_rows`` and
+    ``<kind>_rejected`` counts.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    accepted: dict[str, dict] = {}
+    accepted: set[str] = set()
     rows = rejected = 0
     with fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
@@ -186,12 +189,14 @@ def _read_dump(path: str | Path, required: tuple[str, ...], check,
                 if entity_id in accepted:
                     raise IngestError(
                         f"{path}:{lineno}: duplicate entity_id {entity_id!r}")
-                accepted[entity_id] = fields
+                accepted.add(entity_id)
+                yield entity_id, fields
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise IngestError(f"cannot read {path}: {exc}") from exc
-    return accepted, rows, rejected
+    setattr(stats, f"{kind}_rows", rows)
+    setattr(stats, f"{kind}_rejected", rejected)
 
 
 def parse_catalog(
@@ -216,24 +221,22 @@ def parse_catalog(
         raise ConfigError(f"year_window {min_year},{max_year} is reversed: "
                           f"{min_year} > {max_year}")
     stats = IngestStats()
-    rows, stats.basics_rows, stats.basics_rejected = _read_dump(
-        basics_path, BASICS_COLUMNS,
-        lambda cells: _basics_row(cells, min_year, max_year), strict)
+    rows = dict(_read_dump(
+        basics_path, "basics", BASICS_COLUMNS,
+        lambda cells: _basics_row(cells, min_year, max_year), stats, strict))
     # ratings, then ranks: left joins on entity id
     joins = [("ratings", ratings_path, RATINGS_COLUMNS, _ratings_row),
              ("ranks", ranks_path, RANKS_COLUMNS, _ranks_row)]
     for kind, path, required, check in joins:
         if path is None:
             continue
-        updates, n_rows, n_rejected = _read_dump(path, required, check, strict)
         orphaned = 0
-        for entity_id, fields in updates.items():
+        for entity_id, fields in _read_dump(path, kind, required, check,
+                                            stats, strict):
             if entity_id in rows:
                 rows[entity_id].update(fields)
             else:
                 orphaned += 1
-        setattr(stats, f"{kind}_rows", n_rows)
-        setattr(stats, f"{kind}_rejected", n_rejected)
         setattr(stats, f"{kind}_orphaned", orphaned)
     if ranks_path is None:
         # derive a pseudo-rank from rating counts
