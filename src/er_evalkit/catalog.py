@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import ConfigError, IngestError
-from .jsonl import iter_records, optional, require, write_jsonl
+from .jsonl import (INPUT_ENCODING, iter_records, optional, read_failure,
+                    require, write_jsonl)
 
 MISSING_TOKEN = "\\N"
 DEFAULT_YEAR_WINDOW = (1870, 2100)
@@ -156,7 +157,7 @@ def _read_dump(path: str | Path, kind: str, required: tuple[str, ...], check,
     ``<kind>_rejected`` counts.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding=INPUT_ENCODING, newline="")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     accepted: set[str] = set()
@@ -194,7 +195,8 @@ def _read_dump(path: str | Path, kind: str, required: tuple[str, ...], check,
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
-            raise IngestError(f"cannot read {path}: {exc}") from exc
+            raise IngestError(
+                f"cannot read {path}: {read_failure(path, exc)}") from exc
     setattr(stats, f"{kind}_rows", rows)
     setattr(stats, f"{kind}_rejected", rejected)
 

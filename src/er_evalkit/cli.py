@@ -16,7 +16,7 @@ from pathlib import Path
 from . import catalog as catalog_mod
 from . import clickstream, diagnose, importance, metrics, relevance, simulate
 from .errors import ConfigError, EvalKitError
-from .jsonl import dumps
+from .jsonl import INPUT_ENCODING, dumps, read_failure, write_lines
 
 _SIM_DEFAULTS = {f.name: f.default for f in fields(simulate.SimConfig)
                  if f.name != "seed"}
@@ -97,9 +97,10 @@ def _converter(name: str, default):
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat key-value file: one `key = value` per line, # comments."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding=INPUT_ENCODING)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(
+            f"cannot read config {path}: {read_failure(path, exc)}") from exc
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -245,11 +246,13 @@ def cmd_build_relevance(args: argparse.Namespace, cfg: Settings) -> int:
 def cmd_evaluate(args: argparse.Namespace, cfg: Settings) -> int:
     table = _wants_table(cfg)
     qrels = relevance.load_qrels(args.qrels)
-    run = metrics.load_run(args.run)
-    report = metrics.evaluate_run(qrels, run, k=cfg.get("k", metrics.DEFAULT_K))
+    report = metrics.evaluate_run(qrels, metrics.iter_run(args.run),
+                                  k=cfg.get("k", metrics.DEFAULT_K))
+    if args.out or not table:
+        text = dumps(report.to_dict())
     if args.out:
-        report.save(args.out)
-    print(report.render_table() if table else dumps(report.to_dict()))
+        write_lines(args.out, [text])
+    print(report.render_table() if table else text)
     return 0
 
 
@@ -257,9 +260,9 @@ def cmd_diagnose(args: argparse.Namespace, cfg: Settings) -> int:
     table = _wants_table(cfg)
     target = cfg.get("target_bin", diagnose.DEFAULT_TARGET_BIN)
     qrels = relevance.load_qrels(args.qrels)
-    run = metrics.load_run(args.run)
     diagnoses, summary = diagnose.diagnose_run(
-        qrels, run, k=cfg.get("k", metrics.DEFAULT_K), target_bin=target)
+        qrels, metrics.iter_run(args.run), k=cfg.get("k", metrics.DEFAULT_K),
+        target_bin=target)
     if args.out:
         diagnose.write_diagnoses(diagnoses, args.out)
     print(summary.render_table() if table else dumps(summary.to_dict()))

@@ -17,7 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Iterable
 
 from .errors import ConfigError
 from .jsonl import iter_records, optional, require, write_jsonl
@@ -30,9 +31,9 @@ from .metrics import (
     MetricsReport,
     QueryScan,
     RunResult,
-    index_run,
     metric_names,
     scan_query,
+    scan_run,
 )
 
 DEFAULT_TARGET_BIN = ConfidenceBin.HIGH
@@ -128,18 +129,19 @@ def diagnose_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
     target_bin straight from each scan, without the category decision
     table, and flags whether that hit rate agrees with the success rate.
     """
-    entries: Mapping[str, set[str]] = getattr(qrels, "entries", qrels)
-    by_query = index_run(run)
     at_target = BINS.index(target_bin) + 1
     diagnoses = []
     histogram = [0] * len(BINS)
     hits = 0
-    for query in sorted(entries):
-        scan = scan_query(set(entries[query]), by_query.get(query), k)
+
+    def visit(query: str, scan: QueryScan) -> None:
+        nonlocal histogram, hits
         diagnoses.append(_classify(query, scan, target_bin))
         histogram = [a + b for a, b in zip(histogram, scan.topk_hits)]
         hits += any(scan.topk_hits[:at_target])
 
+    scan_run(qrels, run, k, visit)
+    diagnoses.sort(key=attrgetter("query"))
     counts = {c.value: sum(d.category is c for d in diagnoses)
               for c in CATEGORIES}
     total = len(diagnoses)

@@ -63,19 +63,45 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
     return write_lines(path, map(dumps, records))
 
 
+# Every text input is read as UTF-8 through this codec, which also drops a
+# byte-order mark at the very start of a file, and only there.
+INPUT_ENCODING = "utf-8-sig"
+
+
+def read_failure(path: str | Path, exc: Exception) -> str:
+    """Why reading ``path`` failed: ``str(exc)``, except that a file that
+    is not UTF-8 is named by the line and the byte offset within it.
+
+    A text reader counts a decode error's position from the start of the
+    chunk it was decoding, so only this error path reads the file again,
+    in binary, a line at a time, to find that place.
+    """
+    if isinstance(exc, UnicodeDecodeError):
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as found:
+                    return (f"'utf-8' codec can't decode byte "
+                            f"0x{raw[found.start]:02x} on line {lineno} at "
+                            f"byte offset {found.start}: {found.reason}")
+    return str(exc)
+
+
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line_number, raw_line) pairs, skipping blank lines.
 
     A file that cannot be opened or is not UTF-8 is an IngestError naming it.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding=INPUT_ENCODING) as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
                 if stripped:
                     yield lineno, stripped
     except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
+        raise IngestError(
+            f"cannot read {path}: {read_failure(path, exc)}") from exc
 
 
 def decode(line: str) -> Any:

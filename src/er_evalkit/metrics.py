@@ -22,10 +22,11 @@ import operator
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestError
-from .jsonl import decode, iter_records, require, write_jsonl
+from .jsonl import (INPUT_ENCODING, decode, iter_records, read_failure,
+                    require, write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -296,9 +297,10 @@ class MetricsReport:
     def load(cls, path: str | Path) -> "MetricsReport":
         try:
             return cls.from_dict(
-                decode(Path(path).read_text(encoding="utf-8")))
+                decode(Path(path).read_text(encoding=INPUT_ENCODING)))
         except (OSError, ValueError) as exc:
-            raise IngestError(f"cannot load report {path}: {exc}") from exc
+            raise IngestError(f"cannot load report {path}: "
+                              f"{read_failure(path, exc)}") from exc
         except (KeyError, TypeError, AttributeError) as exc:
             raise IngestError(f"{path}: not a metrics report: {exc!r}") from exc
 
@@ -321,14 +323,31 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def index_run(run: Iterable[RunResult]) -> dict[str, RunResult]:
-    """Map each run query to its result; a repeated query is an error."""
-    by_query: dict[str, RunResult] = {}
+def scan_run(qrels, run: Iterable[RunResult], k: int,
+             visit: Callable[[str, QueryScan], None]) -> tuple[int, int]:
+    """Call ``visit(query, scan)`` once per qrels query, reading ``run`` once.
+
+    An answered query is scanned as its list arrives, and no list is kept;
+    the unanswered ones are scanned last, as empty lists. A query appearing
+    twice in the run is an error naming it. Returns (evaluated, ignored):
+    the qrels queries answered, and the run queries absent from qrels.
+    """
+    _check_k(k)
+    entries: Mapping[str, Iterable[str]] = getattr(qrels, "entries", qrels)
+    seen: set[str] = set()
+    evaluated = 0
     for result in run:
-        if result.query in by_query:
-            raise ValueError(f"duplicate query in run: {result.query!r}")
-        by_query[result.query] = result
-    return by_query
+        query = result.query
+        if query in seen:
+            raise ValueError(f"duplicate query in run: {query!r}")
+        seen.add(query)
+        if query in entries:
+            evaluated += 1
+            visit(query, scan_query(set(entries[query]), result, k))
+    for query in entries:
+        if query not in seen:
+            visit(query, scan_query(set(entries[query]), None, k))
+    return evaluated, len(seen) - evaluated
 
 
 def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
@@ -338,32 +357,38 @@ def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
     ``qrels`` is a RelevanceSet or a plain mapping query → set of ids. Run
     queries absent from qrels are ignored (tallied); qrels queries absent
     from the run are scanned as empty lists, so they contribute recall 0.
-    A query appearing twice in the run is an error naming it.
+    A query appearing twice in the run is an error naming it. Aggregates
+    equal :func:`aggregate` over the per-query fractions in query order.
     """
-    _check_k(k)
-    entries: Mapping[str, set[str]] = getattr(qrels, "entries", qrels)
-    by_query = index_run(run)
-
     names = metric_names(k)
-    fractions = {
-        query: _fractions(scan_query(set(entries[query]), by_query.get(query),
-                                     k), names)
-        for query in sorted(entries)
-    }
-    columns = {name: [row[name] for row in fractions.values()]
-               for name in names}
-    evaluated = sum(1 for query in entries if query in by_query)
+    per_query: dict[str, dict[str, float | None]] = {}
+    sums = [[0, 0] for _ in names]
+
+    def visit(query: str, scan: QueryScan) -> None:
+        fractions = _fractions(scan, names)
+        per_query[query] = {name: _value(fraction)
+                            for name, fraction in fractions.items()}
+        for total, fraction in zip(sums, fractions.values()):
+            if fraction is not None:
+                total[0] += fraction[0]
+                total[1] += fraction[1]
+
+    evaluated, ignored = scan_run(qrels, run, k, visit)
+    rows = [per_query[query] for query in sorted(per_query)]
+    aggregates = {}
+    for name, (num, den) in zip(names, sums):
+        defined = [row[name] for row in rows if row[name] is not None]
+        aggregates[name] = {
+            MICRO: num / den if den else None,
+            MACRO: sum(defined) / len(defined) if defined else None}
     return MetricsReport(
         k=k,
         bins=tuple(bin.value for bin in BINS),
         counts={"evaluated": evaluated,
-                "skipped": len(entries) - evaluated,
-                "ignored_run_queries": len(by_query) - evaluated},
-        aggregates={name: {mode: aggregate(column, mode)
-                           for mode in (MICRO, MACRO)}
-                    for name, column in columns.items()},
-        per_query={query: {name: _value(row[name]) for name in names}
-                   for query, row in fractions.items()},
+                "skipped": len(per_query) - evaluated,
+                "ignored_run_queries": ignored},
+        aggregates=aggregates,
+        per_query=per_query,
     )
 
 
@@ -371,14 +396,16 @@ _LEVEL_BY_VALUE = {bin.value: level for bin, level in _LEVEL.items()}
 _FIELDS = operator.itemgetter("entity_id", "score", "bin")
 
 
-def load_run(path: str | Path) -> list[RunResult]:
-    """Load run JSONL: {"query", "results": [{entity_id, score, bin},…]}.
+def iter_run(path: str | Path) -> Iterator[RunResult]:
+    """Read run JSONL: {"query", "results": [{entity_id, score, bin},…]}.
 
     Ids are strings and a score is a finite int or float; the file order of
     results is the rank order. Each list's types, scores and bins are
     checked a column at a time, and one that fails a check or overflows a
     float is walked again item by item to name its first bad item.
-    RunResult checks for repeated ids and rising scores.
+    RunResult checks for repeated ids and rising scores. Each RunResult is
+    yielded as its line is read, so a caller that drops it holds one list
+    at a time.
     """
     seen: set[str] = set()
 
@@ -402,7 +429,12 @@ def load_run(path: str | Path) -> list[RunResult]:
                          bin=_BIN_AT_LEVEL[_LEVEL_BY_VALUE[item["bin"]]])
             for item in results))
 
-    return list(iter_records(path, parse, "run record"))
+    yield from iter_records(path, parse, "run record")
+
+
+def load_run(path: str | Path) -> list[RunResult]:
+    """Every RunResult of a run file, as :func:`iter_run` reads them."""
+    return list(iter_run(path))
 
 
 def save_run(run: Iterable[RunResult], path: str | Path) -> int:

@@ -886,6 +886,11 @@ UNDECODABLE = {"digits": "1" * 5001,
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
 
 
+def not_utf8(line, offset):
+    return (f"{NOT_UTF8} on line {line} at byte offset {offset}: "
+            "invalid start byte")
+
+
 class TestUndecodableInput:
     """Values json cannot decode, and files that are not UTF-8, exit 1 with
     one error line naming the file, never a traceback."""
@@ -958,9 +963,22 @@ class TestUndecodableInput:
                                  *["--strict"] * strict)
         assert_one_error_line(code, err)
         assert out == ""
-        assert error_lines(err)[0].startswith(
-            f"error: cannot read {events}: {NOT_UTF8}")
+        assert error_lines(err) == [f"error: cannot read {events}: "
+                                    f"{not_utf8(line=2, offset=10)}"]
         assert not out_path.exists()
+
+    def test_jsonl_not_utf8_past_first_chunk(self, capsys, tmp_path):
+        """The position is counted in the file, not in the decoder's read
+        chunk, however far into the file the bad byte is."""
+        events = tmp_path / "clicklog.jsonl"
+        events.write_bytes(b'{"query":"q","impressions":["a","b"]}\n' * 3000
+                           + b'{"query":"q\xff","impressions":["a"]}\n')
+        code, out, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                 str(events), "--out",
+                                 str(tmp_path / "c.jsonl"))
+        assert_one_error_line(code, err)
+        assert error_lines(err) == [f"error: cannot read {events}: "
+                                    f"{not_utf8(line=3001, offset=11)}"]
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("line", [1, 3])
@@ -980,8 +998,8 @@ class TestUndecodableInput:
                                  *["--strict"] * strict)
         assert_one_error_line(code, err)
         assert out == ""
-        assert error_lines(err)[0].startswith(
-            f"error: cannot read {basics}: {NOT_UTF8}")
+        assert error_lines(err) == [f"error: cannot read {basics}: "
+                                    f"{not_utf8(line=line, offset=0)}"]
         assert not out_path.exists()
 
     def test_config_not_utf8(self, capsys, tmp_path):
@@ -992,5 +1010,97 @@ class TestUndecodableInput:
                                  "--run", str(run), "--config", str(config))
         assert_one_error_line(code, err)
         assert out == ""
+        assert error_lines(err) == [f"error: cannot read config {config}: "
+                                    f"{not_utf8(line=2, offset=2)}"]
+
+    def test_report_not_utf8(self, capsys, tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        good = tmp_path / "good.json"
+        run_cli(capsys, "evaluate", "--qrels", str(qrels), "--run", str(run),
+                "--out", str(good))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(good.read_bytes().replace(b'"k"', b'"\xff"', 1))
+        code, out, err = run_cli(capsys, "compare", "--baseline", str(bad),
+                                 "--candidate", str(good))
+        assert_one_error_line(code, err)
+        assert out == ""
+        assert error_lines(err) == [f"error: cannot load report {bad}: "
+                                    f"{not_utf8(line=1, offset=2)}"]
+
+
+def with_bom(path):
+    """Copy ``path`` beside itself with a UTF-8 byte-order mark in front."""
+    marked = path.with_name("bom-" + path.name)
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return marked
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input is dropped; one
+    anywhere else is read as the character it is."""
+
+    def test_jsonl_inputs_and_config(self, capsys, tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        config = tmp_path / "k.conf"
+        config.write_text("k = 3\n", encoding="utf-8")
+        outs = [run_cli(capsys, command, "--qrels", str(q), "--run", str(r),
+                        "--config", str(c))
+                for command in ("evaluate", "diagnose")
+                for q, r, c in ((qrels, run, config),
+                                (with_bom(qrels), with_bom(run),
+                                 with_bom(config)))]
+        assert [code for code, _, _ in outs] == [0] * 4
+        assert outs[0] == outs[1] and outs[2] == outs[3]
+        assert json.loads(outs[0][1])["k"] == 3
+
+    def test_report(self, capsys, tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        report = tmp_path / "report.json"
+        run_cli(capsys, "evaluate", "--qrels", str(qrels), "--run", str(run),
+                "--out", str(report))
+        outs = [run_cli(capsys, "compare", "--baseline", str(baseline),
+                        "--candidate", str(report))
+                for baseline in (report, with_bom(report))]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
+    def test_click_log(self, capsys, tmp_path):
+        events = tmp_path / "clicklog.jsonl"
+        events.write_text('{"query":"q","impressions":["a"],"clicked":"a"}\n',
+                          encoding="utf-8")
+        outs = [run_cli(capsys, "aggregate-ctr", "--events", str(path),
+                        "--out", str(tmp_path / "ctr.jsonl"),
+                        "--min-impressions", "1")
+                for path in (events, with_bom(events))]
+        assert [json.loads(out)["kept"] for _, out, _ in outs] == [1, 1]
+
+    def test_catalog_dumps(self, capsys, tmp_path):
+        basics = tmp_path / "basics.tsv"
+        basics.write_text("tconst\tprimaryTitle\tstartYear\ntt1\tFine\t1999\n",
+                          encoding="utf-8")
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("tconst\taverageRating\tnumVotes\ntt1\t7.0\t10\n",
+                           encoding="utf-8")
+        written = []
+        for b, r in ((basics, ratings), (with_bom(basics), with_bom(ratings))):
+            out = tmp_path / f"catalog{len(written)}.jsonl"
+            code, _, err = run_cli(capsys, "ingest-catalog", "--basics",
+                                   str(b), "--ratings", str(r), "--out",
+                                   str(out), "--strict")
+            assert (code, err) == (0, "")
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert b'"rating":7.0' in written[0]
+
+    @pytest.mark.parametrize("text,line", [
+        ('{"query":"p","relevant":["A"]}\n\ufeff{"query":"q",'
+         '"relevant":["A"]}\n', 2),
+        ('\ufeff\ufeff{"query":"q","relevant":["A"]}\n', 1)])
+    def test_mark_elsewhere_is_an_error(self, capsys, tmp_path, text, line):
+        _, run = write_worked_fixture(tmp_path)
+        qrels = tmp_path / "marked.jsonl"
+        qrels.write_bytes(text.encode("utf-8"))
+        code, out, err = run_cli(capsys, "evaluate", "--qrels", str(qrels),
+                                 "--run", str(run))
+        assert_one_error_line(code, err)
         assert error_lines(err)[0].startswith(
-            f"error: cannot read config {config}: {NOT_UTF8}")
+            f"error: {qrels}:{line}: invalid JSON: Unexpected UTF-8 BOM")

@@ -1,0 +1,227 @@
+"""The streaming contract of evaluate and diagnose.
+
+Both read the run once, in file order, and keep no RunResult once it has
+been scanned, so their memory follows the qrels size, not the run size.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import er_evalkit
+from er_evalkit.diagnose import diagnose_run
+from er_evalkit.metrics import (
+    BINS,
+    MACRO,
+    MICRO,
+    ConfidenceBin,
+    RankedEntity,
+    RunResult,
+    _fractions,
+    aggregate,
+    evaluate_run,
+    metric_names,
+    scan_query,
+)
+
+from oracle import random_instance
+
+SRC = Path(er_evalkit.__file__).resolve().parents[1]
+
+
+def run_result(query, inst):
+    return RunResult(query, tuple(
+        RankedEntity(item.entity_id, 1.0 - 0.01 * rank,
+                     ConfidenceBin(item.bin))
+        for rank, item in enumerate(inst.ranked)))
+
+
+def oracle_case(seed, n):
+    """Qrels and a shuffled run from ``n`` oracle instances: about a third
+    of the qrels queries go unanswered, and a few run queries are not in
+    the qrels."""
+    rng = random.Random(seed)
+    qrels, run = {}, []
+    for i in range(n):
+        inst = random_instance(rng)
+        query = f"q{i:03d}"
+        if inst.relevant:
+            qrels[query] = set(inst.relevant)
+        if not inst.relevant or i % 3:
+            run.append(run_result(query, inst))
+    rng.shuffle(run)
+    return qrels, run
+
+
+class TestNothingHeld:
+    """Each RunResult is released once scanned: while the generator makes
+    the next one, only the one the consumer holds may still be alive."""
+
+    @staticmethod
+    def stream(results_spec, refs):
+        for query, ranked in results_spec:
+            result = RunResult(query, ranked)
+            alive = [ref().query for ref in refs[:-1] if ref() is not None]
+            assert alive == [], f"still alive: {alive}"
+            refs.append(weakref.ref(result))
+            yield result
+
+    @staticmethod
+    def spec():
+        high = ConfidenceBin.HIGH
+        return [(f"q{i}", (RankedEntity("A", 0.9, high),
+                           RankedEntity(f"B{i}", 0.5, ConfidenceBin.LOW)))
+                for i in range(50)]
+
+    def test_evaluate_run(self):
+        refs = []
+        report = evaluate_run({"q1": {"A"}, "q7": {"B7"}, "zz": {"A"}},
+                              self.stream(self.spec(), refs), k=5)
+        assert report.counts == {"evaluated": 2, "skipped": 1,
+                                 "ignored_run_queries": 48}
+        assert len(refs) == 50
+        assert all(ref() is None for ref in refs)
+
+    def test_diagnose_run(self):
+        refs = []
+        diagnoses, summary = diagnose_run({"q1": {"A"}, "q7": {"B7"}},
+                                          self.stream(self.spec(), refs), k=5)
+        assert [d.category.value for d in diagnoses] == ["success",
+                                                         "binning_miss"]
+        assert len(refs) == 50
+        assert all(ref() is None for ref in refs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40),
+       k=st.sampled_from((1, 3, 5)), target=st.sampled_from(BINS))
+def test_generator_equals_list(seed, n, k, target):
+    """A generator and a list give the same report and diagnoses, and the
+    streamed aggregates equal ``aggregate`` over per-query fractions taken
+    in sorted query order."""
+    qrels, run = oracle_case(seed, n)
+    report = evaluate_run(qrels, run, k)
+    assert evaluate_run(qrels, iter(run), k).to_dict() == report.to_dict()
+    assert diagnose_run(qrels, iter(run), k, target) == \
+        diagnose_run(qrels, run, k, target)
+
+    by_query = {result.query: result for result in run}
+    names = metric_names(k)
+    rows = [_fractions(scan_query(qrels[query], by_query.get(query), k), names)
+            for query in sorted(qrels)]
+    for name in names:
+        column = [row[name] for row in rows]
+        assert report.aggregates[name] == {
+            MICRO: aggregate(column, MICRO), MACRO: aggregate(column, MACRO)}
+
+
+def run_process(*argv):
+    """``python -m er_evalkit.cli`` in its own process, with real stderr."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "er_evalkit.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+def test_bad_last_line_after_warnings(tmp_path, command):
+    """A bad last line exits 1 with one error line naming it, after each
+    earlier non-monotone warning once, with no stdout and no --out file."""
+    qrels = tmp_path / "qrels.jsonl"
+    qrels.write_text("".join(
+        json.dumps({"query": f"q{i}", "relevant": ["A"]}) + "\n"
+        for i in range(6)), encoding="utf-8")
+    lines = []
+    for i in range(6):
+        scores = [0.5, 0.9] if i % 2 else [0.9, 0.5]
+        lines.append(json.dumps({"query": f"q{i}", "results": [
+            {"entity_id": entity_id, "score": score, "bin": "high"}
+            for entity_id, score in zip("AB", scores)]}))
+    lines.append('{"query":"q6","results":[')
+    run = tmp_path / "run.jsonl"
+    run.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    done = run_process(command, "--qrels", str(qrels), "--run", str(run),
+                       "--out", str(out))
+    assert (done.returncode, done.stdout) == (1, "")
+    warnings = [f"query 'q{i}': score increases down the ranking "
+                "(0.5 < 0.9)" for i in (1, 3, 5)]
+    err = done.stderr.splitlines()
+    assert err[:-1] == warnings
+    assert err[-1].startswith(f"error: {run}:7: invalid JSON: ")
+    assert not out.exists()
+
+
+MEMORY_RESULTS = 20
+MEMORY_EXTRA_LISTS = 20_000
+MEMORY_SLACK_KB = 8 * 1024
+
+# Each stage runs in a fresh interpreter and reports VmHWM, the peak RSS of
+# its own address space. ru_maxrss would not do: across exec it keeps the
+# high-water mark of the process that spawned the child, here pytest.
+PEAK_CHILD = """
+import sys
+from er_evalkit.cli import dispatch
+code = dispatch(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+
+
+def results_json(seed):
+    rng = random.Random(seed)
+    scores = sorted((rng.random() for _ in range(MEMORY_RESULTS)),
+                    reverse=True)
+    return json.dumps([{"entity_id": f"e{rng.randrange(10**6):06d}",
+                        "score": score, "bin": rng.choice(BINS).value}
+                       for score in scores])
+
+
+@pytest.fixture(scope="module")
+def memory_inputs(tmp_path_factory):
+    """A 40-query qrels file; run A answers each, run B is A plus
+    20,000 lists for queries the qrels do not hold."""
+    out = tmp_path_factory.mktemp("memory")
+    queries = [f"q{i:02d}" for i in range(40)]
+    (out / "qrels.jsonl").write_text("".join(
+        json.dumps({"query": q, "relevant": ["e000001", "e000002"]}) + "\n"
+        for q in queries), encoding="utf-8")
+    answered = [f'{{"query":"{q}","results":{results_json(q)}}}\n'
+                for q in queries]
+    extra = results_json("extra")
+    (out / "a.jsonl").write_text("".join(answered), encoding="utf-8")
+    with open(out / "b.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(answered)
+        fh.writelines(f'{{"query":"x{i:05d}","results":{extra}}}\n'
+                      for i in range(MEMORY_EXTRA_LISTS))
+    return out
+
+
+def peak_kb(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", PEAK_CHILD, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    code, peak = done.stdout.splitlines()[-1].split()
+    assert (code, done.stderr) == ("0", "")
+    return int(peak)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="peak RSS is read from /proc/self/status")
+@pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+def test_peak_memory_follows_qrels_not_run(memory_inputs, tmp_path, command):
+    qrels = memory_inputs / "qrels.jsonl"
+    peaks = [peak_kb(command, "--qrels", str(qrels),
+                     "--run", str(memory_inputs / name),
+                     "--out", str(tmp_path / f"{name}.out"))
+             for name in ("a.jsonl", "b.jsonl")]
+    assert peaks[1] - peaks[0] < MEMORY_SLACK_KB, peaks
