@@ -19,6 +19,10 @@ RankedEntity object per result, so they pin the columnar run lists to the
 same report, diagnosis and warning bytes. Its run mixes integer and float
 scores, lists that rise down the ranking, empty lists and lists longer
 than k.
+
+The ``TABLE`` digests pin the ``--format table`` stdout of evaluate,
+diagnose and compare on the seed-42 fixture. They were taken from the
+implementation whose report ``to_dict`` rebuilt every per-query row.
 """
 
 import hashlib
@@ -85,6 +89,20 @@ SIMULATE = {
 }
 
 COMPARE = "c8d4c5955bdd211722b6057fde76198b4576a82e986f55a410739d6dd5821e32"
+
+# --format table stdout: (command, qrels, k or target bin) -> digest.
+TABLE = {
+    ("evaluate", "truth", 1): "8a03973803a0f8cf237fdfa36f958874a2ad5da4337646ff8f2795877061e5b2",
+    ("evaluate", "truth", 5): "5502464a219843277c2adf6fc7da91668f54dc603dcf3354f0be84f7223e365a",
+    ("evaluate", "multi", 1): "646c831e7b1ac7ec9028c9ae6cbce17dda3684468d017d2563c270fcb6022cd8",
+    ("evaluate", "multi", 5): "b115e576201bcca07092f76ba7c8d3b6c98c834e0dfcf0abfb194e03f2208c8a",
+    ("diagnose", "truth", "high"): "765997aeca5f09e41c9df91acd44a4a200646f72168b243b8dffb0f8e802e61d",
+    ("diagnose", "truth", "medium"): "a02ff01b2ed9af1c58b78161924da0b9c46b4f384caef96861544b94c2787d45",
+    ("diagnose", "multi", "high"): "990e866120275b51b4622670255b280b6c34bdc83af40e34085d9f37b0fc7154",
+    ("diagnose", "multi", "medium"): "f49bf10c568cf662df1ef2e5177a62ebfc7f83b2406f6e5a186036dea5354584",
+}
+
+COMPARE_TABLE = "02576bc28ec86a1c904ccbde53fc81b74f3c9f4713d6fe4940dc3bbf6fc8c3a5"
 
 
 def sha256(data: bytes) -> str:
@@ -175,16 +193,39 @@ def test_multi_qrels_yield_every_category(capsys, fixture_dir):
     assert summary["consistent"] is True
 
 
-def test_compare_delta_bytes(capsys, fixture_dir, tmp_path):
-    reports = {}
+@pytest.fixture(scope="module")
+def reports(fixture_dir):
+    """The k=5 report of each qrels set, as ``evaluate --out`` writes it."""
+    paths = {}
     for name in ("truth", "multi"):
-        reports[name] = tmp_path / f"{name}.json"
-        run_cli(capsys, "evaluate", "--qrels", qrels_path(fixture_dir, name),
-                "--run", fixture_dir / "run.jsonl", "--out", reports[name])
+        paths[name] = fixture_dir / f"{name}_report.json"
+        assert dispatch(["evaluate", "--qrels",
+                         str(qrels_path(fixture_dir, name)),
+                         "--run", str(fixture_dir / "run.jsonl"),
+                         "--out", str(paths[name])]) == 0
+    return paths
+
+
+def test_compare_delta_bytes(capsys, reports, tmp_path):
     out = tmp_path / "delta.json"
     run_cli(capsys, "compare", "--baseline", reports["truth"],
             "--candidate", reports["multi"], "--out", out)
     assert sha256(out.read_bytes()) == COMPARE
+
+
+@pytest.mark.parametrize("command,name,arg", sorted(TABLE, key=str))
+def test_table_stdout_bytes(capsys, fixture_dir, command, name, arg):
+    option = "-k" if command == "evaluate" else "--target-bin"
+    stdout = run_cli(capsys, command, "--qrels", qrels_path(fixture_dir, name),
+                     "--run", fixture_dir / "run.jsonl", option, arg,
+                     "--format", "table")
+    assert sha256(stdout.encode()) == TABLE[(command, name, arg)]
+
+
+def test_compare_table_stdout_bytes(capsys, reports):
+    stdout = run_cli(capsys, "compare", "--baseline", reports["truth"],
+                     "--candidate", reports["multi"], "--format", "table")
+    assert sha256(stdout.encode()) == COMPARE_TABLE
 
 
 # The columnar layout pin: (k -> report), (target bin -> (diagnoses file,
