@@ -72,12 +72,11 @@ class Catalog:
     """All titles in ingest order plus an entity-id index over them."""
 
     titles: list[Title]
-    index: dict[str, Title] = field(default_factory=dict)
     stats: IngestStats = field(default_factory=IngestStats)
+    index: dict[str, Title] = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {t.entity_id: t for t in self.titles}
+        self.index = {t.entity_id: t for t in self.titles}
         if len(self.index) != len(self.titles):
             raise IngestError("catalog contains duplicate entity ids")
 

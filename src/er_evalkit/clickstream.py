@@ -177,8 +177,7 @@ def _records(nimp: Counter, nclick: Counter,
     kept = sorted(pair for pair, n in nimp.items() if ctr_filter is None
                   or ctr_filter.admits(n, nclick[pair] / n))
     return [CtrRecord(query=q, entity_id=e, nimp=nimp[q, e],
-                      nclick=nclick[q, e],
-                      ctr=compute_ctr(nclick[q, e], nimp[q, e]))
+                      nclick=nclick[q, e], ctr=nclick[q, e] / nimp[q, e])
             for q, e in kept]
 
 

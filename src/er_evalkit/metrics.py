@@ -235,6 +235,10 @@ def metric_names(k: int) -> list[str]:
 
 @dataclass
 class MetricsReport:
+    """One evaluation. Every aggregate and every per-query row is keyed by
+    ``metric_names(k)``, in that order, and each aggregate by micro then
+    macro, so :meth:`to_dict` passes them through and only sorts the rows."""
+
     k: int
     bins: tuple[str, ...]
     counts: dict[str, int]
@@ -242,25 +246,19 @@ class MetricsReport:
     per_query: dict[str, dict[str, float | None]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        names = metric_names(self.k)
         return {
             "k": self.k,
             "bins": list(self.bins),
             "counts": {key: self.counts[key] for key in sorted(self.counts)},
-            "aggregates": {
-                name: {MICRO: self.aggregates[name][MICRO],
-                       MACRO: self.aggregates[name][MACRO]}
-                for name in names
-            },
-            "per_query": {
-                query: {name: self.per_query[query][name] for name in names}
-                for query in sorted(self.per_query)
-            },
+            "aggregates": self.aggregates,
+            "per_query": {query: self.per_query[query]
+                          for query in sorted(self.per_query)},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsReport":
-        """Rebuild a report; only the metric columns of ``k`` are read.
+        """Rebuild a report from exactly the metric columns of ``k``, which
+        every aggregate and per-query row must hold; other keys are dropped.
 
         ``k`` must be an int >= 1 (never a bool), ``bins`` a list of
         strings, ``counts`` a dict of ints, and every metric value a finite
@@ -286,7 +284,7 @@ class MetricsReport:
             counts=dict(counts),
             aggregates={name: values(data["aggregates"][name], (MICRO, MACRO))
                         for name in names},
-            per_query={query: values(row, row)
+            per_query={query: values(row, names)
                        for query, row in data["per_query"].items()},
         )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .clickstream import CtrRecord
 from .errors import ConfigError
@@ -60,7 +60,7 @@ def merge_relevance(ctr_records: Iterable[CtrRecord],
     importance_by_id = {s.entity_id: s.importance for s in scored}
     relset = RelevanceSet()
     included = dropped_unscored = dropped_low = 0
-    for rec in sorted(ctr_records, key=lambda r: (r.query, r.entity_id)):
+    for rec in ctr_records:
         importance = importance_by_id.get(rec.entity_id)
         if importance is None:
             dropped_unscored += 1
@@ -82,35 +82,38 @@ def default_provenance_path(path: str | Path) -> Path:
     return path.with_name(path.stem + ".provenance.jsonl")
 
 
+def write_qrels(entries: Mapping[str, Iterable[str]], path: str | Path) -> int:
+    """Write {"query", "relevant": [ids, sorted]} lines in query order."""
+    return write_jsonl(path, ({"query": query,
+                               "relevant": sorted(entries[query])}
+                              for query in sorted(entries)))
+
+
 def emit_qrels(relset: RelevanceSet, path: str | Path,
                provenance_path: str | Path | None = None) -> int:
     """Write qrels JSONL plus the provenance sidecar; returns queries written.
 
-    One line per query: {"query", "relevant": [ids, sorted]}. The sidecar
-    holds one line per (query, entity) with the justifying ctr, nimp and
-    importance.
+    The qrels file is :func:`write_qrels` of the entries. The sidecar holds
+    one line per (query, entity) with the justifying ctr, nimp and
+    importance. A sidecar path that resolves to the qrels path is a
+    ConfigError, raised before either file is written.
     """
     if provenance_path is None:
         provenance_path = default_provenance_path(path)
-
-    def qrel_rows():
-        for query in sorted(relset.entries):
-            yield {"query": query,
-                   "relevant": sorted(relset.entries[query])}
-
-    def provenance_rows():
-        for (query, entity_id) in sorted(relset.provenance):
-            prov = relset.provenance[(query, entity_id)]
-            yield {"query": query, "entity_id": entity_id, "ctr": prov.ctr,
+    if Path(provenance_path).resolve() == Path(path).resolve():
+        raise ConfigError(f"provenance path {provenance_path} is the qrels "
+                          f"output {path}")
+    provenance = ({"query": query, "entity_id": entity_id, "ctr": prov.ctr,
                    "nimp": prov.nimp, "importance": prov.importance}
-
-    written = write_jsonl(path, qrel_rows())
-    write_jsonl(provenance_path, provenance_rows())
+                  for (query, entity_id), prov in sorted(
+                      relset.provenance.items()))
+    written = write_qrels(relset.entries, path)
+    write_jsonl(provenance_path, provenance)
     return written
 
 
 def load_qrels(path: str | Path) -> RelevanceSet:
-    """Load qrels written by :func:`emit_qrels` (provenance not restored)."""
+    """Load qrels written by :func:`write_qrels` (provenance not restored)."""
     relset = RelevanceSet()
 
     def parse(rec: dict) -> tuple[str, set[str]]:

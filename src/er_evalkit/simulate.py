@@ -21,11 +21,12 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .catalog import (BASICS_COLUMNS, MISSING_TOKEN, RANKS_COLUMNS,
-                      RATINGS_COLUMNS, Catalog, Title)
+                      RATINGS_COLUMNS, Catalog, Title, assign_pseudo_ranks)
 from .clickstream import ClickEvent, normalize_query
 from .errors import ConfigError, IngestError
-from .jsonl import atomic_open, write_jsonl
+from .jsonl import atomic_open
 from .metrics import RunResult
+from .relevance import write_qrels
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_BIN_THRESHOLDS = (0.8, 0.5)
@@ -61,9 +62,10 @@ class SimConfig:
                 f"({self.n_titles}): queries sample distinct titles")
         if not 0.0 <= self.typo_rate <= 1.0:
             raise ConfigError(f"typo_rate {self.typo_rate} outside [0, 1]")
-        if self.score_noise_sigma < 0:
-            raise ConfigError(
-                f"score_noise_sigma must be >= 0, got {self.score_noise_sigma}")
+        if not (math.isfinite(self.score_noise_sigma)
+                and self.score_noise_sigma >= 0):
+            raise ConfigError(f"score_noise_sigma must be finite and >= 0, "
+                              f"got {self.score_noise_sigma}")
         t_high, t_medium = self.bin_thresholds
         if not (1.0 >= t_high > t_medium >= 0.0):
             raise ConfigError(
@@ -185,12 +187,12 @@ def gen_catalog(config: SimConfig) -> Catalog:
     """Deterministic synthetic catalog of pronounceable titles.
 
     Rating counts are log-normal so popularity spans orders of magnitude,
-    and rank is the ordinal of rating count descending, matching how real
-    catalogs derive a pseudo-rank.
+    and rank is the pseudo-rank :func:`~.catalog.assign_pseudo_ranks`
+    derives from them, as ingestion does for a catalog without ranks.
     """
     rng = SplitMix64(derive_seed(config.seed, "catalog"))
     used_names: set[str] = set()
-    rows = []
+    rows = {}
     for i in range(1, config.n_titles + 1):
         while True:
             name = _synthetic_name(rng)
@@ -201,18 +203,12 @@ def gen_catalog(config: SimConfig) -> Catalog:
         year = rng.randint(1950, 2024)
         count = max(1, round(math.exp(rng.gauss(math.log(1000), 2.0))))
         rating = round(1.0 + 9.0 * rng.random(), 1)
-        rows.append({"entity_id": f"tt{i:07d}", "name": name,
-                     "release_year": year, "rating_count": count,
-                     "rating": rating})
-    ordering = sorted(rows, key=lambda r: (-r["rating_count"], r["entity_id"]))
-    ranks = {row["entity_id"]: ordinal
-             for ordinal, row in enumerate(ordering, start=1)}
-    titles = [Title(entity_id=row["entity_id"], name=row["name"],
-                    release_year=row["release_year"],
-                    rank=ranks[row["entity_id"]],
-                    rating_count=row["rating_count"], rating=row["rating"])
-              for row in rows]
-    return Catalog(titles=titles)
+        entity_id = f"tt{i:07d}"
+        rows[entity_id] = {"entity_id": entity_id, "name": name,
+                           "release_year": year, "rating_count": count,
+                           "rating": rating}
+    assign_pseudo_ranks(rows)
+    return Catalog(titles=[Title(**fields) for fields in rows.values()])
 
 
 def _apply_typos(text: str, rng: SplitMix64, typo_rate: float) -> str:
@@ -365,8 +361,4 @@ def write_catalog_tsv(catalog: Catalog, out_dir: str | Path,
 
 def write_truth_qrels(queries: list[tuple[str, str]], path: str | Path) -> int:
     """Write the simulator's ground truth in qrels format."""
-    def rows():
-        for query, truth_id in sorted(queries):
-            yield {"query": query, "relevant": [truth_id]}
-
-    return write_jsonl(path, rows())
+    return write_qrels({query: [truth] for query, truth in queries}, path)

@@ -192,6 +192,10 @@ class TestLookup:
     def test_empty_catalog(self):
         assert Catalog(titles=[]).lookup("tt1") is None
 
+    def test_index_is_built_not_passed(self):
+        with pytest.raises(TypeError):
+            Catalog(titles=[], index={"tt1": Title("tt1", "A")})
+
 
 class TestCatalogJsonl:
     def test_round_trip(self, tmp_path):

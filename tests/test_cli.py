@@ -810,6 +810,55 @@ class TestInputTyping:
         assert field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("provenance", ["q.jsonl", "./q.jsonl"])
+    def test_provenance_naming_the_qrels_output_rejected(
+            self, capsys, tmp_path, monkeypatch, provenance):
+        monkeypatch.chdir(tmp_path)
+        write_jsonl_file(tmp_path / "ctr.jsonl", [{
+            "query": "q", "entity_id": "tt1", "nimp": 10, "nclick": 5,
+            "ctr": 0.5}])
+        write_jsonl_file(tmp_path / "scored.jsonl", [GOOD_SCORED])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        code, out, err = run_cli(capsys, "build-relevance",
+                                 "--ctr", "ctr.jsonl",
+                                 "--scored", "scored.jsonl",
+                                 "--out", "q.jsonl",
+                                 "--provenance", provenance)
+        assert_one_error_line(code, err)
+        assert out == ""
+        assert error_lines(err)[0] == \
+            "error: provenance path q.jsonl is the qrels output q.jsonl"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_rejected(self, capsys, tmp_path, sigma):
+        out_dir = tmp_path / "sim"
+        code, out, err = run_cli(capsys, "simulate", "--seed", "1",
+                                 "--n-titles", "5", "--n-queries", "2",
+                                 "--score-noise-sigma", sigma,
+                                 "--out-dir", str(out_dir))
+        assert_one_error_line(code, err)
+        assert out == ""
+        assert error_lines(err)[0] == (
+            f"error: score_noise_sigma must be finite and >= 0, got {sigma}")
+        assert not out_dir.exists()
+
+    def test_report_row_missing_a_column_rejected(self, capsys, tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        good = tmp_path / "good.json"
+        run_cli(capsys, "evaluate", "--qrels", str(qrels), "--run", str(run),
+                "--out", str(good))
+        report = json.loads(good.read_text())
+        del report["per_query"]["q"]["precision@1@high"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(dumps(report), encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--baseline", str(good),
+                                 "--candidate", str(bad))
+        assert_one_error_line(code, err)
+        assert out == ""
+        assert error_lines(err)[0] == (
+            f"error: {bad}: not a metrics report: KeyError('precision@1@high')")
+
     @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
     def test_huge_integer_run_score_rejected(self, capsys, tmp_path,
                                              command):

@@ -296,6 +296,36 @@ class TestReportSerialization:
         loaded = MetricsReport.load(path)
         assert loaded.to_dict() == report.to_dict()
 
+    def test_to_dict_passes_rows_through(self):
+        report = evaluate_run({"q1": RELEVANT, "q0": {"Z"}},
+                              [RunResult(query="q1", ranked=FIXTURE)], k=5)
+        data = report.to_dict()
+        assert list(data["per_query"]) == ["q0", "q1"]
+        for query, row in data["per_query"].items():
+            assert row is report.per_query[query]
+        assert data["aggregates"] is report.aggregates
+
+    def test_extra_row_key_saves_canonical_bytes(self, tmp_path):
+        report = self.make_report()
+        canonical = tmp_path / "canonical.json"
+        report.save(canonical)
+        data = json.loads(canonical.read_text(encoding="utf-8"))
+        data["per_query"]["q1"] = {"extra": 1.0, **data["per_query"]["q1"]}
+        data["aggregates"]["recall@5"]["extra"] = 0.5
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps(data), encoding="utf-8")
+        resaved = tmp_path / "resaved.json"
+        MetricsReport.load(extra).save(resaved)
+        assert resaved.read_bytes() == canonical.read_bytes()
+
+    def test_row_missing_a_column_rejected(self, tmp_path):
+        data = self.make_report().to_dict()
+        del data["per_query"]["q1"]["recall@5@low"]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(IngestError, match="recall@5@low"):
+            MetricsReport.load(path)
+
     def test_canonical_key_order(self, tmp_path):
         """Two saves of the same evaluation must be byte-identical."""
         a = tmp_path / "a.json"

@@ -15,6 +15,7 @@ from er_evalkit.relevance import (
     emit_qrels,
     load_qrels,
     merge_relevance,
+    write_qrels,
 )
 
 
@@ -141,6 +142,21 @@ class TestQrelsFiles:
             assert row["nimp"] >= 25
             assert row["ctr"] >= 0.3
             assert row["importance"] >= 0.3
+
+    @pytest.mark.parametrize("provenance", ["q.jsonl", "./q.jsonl"])
+    def test_provenance_path_must_differ(self, tmp_path, monkeypatch,
+                                         provenance):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match="provenance path"):
+            emit_qrels(self.build(), "q.jsonl", provenance)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_qrels_sorts_queries_and_ids(self, tmp_path):
+        path = tmp_path / "qrels.jsonl"
+        assert write_qrels({"b": ["tt2", "tt1"], "a": ("tt3",)}, path) == 2
+        assert path.read_text(encoding="utf-8") == (
+            '{"query":"a","relevant":["tt3"]}\n'
+            '{"query":"b","relevant":["tt1","tt2"]}\n')
 
     def test_empty_relset_gives_empty_file(self, tmp_path):
         from er_evalkit.relevance import RelevanceSet

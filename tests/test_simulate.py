@@ -51,6 +51,8 @@ class TestSimConfig:
         {"click_position_decay": 0.0},
         {"click_position_decay": 1.0001},
         {"n_replays": 0},
+        {"score_noise_sigma": float("nan")},
+        {"score_noise_sigma": float("inf")},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):
