@@ -1,6 +1,8 @@
 """Tests for click event parsing, CTR aggregation, and filtering."""
 
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,9 @@ from er_evalkit.clickstream import (
     write_ctr_records,
     write_events,
 )
+from er_evalkit.cli import dispatch
 from er_evalkit.errors import ConfigError, IngestError
+from er_evalkit.jsonl import dumps
 
 
 class TestNormalizeQuery:
@@ -183,6 +187,23 @@ events_strategy = st.lists(
 )
 
 
+# Impressions drawn with repeats, so one entity can be shown twice in one
+# event and the click can land on such an entity.
+repeated_events_strategy = st.lists(
+    st.builds(
+        lambda q, imps, click_idx: ClickEvent(
+            query=q,
+            impressions=tuple(imps),
+            clicked=imps[click_idx % len(imps)] if click_idx is not None else None,
+        ),
+        st.sampled_from(["q1", "q2", "q3"]),
+        st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=6),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+    ),
+    max_size=40,
+)
+
+
 class TestShardMerge:
     @given(events_strategy, st.integers(min_value=1, max_value=7))
     @settings(max_examples=200, deadline=None)
@@ -208,6 +229,132 @@ class TestAggregateFiltered:
         ctr_filter = CtrFilter(min_impressions=min_imp, min_ctr=min_ctr)
         expected = filter_records(aggregate_pairs(events), ctr_filter)
         assert aggregate_filtered(iter(events), ctr_filter) == expected
+
+    @given(repeated_events_strategy, st.integers(min_value=1, max_value=4),
+           st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_impressions(self, events, min_imp, min_ctr):
+        ctr_filter = CtrFilter(min_impressions=min_imp, min_ctr=min_ctr)
+        expected = filter_records(aggregate_pairs(events), ctr_filter)
+        assert aggregate_filtered(iter(events), ctr_filter) == expected
+        assert aggregate_in_shards(events, 3) == aggregate_pairs(events)
+
+
+# One line of each reason aggregate-ctr rejects a click-log line for, and
+# the reason its --strict error line gives.
+REJECT_LINES = [
+    ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('{"query":"q","impressions":["tt1"]} trailing',
+     "invalid JSON: Extra data: line 1 column 37 (char 36)"),
+    ("[1,2]", "event is not an object"),
+    ('{"query":"  ","impressions":["tt1"]}', "missing or empty query"),
+    ('{"query":"q","impressions":["tt1",1]}',
+     "impressions must be a nonempty list of ids"),
+    ('{"query":"q","impressions":["tt1"],"clicked":7}',
+     "clicked must be an id or null"),
+    ('{"query":"q","impressions":["tt1"],"ts":true}',
+     "ts must be an integer or null"),
+    ('{"query":"q","impressions":["tt1","tt1"],"clicked":"tt2"}',
+     "clicked 'tt2' not among impressions"),
+]
+
+
+def pinned_click_log(seed=2026, n_events=3000):
+    """A click log with repeated impressions within one event, clicks on a
+    repeated entity, spellings of one query that differ only in case or
+    whitespace, and one line of each reject reason, spread through it."""
+    rng = random.Random(seed)
+    spellings = [
+        ["peppa pig", "Peppa Pig", "  peppa\tpig ", "PEPPA  PIG"],
+        ["bluey", "Bluey", " BLUEY"],
+        ["paw patrol", "Paw  Patrol"],
+        ["cocomelon"],
+        ["the lion king", "The Lion King ", "the  lion  KING"],
+    ]
+    ids = [f"tt{i:02d}" for i in range(25)]
+    lines = []
+    for i in range(n_events):
+        query = rng.choice(rng.choice(spellings))
+        favourite = ids[len(query.split()[0]) % len(ids)]
+        impressions = [rng.choice(ids) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.3:
+            impressions += [favourite, favourite]
+        roll = rng.random()
+        if roll < 0.3:
+            clicked = None
+        elif roll < 0.6 and favourite in impressions:
+            clicked = favourite
+        else:
+            clicked = rng.choice(impressions)
+        lines.append(dumps({"query": query, "impressions": impressions,
+                            "clicked": clicked,
+                            "ts": None if i % 3 else 1_650_000_000 + i}))
+    for k, (bad, _) in enumerate(REJECT_LINES):
+        lines.insert(150 + 300 * k, bad)
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of pinned_click_log() and of aggregate-ctr's output and summary on
+# it (the summary with its --out path written as OUT), taken from the
+# implementation that counted one (query, entity) tuple per impression.
+PINNED_LOG = ("f7e73039e617b2edd34f60f744e8c6f2"
+              "b219c4ae8772d2be43c154accc635cb2")
+PINNED_CTR = {
+    (): ("dce056e1f2f62888d893bc73b22fc91b5b83b9005835fcc35105575ed2cca350",
+         "64559702896dcd93ab0502226cbd36d99af706de68b81371cf53fd4bd46a9848"),
+    ("--min-impressions", "1", "--min-ctr", "0"):
+        ("1aa81d878f97b20584ccba4b6d3b3e5acb8e69bdfbe7ab36d9276b047752866d",
+         "1f488c20aa1dcbedd4c649b2fecbcc9e5d636f4bbf8ec664e2f91b6e1c6cf7d3"),
+    ("--min-impressions", "60", "--min-ctr", "0.15"):
+        ("e83221d0e8423391bfe9e63f7a893c99987ea0bbdb7ac261a3634f2e49e2b50f",
+         "8640b40b3bf4d9298b6cf16d10c1b4dd373c054ceda7cad9ef4be0e7256f5cdb"),
+}
+
+
+def run_cli(capsys, *argv):
+    code = dispatch([str(arg) for arg in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestAggregateCtrBytes:
+    @pytest.fixture
+    def click_log(self, tmp_path):
+        path = tmp_path / "clicklog.jsonl"
+        path.write_text(pinned_click_log(), encoding="utf-8")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_LOG
+        return path
+
+    @pytest.mark.parametrize("flags", list(PINNED_CTR))
+    def test_output_and_summary(self, capsys, tmp_path, click_log, flags):
+        out = tmp_path / "ctr.jsonl"
+        code, stdout, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                    click_log, "--out", out, *flags)
+        assert (code, err) == (0, "")
+        summary = stdout.replace(str(out), "OUT").encode()
+        assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(summary).hexdigest()) == PINNED_CTR[flags]
+
+    def test_strict_error_line(self, capsys, tmp_path, click_log):
+        out = tmp_path / "ctr.jsonl"
+        code, stdout, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                    click_log, "--out", out, "--strict")
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {click_log}:151: invalid JSON: "
+                       "Expecting value: line 1 column 1 (char 0)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,reason", REJECT_LINES)
+    def test_strict_error_per_reason(self, capsys, tmp_path, line, reason):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"query":"q","impressions":["tt1"]}\n' + line
+                          + "\n", encoding="utf-8")
+        out = tmp_path / "ctr.jsonl"
+        code, stdout, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                    events, "--out", out, "--strict")
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {events}:2: {reason}\n"
+        assert not out.exists()
 
 
 class TestFilterRecords:
