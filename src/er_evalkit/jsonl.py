@@ -104,13 +104,34 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             f"cannot read {path}: {read_failure(path, exc)}") from exc
 
 
+# The decoder's own scanner, called once per value; see decode.
+_scan_once = json.JSONDecoder().scan_once
+_JSON_WHITESPACE = " \t\n\r"
+
+
 def decode(line: str) -> Any:
     """``json.loads(line)``; any failure to decode is one ValueError.
 
     Besides a syntax error, that covers an integer literal over the
     interpreter's digit limit (a plain ValueError) and nesting too deep for
     the decoder (a RecursionError). The message starts ``invalid JSON:``.
+
+    Every reader decodes one value per line, so the usual path calls the
+    decoder's scanner directly: ``json.loads`` adds a BOM check, two
+    whitespace scans and three Python frames around the same scan. A value
+    the scanner reads to the end of ``line``, or to JSON whitespace only,
+    is exactly what ``json.loads`` would return. Any other outcome (an
+    error, trailing data, or leading whitespace or a BOM, where the scan
+    cannot start) is decoded again by ``json.loads``, which stays the only
+    source of error texts.
     """
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    else:
+        if end == len(line) or not line[end:].strip(_JSON_WHITESPACE):
+            return value
     try:
         return json.loads(line)
     except (ValueError, RecursionError) as exc:
