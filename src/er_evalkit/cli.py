@@ -204,9 +204,8 @@ def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> int:
         min_ctr=cfg.get("min_ctr", clickstream.DEFAULT_MIN_CTR),
     )
     stats = clickstream.ParseStats()
-    events = clickstream.parse_events(
-        args.events, strict=cfg.get("strict", False), stats=stats)
-    kept, summary = clickstream.aggregate_filtered(events, ctr_filter)
+    kept, summary = clickstream.aggregate_log(
+        args.events, ctr_filter, strict=cfg.get("strict", False), stats=stats)
     clickstream.write_ctr_records(kept, args.out)
     _emit({
         "command": "aggregate-ctr",

@@ -6,19 +6,22 @@ trivially different spellings aggregate together. Per (query, entity) pair,
 nimp counts the events whose impressions contain the entity and nclick the
 events that clicked it; ctr is the exact quotient.
 
-Aggregation is one streaming pass: each event is counted into two
-``collections.Counter`` tables keyed by (query, entity_id), nimp and nclick,
-as it is parsed, so memory is O(distinct pairs), not O(events). The tables
-are a monoid: sharding the event stream, counting shards independently, and
-summing the Counters gives exactly the single-pass answer
-(:func:`aggregate_in_shards`). Aggregation runs in one thread.
+Aggregation is one streaming pass: each event is counted as it is parsed
+into two tables keyed by query, nimp and nclick, each query's entry a
+``collections.Counter`` of entity ids, so memory is O(distinct pairs), not
+O(events). The CLI counts each line's checked fields without building a
+ClickEvent (:func:`aggregate_log`); every line passes the same checks as in
+:func:`parse_events`. The tables are a monoid query by query: sharding the
+event stream, counting shards independently, and summing each query's
+Counters gives exactly the single-pass answer (:func:`aggregate_in_shards`).
+Aggregation runs in one thread.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -101,8 +104,14 @@ class FilterSummary:
     dropped: int
 
 
-def _event(raw) -> ClickEvent:
-    """The normalized event one decoded line holds, or ValueError(reason)."""
+def _event_fields(raw) -> tuple[str, list, str | None, int | None]:
+    """(normalized query, impressions, clicked, ts) of one decoded line, or
+    ValueError(reason).
+
+    The checks run in a fixed order and the first that fails names the
+    reason; the last is ClickEvent's own, so a tuple returned here always
+    makes a valid ClickEvent.
+    """
     if not isinstance(raw, dict):
         raise ValueError("event is not an object")
     query = raw.get("query")
@@ -118,8 +127,31 @@ def _event(raw) -> ClickEvent:
         raise ValueError("clicked must be an id or null")
     if ts is not None and (not isinstance(ts, int) or isinstance(ts, bool)):
         raise ValueError("ts must be an integer or null")
-    return ClickEvent(query=normalize_query(query),
-                      impressions=tuple(impressions), clicked=clicked, ts=ts)
+    if clicked is not None and clicked not in impressions:
+        raise ValueError(f"clicked {clicked!r} not among impressions")
+    return normalize_query(query), impressions, clicked, ts
+
+
+def _checked_lines(path: str | Path, strict: bool, stats: ParseStats | None
+                   ) -> Iterator[tuple[str, list, str | None, int | None]]:
+    """The fields of each good line of ``path``, in file order.
+
+    A bad line is skipped and tallied in ``stats``; under ``strict`` it
+    raises instead, naming the file, line and reason.
+    """
+    if stats is None:
+        stats = ParseStats()
+    for lineno, line in read_lines(path):
+        stats.lines += 1
+        try:
+            fields = _event_fields(decode(line))
+        except ValueError as exc:
+            stats.rejected += 1
+            if strict:
+                raise IngestError(f"{path}:{lineno}: {exc}") from exc
+            continue
+        stats.events += 1
+        yield fields
 
 
 def parse_events(path: str | Path, *, strict: bool = False,
@@ -131,19 +163,9 @@ def parse_events(path: str | Path, *, strict: bool = False,
     raises instead. Pass a ParseStats to read the tallies after the
     generator is exhausted.
     """
-    if stats is None:
-        stats = ParseStats()
-    for lineno, line in read_lines(path):
-        stats.lines += 1
-        try:
-            event = _event(decode(line))
-        except ValueError as exc:
-            stats.rejected += 1
-            if strict:
-                raise IngestError(f"{path}:{lineno}: {exc}") from exc
-            continue
-        stats.events += 1
-        yield event
+    for query, impressions, clicked, ts in _checked_lines(path, strict, stats):
+        yield ClickEvent(query=query, impressions=tuple(impressions),
+                         clicked=clicked, ts=ts)
 
 
 def compute_ctr(nclick: int, nimp: int) -> float:
@@ -154,36 +176,62 @@ def compute_ctr(nclick: int, nimp: int) -> float:
     return nclick / nimp
 
 
-def _tally(events: Iterable[ClickEvent]) -> tuple[Counter, Counter]:
-    """(nimp, nclick) Counters keyed by (query, entity_id), in one pass.
+# Count tables: nimp[query][entity_id] and nclick[query][entity_id].
+Tables = tuple[dict[str, Counter], dict[str, Counter]]
 
-    Events are consumed one at a time and never held, so a generator such as
-    parse_events keeps memory at O(distinct pairs).
+
+def _tally(events: Iterable[tuple[str, Iterable[str], str | None, object]]
+           ) -> Tables:
+    """(nimp, nclick) per query, in one pass over (query, impressions,
+    clicked, ts) tuples.
+
+    Events are consumed one at a time and never held, so a generator keeps
+    memory at O(distinct pairs).
     """
-    nimp: Counter = Counter()
-    nclick: Counter = Counter()
-    for event in events:
+    nimp: defaultdict[str, Counter] = defaultdict(Counter)
+    nclick: defaultdict[str, Counter] = defaultdict(Counter)
+    for query, impressions, clicked, _ in events:
         # An entity impressed several times within one event still counts
         # as one impression: nimp is the number of events containing it.
-        nimp.update(zip(repeat(event.query), set(event.impressions)))
-        if event.clicked is not None:
-            nclick[event.query, event.clicked] += 1
+        nimp[query].update(set(impressions))
+        if clicked is not None:
+            nclick[query][clicked] += 1
     return nimp, nclick
 
 
-def _records(nimp: Counter, nclick: Counter,
+def _tally_events(events: Iterable[ClickEvent]) -> Tables:
+    return _tally((e.query, e.impressions, e.clicked, e.ts) for e in events)
+
+
+def _records(nimp: dict[str, Counter], nclick: dict[str, Counter],
              ctr_filter: CtrFilter | None = None) -> list[CtrRecord]:
-    """Sorted records for the pairs ``ctr_filter`` keeps (all if None)."""
-    kept = sorted(pair for pair, n in nimp.items() if ctr_filter is None
-                  or ctr_filter.admits(n, nclick[pair] / n))
-    return [CtrRecord(query=q, entity_id=e, nimp=nimp[q, e],
-                      nclick=nclick[q, e], ctr=nclick[q, e] / nimp[q, e])
-            for q, e in kept]
+    """Records for the pairs ``ctr_filter`` keeps (all if None), sorted by
+    query, then entity id."""
+    records = []
+    no_clicks: Counter = Counter()
+    for query in sorted(nimp):
+        shown = nimp[query]
+        hits = nclick.get(query, no_clicks)
+        for entity_id in sorted(shown):
+            n = shown[entity_id]
+            clicks = hits.get(entity_id, 0)
+            if ctr_filter is None or ctr_filter.admits(n, clicks / n):
+                records.append(CtrRecord(query=query, entity_id=entity_id,
+                                         nimp=n, nclick=clicks,
+                                         ctr=clicks / n))
+    return records
+
+
+def _filtered(tables: Tables, ctr_filter: CtrFilter
+              ) -> tuple[list[CtrRecord], FilterSummary]:
+    kept = _records(*tables, ctr_filter)
+    pairs = sum(map(len, tables[0].values()))
+    return kept, FilterSummary(kept=len(kept), dropped=pairs - len(kept))
 
 
 def aggregate_pairs(events: Iterable[ClickEvent]) -> list[CtrRecord]:
     """Count impressions and clicks per (query, entity) pair, sorted."""
-    return _records(*_tally(events))
+    return _records(*_tally_events(events))
 
 
 def aggregate_filtered(events: Iterable[ClickEvent], ctr_filter: CtrFilter
@@ -193,9 +241,19 @@ def aggregate_filtered(events: Iterable[ClickEvent], ctr_filter: CtrFilter
     Same records and summary as the two-step form; the pair count is
     ``kept + dropped``.
     """
-    nimp, nclick = _tally(events)
-    kept = _records(nimp, nclick, ctr_filter)
-    return kept, FilterSummary(kept=len(kept), dropped=len(nimp) - len(kept))
+    return _filtered(_tally_events(events), ctr_filter)
+
+
+def aggregate_log(path: str | Path, ctr_filter: CtrFilter, *,
+                  strict: bool = False, stats: ParseStats | None = None
+                  ) -> tuple[list[CtrRecord], FilterSummary]:
+    """``aggregate_filtered(parse_events(path, ...), ctr_filter)``, counting
+    each line's checked fields without building a ClickEvent.
+
+    The same lines are rejected for the same reasons, so the records,
+    summary and ``stats`` tallies are those of the two-step form.
+    """
+    return _filtered(_tally(_checked_lines(path, strict, stats)), ctr_filter)
 
 
 def aggregate_in_shards(events: Iterable[ClickEvent], n_shards: int,
@@ -203,20 +261,21 @@ def aggregate_in_shards(events: Iterable[ClickEvent], n_shards: int,
     """Count round-robin shards of the stream apart, then sum the counts.
 
     Exactly equivalent to single-pass aggregate_pairs, because the count
-    tables sum as Counters (``Counter.update``). The events are held in a
-    list so each shard can be read from it. ``threads`` is ignored and
-    starts no workers; it exists only because the benchmark's traced pass
-    (``perfbench/traced.py``) passes ``threads=1``.
+    tables sum query by query as Counters (``Counter.update``). The events
+    are held in a list so each shard can be read from it. ``threads`` is
+    ignored and starts no workers; it exists only because the benchmark's
+    traced pass (``perfbench/traced.py``) passes ``threads=1``.
     """
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
     events = list(events)
-    nimp: Counter = Counter()
-    nclick: Counter = Counter()
+    nimp: defaultdict[str, Counter] = defaultdict(Counter)
+    nclick: defaultdict[str, Counter] = defaultdict(Counter)
     for shard in range(n_shards):
-        shard_nimp, shard_nclick = _tally(islice(events, shard, None, n_shards))
-        nimp.update(shard_nimp)
-        nclick.update(shard_nclick)
+        for total, part in zip((nimp, nclick), _tally_events(
+                islice(events, shard, None, n_shards))):
+            for query, counts in part.items():
+                total[query].update(counts)
     return _records(nimp, nclick)
 
 
@@ -258,12 +317,22 @@ def write_ctr_records(records: Iterable[CtrRecord], path: str | Path) -> int:
 
 
 def load_ctr_records(path: str | Path) -> list[CtrRecord]:
-    """Load CTR JSONL; counts are ints (never bools) and ctr a number."""
+    """Load CTR JSONL; counts are ints (never bools) and ctr a number.
+
+    Each (query, entity_id) pair appears once: a repeated pair is an error.
+    """
+    seen: set[tuple[str, str]] = set()
+
     def parse(rec: dict) -> CtrRecord:
-        return CtrRecord(query=require(rec, "query", str),
-                         entity_id=require(rec, "entity_id", str),
-                         nimp=require(rec, "nimp", int),
-                         nclick=require(rec, "nclick", int),
-                         ctr=require(rec, "ctr", int, float))
+        record = CtrRecord(query=require(rec, "query", str),
+                           entity_id=require(rec, "entity_id", str),
+                           nimp=require(rec, "nimp", int),
+                           nclick=require(rec, "nclick", int),
+                           ctr=require(rec, "ctr", int, float))
+        pair = (record.query, record.entity_id)
+        if pair in seen:
+            raise ValueError(f"duplicate pair {pair!r}")
+        seen.add(pair)
+        return record
 
     return list(iter_records(path, parse, "CTR record"))

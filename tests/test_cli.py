@@ -810,6 +810,27 @@ class TestInputTyping:
         assert field in err
         assert not out.exists()
 
+    def test_repeated_ctr_pair_rejected(self, capsys, tmp_path):
+        ctr_path = tmp_path / "ctr.jsonl"
+        write_jsonl_file(ctr_path, [
+            {"query": "q", "entity_id": "tt1", "nimp": 30, "nclick": 15,
+             "ctr": 0.5},
+            {"query": "q", "entity_id": "tt1", "nimp": 40, "nclick": 30,
+             "ctr": 0.75}])
+        scored_path = tmp_path / "scored.jsonl"
+        write_jsonl_file(scored_path, [GOOD_SCORED])
+        out = tmp_path / "qrels.jsonl"
+        code, stdout, err = run_cli(capsys, "build-relevance",
+                                    "--ctr", str(ctr_path),
+                                    "--scored", str(scored_path),
+                                    "--out", str(out))
+        assert_one_error_line(code, err)
+        assert stdout == ""
+        assert error_lines(err)[0] == (f"error: {ctr_path}:2: bad CTR record: "
+                                       "duplicate pair ('q', 'tt1')")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["ctr.jsonl", "scored.jsonl"]
+
     @pytest.mark.parametrize("provenance", ["q.jsonl", "./q.jsonl"])
     def test_provenance_naming_the_qrels_output_rejected(
             self, capsys, tmp_path, monkeypatch, provenance):

@@ -15,6 +15,7 @@ from er_evalkit.clickstream import (
     ParseStats,
     aggregate_filtered,
     aggregate_in_shards,
+    aggregate_log,
     aggregate_pairs,
     compute_ctr,
     filter_records,
@@ -357,6 +358,62 @@ class TestAggregateCtrBytes:
         assert not out.exists()
 
 
+ids = st.sampled_from(["tt1", "tt2", "tt3"])
+good_lines = st.builds(
+    lambda q, imps, click, ts: dumps({"query": q, "impressions": imps,
+                                      "clicked": click, "ts": ts}),
+    st.sampled_from(["q", "Q ", " q", "q  r", "Q\tR"]),
+    st.lists(ids, min_size=1, max_size=5),
+    st.none() | ids,
+    st.none() | st.integers(min_value=0, max_value=9),
+)
+# Objects that break one rule or more: any key may hold any JSON value.
+bad_objects = st.builds(
+    dumps,
+    st.fixed_dictionaries({}, optional={
+        "query": st.none() | st.booleans() | st.integers() | st.floats()
+        | st.just(" ") | st.just("q"),
+        "impressions": st.none() | st.just([]) | st.lists(
+            st.none() | st.integers() | ids, max_size=3) | ids,
+        "clicked": st.none() | st.integers() | st.booleans() | ids,
+        "ts": st.none() | st.booleans() | st.floats() | st.integers()
+        | st.just("1"),
+    }),
+)
+log_lines = st.lists(good_lines | bad_objects | st.sampled_from(
+    [bad for bad, _ in REJECT_LINES] + ["", "  ", "null", '"q"']),
+    max_size=30)
+
+
+class TestAggregateLog:
+    """The CLI's counting path against the public ClickEvent path."""
+
+    @given(log_lines, st.integers(min_value=1, max_value=4),
+           st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_aggregate_filtered_of_parse_events(
+            self, tmp_path_factory, lines, min_imp, min_ctr):
+        path = tmp_path_factory.mktemp("log") / "events.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        ctr_filter = CtrFilter(min_impressions=min_imp, min_ctr=min_ctr)
+        expected_stats, stats = ParseStats(), ParseStats()
+        expected = aggregate_filtered(
+            parse_events(path, stats=expected_stats), ctr_filter)
+        assert aggregate_log(path, ctr_filter, stats=stats) == expected
+        assert stats == expected_stats
+
+        def strict_error(run):
+            try:
+                run()
+            except IngestError as exc:
+                return str(exc)
+            return None
+
+        assert strict_error(lambda: aggregate_log(
+            path, ctr_filter, strict=True)) == strict_error(
+            lambda: list(parse_events(path, strict=True)))
+
+
 class TestFilterRecords:
     def test_paper_motivating_case_dropped(self):
         """Few impressions with high CTR is exactly the noise to exclude."""
@@ -480,6 +537,19 @@ class TestJsonlRoundTrips:
                         + fields + '}\n', encoding="utf-8")
         with pytest.raises(IngestError, match="ctr.jsonl:2: bad CTR record"):
             load_ctr_records(path)
+
+    def test_repeated_pair_rejected(self, tmp_path):
+        path = tmp_path / "ctr.jsonl"
+        path.write_text('{"query":"q","entity_id":"tt1","nimp":30,'
+                        '"nclick":15,"ctr":0.5}\n'
+                        '{"query":"q","entity_id":"tt2","nimp":30,'
+                        '"nclick":15,"ctr":0.5}\n'
+                        '{"query":"q","entity_id":"tt1","nimp":40,'
+                        '"nclick":30,"ctr":0.75}\n', encoding="utf-8")
+        with pytest.raises(IngestError) as excinfo:
+            load_ctr_records(path)
+        assert str(excinfo.value) == \
+            f"{path}:3: bad CTR record: duplicate pair ('q', 'tt1')"
 
     def test_ids_must_be_strings(self, tmp_path):
         path = tmp_path / "ctr.jsonl"
