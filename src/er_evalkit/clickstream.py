@@ -177,11 +177,11 @@ def compute_ctr(nclick: int, nimp: int) -> float:
 
 
 # Count tables: nimp[query][entity_id] and nclick[query][entity_id].
-Tables = tuple[dict[str, Counter], dict[str, Counter]]
+_Tables = tuple[dict[str, Counter], dict[str, Counter]]
 
 
 def _tally(events: Iterable[tuple[str, Iterable[str], str | None, object]]
-           ) -> Tables:
+           ) -> _Tables:
     """(nimp, nclick) per query, in one pass over (query, impressions,
     clicked, ts) tuples.
 
@@ -199,7 +199,7 @@ def _tally(events: Iterable[tuple[str, Iterable[str], str | None, object]]
     return nimp, nclick
 
 
-def _tally_events(events: Iterable[ClickEvent]) -> Tables:
+def _tally_events(events: Iterable[ClickEvent]) -> _Tables:
     return _tally((e.query, e.impressions, e.clicked, e.ts) for e in events)
 
 
@@ -222,7 +222,7 @@ def _records(nimp: dict[str, Counter], nclick: dict[str, Counter],
     return records
 
 
-def _filtered(tables: Tables, ctr_filter: CtrFilter
+def _filtered(tables: _Tables, ctr_filter: CtrFilter
               ) -> tuple[list[CtrRecord], FilterSummary]:
     kept = _records(*tables, ctr_filter)
     pairs = sum(map(len, tables[0].values()))
@@ -272,10 +272,12 @@ def aggregate_in_shards(events: Iterable[ClickEvent], n_shards: int,
     nimp: defaultdict[str, Counter] = defaultdict(Counter)
     nclick: defaultdict[str, Counter] = defaultdict(Counter)
     for shard in range(n_shards):
-        for total, part in zip((nimp, nclick), _tally_events(
-                islice(events, shard, None, n_shards))):
-            for query, counts in part.items():
-                total[query].update(counts)
+        shard_nimp, shard_nclick = _tally_events(
+            islice(events, shard, None, n_shards))
+        for query, counts in shard_nimp.items():
+            nimp[query].update(counts)
+        for query, counts in shard_nclick.items():
+            nclick[query].update(counts)
     return _records(nimp, nclick)
 
 
