@@ -27,8 +27,13 @@ BASICS_COLUMNS = ("tconst", "primaryTitle", "startYear")
 RATINGS_COLUMNS = ("tconst", "averageRating", "numVotes")
 RANKS_COLUMNS = ("tconst", "rank")
 
+# Positions of the joined fields in a row, which holds Title's fields in order.
+_RANK, _RATING_COUNT = 3, 4
+_RANK_SLICE = slice(_RANK, _RANK + 1)
+_RATINGS_SLICE = slice(_RATING_COUNT, _RATING_COUNT + 2)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Title:
     """One catalog entity with its popularity signals."""
 
@@ -104,7 +109,7 @@ def _parse_int(value: str, reason: str) -> int:
     return int(value)
 
 
-def _basics_row(cells: list, min_year: int, max_year: int) -> tuple[str, dict]:
+def _basics_row(cells: list, min_year: int, max_year: int) -> tuple[str, list]:
     entity_id, name, year = cells
     if entity_id is None or name is None:
         raise ValueError("missing id or title")
@@ -112,12 +117,10 @@ def _basics_row(cells: list, min_year: int, max_year: int) -> tuple[str, dict]:
         year = _parse_int(year, f"unparseable year {year!r}")
         if not min_year <= year <= max_year:
             raise ValueError(f"implausible year {year}")
-    return entity_id, {"entity_id": entity_id, "name": name,
-                       "release_year": year, "rank": None,
-                       "rating_count": None, "rating": None}
+    return entity_id, [entity_id, name, year, None, None, None]
 
 
-def _ratings_row(cells: list) -> tuple[str, dict]:
+def _ratings_row(cells: list) -> tuple[str, tuple]:
     entity_id, rating, votes = cells
     if entity_id is None:
         raise ValueError("missing id")
@@ -129,24 +132,24 @@ def _ratings_row(cells: list) -> tuple[str, dict]:
     votes = None if votes is None else _parse_int(votes, reason)
     if rating is not None and not 0.0 <= rating <= 10.0:
         raise ValueError(f"rating {rating} outside [0, 10]")
-    return entity_id, {"rating": rating, "rating_count": votes}
+    return entity_id, (votes, rating)
 
 
-def _ranks_row(cells: list) -> tuple[str, dict]:
+def _ranks_row(cells: list) -> tuple[str, tuple]:
     entity_id, rank = cells
     if entity_id is None or rank is None:
         raise ValueError("missing id or rank")
     rank = _parse_int(rank, f"unparseable rank {rank!r}")
     if rank < 1:
         raise ValueError(f"rank {rank} < 1")
-    return entity_id, {"rank": rank}
+    return entity_id, (rank,)
 
 
 def _read_dump(path: str | Path, kind: str, required: tuple[str, ...], check,
-               stats: IngestStats, strict: bool) -> Iterator[tuple[str, dict]]:
-    """Yield ``(entity_id, fields)`` for each row of one dump ``check`` takes.
+               stats: IngestStats, strict: bool) -> Iterator[tuple[str, object]]:
+    """Yield ``(entity_id, values)`` for each row of one dump ``check`` takes.
 
-    ``check`` maps a row's required cells to ``(entity_id, fields)`` or
+    ``check`` maps a row's required cells to ``(entity_id, values)`` or
     raises ValueError naming the reason; a row too short to hold them is
     rejected first. A rejected row is counted, or under ``strict`` raises an
     IngestError naming the file and line. A repeated id among the accepted
@@ -180,7 +183,7 @@ def _read_dump(path: str | Path, kind: str, required: tuple[str, ...], check,
                 try:
                     if len(row) <= last:
                         raise ValueError("too few columns")
-                    entity_id, fields = check([_cell(row, i) for i in columns])
+                    entity_id, values = check([_cell(row, i) for i in columns])
                 except ValueError as exc:
                     rejected += 1
                     if strict:
@@ -190,7 +193,7 @@ def _read_dump(path: str | Path, kind: str, required: tuple[str, ...], check,
                     raise IngestError(
                         f"{path}:{lineno}: duplicate entity_id {entity_id!r}")
                 accepted.add(entity_id)
-                yield entity_id, fields
+                yield entity_id, values
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -216,6 +219,12 @@ def parse_catalog(
     case it raises :class:`IngestError` naming the file and line. A
     duplicated entity id is always an error. A reversed ``year_window`` is
     a ConfigError, raised before any file is read.
+
+    The join holds one compact row per basics title: a list of
+    :class:`Title`'s fields in order, which the ratings and ranks rows fill
+    in place. Each row becomes its Title as it is released, so the rows and
+    the titles never both hold the whole catalog. Titles keep basics file
+    order.
     """
     min_year, max_year = year_window
     if min_year > max_year:
@@ -225,38 +234,53 @@ def parse_catalog(
     rows = dict(_read_dump(
         basics_path, "basics", BASICS_COLUMNS,
         lambda cells: _basics_row(cells, min_year, max_year), stats, strict))
-    # ratings, then ranks: left joins on entity id
-    joins = [("ratings", ratings_path, RATINGS_COLUMNS, _ratings_row),
-             ("ranks", ranks_path, RANKS_COLUMNS, _ranks_row)]
-    for kind, path, required, check in joins:
+
+    def with_row(check):
+        # Key a known id by its basics row's own id string, so the dump's
+        # duplicate-id set holds no second copy of it.
+        def checked(cells):
+            entity_id, values = check(cells)
+            row = rows.get(entity_id)
+            return (entity_id, None) if row is None else (row[0], (row, values))
+        return checked
+
+    # ratings, then ranks: left joins on entity id, each filling its slice
+    # of the basics row in place
+    joins = [("ratings", ratings_path, RATINGS_COLUMNS, _ratings_row,
+              _RATINGS_SLICE),
+             ("ranks", ranks_path, RANKS_COLUMNS, _ranks_row, _RANK_SLICE)]
+    for kind, path, required, check, where in joins:
         if path is None:
             continue
         orphaned = 0
-        for entity_id, fields in _read_dump(path, kind, required, check,
-                                            stats, strict):
-            if entity_id in rows:
-                rows[entity_id].update(fields)
-            else:
+        for _, joined in _read_dump(path, kind, required, with_row(check),
+                                    stats, strict):
+            if joined is None:
                 orphaned += 1
+            else:
+                row, values = joined
+                row[where] = values
         setattr(stats, f"{kind}_orphaned", orphaned)
     if ranks_path is None:
         # derive a pseudo-rank from rating counts
         assign_pseudo_ranks(rows)
-
-    titles = [Title(**fields) for fields in rows.values()]
+    # Popping the last row first releases each row as its Title is made.
+    titles = [Title(*rows.popitem()[1]) for _ in range(len(rows))]
+    titles.reverse()
     return Catalog(titles=titles, stats=stats)
 
 
-def assign_pseudo_ranks(rows: dict[str, dict]) -> None:
+def assign_pseudo_ranks(rows: dict[str, list]) -> None:
     """Set rank to the ordinal under rating-count-descending order.
 
-    Absent rating counts sort as zero; ties break by entity id ascending so
-    the assignment is a total order and the resulting ranks are a bijection
-    onto 1..N.
+    Each row holds :class:`Title`'s fields in order. Absent rating counts
+    sort as zero; ties break by entity id ascending so the assignment is a
+    total order and the resulting ranks are a bijection onto 1..N.
     """
-    ordering = sorted(rows, key=lambda eid: (-(rows[eid]["rating_count"] or 0), eid))
+    ordering = sorted(rows, key=lambda eid: (-(rows[eid][_RATING_COUNT] or 0),
+                                             eid))
     for ordinal, entity_id in enumerate(ordering, start=1):
-        rows[entity_id]["rank"] = ordinal
+        rows[entity_id][_RANK] = ordinal
 
 
 _JSONL_FIELDS = ("entity_id", "name", "release_year", "rank", "rating_count", "rating")

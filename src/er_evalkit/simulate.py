@@ -204,11 +204,9 @@ def gen_catalog(config: SimConfig) -> Catalog:
         count = max(1, round(math.exp(rng.gauss(math.log(1000), 2.0))))
         rating = round(1.0 + 9.0 * rng.random(), 1)
         entity_id = f"tt{i:07d}"
-        rows[entity_id] = {"entity_id": entity_id, "name": name,
-                           "release_year": year, "rating_count": count,
-                           "rating": rating}
+        rows[entity_id] = [entity_id, name, year, None, count, rating]
     assign_pseudo_ranks(rows)
-    return Catalog(titles=[Title(**fields) for fields in rows.values()])
+    return Catalog(titles=[Title(*row) for row in rows.values()])
 
 
 def _apply_typos(text: str, rng: SplitMix64, typo_rate: float) -> str:
