@@ -186,12 +186,12 @@ def _importance_config(cfg: Settings) -> importance.ImportanceConfig:
 
 def cmd_score_importance(args: argparse.Namespace, cfg: Settings) -> int:
     loaded = catalog_mod.load_catalog(args.catalog)
-    scored, excluded = importance.score_catalog(loaded, _importance_config(cfg))
-    importance.write_scored(scored, args.out)
+    scored = importance.score_titles(loaded, _importance_config(cfg))
+    written = importance.write_scored(scored, args.out)
     _emit({
         "command": "score-importance",
-        "scored": len(scored),
-        "excluded": excluded,
+        "scored": written,
+        "excluded": len(loaded) - written,
         "out": str(args.out),
     })
     return 0
@@ -221,7 +221,11 @@ def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> int:
 
 def cmd_build_relevance(args: argparse.Namespace, cfg: Settings) -> int:
     ctr_records = clickstream.load_ctr_records(args.ctr)
-    scored = importance.load_scored(args.scored)
+    # Every scored line is read and checked before min_importance is, but
+    # only the titles some CTR record names are kept for the merge.
+    named = {rec.entity_id for rec in ctr_records}
+    scored = [item for item in importance.iter_scored(args.scored)
+              if item.entity_id in named]
     relset, summary = relevance.merge_relevance(
         ctr_records, scored,
         min_importance=cfg.get("min_importance",

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .catalog import Catalog, Title
 from .errors import ConfigError
@@ -24,7 +25,7 @@ POLICY_EXCLUDE_TITLE = "exclude_title"
 _POLICIES = (POLICY_DEFAULT_SCORE, POLICY_EXCLUDE_TITLE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentScores:
     release_year_score: float
     rank_score: float
@@ -81,7 +82,7 @@ class ImportanceConfig:
                 f"outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredTitle:
     entity_id: str
     components: ComponentScores
@@ -184,24 +185,34 @@ def score_title(title: Title, bounds: ScoreBounds,
     )
 
 
-def score_catalog(catalog: Catalog,
-                  config: ImportanceConfig) -> tuple[list[ScoredTitle], int]:
-    """Score every title; returns (scored sorted by entity_id, excluded tally)."""
+def score_titles(catalog: Catalog,
+                 config: ImportanceConfig) -> Iterator[ScoredTitle]:
+    """Score the titles one at a time, in entity-id order, skipping those
+    the policy excludes.
+
+    The bounds are fit (or taken from ``config``) when this is called, not
+    when the first title is drawn, so a catalog that cannot be fit fails
+    before a consumer opens its output. Each ScoredTitle is built only when
+    it is drawn, so :func:`write_scored` holds one at a time.
+    """
     bounds = config.bounds
     if bounds is None:
         if not catalog.titles:
             raise ConfigError("cannot fit bounds from an empty catalog")
         bounds = fit_bounds(catalog)
-    scored = []
-    excluded = 0
-    for title in catalog.titles:
-        result = score_title(title, bounds, config)
-        if result is None:
-            excluded += 1
-        else:
-            scored.append(result)
-    scored.sort(key=lambda s: s.entity_id)
-    return scored, excluded
+    titles = sorted(catalog.titles, key=attrgetter("entity_id"))
+    scored = (score_title(title, bounds, config) for title in titles)
+    return (item for item in scored if item is not None)
+
+
+def score_catalog(catalog: Catalog,
+                  config: ImportanceConfig) -> tuple[list[ScoredTitle], int]:
+    """Score every title; returns (scored sorted by entity_id, excluded tally).
+
+    The list is :func:`score_titles` drawn to its end.
+    """
+    scored = list(score_titles(catalog, config))
+    return scored, len(catalog.titles) - len(scored)
 
 
 def write_scored(scored: Iterable[ScoredTitle], path: str | Path) -> int:
@@ -218,11 +229,13 @@ def write_scored(scored: Iterable[ScoredTitle], path: str | Path) -> int:
     return write_jsonl(path, records())
 
 
-def load_scored(path: str | Path) -> list[ScoredTitle]:
-    """Load scored JSONL; every score is a finite number in [0, 1].
+def iter_scored(path: str | Path) -> Iterator[ScoredTitle]:
+    """Yield each scored title of ``path`` in file order, as it is read.
 
-    Importance may exceed 1 by the weight-sum tolerance, as scoring with
-    weights that sum to 1 + WEIGHT_SUM_TOL can produce it.
+    Every score is a finite number in [0, 1]. Importance may exceed 1 by
+    the weight-sum tolerance, as scoring with weights that sum to
+    1 + WEIGHT_SUM_TOL can produce it. A bad line raises an IngestError
+    naming the file and line when the stream reaches it.
     """
     def parse(rec: dict) -> ScoredTitle:
         components = ComponentScores(*(
@@ -235,4 +248,9 @@ def load_scored(path: str | Path) -> list[ScoredTitle]:
         return ScoredTitle(require(rec, "entity_id", str), components,
                            importance)
 
-    return list(iter_records(path, parse, "scored record"))
+    return iter_records(path, parse, "scored record")
+
+
+def load_scored(path: str | Path) -> list[ScoredTitle]:
+    """Every scored title of ``path``: :func:`iter_scored` as a list."""
+    return list(iter_scored(path))

@@ -59,7 +59,7 @@ _LEVEL = {bin: level for level, bin in enumerate(_BIN_AT_LEVEL)}
 _BIN_LEVELS = bytes(map(_LEVEL.__getitem__, BINS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedEntity:
     entity_id: str
     score: float

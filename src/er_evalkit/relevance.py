@@ -20,7 +20,7 @@ from .jsonl import iter_records, require, write_jsonl
 DEFAULT_MIN_IMPORTANCE = 0.3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvenanceRecord:
     ctr: float
     nimp: int
