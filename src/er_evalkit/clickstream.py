@@ -38,7 +38,7 @@ def normalize_query(query: str) -> str:
     return " ".join(query.split()).lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClickEvent:
     """One search event: what was shown and what, if anything, was clicked."""
 
@@ -55,7 +55,7 @@ class ClickEvent:
                 f"clicked {self.clicked!r} not among impressions")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CtrRecord:
     query: str
     entity_id: str
@@ -121,9 +121,10 @@ def _event_fields(raw) -> tuple[str, list, str | None, int | None]:
     if not isinstance(query, str) or not query.strip():
         raise ValueError("missing or empty query")
     if (not isinstance(impressions, list) or not impressions
-            or not all(isinstance(i, str) for i in impressions)):
+            or not all(isinstance(i, str) for i in impressions)
+            or "" in impressions):
         raise ValueError("impressions must be a nonempty list of ids")
-    if clicked is not None and not isinstance(clicked, str):
+    if clicked is not None and (not isinstance(clicked, str) or not clicked):
         raise ValueError("clicked must be an id or null")
     if ts is not None and (not isinstance(ts, int) or isinstance(ts, bool)):
         raise ValueError("ts must be an integer or null")

@@ -358,6 +358,46 @@ class TestAggregateCtrBytes:
         assert not out.exists()
 
 
+class TestEmptyEntityId:
+    """An empty string is not an entity id, in impressions or as the click,
+    as ingest-catalog rejects a title without one."""
+
+    LINE = '{"query":"q","impressions":["",""],"clicked":""}'
+    FILTER = ("--min-impressions", "1", "--min-ctr", "0")
+
+    @pytest.fixture
+    def events(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"query":"q","impressions":["tt1"]}\n' + self.LINE
+                        + "\n", encoding="utf-8")
+        return path
+
+    def test_aggregate_log_rejects(self, events):
+        stats = ParseStats()
+        kept, _ = aggregate_log(events, CtrFilter(1, 0.0), stats=stats)
+        assert [(r.query, r.entity_id) for r in kept] == [("q", "tt1")]
+        assert stats == ParseStats(lines=2, events=1, rejected=1)
+
+    def test_cli_counts_the_reject(self, capsys, tmp_path, events):
+        out = tmp_path / "ctr.jsonl"
+        code, stdout, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                    events, "--out", out, *self.FILTER)
+        assert (code, err) == (0, "")
+        assert json.loads(stdout)["rejected_events"] == 1
+        assert out.read_text(encoding="utf-8") == (
+            '{"query":"q","entity_id":"tt1","nimp":1,"nclick":0,"ctr":0.0}\n')
+
+    def test_cli_strict_error_line(self, capsys, tmp_path, events):
+        out = tmp_path / "ctr.jsonl"
+        code, stdout, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                    events, "--out", out, "--strict",
+                                    *self.FILTER)
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {events}:2: "
+                       "impressions must be a nonempty list of ids\n")
+        assert not out.exists()
+
+
 ids = st.sampled_from(["tt1", "tt2", "tt3"])
 good_lines = st.builds(
     lambda q, imps, click, ts: dumps({"query": q, "impressions": imps,

@@ -143,7 +143,13 @@ EVENT_REASONS = [
      "impressions must be a nonempty list of ids"),
     ('{"query":"q","impressions":["a",1]}',
      "impressions must be a nonempty list of ids"),
+    ('{"query":"q","impressions":["a",""]}',
+     "impressions must be a nonempty list of ids"),
+    ('{"query":"q","impressions":["",""],"clicked":""}',
+     "impressions must be a nonempty list of ids"),
     ('{"query":"q","impressions":["a"],"clicked":7}',
+     "clicked must be an id or null"),
+    ('{"query":"q","impressions":["a"],"clicked":""}',
      "clicked must be an id or null"),
     ('{"query":"q","impressions":["a"],"ts":1.5}',
      "ts must be an integer or null"),
