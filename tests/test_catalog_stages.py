@@ -18,6 +18,8 @@ import pytest
 from er_evalkit.cli import dispatch
 from er_evalkit.jsonl import dumps
 
+from peak import needs_vmhwm, peak_kb
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -203,3 +205,63 @@ class TestErrorPrecedence:
                                     tmp_path / "missing" / "scored.jsonl")
         assert (code, stdout) == (1, "")
         assert err == "error: cannot fit bounds: no title has release_year\n"
+
+
+MEMORY_EXTRA_TITLES = 20_000
+MEMORY_SLACK_KB = 2 * 1024
+
+
+def scored_line(entity_id, score):
+    return dumps({"entity_id": entity_id, "release_year_score": score,
+                  "rank_score": score, "rating_count_score": score,
+                  "importance": score}) + "\n"
+
+
+@pytest.fixture(scope="module")
+def relevance_inputs(tmp_path_factory):
+    """40 CTR pairs over 20 titles; scored file A holds those titles, B
+    holds them plus 20,000 titles no pair names."""
+    out = tmp_path_factory.mktemp("relevance")
+    (out / "ctr.jsonl").write_text("".join(
+        dumps({"query": f"q{i % 8}", "entity_id": f"tt{i % 20:07d}",
+               "nimp": 30, "nclick": 15, "ctr": 0.5}) + "\n"
+        for i in range(40)), encoding="utf-8")
+    named = [scored_line(f"tt{i:07d}", 0.5) for i in range(20)]
+    (out / "a.jsonl").write_text("".join(named), encoding="utf-8")
+    with open(out / "b.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(named)
+        fh.writelines(scored_line(f"tx{i:07d}", (i % 97) / 97)
+                      for i in range(MEMORY_EXTRA_TITLES))
+    return out
+
+
+@needs_vmhwm
+def test_build_relevance_peak_follows_ctr_pairs(relevance_inputs, tmp_path):
+    """Only the importances the CTR pairs name reach the merge."""
+    peaks = [peak_kb("build-relevance", "--ctr", relevance_inputs / "ctr.jsonl",
+                     "--scored", relevance_inputs / name,
+                     "--out", tmp_path / f"{name}.qrels")
+             for name in ("a.jsonl", "b.jsonl")]
+    assert peaks[1] - peaks[0] < MEMORY_SLACK_KB, peaks
+    assert ((tmp_path / "a.jsonl.qrels").read_bytes()
+            == (tmp_path / "b.jsonl.qrels").read_bytes())
+
+
+@needs_vmhwm
+def test_score_importance_holds_no_scored_list(tmp_path):
+    """Scoring 20,000 titles peaks no higher than excluding all of them:
+    each ScoredTitle is written as it is made."""
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text("".join(
+        dumps({"entity_id": f"tt{i:07d}", "name": f"Title {i}",
+               "release_year": 1950 + i % 70, "rank": 1 + i}) + "\n"
+        for i in range(MEMORY_EXTRA_TITLES)), encoding="utf-8")
+    argv = ["score-importance", "--catalog", catalog,
+            "--bounds", "1950,2020,1,20000,1000"]
+    peaks = [peak_kb(*argv, "--out", tmp_path / f"{policy}.jsonl",
+                     "--missing-feature-policy", policy)
+             for policy in ("exclude_title", "default_score")]
+    assert peaks[1] - peaks[0] < MEMORY_SLACK_KB, peaks
+    assert (tmp_path / "exclude_title.jsonl").read_bytes() == b""
+    assert len((tmp_path / "default_score.jsonl").read_bytes().splitlines()) \
+        == MEMORY_EXTRA_TITLES

@@ -10,12 +10,10 @@ import random
 import subprocess
 import sys
 import weakref
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import er_evalkit
 from er_evalkit.diagnose import diagnose_run
 from er_evalkit.metrics import (
     BINS,
@@ -32,8 +30,7 @@ from er_evalkit.metrics import (
 )
 
 from oracle import random_instance
-
-SRC = Path(er_evalkit.__file__).resolve().parents[1]
+from peak import SRC, needs_vmhwm, peak_kb
 
 
 def run_result(query, inst):
@@ -163,19 +160,6 @@ MEMORY_RESULTS = 20
 MEMORY_EXTRA_LISTS = 20_000
 MEMORY_SLACK_KB = 8 * 1024
 
-# Each stage runs in a fresh interpreter and reports VmHWM, the peak RSS of
-# its own address space. ru_maxrss would not do: across exec it keeps the
-# high-water mark of the process that spawned the child, here pytest.
-PEAK_CHILD = """
-import sys
-from er_evalkit.cli import dispatch
-code = dispatch(sys.argv[1:])
-with open("/proc/self/status") as fh:
-    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
-print(code, peak)
-"""
-
-
 def results_json(seed):
     rng = random.Random(seed)
     scores = sorted((rng.random() for _ in range(MEMORY_RESULTS)),
@@ -205,18 +189,7 @@ def memory_inputs(tmp_path_factory):
     return out
 
 
-def peak_kb(*argv):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", PEAK_CHILD, *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
-    code, peak = done.stdout.splitlines()[-1].split()
-    assert (code, done.stderr) == ("0", "")
-    return int(peak)
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                    reason="peak RSS is read from /proc/self/status")
+@needs_vmhwm
 @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
 def test_peak_memory_follows_qrels_not_run(memory_inputs, tmp_path, command):
     qrels = memory_inputs / "qrels.jsonl"
