@@ -185,21 +185,41 @@ def score_title(title: Title, bounds: ScoreBounds,
     )
 
 
+def _check_bounds(titles: list[Title], bounds: ScoreBounds,
+                  config: ImportanceConfig) -> None:
+    """Raise what scoring ``titles`` in their order would raise first.
+
+    A bound the scales reject (a reversed pair, a rank bound below 1)
+    raises only at a title that carries the feature, and only year and
+    rank can raise: a rating count's bounds are always valid. Scoring the
+    first title with a year and the first with a rank, in order, meets the
+    same first error.
+    """
+    firsts = {next((i for i, title in enumerate(titles)
+                    if getattr(title, name) is not None), None)
+              for name in ("release_year", "rank")}
+    for i in sorted(firsts - {None}):
+        score_title(titles[i], bounds, config)
+
+
 def score_titles(catalog: Catalog,
                  config: ImportanceConfig) -> Iterator[ScoredTitle]:
     """Score the titles one at a time, in entity-id order, skipping those
     the policy excludes.
 
-    The bounds are fit (or taken from ``config``) when this is called, not
-    when the first title is drawn, so a catalog that cannot be fit fails
-    before a consumer opens its output. Each ScoredTitle is built only when
-    it is drawn, so :func:`write_scored` holds one at a time.
+    The bounds are fit (or taken from ``config``) and checked when this is
+    called, not when the first title is drawn: a catalog that cannot be
+    fit, or a bound that cannot score it, fails before a consumer opens its
+    output, with the error scoring in catalog order met first. Each
+    ScoredTitle is built only when it is drawn, so :func:`write_scored`
+    holds one at a time.
     """
     bounds = config.bounds
     if bounds is None:
         if not catalog.titles:
             raise ConfigError("cannot fit bounds from an empty catalog")
         bounds = fit_bounds(catalog)
+    _check_bounds(catalog.titles, bounds, config)
     titles = sorted(catalog.titles, key=attrgetter("entity_id"))
     scored = (score_title(title, bounds, config) for title in titles)
     return (item for item in scored if item is not None)

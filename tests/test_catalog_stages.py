@@ -206,6 +206,31 @@ class TestErrorPrecedence:
         assert (code, stdout) == (1, "")
         assert err == "error: cannot fit bounds: no title has release_year\n"
 
+    @pytest.mark.parametrize("bounds,reason", [
+        ("2020,1950,100,1,1000", "log bounds need lo < hi, got lo=100 hi=1"),
+        ("2020,1950,1,100,1000",
+         "linear bounds need lo < hi, got lo=2020 hi=1950"),
+        ("1950,2020,0,100,1000",
+         "log scale needs positive bounds, got lo=0 hi=100"),
+    ])
+    @pytest.mark.parametrize("out_dir", ["missing", "."])
+    def test_bad_fixed_bounds_in_catalog_order(self, capsys, tmp_path, bounds,
+                                               reason, out_dir):
+        """The first title in the file has a rank but no year; in id order
+        a title with a year comes first."""
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text("".join(dumps(rec) + "\n" for rec in [
+            {"entity_id": "tt3", "name": "A", "rank": 5},
+            {"entity_id": "tt1", "name": "B", "release_year": 2000,
+             "rank": 3, "rating_count": 4},
+            {"entity_id": "tt2", "name": "C", "release_year": 1990}]),
+            encoding="utf-8")
+        out = tmp_path / out_dir / "scored.jsonl"
+        code, stdout, err = run_cli(capsys, "score-importance", "--catalog",
+                                    catalog, "--out", out, "--bounds", bounds)
+        assert (code, stdout, err) == (1, "", f"error: {reason}\n")
+        assert not out.exists()
+
 
 MEMORY_EXTRA_TITLES = 20_000
 MEMORY_SLACK_KB = 2 * 1024
