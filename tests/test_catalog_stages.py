@@ -8,6 +8,9 @@ They pin any leaner implementation to exactly the same output files and
 summaries. The dumps and the catalog are generated here, with ids out of
 sorted order, titles missing some features, and in the dumps orphans,
 rejects of every kind and ``\\N`` cells.
+
+The memory guards run a stage in a fresh interpreter on two inputs that
+differ only in titles the stage should stream past, and compare the peaks.
 """
 
 import hashlib
