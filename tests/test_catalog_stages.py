@@ -293,3 +293,62 @@ def test_score_importance_holds_no_scored_list(tmp_path):
     assert (tmp_path / "exclude_title.jsonl").read_bytes() == b""
     assert len((tmp_path / "default_score.jsonl").read_bytes().splitlines()) \
         == MEMORY_EXTRA_TITLES
+
+
+def pinned_relevance(seed=8):
+    """(ctr, scored) JSONL texts. 60 scored titles in shuffled id order,
+    about a third below the default min_importance, 20 of them named by no
+    CTR pair; 120 CTR pairs over 15 queries in shuffled order, some naming
+    one of 10 titles that were never scored."""
+    rng = random.Random(seed)
+    ids = shuffled_ids(rng, 70)
+    scored_ids, unscored = ids[:60], ids[60:]
+    scored = "".join(scored_line(entity_id, round(rng.random(), 3))
+                     for entity_id in scored_ids)
+    named = scored_ids[20:] + unscored
+    pairs = []
+    for q in range(15):
+        for entity_id in rng.sample(named, 8):
+            nimp = rng.randint(25, 200)
+            nclick = rng.randint(0, nimp)
+            pairs.append(dumps({"query": f"q{q}", "entity_id": entity_id,
+                                "nimp": nimp, "nclick": nclick,
+                                "ctr": nclick / nimp}) + "\n")
+    rng.shuffle(pairs)
+    return "".join(pairs), scored
+
+
+# sha256 of the generated (ctr, scored) inputs, then, per sidecar flag, of
+# the qrels, the sidecar and the summary, with every path relative.
+RELEVANCE = ("1d3f27afcf0bf00f99c38a8682d2d1bff9171a01df0e586962c91b7cf9771356",
+             "25760380c124de571bf20b1bc46d9fc73e5229ac70c619dd94eed6bbbd7dbff1")
+QRELS = "3dcdbc22c4b562afd29b5307d573937507ca4b7da74e839e2e627c742d15b820"
+SIDECAR = "bf24b072f66ba56c70981cb8db57dca1a9ce23143809e8365090ae5e9dd53242"
+BUILD = {
+    (): (QRELS, SIDECAR,
+         "b3123abbe09a386e3a39a08f20e7dd49cab9359357d43cc66a5bf0b296932144"),
+    ("--provenance", "./side.jsonl"): (
+        QRELS, SIDECAR,
+        "dafdd738d61ce549f32c02f85d12b6b52776da643093882d2378ec7a99ef6e44"),
+}
+
+
+class TestBuildRelevanceBytes:
+    @pytest.mark.parametrize("flags", list(BUILD))
+    def test_output_sidecar_and_summary(self, capsys, tmp_path, monkeypatch,
+                                        flags):
+        monkeypatch.chdir(tmp_path)
+        for name, text in zip(("ctr.jsonl", "scored.jsonl"),
+                              pinned_relevance()):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        assert tuple(sha256((tmp_path / name).read_bytes())
+                     for name in ("ctr.jsonl", "scored.jsonl")) == RELEVANCE
+        code, stdout, err = run_cli(capsys, "build-relevance",
+                                    "--ctr", "ctr.jsonl",
+                                    "--scored", "scored.jsonl",
+                                    "--out", "qrels.jsonl", *flags)
+        assert (code, err) == (0, "")
+        sidecar = "side.jsonl" if flags else "qrels.provenance.jsonl"
+        assert (sha256((tmp_path / "qrels.jsonl").read_bytes()),
+                sha256((tmp_path / sidecar).read_bytes()),
+                sha256(stdout.encode())) == BUILD[flags]

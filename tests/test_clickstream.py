@@ -234,10 +234,15 @@ class TestAggregateFiltered:
     @given(repeated_events_strategy, st.integers(min_value=1, max_value=4),
            st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     @settings(max_examples=200, deadline=None)
-    def test_repeated_impressions(self, events, min_imp, min_ctr):
+    def test_repeated_impressions(self, tmp_path_factory, events, min_imp,
+                                  min_ctr):
         ctr_filter = CtrFilter(min_impressions=min_imp, min_ctr=min_ctr)
         expected = filter_records(aggregate_pairs(events), ctr_filter)
         assert aggregate_filtered(iter(events), ctr_filter) == expected
+        path = tmp_path_factory.mktemp("log") / "events.jsonl"
+        write_events(events, path)
+        assert aggregate_log(path, ctr_filter) == filter_records(
+            aggregate_pairs(parse_events(path)), ctr_filter) == expected
         assert aggregate_in_shards(events, 3) == aggregate_pairs(events)
 
 
