@@ -220,20 +220,11 @@ def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> int:
 
 
 def cmd_build_relevance(args: argparse.Namespace, cfg: Settings) -> int:
-    ctr_records = clickstream.load_ctr_records(args.ctr)
-    # Every scored line is read and checked before min_importance is, but
-    # only the titles some CTR record names are kept for the merge.
-    named = {rec.entity_id for rec in ctr_records}
-    scored = [item for item in importance.iter_scored(args.scored)
-              if item.entity_id in named]
     relset, summary = relevance.merge_relevance(
-        ctr_records, scored,
-        min_importance=cfg.get("min_importance",
-                               relevance.DEFAULT_MIN_IMPORTANCE),
-    )
-    provenance_path = (Path(args.provenance) if args.provenance
-                       else relevance.default_provenance_path(args.out))
-    relevance.emit_qrels(relset, args.out, provenance_path)
+        clickstream.load_ctr_records(args.ctr),
+        importance.iter_scored(args.scored),
+        cfg.get("min_importance", relevance.DEFAULT_MIN_IMPORTANCE))
+    provenance_path = relevance.emit_qrels(relset, args.out, args.provenance)
     _emit({
         "command": "build-relevance",
         "queries": len(relset.entries),

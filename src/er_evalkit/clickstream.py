@@ -223,38 +223,25 @@ def _records(nimp: dict[str, Counter], nclick: dict[str, Counter],
     return records
 
 
-def _filtered(tables: _Tables, ctr_filter: CtrFilter
-              ) -> tuple[list[CtrRecord], FilterSummary]:
-    kept = _records(*tables, ctr_filter)
-    pairs = sum(map(len, tables[0].values()))
-    return kept, FilterSummary(kept=len(kept), dropped=pairs - len(kept))
-
-
 def aggregate_pairs(events: Iterable[ClickEvent]) -> list[CtrRecord]:
     """Count impressions and clicks per (query, entity) pair, sorted."""
     return _records(*_tally_events(events))
 
 
-def aggregate_filtered(events: Iterable[ClickEvent], ctr_filter: CtrFilter
-                       ) -> tuple[list[CtrRecord], FilterSummary]:
-    """aggregate_pairs then filter_records, building only the kept records.
-
-    Same records and summary as the two-step form; the pair count is
-    ``kept + dropped``.
-    """
-    return _filtered(_tally_events(events), ctr_filter)
-
-
 def aggregate_log(path: str | Path, ctr_filter: CtrFilter, *,
                   strict: bool = False, stats: ParseStats | None = None
                   ) -> tuple[list[CtrRecord], FilterSummary]:
-    """``aggregate_filtered(parse_events(path, ...), ctr_filter)``, counting
-    each line's checked fields without building a ClickEvent.
+    """``filter_records(aggregate_pairs(parse_events(path, ...)),
+    ctr_filter)``, counting each line's checked fields without building a
+    ClickEvent, and building only the kept records.
 
     The same lines are rejected for the same reasons, so the records,
-    summary and ``stats`` tallies are those of the two-step form.
+    summary and ``stats`` tallies are those of the three-step form.
     """
-    return _filtered(_tally(_checked_lines(path, strict, stats)), ctr_filter)
+    nimp, nclick = _tally(_checked_lines(path, strict, stats))
+    kept = _records(nimp, nclick, ctr_filter)
+    pairs = sum(map(len, nimp.values()))
+    return kept, FilterSummary(kept=len(kept), dropped=pairs - len(kept))
 
 
 def aggregate_in_shards(events: Iterable[ClickEvent], n_shards: int,

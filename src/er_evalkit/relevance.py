@@ -51,17 +51,26 @@ def merge_relevance(ctr_records: Iterable[CtrRecord],
                     ) -> tuple[RelevanceSet, MergeSummary]:
     """Join CTR pairs with scored titles into a RelevanceSet.
 
-    Pairs whose entity is not in ``scored`` are dropped (unjoinable), as are
-    pairs whose importance falls below ``min_importance``; both outcomes are
-    tallied, never raised. Output is independent of input order.
+    ``scored`` is read once, keeping the importances of the titles the CTR
+    records name; a named title scored twice is a ValueError. Unscored
+    pairs are dropped (unjoinable), as are pairs below ``min_importance``,
+    which is checked after the stream; both are tallied, never raised.
+    Output is independent of input order.
     """
+    ctr_records = list(ctr_records)
+    importance_by_id = dict.fromkeys(rec.entity_id for rec in ctr_records)
+    for title in scored:
+        entity_id = title.entity_id
+        if entity_id in importance_by_id:
+            if importance_by_id[entity_id] is not None:
+                raise ValueError(f"duplicate scored entity_id {entity_id!r}")
+            importance_by_id[entity_id] = title.importance
     if not 0.0 <= min_importance <= 1.0:
         raise ConfigError(f"min_importance {min_importance} outside [0, 1]")
-    importance_by_id = {s.entity_id: s.importance for s in scored}
     relset = RelevanceSet()
     included = dropped_unscored = dropped_low = 0
     for rec in ctr_records:
-        importance = importance_by_id.get(rec.entity_id)
+        importance = importance_by_id[rec.entity_id]
         if importance is None:
             dropped_unscored += 1
             continue
@@ -90,26 +99,25 @@ def write_qrels(entries: Mapping[str, Iterable[str]], path: str | Path) -> int:
 
 
 def emit_qrels(relset: RelevanceSet, path: str | Path,
-               provenance_path: str | Path | None = None) -> int:
-    """Write qrels JSONL plus the provenance sidecar; returns queries written.
+               provenance_path: str | Path | None = None) -> Path:
+    """Write qrels JSONL plus the provenance sidecar; returns the sidecar path.
 
     The qrels file is :func:`write_qrels` of the entries. The sidecar holds
     one line per (query, entity) with the justifying ctr, nimp and
     importance. A sidecar path that resolves to the qrels path is a
     ConfigError, raised before either file is written.
     """
-    if provenance_path is None:
-        provenance_path = default_provenance_path(path)
-    if Path(provenance_path).resolve() == Path(path).resolve():
+    provenance_path = Path(provenance_path or default_provenance_path(path))
+    if provenance_path.resolve() == Path(path).resolve():
         raise ConfigError(f"provenance path {provenance_path} is the qrels "
                           f"output {path}")
     provenance = ({"query": query, "entity_id": entity_id, "ctr": prov.ctr,
                    "nimp": prov.nimp, "importance": prov.importance}
                   for (query, entity_id), prov in sorted(
                       relset.provenance.items()))
-    written = write_qrels(relset.entries, path)
+    write_qrels(relset.entries, path)
     write_jsonl(provenance_path, provenance)
-    return written
+    return provenance_path
 
 
 def load_qrels(path: str | Path) -> RelevanceSet:

@@ -197,6 +197,27 @@ class TestErrorPrecedence:
                        "'release_year_score'\n")
         assert not out.exists()
 
+    def test_unparsable_config_min_importance_before_bad_scored_line(
+            self, capsys, tmp_path):
+        """The setting is resolved before the merge reads the stream."""
+        ctr = tmp_path / "ctr.jsonl"
+        ctr.write_text(dumps({"query": "q", "entity_id": "tt1", "nimp": 4,
+                              "nclick": 2, "ctr": 0.5}) + "\n",
+                       encoding="utf-8")
+        scored = tmp_path / "scored.jsonl"
+        scored.write_text("not json\n", encoding="utf-8")
+        config = tmp_path / "settings.conf"
+        config.write_text("min_importance = high\n", encoding="utf-8")
+        out = tmp_path / "qrels.jsonl"
+        code, stdout, err = run_cli(capsys, "build-relevance", "--ctr", ctr,
+                                    "--scored", scored, "--out", out,
+                                    "--config", config)
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: min_importance 'high' from config file "
+                       f"{config}: could not convert string to float: "
+                       "'high'\n")
+        assert not out.exists()
+
     def test_bounds_fit_before_output_opened(self, capsys, tmp_path):
         catalog = tmp_path / "catalog.jsonl"
         catalog.write_text("".join(

@@ -831,6 +831,25 @@ class TestInputTyping:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["ctr.jsonl", "scored.jsonl"]
 
+    @pytest.mark.parametrize("importances", [(0.1, 0.9), (0.9, 0.1)])
+    def test_named_title_scored_twice_rejected(self, capsys, tmp_path,
+                                               importances):
+        """Either line order would otherwise decide the qrels."""
+        ctr_path = tmp_path / "ctr.jsonl"
+        write_jsonl_file(ctr_path, [{"query": "q", "entity_id": "tt1",
+                                     "nimp": 30, "nclick": 15, "ctr": 0.5}])
+        scored_path = tmp_path / "scored.jsonl"
+        write_jsonl_file(scored_path, [{**GOOD_SCORED, "importance": value}
+                                       for value in importances])
+        code, stdout, err = run_cli(capsys, "build-relevance",
+                                    "--ctr", str(ctr_path),
+                                    "--scored", str(scored_path),
+                                    "--out", str(tmp_path / "qrels.jsonl"))
+        assert (code, stdout) == (1, "")
+        assert err == "error: duplicate scored entity_id 'tt1'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["ctr.jsonl", "scored.jsonl"]
+
     @pytest.mark.parametrize("provenance", ["q.jsonl", "./q.jsonl"])
     def test_provenance_naming_the_qrels_output_rejected(
             self, capsys, tmp_path, monkeypatch, provenance):

@@ -13,7 +13,6 @@ from er_evalkit.clickstream import (
     CtrRecord,
     FilterSummary,
     ParseStats,
-    aggregate_filtered,
     aggregate_in_shards,
     aggregate_log,
     aggregate_pairs,
@@ -223,14 +222,6 @@ class TestShardMerge:
 
 
 class TestAggregateFiltered:
-    @given(events_strategy, st.integers(min_value=1, max_value=6),
-           st.sampled_from([0.0, 0.25, 0.5, 1.0]))
-    @settings(max_examples=200, deadline=None)
-    def test_equals_aggregate_then_filter(self, events, min_imp, min_ctr):
-        ctr_filter = CtrFilter(min_impressions=min_imp, min_ctr=min_ctr)
-        expected = filter_records(aggregate_pairs(events), ctr_filter)
-        assert aggregate_filtered(iter(events), ctr_filter) == expected
-
     @given(repeated_events_strategy, st.integers(min_value=1, max_value=4),
            st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     @settings(max_examples=200, deadline=None)
@@ -238,7 +229,6 @@ class TestAggregateFiltered:
                                   min_ctr):
         ctr_filter = CtrFilter(min_impressions=min_imp, min_ctr=min_ctr)
         expected = filter_records(aggregate_pairs(events), ctr_filter)
-        assert aggregate_filtered(iter(events), ctr_filter) == expected
         path = tmp_path_factory.mktemp("log") / "events.jsonl"
         write_events(events, path)
         assert aggregate_log(path, ctr_filter) == filter_records(
@@ -442,8 +432,8 @@ class TestAggregateLog:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         ctr_filter = CtrFilter(min_impressions=min_imp, min_ctr=min_ctr)
         expected_stats, stats = ParseStats(), ParseStats()
-        expected = aggregate_filtered(
-            parse_events(path, stats=expected_stats), ctr_filter)
+        expected = filter_records(aggregate_pairs(
+            parse_events(path, stats=expected_stats)), ctr_filter)
         assert aggregate_log(path, ctr_filter, stats=stats) == expected
         assert stats == expected_stats
 

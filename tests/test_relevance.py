@@ -96,6 +96,31 @@ class TestMergeRelevance:
         with pytest.raises(ConfigError):
             merge_relevance([], [], min_importance=1.5)
 
+    @pytest.mark.parametrize("first,second", [(0.1, 0.9), (0.9, 0.1)])
+    def test_named_title_scored_twice_rejected(self, first, second):
+        with pytest.raises(ValueError,
+                           match="^duplicate scored entity_id 'tt1'$"):
+            merge_relevance([ctr("q", "tt1", 30, 50)],
+                            [scored("tt1", first), scored("tt1", second)])
+
+    def test_unnamed_title_scored_twice_ignored(self):
+        relset, summary = merge_relevance(
+            [ctr("q", "tt1", 30, 50)],
+            iter([scored("tt2", 0.1), scored("tt1", 0.9),
+                  scored("tt2", 0.9)]))
+        assert relset.entries == {"q": {"tt1"}}
+        assert summary == MergeSummary(included=1, dropped_unscored=0,
+                                       dropped_low_importance=0)
+
+    def test_scored_stream_read_before_threshold_checked(self):
+        def stream():
+            yield scored("tt1", 0.9)
+            raise IngestError("bad scored line")
+
+        with pytest.raises(IngestError):
+            merge_relevance(iter([ctr("q", "tt1", 30, 50)]), stream(),
+                            min_importance=1.5)
+
 
 class TestQrelsFiles:
     def build(self):
