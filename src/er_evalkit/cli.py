@@ -55,6 +55,8 @@ DEFAULTS = (
      "plausible release-year window"),
 ) + tuple((name, default, f"simulate: {_SIM_HELP[name]}")
          for name, default in _SIM_DEFAULTS.items())
+# A --config key names a defaults row or one of three settings without one.
+_CONFIG_KEYS = {row[0] for row in DEFAULTS} | {"strict", "format", "bounds"}
 
 
 def _parse_bool(text: str) -> bool:
@@ -423,6 +425,10 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code) if exc.code else 0
     try:
         config = load_config_file(args.config) if args.config else {}
+        for key in config:
+            if key not in _CONFIG_KEYS:
+                print(f"warning: config file {args.config}: key {key!r} "
+                      "names no setting; ignored", file=sys.stderr)
         return args.func(args, Settings(args, config))
     except (EvalKitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -179,13 +179,19 @@ def load_diagnoses(path: str | Path) -> list[Diagnosis]:
     ``query`` is a string, ``category`` a category name, ``best_rank`` an
     int >= 1 (never a bool) or null, and ``best_bin`` a bin name or null.
     """
+    seen: set[str] = set()
+
     def parse(rec: dict) -> Diagnosis:
+        query = require(rec, "query", str)
+        if query in seen:
+            raise ValueError(f"duplicate query {query!r}")
+        seen.add(query)
         best_rank = optional(rec, "best_rank", int)
         if best_rank is not None and best_rank < 1:
             raise ValueError(f"best_rank must be >= 1, got {best_rank}")
         best_bin = optional(rec, "best_bin", str)
         return Diagnosis(
-            query=require(rec, "query", str),
+            query=query,
             category=FailureCategory(require(rec, "category", str)),
             best_rank=best_rank,
             best_bin=None if best_bin is None else ConfidenceBin(best_bin),

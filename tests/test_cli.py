@@ -12,6 +12,7 @@ from er_evalkit.cli import (
     DEFAULTS,
     _defaults_epilog,
     _parse_numbers,
+    _show,
     _weight,
     build_parser,
     dispatch,
@@ -172,6 +173,33 @@ class TestConfigPrecedence:
         assert_one_error_line(code, err)
         assert error_lines(err)[0].startswith(
             "error: bin_thresholds '0.5' from flag --bin-thresholds: ")
+
+    def test_unknown_config_keys_warned_in_file_order(self, capsys,
+                                                      tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        config = tmp_path / "settings.conf"
+        config.write_text("threds = 2\nk = 3\nmin_impresions = 1\n",
+                          encoding="utf-8")
+        code, out, err = run_cli(capsys, "evaluate", "--qrels", str(qrels),
+                                 "--run", str(run), "--config", str(config))
+        assert code == 0
+        assert json.loads(out)["k"] == 3
+        assert err.splitlines() == [
+            f"warning: config file {config}: key '{key}' names no setting; "
+            "ignored" for key in ("threds", "min_impresions")]
+
+    def test_every_known_config_key_accepted_silently(self, capsys,
+                                                      tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        config = tmp_path / "settings.conf"
+        config.write_text("".join(
+            f"{name.replace('_', '-')} = {_show(value)}\n"
+            for name, value, _ in DEFAULTS)
+            + "strict = false\nformat = json\n"
+            "bounds = 1950,2010,10,2000,50000\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "evaluate", "--qrels", str(qrels),
+                               "--run", str(run), "--config", str(config))
+        assert (code, err) == (0, "")
 
     def test_missing_config_file_is_module_error(self, capsys, tmp_path):
         qrels, run = write_worked_fixture(tmp_path)

@@ -211,6 +211,18 @@ class TestDiagnosisFiles:
             load_diagnoses(path)
         assert str(caught.value) == f"{path}:1: bad diagnosis: {message}"
 
+    def test_repeated_query_rejected(self, tmp_path):
+        path = tmp_path / "diagnoses.jsonl"
+        path.write_text('{"query":"q","category":"success","best_rank":1,'
+                        '"best_bin":"high"}\n'
+                        '{"query":"r","category":"retrieval_miss"}\n'
+                        '{"query":"q","category":"retrieval_miss"}\n',
+                        encoding="utf-8")
+        with pytest.raises(IngestError) as caught:
+            load_diagnoses(path)
+        assert str(caught.value) == \
+            f"{path}:3: bad diagnosis: duplicate query 'q'"
+
     def test_missing_evidence_loads_as_none(self, tmp_path):
         path = tmp_path / "diagnoses.jsonl"
         path.write_text('{"query":"q","category":"retrieval_miss"}\n',
