@@ -23,6 +23,12 @@ than k.
 The ``TABLE`` digests pin the ``--format table`` stdout of evaluate,
 diagnose and compare on the seed-42 fixture. They were taken from the
 implementation whose report ``to_dict`` rebuilt every per-query row.
+
+The evaluate stdout pins (JSON with and without --out, table with --out)
+and the compare JSON stdout pin reuse the ``EVALUATE``, ``TABLE`` and
+``COMPARE`` digests: checked against the implementation that encoded the
+whole report as one string, the JSON stdout of each command is its --out
+file's bytes.
 """
 
 import hashlib
@@ -173,6 +179,24 @@ def test_evaluate_report_bytes(capsys, fixture_dir, tmp_path, name, k):
     assert sha256(out.read_bytes()) == EVALUATE[(name, k)]
 
 
+@pytest.mark.parametrize("fmt,with_out", [("json", True), ("json", False),
+                                           ("table", True)])
+@pytest.mark.parametrize("name,k", sorted(EVALUATE))
+def test_evaluate_stdout_bytes(capsys, fixture_dir, tmp_path, name, k, fmt,
+                               with_out):
+    """The JSON stdout is the report file's bytes, with or without --out,
+    and --format table with --out writes that same report file."""
+    out = tmp_path / "report.json"
+    stdout = run_cli(capsys, "evaluate", "--qrels", qrels_path(fixture_dir, name),
+                     "--run", fixture_dir / "run.jsonl", "-k", k,
+                     "--format", fmt, *(("--out", out) if with_out else ()))
+    assert sha256(stdout.encode()) == (
+        TABLE[("evaluate", name, k)] if fmt == "table" else EVALUATE[(name, k)])
+    assert out.exists() == with_out
+    if with_out:
+        assert sha256(out.read_bytes()) == EVALUATE[(name, k)]
+
+
 @pytest.mark.parametrize("name,target", sorted(DIAGNOSE))
 def test_diagnose_bytes(capsys, fixture_dir, tmp_path, name, target):
     out = tmp_path / "diagnoses.jsonl"
@@ -211,6 +235,15 @@ def test_compare_delta_bytes(capsys, reports, tmp_path):
     run_cli(capsys, "compare", "--baseline", reports["truth"],
             "--candidate", reports["multi"], "--out", out)
     assert sha256(out.read_bytes()) == COMPARE
+
+
+def test_compare_stdout_bytes(capsys, reports, tmp_path):
+    """compare's JSON stdout is the delta file's bytes."""
+    out = tmp_path / "delta.json"
+    stdout = run_cli(capsys, "compare", "--baseline", reports["truth"],
+                     "--candidate", reports["multi"], "--out", out)
+    assert (sha256(stdout.encode()), sha256(out.read_bytes())) == \
+        (COMPARE, COMPARE)
 
 
 @pytest.mark.parametrize("command,name,arg", sorted(TABLE, key=str))
