@@ -9,14 +9,16 @@ subcommand writes a machine-readable JSON summary to stdout; exit status is
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import fields
+from contextlib import nullcontext
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import catalog as catalog_mod
 from . import clickstream, diagnose, importance, metrics, relevance, simulate
-from .errors import ConfigError, EvalKitError
-from .jsonl import INPUT_ENCODING, dumps, read_failure, write_lines
+from .errors import ConfigError, EvalKitError, IngestError
+from .jsonl import INPUT_ENCODING, atomic_open, dumps, read_failure
 
 _SIM_DEFAULTS = {f.name: f.default for f in fields(simulate.SimConfig)
                  if f.name != "seed"}
@@ -104,6 +106,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         raise ConfigError(
             f"cannot read config {path}: {read_failure(path, exc)}") from exc
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -111,7 +114,11 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, value = stripped.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if first.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line "
+                              f"{first[key]}")
+        out[key] = value.strip()
     return out
 
 
@@ -143,8 +150,14 @@ class Settings:
             raise ConfigError(f"{key} {value!r} from {source}: {exc}") from exc
 
 
-def _emit(summary: dict) -> None:
-    print(dumps(summary))
+def _print(text: str, end: str = "\n") -> None:
+    """``print`` and flush. A closed stdout is an EvalKitError, never taken
+    for an --out file's; fd 1 is then os.devnull, so exit's flush is quiet."""
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise EvalKitError(f"stdout closed: {exc}") from exc
 
 
 def _wants_table(cfg: Settings) -> bool:
@@ -162,13 +175,13 @@ def cmd_ingest_catalog(args: argparse.Namespace, cfg: Settings) -> int:
         year_window=tuple(window),
     )
     catalog_mod.write_catalog(parsed, args.out)
-    _emit({
+    _print(dumps({
         "command": "ingest-catalog",
         "titles": len(parsed),
         "rejects": parsed.stats.rejects,
         "stats": parsed.stats.as_dict(),
         "out": str(args.out),
-    })
+    }))
     return 0
 
 
@@ -190,12 +203,12 @@ def cmd_score_importance(args: argparse.Namespace, cfg: Settings) -> int:
     loaded = catalog_mod.load_catalog(args.catalog)
     scored = importance.score_titles(loaded, _importance_config(cfg))
     written = importance.write_scored(scored, args.out)
-    _emit({
+    _print(dumps({
         "command": "score-importance",
         "scored": written,
         "excluded": len(loaded) - written,
         "out": str(args.out),
-    })
+    }))
     return 0
 
 
@@ -209,7 +222,7 @@ def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> int:
     kept, summary = clickstream.aggregate_log(
         args.events, ctr_filter, strict=cfg.get("strict", False), stats=stats)
     clickstream.write_ctr_records(kept, args.out)
-    _emit({
+    _print(dumps({
         "command": "aggregate-ctr",
         "events": stats.events,
         "rejected_events": stats.rejected,
@@ -217,7 +230,7 @@ def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> int:
         "kept": summary.kept,
         "dropped": summary.dropped,
         "out": str(args.out),
-    })
+    }))
     return 0
 
 
@@ -227,7 +240,7 @@ def cmd_build_relevance(args: argparse.Namespace, cfg: Settings) -> int:
         importance.iter_scored(args.scored),
         cfg.get("min_importance", relevance.DEFAULT_MIN_IMPORTANCE))
     provenance_path = relevance.emit_qrels(relset, args.out, args.provenance)
-    _emit({
+    _print(dumps({
         "command": "build-relevance",
         "queries": len(relset.entries),
         "pairs": summary.included,
@@ -235,7 +248,7 @@ def cmd_build_relevance(args: argparse.Namespace, cfg: Settings) -> int:
         "dropped_low_importance": summary.dropped_low_importance,
         "out": str(args.out),
         "provenance": str(provenance_path),
-    })
+    }))
     return 0
 
 
@@ -244,11 +257,19 @@ def cmd_evaluate(args: argparse.Namespace, cfg: Settings) -> int:
     qrels = relevance.load_qrels(args.qrels)
     report = metrics.evaluate_run(qrels, metrics.iter_run(args.run),
                                   k=cfg.get("k", metrics.DEFAULT_K))
-    if args.out or not table:
-        text = dumps(report.to_dict())
-    if args.out:
-        write_lines(args.out, [text])
-    print(report.render_table() if table else text)
+    # One pass feeds --out and the JSON stdout; the file lands once both do.
+    try:
+        with atomic_open(args.out) if args.out else nullcontext() as fh:
+            for piece in report.json_pieces() if fh or not table else ():
+                if fh:
+                    fh.write(piece)
+                if not table:
+                    _print(piece, end="")
+            if fh:
+                fh.write("\n")
+            _print(report.render_table() if table else "")
+    except OSError as exc:
+        raise IngestError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 
@@ -261,18 +282,20 @@ def cmd_diagnose(args: argparse.Namespace, cfg: Settings) -> int:
         target_bin=target)
     if args.out:
         diagnose.write_diagnoses(diagnoses, args.out)
-    print(summary.render_table() if table else dumps(summary.to_dict()))
+    _print(summary.render_table() if table else dumps(summary.to_dict()))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace, cfg: Settings) -> int:
     table = _wants_table(cfg)
-    baseline = metrics.MetricsReport.load(args.baseline)
-    candidate = metrics.MetricsReport.load(args.candidate)
+    # compare_reports reads no per-query row; drop each before the next load.
+    baseline, candidate = (
+        replace(metrics.MetricsReport.load(path), per_query={})
+        for path in (args.baseline, args.candidate))
     delta = diagnose.compare_reports(baseline, candidate)
     if args.out:
         delta.save(args.out)
-    print(delta.render_table() if table else dumps(delta.to_dict()))
+    _print(delta.render_table() if table else dumps(delta.to_dict()))
     return 0
 
 
@@ -290,7 +313,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: Settings) -> int:
     n_events = clickstream.write_events(events, out_dir / "clicklog.jsonl")
     metrics.save_run(run, out_dir / "run.jsonl")
     simulate.write_truth_qrels(queries, out_dir / "truth_qrels.jsonl")
-    _emit({
+    _print(dumps({
         "command": "simulate",
         "seed": args.seed,
         "out_dir": str(out_dir),
@@ -299,7 +322,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: Settings) -> int:
         "events": n_events,
         "files": ["basics.tsv", "ratings.tsv", "ranks.tsv", "clicklog.jsonl",
                   "run.jsonl", "truth_qrels.jsonl"],
-    })
+    }))
     return 0
 
 

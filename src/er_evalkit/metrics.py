@@ -20,13 +20,13 @@ import logging
 import math
 import operator
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestError
-from .jsonl import (INPUT_ENCODING, decode, iter_records, read_failure,
-                    require, write_jsonl)
+from .jsonl import (INPUT_ENCODING, decode, dumps, iter_records, read_failure,
+                    require, write_jsonl, write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +36,9 @@ MICRO = "micro"
 MACRO = "macro"
 
 Fraction = tuple[int, int]
+
+# Rows per json_pieces piece (a dumps call per row builds a new encoder).
+ROWS_PER_PIECE = 512
 
 
 @functools.total_ordering
@@ -288,8 +291,19 @@ class MetricsReport:
                        for query, row in data["per_query"].items()},
         )
 
+    def json_pieces(self) -> Iterator[str]:
+        """``dumps(self.to_dict())`` in pieces: the head, then the sorted
+        rows ``ROWS_PER_PIECE`` at a time, then the closing braces."""
+        yield dumps(replace(self, per_query={}).to_dict())[:-2]  # no "}}"
+        queries = sorted(self.per_query)
+        for start in range(0, len(queries), ROWS_PER_PIECE):
+            rows = dumps({query: self.per_query[query] for query
+                          in queries[start:start + ROWS_PER_PIECE]})
+            yield f",{rows[1:-1]}" if start else rows[1:-1]
+        yield "}}"
+
     def save(self, path: str | Path) -> None:
-        write_jsonl(path, [self.to_dict()])
+        write_lines(path, ["".join(self.json_pieces())])
 
     @classmethod
     def load(cls, path: str | Path) -> "MetricsReport":
@@ -361,10 +375,12 @@ def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
     names = metric_names(k)
     per_query: dict[str, dict[str, float | None]] = {}
     sums = [[0, 0] for _ in names]
+    # One float object per distinct fraction: the rows repeat a few values.
+    value = functools.cache(_value)
 
     def visit(query: str, scan: QueryScan) -> None:
         fractions = _fractions(scan, names)
-        per_query[query] = {name: _value(fraction)
+        per_query[query] = {name: value(fraction)
                             for name, fraction in fractions.items()}
         for total, fraction in zip(sums, fractions.values()):
             if fraction is not None:

@@ -5,14 +5,18 @@ would not do: across exec it keeps the high-water mark of the process that
 spawned the child, here pytest.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import er_evalkit
+from er_evalkit.cli import dispatch
 
 SRC = Path(er_evalkit.__file__).resolve().parents[1]
 
@@ -40,3 +44,23 @@ def peak_kb(*argv):
     code, peak = done.stdout.splitlines()[-1].split()
     assert (code, done.stderr) == ("0", "")
     return int(peak)
+
+
+def traced_peak_kb(*argv):
+    """Peak in kB of the memory Python allocates while ``er-evalkit ARGV``
+    runs in this process, which must exit 0; stdout is discarded.
+
+    Unlike VmHWM, tracemalloc does not count memory the C allocator keeps
+    after Python freed it. glibc raises its mmap threshold when a large
+    block is freed, so a second multi-MB file read comes from the heap,
+    and the freed text stays resident while the next stage peaks.
+    """
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = dispatch(list(map(str, argv)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak // 1024

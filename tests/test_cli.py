@@ -201,6 +201,32 @@ class TestConfigPrecedence:
                                "--run", str(run), "--config", str(config))
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("text,line,key,first", [
+        ("k = 3\nk = 1\n", 2, "k", 1),
+        ("# ctr\nmin-ctr = 0.1\n\nk = 3\nmin_ctr = 0.2\n", 5, "min_ctr", 2),
+        ("bogus = 1\nbogus = 2\n", 2, "bogus", 1),
+    ])
+    def test_repeated_key_names_both_lines(self, tmp_path, text, line, key,
+                                           first):
+        config = tmp_path / "settings.conf"
+        config.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as raised:
+            load_config_file(config)
+        assert str(raised.value) == \
+            f"{config}:{line}: key {key!r} repeats line {first}"
+
+    def test_repeated_key_is_module_error(self, capsys, tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        config = tmp_path / "settings.conf"
+        config.write_text("k = 3\nk = 1\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(capsys, "evaluate", "--qrels", str(qrels),
+                                    "--run", str(run), "--out", str(out),
+                                    "--config", str(config))
+        assert (code, stdout, err) == (
+            1, "", f"error: {config}:2: key 'k' repeats line 1\n")
+        assert not out.exists()
+
     def test_missing_config_file_is_module_error(self, capsys, tmp_path):
         qrels, run = write_worked_fixture(tmp_path)
         code, _, err = run_cli(capsys, "evaluate", "--qrels", str(qrels),

@@ -4,14 +4,17 @@ import itertools
 import json
 import logging
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from er_evalkit.errors import IngestError
+from er_evalkit.jsonl import dumps
 from er_evalkit.metrics import (
     BINS,
+    ROWS_PER_PIECE,
     ConfidenceBin,
     MetricsReport,
     RankedEntity,
@@ -327,6 +330,38 @@ class TestReportSerialization:
         assert a.read_bytes() == b.read_bytes()
         data = json.loads(a.read_text(encoding="utf-8"))
         assert list(data) == ["k", "bins", "counts", "aggregates", "per_query"]
+
+    @pytest.mark.parametrize("n", sorted({
+        0, 1, ROWS_PER_PIECE - 1, ROWS_PER_PIECE, ROWS_PER_PIECE + 1,
+        2 * ROWS_PER_PIECE + 1}))
+    def test_json_pieces_join_to_dumps(self, tmp_path, n):
+        """The pieces join to ``dumps(to_dict())`` at every slice boundary,
+        for queries that JSON escapes or leaves as non-ASCII text."""
+        rng = random.Random(n)
+        names = metric_names(5)
+        spellings = ['say "hi"', "back\\slash", "naïve café", "東京",
+                     "tab\there", "emoji 🎬", "plain"]
+        per_query = {}
+        for i in rng.sample(range(n), n):
+            per_query[f"{spellings[i % len(spellings)]} {i}"] = {
+                name: rng.choice([None, 0.0, 1.0, 1 / 3, rng.random()])
+                for name in names}
+        report = replace(self.make_report(), per_query=per_query)
+        pieces = list(report.json_pieces())
+        assert "".join(pieces) == dumps(report.to_dict())
+        assert len(pieces) == 2 + -(-n // ROWS_PER_PIECE)
+        path = tmp_path / "report.json"
+        report.save(path)
+        assert path.read_text(encoding="utf-8") == \
+            dumps(report.to_dict()) + "\n"
+
+    def test_rows_share_one_float_per_fraction(self):
+        report = evaluate_run({f"q{i}": RELEVANT for i in range(4)},
+                              [RunResult(query=f"q{i}", ranked=FIXTURE)
+                               for i in range(4)], k=5)
+        rows = [report.per_query[f"q{i}"] for i in range(4)]
+        for name, value in rows[0].items():
+            assert all(row[name] is value for row in rows[1:])
 
     def test_render_table_lists_every_metric(self):
         table = self.make_report().render_table()

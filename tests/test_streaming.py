@@ -1,7 +1,9 @@
-"""The streaming contract of evaluate and diagnose.
+"""The streaming contract of evaluate, diagnose and compare.
 
-Both read the run once, in file order, and keep no RunResult once it has
-been scanned, so their memory follows the qrels size, not the run size.
+evaluate and diagnose read the run once, in file order, and keep no
+RunResult once it has been scanned, so their memory follows the qrels
+size, not the run size. evaluate writes its report a slice of rows at a
+time, and compare keeps no report's rows once it has been checked.
 """
 
 import json
@@ -30,7 +32,7 @@ from er_evalkit.metrics import (
 )
 
 from oracle import random_instance
-from peak import SRC, needs_vmhwm, peak_kb
+from peak import SRC, needs_vmhwm, peak_kb, traced_peak_kb
 
 
 def run_result(query, inst):
@@ -198,3 +200,83 @@ def test_peak_memory_follows_qrels_not_run(memory_inputs, tmp_path, command):
                      "--out", str(tmp_path / f"{name}.out"))
              for name in ("a.jsonl", "b.jsonl")]
     assert peaks[1] - peaks[0] < MEMORY_SLACK_KB, peaks
+
+
+REPORT_QUERIES = 20_000
+REPORT_SLACK_KB = 1536
+
+
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory):
+    """Qrels of 20,000 queries, a run answering each with a falling list,
+    and the k=5 reports of those qrels (BIG) and of their first 40 (SMALL)."""
+    out = tmp_path_factory.mktemp("report")
+    rng = random.Random(15)
+    bins = [bin.value for bin in BINS]
+    with open(out / "qrels.jsonl", "w", encoding="utf-8") as qrels, \
+            open(out / "small.jsonl", "w", encoding="utf-8") as small, \
+            open(out / "run.jsonl", "w", encoding="utf-8") as run:
+        for i in range(REPORT_QUERIES):
+            query = f"query number {i:05d}"
+            ids = rng.sample(range(40), 6)
+            line = json.dumps({"query": query, "relevant": [
+                f"e{n}" for n in ids[:rng.randint(1, 4)]]}) + "\n"
+            qrels.write(line)
+            if i < 40:
+                small.write(line)
+            run.write(json.dumps({"query": query, "results": [
+                {"entity_id": f"e{n}", "score": 1.0 - rank / 8,
+                 "bin": rng.choice(bins)}
+                for rank, n in enumerate(ids[1:])]}) + "\n")
+    for name in ("qrels", "small"):
+        done = run_process("evaluate", "--qrels", str(out / f"{name}.jsonl"),
+                           "--run", str(out / "run.jsonl"),
+                           "--out", str(out / f"{name}_report.json"))
+        assert (done.returncode, done.stderr) == (0, "")
+    return out
+
+
+@needs_vmhwm
+def test_report_text_is_never_whole(report_inputs, tmp_path):
+    """evaluate's JSON stdout and --out file cost about what the table
+    alone does: the encoded report is never held whole."""
+    argv = ("evaluate", "--qrels", report_inputs / "qrels.jsonl",
+            "--run", report_inputs / "run.jsonl")
+    table = peak_kb(*argv, "--format", "table")
+    both = peak_kb(*argv, "--out", tmp_path / "report.json")
+    assert both - table < REPORT_SLACK_KB, (table, both)
+
+
+def test_compare_keeps_no_rows(report_inputs):
+    """compare holds no report's rows while it loads the other report.
+
+    Measured by tracemalloc: the VmHWM of a second 4.5 MB report load also
+    holds the first load's freed text, which glibc keeps resident.
+    """
+    big, small = (report_inputs / f"{name}_report.json"
+                  for name in ("qrels", "small"))
+    peaks = [traced_peak_kb("compare", "--baseline", baseline,
+                            "--candidate", big)
+             for baseline in (small, big)]
+    assert peaks[1] - peaks[0] < REPORT_SLACK_KB, peaks
+
+
+def test_closed_stdout_is_one_error_line(report_inputs, tmp_path):
+    """A reader that closes stdout after 100 bytes of a report over 64 KB:
+    exit 1, one error line, and no --out file."""
+    out = tmp_path / "bp.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open(tmp_path / "stderr", "w+", encoding="utf-8") as err, \
+            subprocess.Popen(
+                [sys.executable, "-m", "er_evalkit.cli", "evaluate",
+                 "--qrels", str(report_inputs / "qrels.jsonl"),
+                 "--run", str(report_inputs / "run.jsonl"), "--out", str(out)],
+                stdout=subprocess.PIPE, stderr=err, env=env) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        err.seek(0)
+        assert err.read() == "error: stdout closed: [Errno 32] Broken pipe\n"
+    assert head.startswith(b'{"k":5,')
+    assert (report_inputs / "qrels_report.json").stat().st_size > 64 * 1024
+    assert list(tmp_path.iterdir()) == [tmp_path / "stderr"]
