@@ -1,4 +1,5 @@
-"""Peak resident memory of one CLI call, each in a fresh interpreter.
+"""Peak memory of one CLI call: resident, in a fresh interpreter, or as
+Python allocates it, in this one.
 
 The child reports VmHWM, the peak RSS of its own address space. ru_maxrss
 would not do: across exec it keeps the high-water mark of the process that
@@ -53,7 +54,7 @@ def traced_peak_kb(*argv):
     Unlike VmHWM, tracemalloc does not count memory the C allocator keeps
     after Python freed it. glibc raises its mmap threshold when a large
     block is freed, so a second multi-MB file read comes from the heap,
-    and the freed text stays resident while the next stage peaks.
+    and its freed text stays resident while that file's rows are decoded.
     """
     tracemalloc.start()
     try:
