@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator
 
 from .errors import ConfigError, IngestError
-from .jsonl import (INPUT_ENCODING, iter_records, optional, read_failure,
-                    require, write_jsonl)
+from .jsonl import (INPUT_ENCODING, fields, iter_records, optional,
+                    read_failure, require, write_jsonl)
 
 MISSING_TOKEN = "\\N"
 DEFAULT_YEAR_WINDOW = (1870, 2100)
@@ -74,23 +75,13 @@ class IngestStats:
 
 @dataclass
 class Catalog:
-    """All titles in ingest order plus an entity-id index over them."""
+    """All titles in ingest order."""
 
     titles: list[Title]
     stats: IngestStats = field(default_factory=IngestStats)
-    index: dict[str, Title] = field(init=False)
-
-    def __post_init__(self):
-        self.index = {t.entity_id: t for t in self.titles}
-        if len(self.index) != len(self.titles):
-            raise IngestError("catalog contains duplicate entity ids")
 
     def __len__(self) -> int:
         return len(self.titles)
-
-    def lookup(self, entity_id: str) -> Title | None:
-        """Return the title for ``entity_id``; absence is a normal outcome."""
-        return self.index.get(entity_id)
 
 
 def _cell(row: list[str], idx: int) -> str | None:
@@ -283,21 +274,19 @@ def assign_pseudo_ranks(rows: dict[str, list]) -> None:
         rows[entity_id][_RANK] = ordinal
 
 
-_JSONL_FIELDS = ("entity_id", "name", "release_year", "rank", "rating_count", "rating")
+# In Title's field order; see jsonl.fields.
+CATALOG_FIELDS = (
+    ("entity_id", require, (str,)), ("name", require, (str,)),
+    ("release_year", optional, (int,)), ("rank", optional, (int,)),
+    ("rating_count", optional, (int,)), ("rating", optional, (int, float)))
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
     """Write the canonical catalog JSONL (absent fields omitted)."""
-    def records():
-        for title in catalog.titles:
-            rec = {}
-            for name in _JSONL_FIELDS:
-                value = getattr(title, name)
-                if value is not None:
-                    rec[name] = value
-            yield rec
-
-    write_jsonl(path, records())
+    keys = [key for key, _, _ in CATALOG_FIELDS]
+    values = attrgetter(*keys)
+    write_jsonl(path, ({key: value for key, value in zip(keys, values(title))
+                        if value is not None} for title in catalog.titles))
 
 
 def load_catalog(path: str | Path) -> Catalog:
@@ -306,23 +295,15 @@ def load_catalog(path: str | Path) -> Catalog:
     The optional fields are null or absent, or else typed: year, rank and
     rating count are ints (never bools), rating a finite number. The ranges
     :func:`parse_catalog` enforces hold too: rank >= 1, rating count >= 0
-    and rating in [0, 10].
+    and rating in [0, 10]. A repeated entity id is an error.
     """
     seen: set[str] = set()
 
     def parse(rec: dict) -> Title:
-        entity_id = require(rec, "entity_id", str)
-        if entity_id in seen:
-            raise ValueError(f"duplicate entity_id {entity_id!r}")
-        seen.add(entity_id)
-        title = Title(
-            entity_id=entity_id,
-            name=require(rec, "name", str),
-            release_year=optional(rec, "release_year", int),
-            rank=optional(rec, "rank", int),
-            rating_count=optional(rec, "rating_count", int),
-            rating=optional(rec, "rating", int, float),
-        )
+        title = Title(*fields(rec, CATALOG_FIELDS))
+        if title.entity_id in seen:
+            raise ValueError(f"duplicate entity_id {title.entity_id!r}")
+        seen.add(title.entity_id)
         if title.rank is not None and title.rank < 1:
             raise ValueError(f"rank {title.rank} < 1")
         if title.rating_count is not None and title.rating_count < 0:

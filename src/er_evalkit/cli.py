@@ -2,14 +2,16 @@
 
 Configuration resolves in precedence order: explicit flag, then --config
 key-value file, then the documented default (printed by --help). Every
-subcommand writes a machine-readable JSON summary to stdout; exit status is
-0 on success, 1 on module errors, 2 on usage errors.
+subcommand writes a machine-readable JSON summary to stdout, as UTF-8
+whatever the locale; exit status is 0 on success, 1 on module errors and
+on an interrupt (SIGINT or SIGTERM), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from contextlib import nullcontext
 from dataclasses import fields, replace
@@ -456,9 +458,15 @@ def dispatch(argv: list[str]) -> int:
     except (EvalKitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 1
 
 
 def main() -> None:
+    sys.stdout.reconfigure(encoding="utf-8")
+    # SIGTERM unwinds like Ctrl-C, so no stage leaves a temp file behind.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     sys.exit(dispatch(sys.argv[1:]))
 
 

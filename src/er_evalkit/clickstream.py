@@ -22,12 +22,13 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, IngestError
-from .jsonl import (decode, dumps, iter_records, read_lines, require,
-                    write_jsonl, write_lines)
+from .jsonl import (decode, dumps, fields, iter_records, read_lines,
+                    require, write_jsonl, write_lines)
 
 DEFAULT_MIN_IMPRESSIONS = 25
 DEFAULT_MIN_CTR = 0.3
@@ -64,12 +65,7 @@ class CtrRecord:
     ctr: float
 
     def __post_init__(self):
-        if self.nimp < 1:
-            raise ValueError(f"nimp must be >= 1, got {self.nimp}")
-        if not 0 <= self.nclick <= self.nimp:
-            raise ValueError(
-                f"nclick {self.nclick} outside [0, nimp={self.nimp}]")
-        if self.ctr != self.nclick / self.nimp:
+        if self.ctr != compute_ctr(self.nclick, self.nimp):
             raise ValueError(
                 f"ctr {self.ctr!r} != nclick/nimp = "
                 f"{self.nclick}/{self.nimp}")
@@ -297,13 +293,17 @@ def write_events(events: Iterable[ClickEvent], path: str | Path) -> int:
     return write_lines(path, lines())
 
 
-def write_ctr_records(records: Iterable[CtrRecord], path: str | Path) -> int:
-    def rows():
-        for rec in records:
-            yield {"query": rec.query, "entity_id": rec.entity_id,
-                   "nimp": rec.nimp, "nclick": rec.nclick, "ctr": rec.ctr}
+# In CtrRecord's field order; see jsonl.fields.
+CTR_FIELDS = (
+    ("query", require, (str,)), ("entity_id", require, (str,)),
+    ("nimp", require, (int,)), ("nclick", require, (int,)),
+    ("ctr", require, (int, float)))
 
-    return write_jsonl(path, rows())
+
+def write_ctr_records(records: Iterable[CtrRecord], path: str | Path) -> int:
+    keys = [key for key, _, _ in CTR_FIELDS]
+    values = attrgetter(*keys)
+    return write_jsonl(path, (dict(zip(keys, values(rec))) for rec in records))
 
 
 def load_ctr_records(path: str | Path) -> list[CtrRecord]:
@@ -314,11 +314,7 @@ def load_ctr_records(path: str | Path) -> list[CtrRecord]:
     seen: set[tuple[str, str]] = set()
 
     def parse(rec: dict) -> CtrRecord:
-        record = CtrRecord(query=require(rec, "query", str),
-                           entity_id=require(rec, "entity_id", str),
-                           nimp=require(rec, "nimp", int),
-                           nclick=require(rec, "nclick", int),
-                           ctr=require(rec, "ctr", int, float))
+        record = CtrRecord(*fields(rec, CTR_FIELDS))
         pair = (record.query, record.entity_id)
         if pair in seen:
             raise ValueError(f"duplicate pair {pair!r}")

@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import ConfigError
-from .jsonl import iter_records, optional, require, write_jsonl
+from .jsonl import fields, iter_records, optional, require, write_jsonl
 from .metrics import (
     BINS,
     DEFAULT_K,
@@ -160,17 +160,16 @@ def diagnose_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
     )
 
 
-def write_diagnoses(diagnoses: Iterable[Diagnosis], path: str | Path) -> int:
-    def rows():
-        for d in diagnoses:
-            yield {
-                "query": d.query,
-                "category": d.category.value,
-                "best_rank": d.best_rank,
-                "best_bin": d.best_bin.value if d.best_bin else None,
-            }
+DIAGNOSIS_FIELDS = (
+    ("query", require, (str,)), ("category", require, (str,)),
+    ("best_rank", optional, (int,)), ("best_bin", optional, (str,)))
 
-    return write_jsonl(path, rows())
+
+def write_diagnoses(diagnoses: Iterable[Diagnosis], path: str | Path) -> int:
+    keys = [key for key, _, _ in DIAGNOSIS_FIELDS]
+    return write_jsonl(path, (dict(zip(keys, (
+        d.query, d.category.value, d.best_rank,
+        d.best_bin.value if d.best_bin else None))) for d in diagnoses))
 
 
 def load_diagnoses(path: str | Path) -> list[Diagnosis]:
@@ -182,20 +181,14 @@ def load_diagnoses(path: str | Path) -> list[Diagnosis]:
     seen: set[str] = set()
 
     def parse(rec: dict) -> Diagnosis:
-        query = require(rec, "query", str)
+        query, category, best_rank, best_bin = fields(rec, DIAGNOSIS_FIELDS)
         if query in seen:
             raise ValueError(f"duplicate query {query!r}")
         seen.add(query)
-        best_rank = optional(rec, "best_rank", int)
         if best_rank is not None and best_rank < 1:
             raise ValueError(f"best_rank must be >= 1, got {best_rank}")
-        best_bin = optional(rec, "best_bin", str)
-        return Diagnosis(
-            query=query,
-            category=FailureCategory(require(rec, "category", str)),
-            best_rank=best_rank,
-            best_bin=None if best_bin is None else ConfidenceBin(best_bin),
-        )
+        return Diagnosis(query, FailureCategory(category), best_rank,
+                         None if best_bin is None else ConfidenceBin(best_bin))
 
     return list(iter_records(path, parse, "diagnosis"))
 

@@ -8,15 +8,16 @@ the components under simplex weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import add, attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .catalog import Catalog, Title
 from .errors import ConfigError
-from .jsonl import iter_records, require, write_jsonl
+from .jsonl import fields, iter_records, require, write_jsonl
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -69,7 +70,8 @@ class ImportanceConfig:
             raise ConfigError(f"weights must be finite, got {self.weights}")
         if any(w < 0 for w in self.weights):
             raise ConfigError(f"weights must be nonnegative, got {self.weights}")
-        total = sum(self.weights)
+        # Left to right: since 3.12, sum() compensates, moving digits.
+        total = functools.reduce(add, self.weights, 0)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ConfigError(f"weights must sum to 1, got {total!r}")
         if self.missing_feature_policy not in _POLICIES:
@@ -235,18 +237,21 @@ def score_catalog(catalog: Catalog,
     return scored, len(catalog.titles) - len(scored)
 
 
-def write_scored(scored: Iterable[ScoredTitle], path: str | Path) -> int:
-    def records():
-        for item in scored:
-            yield {
-                "entity_id": item.entity_id,
-                "release_year_score": item.components.release_year_score,
-                "rank_score": item.components.rank_score,
-                "rating_count_score": item.components.rating_count_score,
-                "importance": item.importance,
-            }
+# ComponentScores' fields sit between the id and the importance.
+SCORED_FIELDS = (
+    ("entity_id", require, (str,)),
+    ("release_year_score", require, (int, float)),
+    ("rank_score", require, (int, float)),
+    ("rating_count_score", require, (int, float)),
+    ("importance", require, (int, float)))
 
-    return write_jsonl(path, records())
+
+def write_scored(scored: Iterable[ScoredTitle], path: str | Path) -> int:
+    keys = [key for key, _, _ in SCORED_FIELDS]
+    components = attrgetter(*keys[1:-1])
+    return write_jsonl(path, (dict(zip(keys, (
+        item.entity_id, *components(item.components), item.importance)))
+        for item in scored))
 
 
 def iter_scored(path: str | Path) -> Iterator[ScoredTitle]:
@@ -258,15 +263,11 @@ def iter_scored(path: str | Path) -> Iterator[ScoredTitle]:
     naming the file and line when the stream reaches it.
     """
     def parse(rec: dict) -> ScoredTitle:
-        components = ComponentScores(*(
-            require(rec, name, int, float)
-            for name in ("release_year_score", "rank_score",
-                         "rating_count_score")))
-        importance = require(rec, "importance", int, float)
+        entity_id, *components, importance = fields(rec, SCORED_FIELDS)
+        components = ComponentScores(*components)
         if not 0.0 <= importance <= 1.0 + WEIGHT_SUM_TOL:
             raise ValueError(f"importance {importance} outside [0, 1]")
-        return ScoredTitle(require(rec, "entity_id", str), components,
-                           importance)
+        return ScoredTitle(entity_id, components, importance)
 
     return iter_records(path, parse, "scored record")
 

@@ -157,7 +157,7 @@ def iter_records(path: str | Path, parse: Callable[[Any], T],
         yield value
 
 
-def require(rec: dict, key: str, *kinds: type) -> Any:
+def require(rec: dict, key: str, kinds: tuple[type, ...]) -> Any:
     """``rec[key]``, checked to be exactly one of ``kinds``.
 
     The check is on the exact type, so a bool never passes for an int, and
@@ -179,9 +179,15 @@ def require(rec: dict, key: str, *kinds: type) -> Any:
     return value
 
 
-def optional(rec: dict, key: str, *kinds: type) -> Any:
-    """None if ``key`` is absent or null, else ``require(rec, key, *kinds)``."""
-    return None if rec.get(key) is None else require(rec, key, *kinds)
+def optional(rec: dict, key: str, kinds: tuple[type, ...]) -> Any:
+    """None if ``key`` is absent or null, else ``require(rec, key, kinds)``."""
+    return None if rec.get(key) is None else require(rec, key, kinds)
+
+
+def fields(rec: dict, table: tuple) -> list:
+    """``check(rec, key, types)`` per row of a record type's table, which
+    lists its keys in writer order; ``check`` is mostly require or optional."""
+    return [check(rec, key, types) for key, check, types in table]
 
 
 def load_jsonl(path: str | Path) -> list[Any]:

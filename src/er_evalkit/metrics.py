@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestError
-from .jsonl import (INPUT_ENCODING, decode, dumps, iter_records, read_failure,
-                    require, write_jsonl, write_lines)
+from .jsonl import (INPUT_ENCODING, decode, dumps, fields, iter_records,
+                    read_failure, require, write_jsonl, write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -222,7 +222,9 @@ def aggregate(fractions: Iterable[Fraction | None], mode: str) -> float | None:
     if not defined:
         return None
     if mode == MACRO:
-        return sum(num / den for num, den in defined) / len(defined)
+        # Left to right, as evaluate_run adds them.
+        values = (num / den for num, den in defined)
+        return functools.reduce(operator.add, values, 0) / len(defined)
     if mode == MICRO:
         return sum(num for num, _ in defined) / sum(den for _, den in defined)
     raise ValueError(f"unknown aggregation mode {mode!r}")
@@ -234,6 +236,12 @@ def metric_names(k: int) -> list[str]:
         f"precision@{k}", f"recall@{k}",
         *(f"{metric}@{k}@{bin.value}" for bin in BINS
           for metric in ("precision", "recall")), "precision@1@high")))
+
+
+REPORT_FIELDS = (
+    ("k", require, (int,)), ("bins", require, (list,)),
+    ("counts", require, (dict,)), ("aggregates", require, (dict,)),
+    ("per_query", require, (dict,)))
 
 
 @dataclass
@@ -249,14 +257,12 @@ class MetricsReport:
     per_query: dict[str, dict[str, float | None]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "bins": list(self.bins),
-            "counts": {key: self.counts[key] for key in sorted(self.counts)},
-            "aggregates": self.aggregates,
-            "per_query": {query: self.per_query[query]
-                          for query in sorted(self.per_query)},
-        }
+        return dict(zip([key for key, _, _ in REPORT_FIELDS], (
+            self.k, list(self.bins),
+            {key: self.counts[key] for key in sorted(self.counts)},
+            self.aggregates,
+            {query: self.per_query[query] for query in sorted(self.per_query)},
+        )))
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsReport":
@@ -267,28 +273,26 @@ class MetricsReport:
         strings, ``counts`` a dict of ints, and every metric value a finite
         number or null.
         """
-        k = require(data, "k", int)
+        k, bins, counts, aggregates, per_query = fields(data, REPORT_FIELDS)
         _check_k(k)
-        bins = require(data, "bins", list)
         if not all(type(name) is str for name in bins):
             raise TypeError(f"bins must be a list of strings, got {bins!r}")
-        counts = require(data, "counts", dict)
         if not all(type(n) is int for n in counts.values()):
             raise TypeError(f"counts must be a dict of ints, got {counts!r}")
         names = metric_names(k)
 
         def values(row: dict, keys: Iterable[str]) -> dict:
-            return {key: require(row, key, int, float, type(None))
+            return {key: require(row, key, (int, float, type(None)))
                     for key in keys}
 
         return cls(
             k=k,
             bins=tuple(bins),
             counts=dict(counts),
-            aggregates={name: values(data["aggregates"][name], (MICRO, MACRO))
+            aggregates={name: values(aggregates[name], (MICRO, MACRO))
                         for name in names},
             per_query={query: values(row, names)
-                       for query, row in data["per_query"].items()},
+                       for query, row in per_query.items()},
         )
 
     def json_pieces(self) -> Iterator[str]:
@@ -394,7 +398,9 @@ def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
         defined = [row[name] for row in rows if row[name] is not None]
         aggregates[name] = {
             MICRO: num / den if den else None,
-            MACRO: sum(defined) / len(defined) if defined else None}
+            # Left to right: since 3.12, sum() compensates, moving digits.
+            MACRO: (functools.reduce(operator.add, defined, 0) / len(defined)
+                    if defined else None)}
     return MetricsReport(
         k=k,
         bins=tuple(bin.value for bin in BINS),
@@ -407,7 +413,12 @@ def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
 
 
 _LEVEL_BY_VALUE = {bin.value: level for bin, level in _LEVEL.items()}
-_FIELDS = operator.itemgetter("entity_id", "score", "bin")
+RUN_FIELDS = (("query", require, (str,)), ("results", require, (list,)))
+# A bin is checked by looking up its level, which names a bad one.
+RUN_ITEM_FIELDS = (
+    ("entity_id", require, (str,)), ("score", require, (int, float)),
+    ("bin", lambda item, key, _: _LEVEL_BY_VALUE[item[key]], ()))
+_FIELDS = operator.itemgetter(*(key for key, _, _ in RUN_ITEM_FIELDS))
 
 
 def iter_run(path: str | Path) -> Iterator[RunResult]:
@@ -424,11 +435,10 @@ def iter_run(path: str | Path) -> Iterator[RunResult]:
     seen: set[str] = set()
 
     def parse(rec: dict) -> RunResult:
-        query = require(rec, "query", str)
+        query, results = fields(rec, RUN_FIELDS)
         if query in seen:
             raise ValueError(f"duplicate query {query!r}")
         seen.add(query)
-        results = require(rec, "results", list)
         with suppress(KeyError, TypeError, OverflowError):
             ids, scores, bins = list(zip(*map(_FIELDS, results))) or [()] * 3
             levels = bytes(map(_LEVEL_BY_VALUE.__getitem__, bins))
@@ -438,10 +448,9 @@ def iter_run(path: str | Path) -> Iterator[RunResult]:
                 return RunResult(query, columns=(
                     ids, tuple(map(float, scores)), levels))
         return RunResult(query, (
-            RankedEntity(entity_id=require(item, "entity_id", str),
-                         score=float(require(item, "score", int, float)),
-                         bin=_BIN_AT_LEVEL[_LEVEL_BY_VALUE[item["bin"]]])
-            for item in results))
+            RankedEntity(entity_id, float(score), _BIN_AT_LEVEL[level])
+            for entity_id, score, level in (fields(item, RUN_ITEM_FIELDS)
+                                            for item in results)))
 
     yield from iter_records(path, parse, "run record")
 
@@ -452,16 +461,11 @@ def load_run(path: str | Path) -> list[RunResult]:
 
 
 def save_run(run: Iterable[RunResult], path: str | Path) -> int:
-    def rows():
-        for result in run:
-            yield {
-                "query": result.query,
-                "results": [
-                    {"entity_id": entity_id, "score": score,
-                     "bin": _BIN_AT_LEVEL[level].value}
-                    for entity_id, score, level in zip(
-                        result.ids, result.scores, result.levels)
-                ],
-            }
-
-    return write_jsonl(path, rows())
+    keys = [key for key, _, _ in RUN_FIELDS]
+    item_keys = [key for key, _, _ in RUN_ITEM_FIELDS]
+    bin_values = [bin.value for bin in _BIN_AT_LEVEL]
+    return write_jsonl(path, (dict(zip(keys, (result.query, [
+        dict(zip(item_keys, item)) for item in zip(
+            result.ids, result.scores,
+            map(bin_values.__getitem__, result.levels))])))
+        for result in run))

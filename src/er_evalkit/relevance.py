@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .clickstream import CtrRecord
 from .errors import ConfigError
 from .importance import ScoredTitle
-from .jsonl import iter_records, require, write_jsonl
+from .jsonl import fields, iter_records, require, write_jsonl
 
 DEFAULT_MIN_IMPORTANCE = 0.3
 
@@ -91,10 +91,17 @@ def default_provenance_path(path: str | Path) -> Path:
     return path.with_name(path.stem + ".provenance.jsonl")
 
 
+QRELS_FIELDS = (("query", require, (str,)), ("relevant", require, (list,)))
+PROVENANCE_FIELDS = (
+    ("query", require, (str,)), ("entity_id", require, (str,)),
+    ("ctr", require, (int, float)), ("nimp", require, (int,)),
+    ("importance", require, (int, float)))
+
+
 def write_qrels(entries: Mapping[str, Iterable[str]], path: str | Path) -> int:
     """Write {"query", "relevant": [ids, sorted]} lines in query order."""
-    return write_jsonl(path, ({"query": query,
-                               "relevant": sorted(entries[query])}
+    keys = [key for key, _, _ in QRELS_FIELDS]
+    return write_jsonl(path, (dict(zip(keys, (query, sorted(entries[query]))))
                               for query in sorted(entries)))
 
 
@@ -111,8 +118,9 @@ def emit_qrels(relset: RelevanceSet, path: str | Path,
     if provenance_path.resolve() == Path(path).resolve():
         raise ConfigError(f"provenance path {provenance_path} is the qrels "
                           f"output {path}")
-    provenance = ({"query": query, "entity_id": entity_id, "ctr": prov.ctr,
-                   "nimp": prov.nimp, "importance": prov.importance}
+    keys = [key for key, _, _ in PROVENANCE_FIELDS]
+    provenance = (dict(zip(keys, (query, entity_id, prov.ctr, prov.nimp,
+                                  prov.importance)))
                   for (query, entity_id), prov in sorted(
                       relset.provenance.items()))
     write_qrels(relset.entries, path)
@@ -125,8 +133,7 @@ def load_qrels(path: str | Path) -> RelevanceSet:
     relset = RelevanceSet()
 
     def parse(rec: dict) -> tuple[str, set[str]]:
-        query = require(rec, "query", str)
-        relevant = require(rec, "relevant", list)
+        query, relevant = fields(rec, QRELS_FIELDS)
         if query in relset.entries:
             raise ValueError(f"duplicate query {query!r}")
         if not relevant:

@@ -12,6 +12,11 @@ from er_evalkit.catalog import (
 from er_evalkit.errors import IngestError
 
 
+def by_id(catalog):
+    """The catalog's titles keyed by entity id."""
+    return {title.entity_id: title for title in catalog.titles}
+
+
 def write_tsv(path, header, rows):
     lines = ["\t".join(header)]
     lines += ["\t".join(str(cell) for cell in row) for row in rows]
@@ -43,7 +48,7 @@ class TestParseCatalog:
         )
         catalog = parse_catalog(basics, ratings)
         assert len(catalog) == 1
-        title = catalog.lookup("tt1")
+        title = by_id(catalog)["tt1"]
         assert title == Title(entity_id="tt1", name="Bridgerton",
                               release_year=2020, rank=1,
                               rating_count=200000, rating=8.3)
@@ -67,7 +72,7 @@ class TestParseCatalog:
             [("tt1", "No Year", "\\N")],
             [("tt1", "\\N", 10)],
         )
-        title = parse_catalog(basics, ratings).lookup("tt1")
+        title = by_id(parse_catalog(basics, ratings))["tt1"]
         assert title.release_year is None
         assert title.rating is None
         assert title.rating_count == 10
@@ -79,8 +84,8 @@ class TestParseCatalog:
             [("tt2", 1), ("tt1", 2)],
         )
         catalog = parse_catalog(basics, ratings, ranks)
-        assert catalog.lookup("tt1").rank == 2
-        assert catalog.lookup("tt2").rank == 1
+        assert by_id(catalog)["tt1"].rank == 2
+        assert by_id(catalog)["tt2"].rank == 1
 
     def test_pseudo_rank_orders_by_count_then_id(self, dumps):
         basics, ratings, _ = dumps(
@@ -88,10 +93,10 @@ class TestParseCatalog:
             [("tt1", 5.0, 10), ("tt2", 6.0, 99), ("tt3", 6.5, 10)],
         )
         catalog = parse_catalog(basics, ratings)
-        assert catalog.lookup("tt2").rank == 1
+        assert by_id(catalog)["tt2"].rank == 1
         # tie on count 10 breaks by entity_id ascending
-        assert catalog.lookup("tt1").rank == 2
-        assert catalog.lookup("tt3").rank == 3
+        assert by_id(catalog)["tt1"].rank == 2
+        assert by_id(catalog)["tt3"].rank == 3
 
     def test_pseudo_rank_is_a_permutation(self, dumps):
         rows = [(f"tt{i}", f"T{i}", 2000) for i in range(1, 21)]
@@ -180,23 +185,6 @@ class TestParseCatalog:
         assert first.titles == second.titles
 
 
-class TestLookup:
-    def test_present_key(self):
-        catalog = Catalog(titles=[Title("tt1", "A")])
-        assert catalog.lookup("tt1").name == "A"
-
-    def test_missing_key(self):
-        catalog = Catalog(titles=[Title("tt1", "A")])
-        assert catalog.lookup("tt9") is None
-
-    def test_empty_catalog(self):
-        assert Catalog(titles=[]).lookup("tt1") is None
-
-    def test_index_is_built_not_passed(self):
-        with pytest.raises(TypeError):
-            Catalog(titles=[], index={"tt1": Title("tt1", "A")})
-
-
 class TestCatalogJsonl:
     def test_round_trip(self, tmp_path):
         titles = [
@@ -243,6 +231,6 @@ class TestDigitRuns:
     def test_zero_padded_runs_parse(self, dumps):
         basics, ratings, ranks = dumps([("tt1", "A", "01999")],
                                        [("tt1", 5.0, "0010")], [("tt1", "0123")])
-        title = parse_catalog(basics, ratings, ranks, strict=True).lookup("tt1")
+        title = by_id(parse_catalog(basics, ratings, ranks, strict=True))["tt1"]
         assert (title.release_year, title.rating_count, title.rank) == \
             (1999, 10, 123)

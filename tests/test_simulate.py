@@ -160,8 +160,9 @@ class TestGenQueries:
     def test_zero_typo_rate_yields_exact_normalized_names(self):
         config = SimConfig(seed=8, n_titles=60, n_queries=25, typo_rate=0.0)
         catalog = gen_catalog(config)
+        names = {title.entity_id: title.name for title in catalog.titles}
         for query, truth_id in gen_queries(catalog, config):
-            assert query == normalize_query(catalog.lookup(truth_id).name)
+            assert query == normalize_query(names[truth_id])
 
     def test_truth_ids_distinct(self):
         config = SimConfig(seed=8, n_titles=60, n_queries=25)
@@ -345,8 +346,9 @@ class TestFixtureFiles:
         basics, ratings, ranks = write_catalog_tsv(catalog, tmp_path)
         parsed = parse_catalog(basics, ratings, ranks, strict=True)
         assert len(parsed) == 40
+        titles = {title.entity_id: title for title in parsed.titles}
         for title in catalog.titles:
-            assert parsed.lookup(title.entity_id) == title
+            assert titles[title.entity_id] == title
 
     def test_tsv_bytes_deterministic(self, tmp_path):
         config = SimConfig(seed=31, n_titles=25, n_queries=5)
