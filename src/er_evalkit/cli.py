@@ -153,13 +153,17 @@ class Settings:
 
 
 def _print(text: str, end: str = "\n") -> None:
-    """``print`` and flush. A closed stdout is an EvalKitError, never taken
-    for an --out file's; fd 1 is then os.devnull, so exit's flush is quiet."""
+    """``print`` and flush. A failed write to stdout is an EvalKitError,
+    never taken for an --out file's: ``stdout closed`` for a closed pipe,
+    ``cannot write stdout`` otherwise. fd 1 is then os.devnull, so exit's
+    flush is quiet."""
     try:
         print(text, end=end, flush=True)
-    except BrokenPipeError as exc:
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise EvalKitError(f"stdout closed: {exc}") from exc
+        what = ("stdout closed" if isinstance(exc, BrokenPipeError)
+                else "cannot write stdout")
+        raise EvalKitError(f"{what}: {exc}") from exc
 
 
 def _wants_table(cfg: Settings) -> bool:

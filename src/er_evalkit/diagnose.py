@@ -15,6 +15,7 @@ each rendered with an explicit sign marker.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from operator import attrgetter
@@ -31,7 +32,9 @@ from .metrics import (
     MetricsReport,
     QueryScan,
     RunResult,
+    format_value,
     metric_names,
+    render_rows,
     scan_query,
     scan_run,
 )
@@ -76,16 +79,13 @@ class DiagnosisSummary:
         return asdict(self)
 
     def render_table(self) -> str:
-        """Aligned count and fraction per category, then the hit-rate check."""
-        width = max(len(c.value) for c in CATEGORIES)
-        lines = [f"{'category':<{width}}  {'count':>7}  {'fraction':>8}"]
-        for category in CATEGORIES:
-            name = category.value
-            lines.append(f"{name:<{width}}  {self.counts[name]:>7}  "
-                         f"{self.fractions[name]:>8.4f}")
-        lines.append(f"hit_rate {self.hit_rate:.4f} "
-                     f"consistent={str(self.consistent).lower()}")
-        return "\n".join(lines)
+        """Count and fraction per category, then the hit-rate check."""
+        return "\n".join([*render_rows(
+            ("category", "count", "fraction"), (7, 8),
+            ((name, count, format_value(self.fractions[name]))
+             for name, count in self.counts.items())),
+            f"hit_rate {self.hit_rate:.4f} "
+            f"consistent={str(self.consistent).lower()}"])
 
 
 def classify_query(relevant: set[str], result: RunResult, k: int = DEFAULT_K,
@@ -204,71 +204,47 @@ def format_signed(value: float | None, suffix: str) -> str | None:
 
 @dataclass(frozen=True)
 class DeltaCell:
+    """One metric and mode of a comparison; the field order is the key
+    order of its JSON object."""
+
     metric: str
     mode: str
     baseline: float | None
     candidate: float | None
     absolute_pp: float | None
     relative_pct: float | None
+    absolute_label: str | None
+    relative_label: str | None
     marker: str | None
     comparable: bool
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "mode": self.mode,
-            "baseline": self.baseline,
-            "candidate": self.candidate,
-            "absolute_pp": self.absolute_pp,
-            "relative_pct": self.relative_pct,
-            "absolute_label": format_signed(self.absolute_pp, "pp"),
-            "relative_label": format_signed(self.relative_pct, "%"),
-            "marker": self.marker,
-            "comparable": self.comparable,
-        }
+        return asdict(self)
 
 
 @dataclass
 class DeltaReport:
     k: int
-    bins: tuple[str, ...]
+    bins: list[str]
     cells: list[DeltaCell]
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "bins": list(self.bins),
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
+        return asdict(self)
 
     def save(self, path: str | Path) -> None:
         write_jsonl(path, [self.to_dict()])
 
     def render_table(self) -> str:
-        """Aligned comparison, one block per aggregation mode.
-
-        Headline columns first, mirroring the usual reporting order:
-        recall@k@high, precision@k@high, precision@1@high.
-        """
-        width = max(len(cell.metric) for cell in self.cells)
-
-        def fmt(value: float | None) -> str:
-            return "-" if value is None else f"{value:.4f}"
-
+        """One block per aggregation mode, rows in cell order: the headline
+        columns first, recall@k@high, precision@k@high, precision@1@high."""
         lines = []
         for mode in (MICRO, MACRO):
-            lines.append(f"[{mode}]")
-            lines.append(f"{'metric':<{width}}  {'baseline':>9}  "
-                         f"{'candidate':>9}  {'abs':>9}  {'rel':>9}")
-            for cell in self.cells:
-                if cell.mode != mode:
-                    continue
-                abs_label = format_signed(cell.absolute_pp, "pp") or "-"
-                rel_label = format_signed(cell.relative_pct, "%") or "-"
-                lines.append(f"{cell.metric:<{width}}  {fmt(cell.baseline):>9}  "
-                             f"{fmt(cell.candidate):>9}  {abs_label:>9}  "
-                             f"{rel_label:>9}")
-            lines.append("")
+            lines += [f"[{mode}]", *render_rows(
+                ("metric", "baseline", "candidate", "abs", "rel"), (9,) * 4,
+                ((cell.metric, format_value(cell.baseline),
+                  format_value(cell.candidate), cell.absolute_label or "-",
+                  cell.relative_label or "-")
+                 for cell in self.cells if cell.mode == mode)), ""]
         return "\n".join(lines).rstrip("\n")
 
 
@@ -282,8 +258,8 @@ def compare_reports(baseline: MetricsReport,
 
     Absolute deltas are percentage points (value difference × 100), relative
     deltas are percent of the baseline. A metric undefined on either side
-    is kept but marked incomparable; a defined baseline of exactly 0 leaves
-    the relative delta undefined.
+    is kept but marked incomparable; a relative delta that is not a finite
+    number, as over a baseline of exactly 0, is left undefined.
     """
     if baseline.k != candidate.k:
         raise ConfigError(
@@ -298,19 +274,15 @@ def compare_reports(baseline: MetricsReport,
         for mode in (MICRO, MACRO):
             base = baseline.aggregates[metric][mode]
             cand = candidate.aggregates[metric][mode]
-            if base is None or cand is None:
-                cells.append(DeltaCell(metric, mode, base, cand,
-                                       absolute_pp=None, relative_pct=None,
-                                       marker=None, comparable=False))
-                continue
-            delta = cand - base
-            relative = (delta / base) * 100.0 if base != 0 else None
+            comparable = base is not None and cand is not None
+            delta = cand - base if comparable else None
+            absolute = delta * 100.0 if comparable else None
+            ratio = delta / base * 100.0 if comparable and base else math.nan
+            relative = ratio if math.isfinite(ratio) else None
             cells.append(DeltaCell(
-                metric, mode,
-                baseline=base, candidate=cand,
-                absolute_pp=delta * 100.0,
-                relative_pct=relative,
-                marker="+" if delta >= 0 else "-",
-                comparable=True,
-            ))
-    return DeltaReport(k=k, bins=tuple(baseline.bins), cells=cells)
+                metric, mode, base, cand, absolute, relative,
+                absolute_label=format_signed(absolute, "pp"),
+                relative_label=format_signed(relative, "%"),
+                marker=("+" if delta >= 0 else "-") if comparable else None,
+                comparable=comparable))
+    return DeltaReport(k=k, bins=list(baseline.bins), cells=cells)

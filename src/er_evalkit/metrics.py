@@ -270,8 +270,8 @@ class MetricsReport:
         every aggregate and per-query row must hold; other keys are dropped.
 
         ``k`` must be an int >= 1 (never a bool), ``bins`` a list of
-        strings, ``counts`` a dict of ints, and every metric value a finite
-        number or null.
+        strings, ``counts`` a dict of ints, and every metric value a number
+        in [0, 1] or null.
         """
         k, bins, counts, aggregates, per_query = fields(data, REPORT_FIELDS)
         _check_k(k)
@@ -281,17 +281,20 @@ class MetricsReport:
             raise TypeError(f"counts must be a dict of ints, got {counts!r}")
         names = metric_names(k)
 
-        def values(row: dict, keys: Iterable[str]) -> dict:
-            return {key: require(row, key, (int, float, type(None)))
-                    for key in keys}
+        def value(row: dict, key: str, owner: str) -> float | None:
+            number = require(row, key, (int, float, type(None)))
+            if number is not None and not 0 <= number <= 1:
+                raise ValueError(f"{key} of {owner!r} must be in [0, 1], "
+                                 f"got {number!r}")
+            return number
 
         return cls(
             k=k,
             bins=tuple(bins),
             counts=dict(counts),
-            aggregates={name: values(aggregates[name], (MICRO, MACRO))
-                        for name in names},
-            per_query={query: values(row, names)
+            aggregates={name: {mode: value(aggregates[name], mode, name)
+                               for mode in (MICRO, MACRO)} for name in names},
+            per_query={query: {name: value(row, name, query) for name in names}
                        for query, row in per_query.items()},
         )
 
@@ -321,22 +324,31 @@ class MetricsReport:
             raise IngestError(f"{path}: not a metrics report: {exc!r}") from exc
 
     def render_table(self) -> str:
-        """Aligned metric table, one row per metric, micro/macro columns."""
-        names = metric_names(self.k)
-        width = max(len(n) for n in names)
-
-        def fmt(value: float | None) -> str:
-            return "-" if value is None else f"{value:.4f}"
-
-        lines = [f"{'metric':<{width}}  {'micro':>8}  {'macro':>8}"]
-        for name in names:
-            modes = self.aggregates[name]
-            lines.append(f"{name:<{width}}  {fmt(modes[MICRO]):>8}  "
-                         f"{fmt(modes[MACRO]):>8}")
+        """One row per metric, micro/macro columns, then the query counts."""
         counts = ", ".join(f"{key}={self.counts[key]}"
                            for key in sorted(self.counts))
-        lines.append(f"queries: {counts}")
-        return "\n".join(lines)
+        modes = (MICRO, MACRO)
+        return "\n".join([*render_rows(("metric", *modes), (8, 8), (
+            (name, *(format_value(self.aggregates[name][mode])
+                     for mode in modes)) for name in metric_names(self.k))),
+            f"queries: {counts}"])
+
+
+def format_value(value: float | None) -> str:
+    """A table cell: four decimals, or ``-`` for an undefined value."""
+    return "-" if value is None else f"{value:.4f}"
+
+
+def render_rows(header: tuple[str, ...], widths: tuple[int, ...],
+                rows: Iterable[tuple]) -> list[str]:
+    """The lines of an aligned table, header first. The first column is
+    left-aligned to its widest data row, each other column right-aligned to
+    its width in ``widths``, and two spaces separate columns."""
+    rows = list(rows)
+    width = max(len(row[0]) for row in rows)
+    return ["  ".join([f"{row[0]:<{width}}",
+                       *map("{:>{}}".format, row[1:], widths)])
+            for row in [header, *rows]]
 
 
 def scan_run(qrels, run: Iterable[RunResult], k: int,

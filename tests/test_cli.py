@@ -615,6 +615,26 @@ class TestCompareMalformedReport:
         assert "Traceback" not in err
 
 
+class TestCompareValueRange:
+    def test_value_outside_unit_interval_is_one_error_line(self, capsys,
+                                                            tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        good = tmp_path / "good.json"
+        run_cli(capsys, "evaluate", "--qrels", str(qrels), "--run", str(run),
+                "--out", str(good))
+        report = json.loads(good.read_text())
+        report["aggregates"]["recall@5"]["micro"] = 7.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(dumps(report), encoding="utf-8")
+        delta = tmp_path / "delta.json"
+        code, out, err = run_cli(capsys, "compare", "--baseline", str(bad),
+                                 "--candidate", str(good), "--out", str(delta))
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot load report {bad}: micro of "
+                       "'recall@5' must be in [0, 1], got 7.5\n")
+        assert not delta.exists()
+
+
 # sha256 of the --help defaults table as it was written out by hand, before
 # the rows were rendered from the module constants, less the row of the
 # removed `threads` setting (the column widths are unchanged).

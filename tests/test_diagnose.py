@@ -1,12 +1,16 @@
 """Tests for failure-category classification and report comparison."""
 
 import json
+import math
 import random
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from er_evalkit.diagnose import (
     CATEGORIES,
+    DeltaCell,
     Diagnosis,
     FailureCategory,
     classify_query,
@@ -19,10 +23,14 @@ from er_evalkit.diagnose import (
 from er_evalkit.errors import ConfigError, IngestError
 from er_evalkit.metrics import (
     BINS,
+    MACRO,
+    MICRO,
     ConfidenceBin,
+    MetricsReport,
     RankedEntity,
     RunResult,
     evaluate_run,
+    metric_names,
 )
 
 from oracle import brute_classify, random_instance
@@ -388,3 +396,83 @@ class TestEmptyRelevantSet:
         assert unanswered.per_query["q"]["precision@5"] is None
         assert unanswered.counts == {"evaluated": 0, "skipped": 1,
                                      "ignored_run_queries": 0}
+
+
+# A metric value as a report holds it: undefined, or a number in [0, 1],
+# subnormals included, whose relative deltas overflow to infinity.
+UNIT = st.one_of(st.none(), st.sampled_from([0, 1]),
+                 st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def report_pairs(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    names = metric_names(k)
+
+    def report():
+        return MetricsReport(
+            k=k, bins=tuple(bin.value for bin in BINS), counts={},
+            aggregates={name: {MICRO: draw(UNIT), MACRO: draw(UNIT)}
+                        for name in names})
+
+    return report(), report()
+
+
+class TestCompareCells:
+    @settings(max_examples=60, deadline=None)
+    @given(report_pairs())
+    def test_every_cell_follows_from_its_two_values(self, pair):
+        delta = compare_reports(*pair)
+        keys = [field.name for field in fields(DeltaCell)]
+        for cell in delta.cells:
+            base, cand = cell.baseline, cell.candidate
+            assert cell.comparable == (base is not None and cand is not None)
+            if cell.comparable:
+                assert cell.absolute_pp == (cand - base) * 100
+                ratio = (cand - base) / base * 100 if base else math.nan
+                assert cell.relative_pct == (
+                    ratio if math.isfinite(ratio) else None)
+                assert cell.marker == ("+" if cand >= base else "-")
+            else:
+                assert (cell.absolute_pp, cell.relative_pct, cell.marker) == (
+                    None, None, None)
+            assert cell.absolute_label == format_signed(cell.absolute_pp, "pp")
+            assert cell.relative_label == format_signed(cell.relative_pct, "%")
+            assert list(cell.to_dict()) == keys
+        assert list(delta.to_dict()) == ["k", "bins", "cells"]
+        json.dumps(delta.to_dict(), allow_nan=False)
+
+    def test_relative_delta_over_a_subnormal_baseline_is_null(self):
+        baseline = report_with(
+            {"precision@5": {"micro": 1e-320, "macro": 0.5}})
+        delta = compare_reports(baseline, report_with({}))
+        cell = next(c for c in delta.cells
+                    if c.metric == "precision@5" and c.mode == "micro")
+        assert cell.comparable and cell.marker == "+"
+        assert (cell.relative_pct, cell.relative_label) == (None, None)
+        assert '"relative_pct":null' in json.dumps(cell.to_dict(),
+                                                   separators=(",", ":"))
+
+
+class TestReportValueRange:
+    @pytest.mark.parametrize("where,value", [
+        ("aggregate", 7.5), ("aggregate", -0.25), ("aggregate", 2),
+        ("row", 1.5), ("row", -1)])
+    def test_value_outside_unit_interval_rejected(self, where, value):
+        data = report_with({}).to_dict()
+        if where == "aggregate":
+            data["aggregates"]["recall@5"]["micro"] = value
+            expected = f"micro of 'recall@5' must be in [0, 1], got {value}"
+        else:
+            data["per_query"]["q"]["recall@5"] = value
+            expected = f"recall@5 of 'q' must be in [0, 1], got {value}"
+        with pytest.raises(ValueError) as info:
+            MetricsReport.from_dict(data)
+        assert str(info.value) == expected
+
+    def test_bounds_and_null_accepted(self):
+        data = report_with({}).to_dict()
+        data["aggregates"]["recall@5"] = {"micro": 0, "macro": 1}
+        data["aggregates"]["precision@5"] = {"micro": 1e-320, "macro": None}
+        report = MetricsReport.from_dict(data)
+        assert report.aggregates["recall@5"] == {"micro": 0, "macro": 1}
