@@ -2,9 +2,10 @@
 
 Configuration resolves in precedence order: explicit flag, then --config
 key-value file, then the documented default (printed by --help). Every
-subcommand writes a machine-readable JSON summary to stdout, as UTF-8
-whatever the locale; exit status is 0 on success, 1 on module errors and
-on an interrupt (SIGINT or SIGTERM), 2 on usage errors.
+subcommand writes machine-readable JSON to stdout, as UTF-8 whatever the
+locale: dispatch prints each summary a stage returns, and _emit a report.
+Exit status is 0 on success, 1 on module errors and on an interrupt
+(SIGINT or SIGTERM), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import signal
 import sys
 from contextlib import nullcontext
 from dataclasses import fields, replace
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from . import catalog as catalog_mod
 from . import clickstream, diagnose, importance, metrics, relevance, simulate
-from .errors import ConfigError, EvalKitError, IngestError
+from .errors import ConfigError, EvalKitError
 from .jsonl import INPUT_ENCODING, atomic_open, dumps, read_failure
 
 _SIM_DEFAULTS = {f.name: f.default for f in fields(simulate.SimConfig)
@@ -166,6 +169,21 @@ def _print(text: str, end: str = "\n") -> None:
         raise EvalKitError(f"{what}: {exc}") from exc
 
 
+def _emit(out: str | None, pieces: Iterable[str], text: str | None) -> None:
+    """The output rule of evaluate, diagnose and compare: ``pieces``, read
+    once and only if taken, go to the --out file ``out``, if given, and to
+    stdout if ``text`` is None; else stdout gets ``text`` as one line. The
+    file opens first and lands last, so a failed stage leaves none."""
+    with atomic_open(out) if out else nullcontext() as fh:
+        for piece in pieces if fh or text is None else ():
+            if fh:
+                fh.write(piece)
+            if text is None:
+                _print(piece, end="")
+        if text is not None:
+            _print(text)
+
+
 def _wants_table(cfg: Settings) -> bool:
     fmt = cfg.get("format", "json")
     if fmt not in ("json", "table"):
@@ -173,7 +191,7 @@ def _wants_table(cfg: Settings) -> bool:
     return fmt == "table"
 
 
-def cmd_ingest_catalog(args: argparse.Namespace, cfg: Settings) -> int:
+def cmd_ingest_catalog(args: argparse.Namespace, cfg: Settings) -> dict:
     window = cfg.get("year_window", catalog_mod.DEFAULT_YEAR_WINDOW)
     parsed = catalog_mod.parse_catalog(
         args.basics, args.ratings, args.ranks,
@@ -181,14 +199,8 @@ def cmd_ingest_catalog(args: argparse.Namespace, cfg: Settings) -> int:
         year_window=tuple(window),
     )
     catalog_mod.write_catalog(parsed, args.out)
-    _print(dumps({
-        "command": "ingest-catalog",
-        "titles": len(parsed),
-        "rejects": parsed.stats.rejects,
-        "stats": parsed.stats.as_dict(),
-        "out": str(args.out),
-    }))
-    return 0
+    return {"titles": len(parsed), "rejects": parsed.stats.rejects,
+            "stats": parsed.stats.as_dict(), "out": str(args.out)}
 
 
 def _importance_config(cfg: Settings) -> importance.ImportanceConfig:
@@ -205,20 +217,15 @@ def _importance_config(cfg: Settings) -> importance.ImportanceConfig:
     )
 
 
-def cmd_score_importance(args: argparse.Namespace, cfg: Settings) -> int:
+def cmd_score_importance(args: argparse.Namespace, cfg: Settings) -> dict:
     loaded = catalog_mod.load_catalog(args.catalog)
     scored = importance.score_titles(loaded, _importance_config(cfg))
     written = importance.write_scored(scored, args.out)
-    _print(dumps({
-        "command": "score-importance",
-        "scored": written,
-        "excluded": len(loaded) - written,
-        "out": str(args.out),
-    }))
-    return 0
+    return {"scored": written, "excluded": len(loaded) - written,
+            "out": str(args.out)}
 
 
-def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> int:
+def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> dict:
     ctr_filter = clickstream.CtrFilter(
         min_impressions=cfg.get("min_impressions",
                                 clickstream.DEFAULT_MIN_IMPRESSIONS),
@@ -228,84 +235,56 @@ def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> int:
     kept, summary = clickstream.aggregate_log(
         args.events, ctr_filter, strict=cfg.get("strict", False), stats=stats)
     clickstream.write_ctr_records(kept, args.out)
-    _print(dumps({
-        "command": "aggregate-ctr",
-        "events": stats.events,
-        "rejected_events": stats.rejected,
-        "pairs": summary.kept + summary.dropped,
-        "kept": summary.kept,
-        "dropped": summary.dropped,
-        "out": str(args.out),
-    }))
-    return 0
+    return {"events": stats.events, "rejected_events": stats.rejected,
+            "pairs": summary.kept + summary.dropped, "kept": summary.kept,
+            "dropped": summary.dropped, "out": str(args.out)}
 
 
-def cmd_build_relevance(args: argparse.Namespace, cfg: Settings) -> int:
+def cmd_build_relevance(args: argparse.Namespace, cfg: Settings) -> dict:
     relset, summary = relevance.merge_relevance(
         clickstream.load_ctr_records(args.ctr),
         importance.iter_scored(args.scored),
         cfg.get("min_importance", relevance.DEFAULT_MIN_IMPORTANCE))
     provenance_path = relevance.emit_qrels(relset, args.out, args.provenance)
-    _print(dumps({
-        "command": "build-relevance",
-        "queries": len(relset.entries),
-        "pairs": summary.included,
-        "dropped_unscored": summary.dropped_unscored,
-        "dropped_low_importance": summary.dropped_low_importance,
-        "out": str(args.out),
-        "provenance": str(provenance_path),
-    }))
-    return 0
+    return {"queries": len(relset.entries), "pairs": summary.included,
+            "dropped_unscored": summary.dropped_unscored,
+            "dropped_low_importance": summary.dropped_low_importance,
+            "out": str(args.out), "provenance": str(provenance_path)}
 
 
-def cmd_evaluate(args: argparse.Namespace, cfg: Settings) -> int:
+def cmd_evaluate(args: argparse.Namespace, cfg: Settings) -> None:
     table = _wants_table(cfg)
     qrels = relevance.load_qrels(args.qrels)
     report = metrics.evaluate_run(qrels, metrics.iter_run(args.run),
                                   k=cfg.get("k", metrics.DEFAULT_K))
-    # One pass feeds --out and the JSON stdout; the file lands once both do.
-    try:
-        with atomic_open(args.out) if args.out else nullcontext() as fh:
-            for piece in report.json_pieces() if fh or not table else ():
-                if fh:
-                    fh.write(piece)
-                if not table:
-                    _print(piece, end="")
-            if fh:
-                fh.write("\n")
-            _print(report.render_table() if table else "")
-    except OSError as exc:
-        raise IngestError(f"cannot write {args.out}: {exc}") from exc
-    return 0
+    _emit(args.out, chain(report.json_pieces(), ["\n"]),
+          report.render_table() if table else None)
 
 
-def cmd_diagnose(args: argparse.Namespace, cfg: Settings) -> int:
+def cmd_diagnose(args: argparse.Namespace, cfg: Settings) -> None:
     table = _wants_table(cfg)
     target = cfg.get("target_bin", diagnose.DEFAULT_TARGET_BIN)
     qrels = relevance.load_qrels(args.qrels)
     diagnoses, summary = diagnose.diagnose_run(
         qrels, metrics.iter_run(args.run), k=cfg.get("k", metrics.DEFAULT_K),
         target_bin=target)
-    if args.out:
-        diagnose.write_diagnoses(diagnoses, args.out)
-    _print(summary.render_table() if table else dumps(summary.to_dict()))
-    return 0
+    _emit(args.out, (dumps(rec) + "\n"
+                     for rec in diagnose.diagnosis_records(diagnoses)),
+          summary.render_table() if table else dumps(summary.to_dict()))
 
 
-def cmd_compare(args: argparse.Namespace, cfg: Settings) -> int:
+def cmd_compare(args: argparse.Namespace, cfg: Settings) -> None:
     table = _wants_table(cfg)
     # compare_reports reads no per-query row; drop each before the next load.
     baseline, candidate = (
         replace(metrics.MetricsReport.load(path), per_query={})
         for path in (args.baseline, args.candidate))
     delta = diagnose.compare_reports(baseline, candidate)
-    if args.out:
-        delta.save(args.out)
-    _print(delta.render_table() if table else dumps(delta.to_dict()))
-    return 0
+    _emit(args.out, [dumps(delta.to_dict()) + "\n"],
+          delta.render_table() if table else None)
 
 
-def cmd_simulate(args: argparse.Namespace, cfg: Settings) -> int:
+def cmd_simulate(args: argparse.Namespace, cfg: Settings) -> dict:
     sim_config = simulate.SimConfig(seed=args.seed, **{
         name: cfg.get(name, default)
         for name, default in _SIM_DEFAULTS.items()})
@@ -313,23 +292,16 @@ def cmd_simulate(args: argparse.Namespace, cfg: Settings) -> int:
     generated = simulate.gen_catalog(sim_config)
     queries = simulate.gen_queries(generated, sim_config)
     run = simulate.run_mock_er(generated, queries, sim_config)
-    truth = dict(queries)
     simulate.write_catalog_tsv(generated, out_dir)
-    events = simulate.gen_clicklog(run, truth, sim_config)
+    events = simulate.gen_clicklog(run, dict(queries), sim_config)
     n_events = clickstream.write_events(events, out_dir / "clicklog.jsonl")
     metrics.save_run(run, out_dir / "run.jsonl")
     simulate.write_truth_qrels(queries, out_dir / "truth_qrels.jsonl")
-    _print(dumps({
-        "command": "simulate",
-        "seed": args.seed,
-        "out_dir": str(out_dir),
-        "titles": len(generated),
-        "queries": len(queries),
-        "events": n_events,
-        "files": ["basics.tsv", "ratings.tsv", "ranks.tsv", "clicklog.jsonl",
-                  "run.jsonl", "truth_qrels.jsonl"],
-    }))
-    return 0
+    return {"seed": args.seed, "out_dir": str(out_dir),
+            "titles": len(generated), "queries": len(queries),
+            "events": n_events,
+            "files": ["basics.tsv", "ratings.tsv", "ranks.tsv",
+                      "clicklog.jsonl", "run.jsonl", "truth_qrels.jsonl"]}
 
 
 def _show(value) -> str:
@@ -372,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratings", required=True, help="ratings TSV path")
     p.add_argument("--ranks", help="optional ranks TSV path")
     p.add_argument("--out", required=True, help="catalog JSONL output")
-    p.add_argument("--year-window", dest="year_window",
-                   help="plausible release-year window, LO,HI")
+    p.add_argument("--year-window", help="plausible release-year window, LO,HI")
     p.add_argument("--strict", action="store_true", default=None,
                    help="error on the first malformed row")
 
@@ -382,11 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True, help="catalog JSONL path")
     p.add_argument("--out", required=True, help="scored JSONL output")
     p.add_argument("--weights", help="w_year,w_rank,w_count (fractions ok)")
-    p.add_argument("--missing-feature-policy", dest="missing_feature_policy",
+    p.add_argument("--missing-feature-policy",
                    choices=[importance.POLICY_DEFAULT_SCORE,
                             importance.POLICY_EXCLUDE_TITLE])
-    p.add_argument("--default-component-score", dest="default_component_score",
-                   type=float)
+    p.add_argument("--default-component-score", type=float)
     p.add_argument("--bounds",
                    help="fixed min_year,max_year,min_rank,max_rank,"
                         "max_rating_count (default: fit from catalog)")
@@ -395,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
             cmd_aggregate_ctr)
     p.add_argument("--events", required=True, help="click event JSONL path")
     p.add_argument("--out", required=True, help="CTR record JSONL output")
-    p.add_argument("--min-impressions", dest="min_impressions", type=int)
-    p.add_argument("--min-ctr", dest="min_ctr", type=float)
+    p.add_argument("--min-impressions", type=int)
+    p.add_argument("--min-ctr", type=float)
     p.add_argument("--strict", action="store_true", default=None,
                    help="error on the first malformed event")
 
@@ -406,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scored", required=True, help="scored title JSONL path")
     p.add_argument("--out", required=True, help="qrels JSONL output")
     p.add_argument("--provenance", help="provenance sidecar path")
-    p.add_argument("--min-importance", dest="min_importance", type=float)
+    p.add_argument("--min-importance", type=float)
 
     p = add("evaluate", "score a run file against qrels", cmd_evaluate)
     p.add_argument("--qrels", required=True, help="qrels JSONL path")
@@ -420,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qrels", required=True, help="qrels JSONL path")
     p.add_argument("--run", required=True, help="run JSONL path")
     p.add_argument("-k", type=int, help="top-k cutoff")
-    p.add_argument("--target-bin", dest="target_bin",
-                   choices=[b.value for b in metrics.BINS])
+    p.add_argument("--target-bin", choices=[b.value for b in metrics.BINS])
     p.add_argument("--out", help="write per-query diagnoses JSONL here")
     p.add_argument("--format", choices=["json", "table"])
 
@@ -435,11 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", "generate a seeded synthetic fixture set", cmd_simulate)
     p.add_argument("--seed", type=int, required=True,
                    help="PRNG seed (required: output depends on it)")
-    p.add_argument("--out-dir", dest="out_dir", required=True,
+    p.add_argument("--out-dir", required=True,
                    help="directory for the generated files")
     # A tuple stays a string here and is parsed by Settings.get (exit 1).
     for name, default in _SIM_DEFAULTS.items():
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
+        p.add_argument(f"--{name.replace('_', '-')}",
                        type=None if isinstance(default, tuple) else type(default),
                        help=_SIM_HELP[name])
 
@@ -458,7 +427,10 @@ def dispatch(argv: list[str]) -> int:
             if key not in _CONFIG_KEYS:
                 print(f"warning: config file {args.config}: key {key!r} "
                       "names no setting; ignored", file=sys.stderr)
-        return args.func(args, Settings(args, config))
+        summary = args.func(args, Settings(args, config))
+        if summary is not None:
+            _print(dumps({"command": args.command, **summary}))
+        return 0
     except (EvalKitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ConfigError
 from .jsonl import fields, iter_records, optional, require, write_jsonl
@@ -165,11 +165,16 @@ DIAGNOSIS_FIELDS = (
     ("best_rank", optional, (int,)), ("best_bin", optional, (str,)))
 
 
-def write_diagnoses(diagnoses: Iterable[Diagnosis], path: str | Path) -> int:
+def diagnosis_records(diagnoses: Iterable[Diagnosis]) -> Iterator[dict]:
+    """Each diagnosis as its JSONL record, lazily."""
     keys = [key for key, _, _ in DIAGNOSIS_FIELDS]
-    return write_jsonl(path, (dict(zip(keys, (
-        d.query, d.category.value, d.best_rank,
-        d.best_bin.value if d.best_bin else None))) for d in diagnoses))
+    return (dict(zip(keys, (d.query, d.category.value, d.best_rank,
+                            d.best_bin.value if d.best_bin else None)))
+            for d in diagnoses)
+
+
+def write_diagnoses(diagnoses: Iterable[Diagnosis], path: str | Path) -> int:
+    return write_jsonl(path, diagnosis_records(diagnoses))
 
 
 def load_diagnoses(path: str | Path) -> list[Diagnosis]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
@@ -30,31 +31,32 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
 
     On a clean exit the temp file replaces ``path`` in one rename, so
     ``path`` holds either its old bytes or the complete new ones; on an
-    exception the temp file is removed and ``path`` is left untouched.
+    exception the temp file is removed and ``path`` is left untouched. An
+    OSError on the way, the body's writes included, is re-raised as the
+    IngestError ``cannot write PATH: ...``.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        os.replace(tmp, path)
-    except BaseException:
+        os.replace(tmp, target)
+    except BaseException as exc:
         with suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise IngestError(f"cannot write {path}: {exc}") from exc
         raise
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:
     """Write each string as one line, atomically; returns the line count."""
     count = 0
-    try:
-        with atomic_open(path) as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
-                count += 1
-    except OSError as exc:
-        raise IngestError(f"cannot write {path}: {exc}") from exc
+    with atomic_open(path) as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+            count += 1
     return count
 
 
@@ -107,6 +109,7 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 # The decoder's own scanner, called once per value; see decode.
 _scan_once = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = " \t\n\r"
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def decode(line: str) -> Any:
@@ -138,6 +141,26 @@ def decode(line: str) -> Any:
         raise ValueError(f"invalid JSON: {exc}") from exc
 
 
+def decode_utf8(line: str) -> Any:
+    """:func:`decode`, but a string with a lone surrogate, which a ``\\u``
+    escape can spell and UTF-8 cannot encode, is the ValueError ``invalid
+    JSON: lone surrogate ...``. Every reader decodes through this. Only a
+    line with ``\\u`` (found by a memchr for the backslash first) is walked,
+    by a stack that takes any nesting."""
+    value = decode(line)
+    stack = [value] if "\\" in line and "\\u" in line else []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack += [*item, *item.values()]
+        elif isinstance(item, list):
+            stack += item
+        elif isinstance(item, str) and _SURROGATE.search(item):
+            raise ValueError("invalid JSON: lone surrogate "
+                             f"{_SURROGATE.search(item).group()!r}")
+    return value
+
+
 def iter_records(path: str | Path, parse: Callable[[Any], T],
                  what: str) -> Iterator[T]:
     """Yield ``parse(record)`` for each JSON line of ``path``, in file order.
@@ -147,7 +170,7 @@ def iter_records(path: str | Path, parse: Callable[[Any], T],
     """
     for lineno, line in read_lines(path):
         try:
-            rec = decode(line)
+            rec = decode_utf8(line)
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
         try:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestError
-from .jsonl import (INPUT_ENCODING, decode, dumps, fields, iter_records,
+from .jsonl import (INPUT_ENCODING, decode_utf8, dumps, fields, iter_records,
                     read_failure, require, write_jsonl, write_lines)
 
 log = logging.getLogger(__name__)
@@ -316,7 +316,7 @@ class MetricsReport:
     def load(cls, path: str | Path) -> "MetricsReport":
         try:
             return cls.from_dict(
-                decode(Path(path).read_text(encoding=INPUT_ENCODING)))
+                decode_utf8(Path(path).read_text(encoding=INPUT_ENCODING)))
         except (OSError, ValueError) as exc:
             raise IngestError(f"cannot load report {path}: "
                               f"{read_failure(path, exc)}") from exc

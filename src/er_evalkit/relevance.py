@@ -15,7 +15,8 @@ from typing import Iterable, Mapping
 from .clickstream import CtrRecord
 from .errors import ConfigError
 from .importance import ScoredTitle
-from .jsonl import fields, iter_records, require, write_jsonl
+from .jsonl import (atomic_open, dumps, fields, iter_records, require,
+                    write_jsonl)
 
 DEFAULT_MIN_IMPORTANCE = 0.3
 
@@ -112,7 +113,9 @@ def emit_qrels(relset: RelevanceSet, path: str | Path,
     The qrels file is :func:`write_qrels` of the entries. The sidecar holds
     one line per (query, entity) with the justifying ctr, nimp and
     importance. A sidecar path that resolves to the qrels path is a
-    ConfigError, raised before either file is written.
+    ConfigError, raised before either file is written. The sidecar's temp
+    copy is written whole before the qrels file is, and lands right after
+    it, so a sidecar that cannot be written leaves the qrels file as it was.
     """
     provenance_path = Path(provenance_path or default_provenance_path(path))
     if provenance_path.resolve() == Path(path).resolve():
@@ -123,8 +126,9 @@ def emit_qrels(relset: RelevanceSet, path: str | Path,
                                   prov.importance)))
                   for (query, entity_id), prov in sorted(
                       relset.provenance.items()))
-    write_qrels(relset.entries, path)
-    write_jsonl(provenance_path, provenance)
+    with atomic_open(provenance_path) as fh:
+        fh.writelines(dumps(rec) + "\n" for rec in provenance)
+        write_qrels(relset.entries, path)
     return provenance_path
 
 

@@ -13,18 +13,18 @@ bit-parallel pass; :func:`levenshtein` is its one-lane case.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .catalog import (BASICS_COLUMNS, MISSING_TOKEN, RANKS_COLUMNS,
                       RATINGS_COLUMNS, Catalog, Title, assign_pseudo_ranks)
 from .clickstream import ClickEvent, normalize_query
-from .errors import ConfigError, IngestError
-from .jsonl import atomic_open
+from .errors import ConfigError
+from .jsonl import write_lines
 from .metrics import RunResult
 from .relevance import write_qrels
 from .rng import SplitMix64, derive_seed
@@ -342,18 +342,10 @@ def write_catalog_tsv(catalog: Catalog, out_dir: str | Path,
             ("ratings", RATINGS_COLUMNS, ("rating", "rating_count")),
             ("ranks", RANKS_COLUMNS, ("rank",))):
         paths.append(out_dir / f"{name}.tsv")
-        try:
-            with atomic_open(paths[-1]) as fh:
-                writer = csv.writer(fh, delimiter="\t",
-                                    quoting=csv.QUOTE_NONE, lineterminator="\n")
-                writer.writerow(header)
-                for t in catalog.titles:
-                    values = [getattr(t, attr) for attr in attrs]
-                    writer.writerow([t.entity_id] + [
-                        MISSING_TOKEN if v is None else str(v)
-                        for v in values])
-        except OSError as exc:
-            raise IngestError(f"cannot write {paths[-1]}: {exc}") from exc
+        rows = ([t.entity_id, *(MISSING_TOKEN if v is None else str(v)
+                                for v in [getattr(t, a) for a in attrs])]
+                for t in catalog.titles)
+        write_lines(paths[-1], map("\t".join, chain([header], rows)))
     return tuple(paths)
 
 

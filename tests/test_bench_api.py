@@ -1,4 +1,5 @@
-"""The package API that perfbench/traced.py calls, read from its source.
+"""The package API that perfbench/traced.py calls, and the CLI calls that
+perfbench/run.py makes, each read from its source.
 
 traced.py calls the package's functions in process, with no CLI between,
 and the test suite never runs it. So this test parses it and checks that
@@ -7,16 +8,22 @@ the package fits the callee's signature. Types follow the package's own
 annotations: a name bound to a call's result has the callee's return
 type, a tuple of names splits a tuple type, and a loop variable over a
 list or iterator of T has type T. ``t.call(label, fn, *args, **kwargs)``
-is the tracer's call of ``fn(*args, **kwargs)``. The file is only read.
+is the tracer's call of ``fn(*args, **kwargs)``. run.py starts each
+stage as ``cli(stage, *args)``, so each such call must be an argv the
+package's parser accepts. The files are only read.
 """
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import typing
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import NamedTuple
+
+from er_evalkit.cli import build_parser
 
 TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 PACKAGE = "er_evalkit"
@@ -234,3 +241,49 @@ def test_reader_finds_what_is_missing():
         "line 4", "line 5", "line 7", "line 8"]
     assert "'unranked'" in reader.problems[0]
     assert "workers" in reader.problems[1]
+
+
+RUN = TRACED.with_name("run.py")
+PLACEHOLDER = "1"  # parses as an int, a float and a path
+
+
+def cli_call_problems(source: str) -> tuple[list[str], set[str]]:
+    """Each ``cli(stage, *args)`` call in ``source`` as the argv it builds,
+    with PLACEHOLDER for every argument that is not a string literal, and
+    the parser's error for each argv it refuses; also the stages seen."""
+    problems, stages = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "cli"):
+            continue
+        argv = [arg.value if isinstance(arg, ast.Constant)
+                and isinstance(arg.value, str) else PLACEHOLDER
+                for arg in node.args]
+        stages.add(argv[0])
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                build_parser().parse_args(argv)
+        except SystemExit:
+            problems.append(f"line {node.lineno}: {argv}: "
+                            f"{stderr.getvalue().splitlines()[-1]}")
+    return problems, stages
+
+
+def test_benchmark_cli_calls_parse():
+    problems, stages = cli_call_problems(RUN.read_text(encoding="utf-8"))
+    assert problems == []
+    assert stages == {"simulate", "ingest-catalog", "score-importance",
+                      "aggregate-ctr", "build-relevance", "evaluate",
+                      "diagnose", "compare"}
+
+
+def test_cli_call_check_names_a_refused_call():
+    problems, _ = cli_call_problems(
+        "cli('evaluate', '--qrels', q, '--run', str(r), '--out-file', o)\n"
+        "cli('diagnose', '--qrels', q, '--run', r)\n"
+        "cli('compare', '--baseline', b)\n")
+    assert [problem.split(":")[0] for problem in problems] == [
+        "line 1", "line 3"]
+    assert "unrecognized arguments: --out-file" in problems[0]
+    assert "--candidate" in problems[1]

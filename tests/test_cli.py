@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -280,6 +282,32 @@ class TestSimulateCommand:
                                "--bin-thresholds", "0.5,0.8")
         assert code == 1
         assert "error:" in err
+
+
+def test_each_summary_stage_prints_one_line_led_by_its_name(capsys,
+                                                            tmp_path):
+    """dispatch prints every summary: one JSON line, "command" first."""
+    sim = tmp_path / "sim"
+    stages = [
+        ["simulate", "--seed", "5", "--out-dir", sim, "--n-titles", "30",
+         "--n-queries", "10", "--n-replays", "40"],
+        ["ingest-catalog", "--basics", sim / "basics.tsv", "--ratings",
+         sim / "ratings.tsv", "--out", tmp_path / "catalog.jsonl"],
+        ["score-importance", "--catalog", tmp_path / "catalog.jsonl",
+         "--out", tmp_path / "scored.jsonl"],
+        ["aggregate-ctr", "--events", sim / "clicklog.jsonl",
+         "--out", tmp_path / "ctr.jsonl"],
+        ["build-relevance", "--ctr", tmp_path / "ctr.jsonl",
+         "--scored", tmp_path / "scored.jsonl",
+         "--out", tmp_path / "qrels.jsonl"],
+    ]
+    for argv in stages:
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert (code, err) == (0, "")
+        assert out.endswith("\n") and out.count("\n") == 1
+        summary = json.loads(out)
+        assert next(iter(summary.items())) == ("command", argv[0])
+        assert "command" not in list(summary)[1:]
 
 
 class TestPipeline:
@@ -644,6 +672,52 @@ DEFAULTS_EPILOG = \
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+# sha256 of `--help` at 80 columns, top level ("") and per subcommand, as
+# printed when every long option still named its own dest; argparse derives
+# the same dests, so the bytes must not move.
+HELP_DIGESTS = {
+    "": "72ba6851f082781252b01e4a5e8ccec0e1f543788aa22cb6888ace892908da56",
+    "ingest-catalog":
+        "e11e89ab477c9b8cc9f5c4282a44a9f2295d0bea03455b09d7b5dedfb1ea99ae",
+    "score-importance":
+        "d48f9d899022d7242519b8d5ef342961500cbdd892cf22f3343d13905426a326",
+    "aggregate-ctr":
+        "76539c1615b453dcffa17801dae67ab50763b709cdfc4b551eed85eade39efaf",
+    "build-relevance":
+        "b6aa6640e52ca751b060667806589ce5a78ec934e78609202b09d578f8f26234",
+    "evaluate":
+        "8955aa577d63fc594d8ec4db3583c540625f2167dca2b53fdc3f347738abe40e",
+    "diagnose":
+        "cfbcbcc0427ec6e3e674f9b59e5ed976cd00eadc212940377eaa183f6c18211b",
+    "compare":
+        "24bd7dc5588ed1f3cae351e8c1171f1bbd82cc4c4afcaff6f3ce1c204e17db87",
+    "simulate":
+        "29621db55cc21b6056ccfcdbb888452e946c49cbf8f3ce8e8d76fc1ede23bbb9",
+}
+
+
+# 3.13's argparse wraps a usage line differently; 3.10 to 3.12 agree.
+HELP_DIGESTS_313 = {
+    "": "4c7e60070b19b1b7690f107cd85148cf78b35e6e40d2a642b126eab24d49043a",
+    "aggregate-ctr":
+        "601acbfacf430abe1c21eb03f46d9120e65a34c7b9cba3aff7fb992f2eeeff81",
+    "build-relevance":
+        "d8b35615f2369216e4771b2ab01c260116159573440eff272289cea68c7173ed",
+    "simulate":
+        "24fcdb33dbbd1115d9095a807253967250140b537efa95e21dc716317c5dfe53",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_bytes_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *filter(None, [command, "--help"]))
+    assert (code, err) == (0, "")
+    pinned = {**HELP_DIGESTS, **(HELP_DIGESTS_313
+                                 if sys.version_info >= (3, 13) else {})}
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned[command]
+
+
 def simulate_flags():
     """{dest: action} for simulate's tuning flags, the non-seed fields."""
     sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -942,6 +1016,27 @@ class TestInputTyping:
         assert out == ""
         assert error_lines(err)[0] == \
             "error: provenance path q.jsonl is the qrels output q.jsonl"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_unwritable_sidecar_leaves_the_old_qrels(self, capsys, tmp_path,
+                                                     monkeypatch):
+        """The qrels file and its sidecar land together or not at all."""
+        monkeypatch.chdir(tmp_path)
+        write_jsonl_file(tmp_path / "ctr.jsonl", [{
+            "query": "q", "entity_id": "tt1", "nimp": 30, "nclick": 15,
+            "ctr": 0.5}])
+        write_jsonl_file(tmp_path / "scored.jsonl", [GOOD_SCORED])
+        (tmp_path / "q.jsonl").write_text("old\n", encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        code, out, err = run_cli(capsys, "build-relevance",
+                                 "--ctr", "ctr.jsonl",
+                                 "--scored", "scored.jsonl",
+                                 "--out", "q.jsonl",
+                                 "--provenance", "absent/p.jsonl")
+        assert (code, out) == (1, "")
+        assert err == ("error: cannot write absent/p.jsonl: [Errno 2] No such "
+                       "file or directory: 'absent/.p.jsonl."
+                       f"{os.getpid()}.tmp'\n")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])

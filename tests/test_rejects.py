@@ -135,6 +135,8 @@ EVENT_REASONS = [
     ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
     ('{"query":"q"', "invalid JSON: Expecting ',' delimiter: "
                      "line 1 column 13 (char 12)"),
+    ('{"query":"bad\\ud800","impressions":["a"]}',
+     "invalid JSON: lone surrogate '\\ud800'"),
     ("[1,2]", "event is not an object"),
     ('"q"', "event is not an object"),
     ('{"query":"  ","impressions":["a"]}', "missing or empty query"),

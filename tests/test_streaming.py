@@ -284,7 +284,8 @@ def test_closed_stdout_is_one_error_line(report_inputs, tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("command,out", [
-    ("evaluate", False), ("evaluate", True), ("diagnose", False)])
+    ("evaluate", False), ("evaluate", True), ("diagnose", False),
+    ("diagnose", True), ("compare", True)])
 def test_full_stdout_is_one_error_line(tmp_path, command, out):
     """A stdout that takes no byte (ENOSPC): exit 1 with one error line that
     blames stdout, not the --out file, and no --out file."""
@@ -293,13 +294,20 @@ def test_full_stdout_is_one_error_line(tmp_path, command, out):
     run.write_text('{"query":"q","results":[{"entity_id":"A","score":1.0,'
                    '"bin":"high"}]}\n', encoding="utf-8")
     argv = [command, "--qrels", str(qrels), "--run", str(run)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    if command == "compare":
+        base = tmp_path / "base.json"
+        subprocess.run([sys.executable, "-m", "er_evalkit.cli", "evaluate",
+                        *argv[1:], "--out", str(base)], check=True,
+                       capture_output=True, env=env, timeout=120)
+        argv = [command, "--baseline", str(base), "--candidate", str(base)]
+    inputs = sorted(tmp_path.iterdir())
     if out:
         argv += ["--out", str(tmp_path / "report.json")]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     with open("/dev/full", "w", encoding="utf-8") as full:
         done = subprocess.run([sys.executable, "-m", "er_evalkit.cli", *argv],
                               stdout=full, stderr=subprocess.PIPE, text=True,
                               env=env, timeout=120)
     assert (done.returncode, done.stderr) == (
         1, "error: cannot write stdout: [Errno 28] No space left on device\n")
-    assert sorted(tmp_path.iterdir()) == [qrels, run]
+    assert sorted(tmp_path.iterdir()) == inputs
