@@ -94,12 +94,16 @@ def _weight(text: str) -> float:
 
 
 def _converter(name: str, default):
-    """Parse a flag or config string into the type of ``default``."""
+    """Parse a flag or config string into the type of ``default``; weights
+    also take fractions, and bounds are five ints."""
+    if name == "bounds":
+        return lambda text: importance.ScoreBounds(
+            *_parse_numbers(text, 5, name, int))
     if isinstance(default, bool):
         return _parse_bool
     if isinstance(default, tuple):
-        return lambda text: _parse_numbers(text, len(default), name,
-                                           type(default[0]))
+        kind = _weight if name == "weights" else type(default[0])
+        return lambda text: _parse_numbers(text, len(default), name, kind)
     return type(default)
 
 
@@ -134,8 +138,8 @@ class Settings:
         self.args = args
         self.config = config
 
-    def get(self, key: str, default, convert=None):
-        """Resolve ``key``; a string parses by ``convert`` or as ``default``.
+    def get(self, key: str, default):
+        """Resolve ``key``; a string parses by ``_converter(key, default)``.
 
         A string that does not parse is a ConfigError naming the key and
         where the string came from: its flag, or the config file.
@@ -150,7 +154,7 @@ class Settings:
         if not isinstance(value, str):
             return value
         try:
-            return (convert or _converter(key, default))(value)
+            return _converter(key, default)(value)
         except (ValueError, EvalKitError) as exc:
             raise ConfigError(f"{key} {value!r} from {source}: {exc}") from exc
 
@@ -191,6 +195,13 @@ def _wants_table(cfg: Settings) -> bool:
     return fmt == "table"
 
 
+def _config(cls, cfg: Settings, **given):
+    """A ``cls`` from ``given`` and, for each other field in field order,
+    ``cfg.get(field.name, field.default)``."""
+    return cls(**given, **{f.name: cfg.get(f.name, f.default)
+                           for f in fields(cls) if f.name not in given})
+
+
 def cmd_ingest_catalog(args: argparse.Namespace, cfg: Settings) -> dict:
     window = cfg.get("year_window", catalog_mod.DEFAULT_YEAR_WINDOW)
     parsed = catalog_mod.parse_catalog(
@@ -203,37 +214,20 @@ def cmd_ingest_catalog(args: argparse.Namespace, cfg: Settings) -> dict:
             "stats": parsed.stats.as_dict(), "out": str(args.out)}
 
 
-def _importance_config(cfg: Settings) -> importance.ImportanceConfig:
-    defaults = _IMPORTANCE_DEFAULTS
-    return importance.ImportanceConfig(
-        weights=cfg.get("weights", defaults.weights,
-                        lambda t: _parse_numbers(t, 3, "weights", _weight)),
-        missing_feature_policy=cfg.get("missing_feature_policy",
-                                       defaults.missing_feature_policy),
-        default_component_score=cfg.get("default_component_score",
-                                        defaults.default_component_score),
-        bounds=cfg.get("bounds", None, lambda t: importance.ScoreBounds(
-            *_parse_numbers(t, 5, "bounds", int))),
-    )
-
-
 def cmd_score_importance(args: argparse.Namespace, cfg: Settings) -> dict:
     loaded = catalog_mod.load_catalog(args.catalog)
-    scored = importance.score_titles(loaded, _importance_config(cfg))
+    scored = importance.score_titles(
+        loaded, _config(importance.ImportanceConfig, cfg))
     written = importance.write_scored(scored, args.out)
     return {"scored": written, "excluded": len(loaded) - written,
             "out": str(args.out)}
 
 
 def cmd_aggregate_ctr(args: argparse.Namespace, cfg: Settings) -> dict:
-    ctr_filter = clickstream.CtrFilter(
-        min_impressions=cfg.get("min_impressions",
-                                clickstream.DEFAULT_MIN_IMPRESSIONS),
-        min_ctr=cfg.get("min_ctr", clickstream.DEFAULT_MIN_CTR),
-    )
     stats = clickstream.ParseStats()
     kept, summary = clickstream.aggregate_log(
-        args.events, ctr_filter, strict=cfg.get("strict", False), stats=stats)
+        args.events, _config(clickstream.CtrFilter, cfg),
+        strict=cfg.get("strict", False), stats=stats)
     clickstream.write_ctr_records(kept, args.out)
     return {"events": stats.events, "rejected_events": stats.rejected,
             "pairs": summary.kept + summary.dropped, "kept": summary.kept,
@@ -285,9 +279,7 @@ def cmd_compare(args: argparse.Namespace, cfg: Settings) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: Settings) -> dict:
-    sim_config = simulate.SimConfig(seed=args.seed, **{
-        name: cfg.get(name, default)
-        for name, default in _SIM_DEFAULTS.items()})
+    sim_config = _config(simulate.SimConfig, cfg, seed=args.seed)
     out_dir = Path(args.out_dir)
     generated = simulate.gen_catalog(sim_config)
     queries = simulate.gen_queries(generated, sim_config)

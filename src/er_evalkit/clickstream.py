@@ -253,16 +253,13 @@ def aggregate_in_shards(events: Iterable[ClickEvent], n_shards: int,
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
     events = list(events)
-    nimp: defaultdict[str, Counter] = defaultdict(Counter)
-    nclick: defaultdict[str, Counter] = defaultdict(Counter)
+    totals = (defaultdict(Counter), defaultdict(Counter))  # nimp, nclick
     for shard in range(n_shards):
-        shard_nimp, shard_nclick = _tally_events(
-            islice(events, shard, None, n_shards))
-        for query, counts in shard_nimp.items():
-            nimp[query].update(counts)
-        for query, counts in shard_nclick.items():
-            nclick[query].update(counts)
-    return _records(nimp, nclick)
+        parts = _tally_events(islice(events, shard, None, n_shards))
+        for total, part in zip(totals, parts):
+            for query, counts in part.items():
+                total[query].update(counts)
+    return _records(*totals)
 
 
 def filter_records(records: Iterable[CtrRecord],

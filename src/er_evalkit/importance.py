@@ -91,11 +91,20 @@ class ScoredTitle:
     importance: float
 
 
+def _position(t: float, lo: float, hi: float) -> float:
+    """Where ``t`` sits from ``lo`` (0.0) to ``hi`` (1.0), clamped. Only a
+    ``t`` strictly between divides, so an out-of-range ``t`` or bounds too
+    close to tell apart never overflow or divide by zero."""
+    if lo < t < hi:
+        return (t - lo) / (hi - lo)
+    return 0.0 if t <= lo else 1.0
+
+
 def linear_score(x: float, lo: float, hi: float) -> float:
     """Min-max normalize ``x`` into [0, 1], clamping outside values."""
     if lo >= hi:
         raise ConfigError(f"linear bounds need lo < hi, got lo={lo} hi={hi}")
-    return min(1.0, max(0.0, (x - lo) / (hi - lo)))
+    return _position(x, lo, hi)
 
 
 def log_scale_score(x: float, lo: float, hi: float, invert: bool = False) -> float:
@@ -110,8 +119,7 @@ def log_scale_score(x: float, lo: float, hi: float, invert: bool = False) -> flo
         raise ValueError(f"log scale needs positive bounds, got lo={lo} hi={hi}")
     if lo >= hi:
         raise ConfigError(f"log bounds need lo < hi, got lo={lo} hi={hi}")
-    s = (math.log(x) - math.log(lo)) / (math.log(hi) - math.log(lo))
-    s = min(1.0, max(0.0, s))
+    s = _position(math.log(x), math.log(lo), math.log(hi))
     return 1.0 - s if invert else s
 
 

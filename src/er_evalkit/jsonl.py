@@ -20,8 +20,8 @@ from .errors import IngestError
 T = TypeVar("T")
 
 
-def dumps(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# json.dumps with these arguments, minus building an encoder per call.
+dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 @contextmanager
@@ -31,13 +31,16 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
 
     On a clean exit the temp file replaces ``path`` in one rename, so
     ``path`` holds either its old bytes or the complete new ones; on an
-    exception the temp file is removed and ``path`` is left untouched. An
+    exception the temp file is removed and ``path`` is left untouched. A
+    ``path`` that is a directory fails before the temp file opens. An
     OSError on the way, the body's writes included, is re-raised as the
     IngestError ``cannot write PATH: ...``.
     """
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
+        if target.is_dir() and not target.is_symlink():
+            raise IsADirectoryError("is a directory")
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, target)

@@ -37,7 +37,7 @@ MACRO = "macro"
 
 Fraction = tuple[int, int]
 
-# Rows per json_pieces piece (a dumps call per row builds a new encoder).
+# Rows per json_pieces piece (each dumps call sets up a C encoder).
 ROWS_PER_PIECE = 512
 
 
@@ -222,7 +222,7 @@ def aggregate(fractions: Iterable[Fraction | None], mode: str) -> float | None:
     if not defined:
         return None
     if mode == MACRO:
-        # Left to right, as evaluate_run adds them.
+        # Left to right: since 3.12, sum() compensates, moving digits.
         values = (num / den for num, den in defined)
         return functools.reduce(operator.add, values, 0) / len(defined)
     if mode == MICRO:
@@ -385,34 +385,26 @@ def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
     ``qrels`` is a RelevanceSet or a plain mapping query → set of ids. Run
     queries absent from qrels are ignored (tallied); qrels queries absent
     from the run are scanned as empty lists, so they contribute recall 0.
-    A query appearing twice in the run is an error naming it. Aggregates
-    equal :func:`aggregate` over the per-query fractions in query order.
+    A query appearing twice in the run is an error naming it. Each
+    aggregate is :func:`aggregate` over the per-query fractions in sorted
+    query order; only then do the rows' fractions become floats.
     """
     names = metric_names(k)
-    per_query: dict[str, dict[str, float | None]] = {}
-    sums = [[0, 0] for _ in names]
-    # One float object per distinct fraction: the rows repeat a few values.
-    value = functools.cache(_value)
+    per_query: dict[str, dict] = {}
+    # One object per distinct fraction, then per distinct float, each put in
+    # the row in place: the rows repeat a few values.
+    fraction, value = functools.cache(lambda f: f), functools.cache(_value)
 
     def visit(query: str, scan: QueryScan) -> None:
-        fractions = _fractions(scan, names)
-        per_query[query] = {name: value(fraction)
-                            for name, fraction in fractions.items()}
-        for total, fraction in zip(sums, fractions.values()):
-            if fraction is not None:
-                total[0] += fraction[0]
-                total[1] += fraction[1]
+        row = per_query[query] = _fractions(scan, names)
+        row.update(zip(row, map(fraction, row.values())))
 
     evaluated, ignored = scan_run(qrels, run, k, visit)
     rows = [per_query[query] for query in sorted(per_query)]
-    aggregates = {}
-    for name, (num, den) in zip(names, sums):
-        defined = [row[name] for row in rows if row[name] is not None]
-        aggregates[name] = {
-            MICRO: num / den if den else None,
-            # Left to right: since 3.12, sum() compensates, moving digits.
-            MACRO: (functools.reduce(operator.add, defined, 0) / len(defined)
-                    if defined else None)}
+    aggregates = {name: {mode: aggregate([row[name] for row in rows], mode)
+                         for mode in (MICRO, MACRO)} for name in names}
+    for row in rows:
+        row.update(zip(row, map(value, row.values())))
     return MetricsReport(
         k=k,
         bins=tuple(bin.value for bin in BINS),

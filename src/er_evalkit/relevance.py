@@ -115,7 +115,8 @@ def emit_qrels(relset: RelevanceSet, path: str | Path,
     importance. A sidecar path that resolves to the qrels path is a
     ConfigError, raised before either file is written. The sidecar's temp
     copy is written whole before the qrels file is, and lands right after
-    it, so a sidecar that cannot be written leaves the qrels file as it was.
+    it. So a sidecar that cannot be written leaves the qrels file as it
+    was, and either path being a directory fails before either lands.
     """
     provenance_path = Path(provenance_path or default_provenance_path(path))
     if provenance_path.resolve() == Path(path).resolve():

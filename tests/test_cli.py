@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from er_evalkit import clickstream, importance
 from er_evalkit.cli import (
     _SIM_HELP,
     DEFAULTS,
+    _converter,
     _defaults_epilog,
     _parse_numbers,
     _show,
@@ -20,7 +22,8 @@ from er_evalkit.cli import (
     dispatch,
     load_config_file,
 )
-from er_evalkit.importance import ImportanceConfig
+from er_evalkit.clickstream import CtrFilter
+from er_evalkit.importance import ImportanceConfig, ScoreBounds
 from er_evalkit.errors import ConfigError
 from er_evalkit.jsonl import dumps
 from er_evalkit.simulate import SimConfig
@@ -761,6 +764,63 @@ class TestDefaults:
             "n_replays": int,
         }
 
+    @pytest.mark.parametrize("cls,stage", [
+        (ImportanceConfig, "score-importance"), (CtrFilter, "aggregate-ctr")])
+    def test_one_flag_per_stage_config_field(self, cls, stage):
+        """Each field has a flag on its stage and, bounds aside, a defaults
+        row that parses back to its default."""
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {a.dest: a for a in sub.choices[stage]._actions}
+        shown = {name: value for name, value, _ in DEFAULTS}
+        for f in fields(cls):
+            assert flags[f.name].option_strings == \
+                [f"--{f.name.replace('_', '-')}"]
+            if f.name != "bounds":
+                assert _converter(f.name, f.default)(
+                    _show(shown[f.name])) == f.default
+
+    @pytest.mark.parametrize("stage,config,built", [
+        ("score-importance", {
+            "weights": "1/2,1/4,1/4", "missing_feature_policy":
+            "exclude_title", "default_component_score": "0.25",
+            "bounds": "1900,2000,1,10,100"},
+         ImportanceConfig((0.5, 0.25, 0.25), "exclude_title", 0.25,
+                          ScoreBounds(1900, 2000, 1, 10, 100))),
+        ("aggregate-ctr", {"min_impressions": "3", "min_ctr": "0.5"},
+         CtrFilter(3, 0.5)),
+    ])
+    def test_config_file_reaches_each_stage_config_field(
+            self, capsys, tmp_path, monkeypatch, stage, config, built):
+        """A config-file value for every field reaches the object the stage
+        builds; each value differs from its field's default."""
+        assert all(getattr(built, f.name) != f.default
+                   for f in fields(built))
+        seen = []
+        module, name = {"score-importance": (importance, "score_titles"),
+                        "aggregate-ctr": (clickstream, "aggregate_log")}[stage]
+        original = getattr(module, name)
+
+        def spy(source, stage_config, *args, **kwargs):
+            seen.append(stage_config)
+            return original(source, stage_config, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        (tmp_path / "cfg").write_text("".join(
+            f"{key} = {value}\n" for key, value in config.items()),
+            encoding="utf-8")
+        write_jsonl_file(tmp_path / "in.jsonl", [
+            {"entity_id": "tt1", "name": "A", "release_year": 1950,
+             "rank": 2, "rating_count": 5}
+            if stage == "score-importance" else
+            {"query": "q", "impressions": ["tt1"], "clicked": "tt1"}])
+        inputs = "--catalog" if stage == "score-importance" else "--events"
+        code, _, err = run_cli(capsys, stage,
+                               inputs, str(tmp_path / "in.jsonl"),
+                               "--out", str(tmp_path / "out.jsonl"),
+                               "--config", str(tmp_path / "cfg"))
+        assert code == 0, err
+        assert seen == [built]
+
     @pytest.mark.parametrize("flag,value,code", [
         ("--n-titles", "abc", 2), ("--typo-rate", "x", 2),
         ("--bin-thresholds", "0.9", 1), ("--bin-thresholds", "a,b", 1),
@@ -1038,6 +1098,35 @@ class TestInputTyping:
                        "file or directory: 'absent/.p.jsonl."
                        f"{os.getpid()}.tmp'\n")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("directory", ["q.jsonl", "p.jsonl"])
+    def test_directory_target_lands_neither_file(self, capsys, tmp_path,
+                                                 monkeypatch, directory):
+        """Whichever of the qrels file and its sidecar is a directory, the
+        other keeps its old bytes, and one error line names the directory."""
+        monkeypatch.chdir(tmp_path)
+        write_jsonl_file(tmp_path / "ctr.jsonl", [{
+            "query": "q", "entity_id": "tt1", "nimp": 30, "nclick": 15,
+            "ctr": 0.5}])
+        write_jsonl_file(tmp_path / "scored.jsonl", [GOOD_SCORED])
+        for name in ("q.jsonl", "p.jsonl"):
+            if name == directory:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text("old\n", encoding="utf-8")
+
+        def snapshot():
+            return {p.name: p.read_bytes() if p.is_file() else None
+                    for p in tmp_path.iterdir()}
+
+        before = snapshot()
+        code, out, err = run_cli(capsys, "build-relevance",
+                                 "--ctr", "ctr.jsonl",
+                                 "--scored", "scored.jsonl",
+                                 "--out", "q.jsonl", "--provenance", "p.jsonl")
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {directory}: is a directory\n"
+        assert snapshot() == before
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_noise_sigma_rejected(self, capsys, tmp_path, sigma):

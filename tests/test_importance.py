@@ -1,9 +1,12 @@
 """Tests for component normalization and the combined importance score."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from er_evalkit.catalog import Catalog, Title
+from er_evalkit.cli import dispatch
 from er_evalkit.errors import ConfigError
 from er_evalkit.importance import (
     ComponentScores,
@@ -69,6 +72,62 @@ class TestLogScaleScore:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigError):
             log_scale_score(5, 100, 100)
+
+
+# 1 then 400 zeros: its log rounds to the same float as BIG + 1's, and
+# neither it nor a difference with it converts to a float.
+BIG = 10 ** 400
+
+
+class TestUnrepresentableValues:
+    """Values and bounds a float cannot hold or tell apart score on the
+    clamped scale: at or below lo is 0, at or above hi is 1."""
+
+    @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    def test_in_range_scores_unchanged(self, x, lo, hi):
+        if lo < hi:
+            assert linear_score(x, lo, hi) == \
+                min(1.0, max(0.0, (x - lo) / (hi - lo)))
+
+    def test_rank_bounds_with_one_log(self):
+        assert log_scale_score(5, BIG, BIG + 1, invert=True) == 1.0
+        assert log_scale_score(BIG + 1, BIG, BIG + 1, invert=True) == 1.0
+        bounds = ScoreBounds(1950, 2020, BIG, BIG + 1, 1000)
+        catalog = Catalog(titles=[Title("tt1", "A", 2000, 5, 10)])
+        scored, _ = score_catalog(catalog, ImportanceConfig(bounds=bounds))
+        assert scored[0].components.rank_score == 1.0
+
+    def test_year_past_float_range(self):
+        assert linear_score(BIG, 1900, 2000) == 1.0
+        assert linear_score(-BIG, 1900, 2000) == 0.0
+        bounds = ScoreBounds(1900, 2000, 1, 10, 100)
+        catalog = Catalog(titles=[Title("tt1", "A", BIG, 5, 10)])
+        scored, _ = score_catalog(catalog, ImportanceConfig(bounds=bounds))
+        assert scored[0].components.release_year_score == 1.0
+
+    def test_fitted_ranks_with_one_log(self):
+        catalog = Catalog(titles=[Title("tt1", "A", 2000, BIG, 10),
+                                  Title("tt2", "B", 2001, BIG + 1, 10)])
+        scored, _ = score_catalog(catalog, ImportanceConfig())
+        assert [s.components.rank_score for s in scored] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("titles,bounds", [
+        ([(2000, 5)], f"1950,2020,{BIG},{BIG + 1},1000"),
+        ([(BIG, 5)], "1900,2000,1,10,100"),
+        ([(2000, BIG), (2001, BIG + 1)], None),
+    ], ids=["rank-bounds", "year", "fitted-ranks"])
+    def test_cli_scores_them(self, tmp_path, capsys, titles, bounds):
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text("".join(
+            json.dumps({"entity_id": f"tt{i}", "name": "A",
+                        "release_year": year, "rank": rank,
+                        "rating_count": 10}) + "\n"
+            for i, (year, rank) in enumerate(titles)), encoding="utf-8")
+        argv = ["score-importance", "--catalog", str(catalog),
+                "--out", str(tmp_path / "scored.jsonl")]
+        assert dispatch(argv + (["--bounds", bounds] if bounds else [])) == 0
+        assert json.loads(capsys.readouterr().out)["scored"] == len(titles)
+        assert len(load_scored(tmp_path / "scored.jsonl")) == len(titles)
 
 
 class TestImportanceScore:

@@ -4,12 +4,14 @@ fault a record with two of them is named by.
 """
 
 import json
+import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from er_evalkit.catalog import (CATALOG_FIELDS, Catalog, Title,
                                 load_catalog, write_catalog)
+from er_evalkit.cli import dispatch
 from er_evalkit.clickstream import (CTR_FIELDS, CtrRecord, load_ctr_records,
                                     write_ctr_records)
 from er_evalkit.diagnose import (DIAGNOSIS_FIELDS, Diagnosis,
@@ -18,8 +20,9 @@ from er_evalkit.diagnose import (DIAGNOSIS_FIELDS, Diagnosis,
 from er_evalkit.errors import IngestError
 from er_evalkit.importance import (SCORED_FIELDS, ComponentScores,
                                    ScoredTitle, load_scored, write_scored)
-from er_evalkit.jsonl import fields
-from er_evalkit.metrics import ConfidenceBin, MetricsReport, load_run
+from er_evalkit.jsonl import fields, optional as optional_field
+from er_evalkit.metrics import (RUN_FIELDS, RUN_ITEM_FIELDS, ConfidenceBin,
+                                MetricsReport, load_run)
 from er_evalkit.relevance import (PROVENANCE_FIELDS, QRELS_FIELDS,
                                   emit_qrels, load_qrels, merge_relevance,
                                   write_qrels)
@@ -185,3 +188,91 @@ def test_report_header_fault_in_table_order_is_named(tmp_path):
         MetricsReport.load(path)
     assert str(caught.value) == \
         f"{path}: not a metrics report: KeyError('bins')"
+
+
+# 1 then 400 zeros: no float holds it, and its log is BIG + 1's.
+BIG = 10 ** 400
+ABSENT = object()
+# Values of each type a field table names: small ones that pass the range
+# checks, any, and numbers past float range or at its extremes.
+TYPED = {
+    str: st.sampled_from(["a", "b", "q"]) | text,
+    int: st.integers(0, 3000) | st.integers() | st.sampled_from(
+        [BIG, BIG + 1, -BIG, 2 ** 1024]),
+    float: unit | st.floats() | st.sampled_from(
+        [sys.float_info.max, -sys.float_info.max, 5e-324, -0.0]),
+    list: st.lists(st.sampled_from(["a", "b"]) | text, max_size=3),
+}
+
+
+def table_record(table, **by_field):
+    """Dicts drawn field by field from ``table``'s types, in table order;
+    an optional field may also be null or absent. ``by_field`` draws the
+    fields no type describes."""
+    def draw_field(name, check, types):
+        typed = by_field[name] if name in by_field else st.one_of(
+            *map(TYPED.get, types))
+        return st.sampled_from([ABSENT, None]) | typed \
+            if check is optional_field else typed
+
+    return st.fixed_dictionaries({
+        name: draw_field(name, check, types) for name, check, types in table
+    }).map(lambda rec: {name: value for name, value in rec.items()
+                        if value is not ABSENT})
+
+
+def table_records(table, *key, **by_field):
+    """Up to four :func:`table_record` dicts, no two alike in ``key``."""
+    return st.lists(table_record(table, **by_field), max_size=4,
+                    unique_by=lambda rec: tuple(rec[name] for name in key))
+
+
+STAGE_FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[
+    HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+REPRO = {"bounds": None, "scored": [], "ctr": [], "qrels": [], "run": []}
+
+
+def titles_with(*year_rank):
+    return [{"entity_id": f"tt{i}", "name": "A", "release_year": year,
+             "rank": rank, "rating_count": 10}
+            for i, (year, rank) in enumerate(year_rank)]
+
+
+@STAGE_FUZZ
+@given(catalog=table_records(CATALOG_FIELDS, "entity_id"),
+       bounds=st.none() | st.lists(TYPED[int], min_size=5, max_size=5).map(
+           lambda values: ",".join(map(str, values))),
+       scored=table_records(SCORED_FIELDS, "entity_id"),
+       ctr=table_records(CTR_FIELDS, "query", "entity_id"),
+       qrels=table_records(QRELS_FIELDS, "query"),
+       run=table_records(RUN_FIELDS, "query", results=st.lists(table_record(
+           RUN_ITEM_FIELDS, bin=st.sampled_from(
+               [bin.value for bin in ConfidenceBin])), max_size=4)))
+@example(**{**REPRO, "catalog": titles_with((2000, 5)),
+            "bounds": f"1950,2020,{BIG},{BIG + 1},1000"})
+@example(**{**REPRO, "catalog": titles_with((BIG, 5)),
+            "bounds": "1900,2000,1,10,100"})
+@example(**{**REPRO, "catalog": titles_with((2000, BIG), (2001, BIG + 1))})
+def test_stages_take_any_typed_value(tmp_path, capsys, catalog, bounds,
+                                     scored, ctr, qrels, run):
+    """Records whose every field has a type its table names: each stage
+    reading them exits 0, or 1 with exactly one error line."""
+    for name, records in (("catalog", catalog), ("scored", scored),
+                          ("ctr", ctr), ("qrels", qrels), ("run", run)):
+        (tmp_path / f"{name}.jsonl").write_text("".join(
+            json.dumps(rec, ensure_ascii=False) + "\n" for rec in records),
+            encoding="utf-8")
+    path = {name: str(tmp_path / f"{name}.jsonl") for name in
+            ("catalog", "scored", "ctr", "qrels", "run", "out")}
+    for argv in (
+            ["score-importance", "--catalog", path["catalog"], "--out",
+             path["out"], *([f"--bounds={bounds}"] if bounds else [])],
+            ["build-relevance", "--ctr", path["ctr"], "--scored",
+             path["scored"], "--out", path["out"]],
+            ["evaluate", "--qrels", path["qrels"], "--run", path["run"]],
+            ["diagnose", "--qrels", path["qrels"], "--run", path["run"]]):
+        code = dispatch(argv)
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert (code, len(errors)) in ((0, 0), (1, 1)), (argv, err)

@@ -31,7 +31,9 @@ from er_evalkit.metrics import (
     scan_query,
 )
 
-from oracle import random_instance
+from oracle import (OracleItem, brute_precision_at_k,
+                    brute_precision_at_k_bin, brute_recall_at_k,
+                    brute_recall_at_k_bin, random_instance)
 from peak import SRC, needs_vmhwm, peak_kb, traced_peak_kb
 
 
@@ -119,6 +121,56 @@ def test_generator_equals_list(seed, n, k, target):
         column = [row[name] for row in rows]
         assert report.aggregates[name] == {
             MICRO: aggregate(column, MICRO), MACRO: aggregate(column, MACRO)}
+
+
+def counted(relevant, ranked, cutoff, bin_value, metric):
+    """(numerator, denominator) of one metric of one query, counted item by
+    item: relevant items and items among the top ``cutoff`` in the bin
+    (any bin if None), over those items or over the relevant set."""
+    hits = shown = 0
+    for item in ranked[:cutoff]:
+        if bin_value is None or item.bin == bin_value:
+            shown += 1
+            for rel_id in relevant:
+                if item.entity_id == rel_id:
+                    hits += 1
+    return hits, shown if metric == "precision" else len(relevant)
+
+
+BRUTE = {("precision", False): brute_precision_at_k,
+         ("recall", False): brute_recall_at_k,
+         ("precision", True): brute_precision_at_k_bin,
+         ("recall", True): brute_recall_at_k_bin}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40),
+       k=st.sampled_from((1, 3, 5)))
+def test_aggregates_match_brute_force(seed, n, k):
+    """Each macro aggregate is a left-to-right float sum of the oracle's
+    values in sorted query order over their count; each micro aggregate is
+    numerator and denominator sums counted by explicit loops."""
+    qrels, run = oracle_case(seed, n)
+    report = evaluate_run(qrels, run, k)
+    ranked = {result.query: [OracleItem(item.entity_id, item.bin.value)
+                             for item in result.ranked] for result in run}
+    for name in metric_names(k):
+        metric, cutoff, *bin_value = name.split("@")
+        brute = BRUTE[metric, bool(bin_value)]
+        total, defined, nums, dens = 0, 0, 0, 0
+        for query in sorted(qrels):
+            items = ranked.get(query, [])
+            value = brute(qrels[query], items, int(cutoff), *bin_value)
+            if value is not None:
+                total += float(value)
+                defined += 1
+            num, den = counted(qrels[query], items, int(cutoff),
+                               *(bin_value or [None]), metric)
+            nums += num
+            dens += den
+        assert report.aggregates[name] == {
+            MICRO: nums / dens if dens else None,
+            MACRO: total / defined if defined else None}
 
 
 def run_process(*argv):
