@@ -13,7 +13,6 @@ from .clickstream import (
 from .diagnose import (
     Diagnosis,
     FailureCategory,
-    classify_query,
     compare_reports,
     diagnose_run,
 )
@@ -42,50 +41,3 @@ from .relevance import RelevanceSet, emit_qrels, load_qrels, merge_relevance
 from .simulate import SimConfig, gen_catalog, gen_clicklog, gen_queries, run_mock_er
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Catalog",
-    "ClickEvent",
-    "ComponentScores",
-    "ConfidenceBin",
-    "ConfigError",
-    "CtrFilter",
-    "CtrRecord",
-    "Diagnosis",
-    "EvalKitError",
-    "FailureCategory",
-    "ImportanceConfig",
-    "IngestError",
-    "MetricsReport",
-    "RankedEntity",
-    "RelevanceSet",
-    "RunResult",
-    "ScoredTitle",
-    "SimConfig",
-    "Title",
-    "aggregate_pairs",
-    "classify_query",
-    "compare_reports",
-    "compute_ctr",
-    "diagnose_run",
-    "emit_qrels",
-    "evaluate_run",
-    "filter_records",
-    "gen_catalog",
-    "gen_clicklog",
-    "gen_queries",
-    "importance_score",
-    "linear_score",
-    "load_qrels",
-    "log_scale_score",
-    "merge_relevance",
-    "parse_catalog",
-    "parse_events",
-    "precision_at_k",
-    "precision_at_k_bin",
-    "recall_at_k",
-    "recall_at_k_bin",
-    "run_mock_er",
-    "score_catalog",
-    "__version__",
-]

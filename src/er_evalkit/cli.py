@@ -23,7 +23,7 @@ from typing import Iterable
 from . import catalog as catalog_mod
 from . import clickstream, diagnose, importance, metrics, relevance, simulate
 from .errors import ConfigError, EvalKitError
-from .jsonl import INPUT_ENCODING, atomic_open, dumps, read_failure
+from .jsonl import INPUT_ENCODING, atomic_open, dumps, landing, read_failure
 
 _SIM_DEFAULTS = {f.name: f.default for f in fields(simulate.SimConfig)
                  if f.name != "seed"}
@@ -176,16 +176,15 @@ def _print(text: str, end: str = "\n") -> None:
 def _emit(out: str | None, pieces: Iterable[str], text: str | None) -> None:
     """The output rule of evaluate, diagnose and compare: ``pieces``, read
     once and only if taken, go to the --out file ``out``, if given, and to
-    stdout if ``text`` is None; else stdout gets ``text`` as one line. The
-    file opens first and lands last, so a failed stage leaves none."""
+    stdout if ``text`` is None; else stdout gets ``text`` as one line."""
     with atomic_open(out) if out else nullcontext() as fh:
         for piece in pieces if fh or text is None else ():
             if fh:
                 fh.write(piece)
             if text is None:
                 _print(piece, end="")
-        if text is not None:
-            _print(text)
+    if text is not None:
+        _print(text)
 
 
 def _wants_table(cfg: Settings) -> bool:
@@ -419,9 +418,10 @@ def dispatch(argv: list[str]) -> int:
             if key not in _CONFIG_KEYS:
                 print(f"warning: config file {args.config}: key {key!r} "
                       "names no setting; ignored", file=sys.stderr)
-        summary = args.func(args, Settings(args, config))
-        if summary is not None:
-            _print(dumps({"command": args.command, **summary}))
+        with landing():
+            summary = args.func(args, Settings(args, config))
+            if summary is not None:
+                _print(dumps({"command": args.command, **summary}))
         return 0
     except (EvalKitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -432,7 +432,8 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.stdout.reconfigure(encoding="utf-8")
+    # A path that is not UTF-8 echoes as a JSON escape of its lone surrogate.
+    sys.stdout.reconfigure(encoding="utf-8", errors="backslashreplace")
     # SIGTERM unwinds like Ctrl-C, so no stage leaves a temp file behind.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     sys.exit(dispatch(sys.argv[1:]))

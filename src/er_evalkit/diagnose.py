@@ -35,7 +35,6 @@ from .metrics import (
     format_value,
     metric_names,
     render_rows,
-    scan_query,
     scan_run,
 )
 
@@ -88,9 +87,9 @@ class DiagnosisSummary:
             f"consistent={str(self.consistent).lower()}"])
 
 
-def classify_query(relevant: set[str], result: RunResult, k: int = DEFAULT_K,
-                   target_bin: ConfidenceBin = DEFAULT_TARGET_BIN) -> Diagnosis:
-    """Assign exactly one failure category to one query.
+def _classify(query: str, scan: QueryScan,
+              target_bin: ConfidenceBin) -> Diagnosis:
+    """Assign exactly one failure category to one query's scan.
 
     The decision reads top down: a relevant entity in the top k with bin ≥
     target_bin is a success; relevant in top k but never at the target bin
@@ -99,12 +98,6 @@ def classify_query(relevant: set[str], result: RunResult, k: int = DEFAULT_K,
     the lowest-rank relevant hit anywhere in the ranked list, whatever its
     bin.
     """
-    return _classify(result.query, scan_query(relevant, result, k),
-                     target_bin)
-
-
-def _classify(query: str, scan: QueryScan,
-              target_bin: ConfidenceBin) -> Diagnosis:
     if not scan.n_relevant:
         raise ValueError("relevant set must be nonempty")
     if sum(scan.topk_hits[:BINS.index(target_bin) + 1]):

@@ -24,32 +24,57 @@ T = TypeVar("T")
 dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
+_pending: list[tuple[Path, str | Path]] | None = None  # (temp, target) pairs
+
+
+@contextmanager
+def landing() -> Iterator[None]:
+    """Land the files :func:`atomic_open` writes in this context together.
+
+    Landings nest. One left by an exception, KeyboardInterrupt included,
+    removes the temp files opened in it. A clean exit from the outermost
+    renames each temp file left over its target, in the order they opened;
+    a failed rename is ``cannot write PATH: ...``."""
+    global _pending
+    outer = _pending is None
+    pending = _pending = [] if outer else _pending
+    start = len(pending)
+    try:
+        yield
+        for tmp, target in pending if outer else ():
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise IngestError(f"cannot write {target}: {exc}") from exc
+    except BaseException:
+        for tmp, _ in pending[start:]:
+            with suppress(OSError):
+                os.unlink(tmp)
+        del pending[start:]
+        raise
+    finally:
+        if outer:
+            _pending = None
+
+
 @contextmanager
 def atomic_open(path: str | Path) -> Iterator[IO[str]]:
     """Open a temp file beside ``path`` for writing UTF-8 text, with no
-    newline translation.
-
-    On a clean exit the temp file replaces ``path`` in one rename, so
-    ``path`` holds either its old bytes or the complete new ones; on an
-    exception the temp file is removed and ``path`` is left untouched. A
-    ``path`` that is a directory fails before the temp file opens. An
-    OSError on the way, the body's writes included, is re-raised as the
-    IngestError ``cannot write PATH: ...``.
+    newline translation, to land whole with the open :func:`landing` or its
+    own. A directory ``path`` fails before the temp file opens. An OSError,
+    the body's writes included, is the IngestError ``cannot write PATH: ...``.
     """
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        if target.is_dir() and not target.is_symlink():
-            raise IsADirectoryError("is a directory")
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, target)
-    except BaseException as exc:
-        with suppress(OSError):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
+    with landing():
+        _pending.append((tmp, path))
+        try:
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError("is a directory")
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+        except OSError as exc:
             raise IngestError(f"cannot write {path}: {exc}") from exc
-        raise
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:

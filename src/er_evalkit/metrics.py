@@ -41,18 +41,12 @@ Fraction = tuple[int, int]
 ROWS_PER_PIECE = 512
 
 
-@functools.total_ordering
 class ConfidenceBin(enum.Enum):
-    """Result confidence bucket; ordering is high > medium > low."""
+    """Result confidence bucket: high, medium or low."""
 
     HIGH = "high"
     MEDIUM = "medium"
     LOW = "low"
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, ConfidenceBin):
-            return NotImplemented
-        return _LEVEL[self] < _LEVEL[other]
 
 
 BINS = (ConfidenceBin.HIGH, ConfidenceBin.MEDIUM, ConfidenceBin.LOW)

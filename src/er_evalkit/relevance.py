@@ -15,8 +15,7 @@ from typing import Iterable, Mapping
 from .clickstream import CtrRecord
 from .errors import ConfigError
 from .importance import ScoredTitle
-from .jsonl import (atomic_open, dumps, fields, iter_records, require,
-                    write_jsonl)
+from .jsonl import fields, iter_records, landing, require, write_jsonl
 
 DEFAULT_MIN_IMPORTANCE = 0.3
 
@@ -34,9 +33,6 @@ class RelevanceSet:
 
     entries: dict[str, set[str]] = field(default_factory=dict)
     provenance: dict[tuple[str, str], ProvenanceRecord] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return sum(len(ids) for ids in self.entries.values())
 
 
 @dataclass(frozen=True)
@@ -113,11 +109,8 @@ def emit_qrels(relset: RelevanceSet, path: str | Path,
     The qrels file is :func:`write_qrels` of the entries. The sidecar holds
     one line per (query, entity) with the justifying ctr, nimp and
     importance. A sidecar path that resolves to the qrels path is a
-    ConfigError, raised before either file is written. The sidecar's temp
-    copy is written whole before the qrels file is, and lands right after
-    it. So a sidecar that cannot be written leaves the qrels file as it
-    was, and either path being a directory fails before either lands.
-    """
+    ConfigError, raised before either file is written. The two land
+    together, in one :func:`jsonl.landing`, or neither does."""
     provenance_path = Path(provenance_path or default_provenance_path(path))
     if provenance_path.resolve() == Path(path).resolve():
         raise ConfigError(f"provenance path {provenance_path} is the qrels "
@@ -127,8 +120,8 @@ def emit_qrels(relset: RelevanceSet, path: str | Path,
                                   prov.importance)))
                   for (query, entity_id), prov in sorted(
                       relset.provenance.items()))
-    with atomic_open(provenance_path) as fh:
-        fh.writelines(dumps(rec) + "\n" for rec in provenance)
+    with landing():
+        write_jsonl(provenance_path, provenance)
         write_qrels(relset.entries, path)
     return provenance_path
 

@@ -330,10 +330,7 @@ def gen_clicklog(run: list[RunResult], truth: dict[str, str],
 
 def write_catalog_tsv(catalog: Catalog, out_dir: str | Path,
                       ) -> tuple[Path, Path, Path]:
-    """Write basics/ratings/ranks TSVs in the ingestable dump format.
-
-    Each file is written atomically: an error partway leaves the old file.
-    """
+    """Write basics/ratings/ranks TSVs in the ingestable dump format."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -13,7 +13,6 @@ from er_evalkit.diagnose import (
     DeltaCell,
     Diagnosis,
     FailureCategory,
-    classify_query,
     compare_reports,
     diagnose_run,
     format_signed,
@@ -50,6 +49,11 @@ def run_result(query, *specs):
 
 def filler(n, start=0):
     return [(f"x{start + i}", LOW) for i in range(n)]
+
+
+def classify_query(relevant, result, k=5, target_bin=HIGH):
+    """The diagnosis of one query, through diagnose_run."""
+    return diagnose_run({result.query: relevant}, [result], k, target_bin)[0][0]
 
 
 class TestClassifyQuery:
@@ -330,7 +334,7 @@ class TestCompareReports:
 
 
 class TestBruteForceClassifier:
-    """classify_query and diagnose_run against a loop-based oracle."""
+    """One-query and whole-run diagnose_run against a loop-based oracle."""
 
     @pytest.fixture(scope="class")
     def instances(self):

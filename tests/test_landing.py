@@ -1,0 +1,172 @@
+"""One landing rule: every output a stage writes lands together, after its
+stdout, or none does (jsonl.landing)."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from er_evalkit import metrics
+from er_evalkit.cli import dispatch
+from er_evalkit.errors import IngestError
+from er_evalkit.jsonl import atomic_open, landing, write_jsonl
+
+from peak import SRC
+
+CLI = [sys.executable, "-m", "er_evalkit.cli"]
+ENV = dict(os.environ, PYTHONPATH=str(SRC))
+SIMULATE = ["simulate", "--n-titles", "20", "--n-queries", "5"]
+SIM_FILES = ["basics.tsv", "clicklog.jsonl", "ranks.tsv", "ratings.tsv",
+             "run.jsonl", "truth_qrels.jsonl"]
+
+
+def snapshot(directory):
+    """Each entry's bytes, or None for a directory; temp files included."""
+    return {path.name: None if path.is_dir() else path.read_bytes()
+            for path in directory.iterdir()}
+
+
+def failing_records(n_good, exc):
+    yield from ({"i": i} for i in range(n_good))
+    raise exc
+
+
+class TestLanding:
+    def test_nested_writes_land_at_the_outer_exit_in_open_order(
+            self, tmp_path, monkeypatch):
+        renames = []
+        real = os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: (
+            renames.append(Path(dst).name), real(src, dst)))
+        with landing():
+            write_jsonl(tmp_path / "b.jsonl", [{"b": 1}])
+            with landing():
+                write_jsonl(tmp_path / "a.jsonl", [{"a": 1}])
+            assert renames == []
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                f".{name}.{os.getpid()}.tmp" for name in ("a.jsonl", "b.jsonl")]
+        assert renames == ["b.jsonl", "a.jsonl"]
+        assert snapshot(tmp_path) == {"a.jsonl": b'{"a":1}\n',
+                                      "b.jsonl": b'{"b":1}\n'}
+
+    @pytest.mark.parametrize("exc", [RuntimeError("late"), KeyboardInterrupt()])
+    def test_exception_lands_nothing(self, tmp_path, exc):
+        (tmp_path / "a.jsonl").write_text("old a\n", encoding="utf-8")
+        before = snapshot(tmp_path)
+        with pytest.raises(type(exc)):
+            with landing():
+                write_jsonl(tmp_path / "a.jsonl", [{"a": 1}])
+                write_jsonl(tmp_path / "b.jsonl", [{"b": 1}])
+                raise exc
+        assert snapshot(tmp_path) == before
+
+    def test_a_failed_writer_never_lands_even_if_caught(self, tmp_path):
+        (tmp_path / "a.jsonl").write_text("old a\n", encoding="utf-8")
+        with landing():
+            with pytest.raises(RuntimeError):
+                write_jsonl(tmp_path / "a.jsonl",
+                            failing_records(3, RuntimeError("halfway")))
+            write_jsonl(tmp_path / "b.jsonl", [{"b": 1}])
+        assert snapshot(tmp_path) == {"a.jsonl": b"old a\n",
+                                      "b.jsonl": b'{"b":1}\n'}
+
+    def test_failed_rename_names_its_target_and_removes_the_rest(
+            self, tmp_path):
+        with pytest.raises(IngestError, match=r"^cannot write .*a\.jsonl: "):
+            with landing():
+                with atomic_open(tmp_path / "a.jsonl") as fh:
+                    fh.write("new a\n")
+                write_jsonl(tmp_path / "b.jsonl", [{"b": 1}])
+                # a.jsonl turns into a directory after its temp file opened.
+                (tmp_path / "a.jsonl").mkdir()
+        assert sorted(snapshot(tmp_path)) == ["a.jsonl"]
+
+
+class TestStages:
+    def test_mixed_seed_fixture_set_cannot_happen(self, capsys, tmp_path):
+        """simulate into a seed-1 set whose run.jsonl is a directory: exit 1,
+        and every old file keeps its seed-1 bytes."""
+        out = tmp_path / "mix"
+        assert dispatch([*SIMULATE, "--seed", "1", "--out-dir", str(out)]) == 0
+        (out / "run.jsonl").unlink()
+        (out / "run.jsonl").mkdir()
+        before = snapshot(out)
+        capsys.readouterr()
+        code = dispatch([*SIMULATE, "--seed", "2", "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            f"error: cannot write {out / 'run.jsonl'}: is a directory\n")
+        assert snapshot(out) == before
+        assert sorted(before) == SIM_FILES
+
+    def test_interrupted_simulate_keeps_every_old_file(
+            self, capsys, tmp_path, monkeypatch):
+        """Ctrl-C while simulate writes run.jsonl, its fifth file."""
+        out = tmp_path / "sim"
+        assert dispatch([*SIMULATE, "--seed", "1", "--out-dir", str(out)]) == 0
+        before = snapshot(out)
+        capsys.readouterr()
+        save_run = metrics.save_run
+
+        def interrupted(run, path):
+            def results():
+                yield next(iter(run))
+                raise KeyboardInterrupt
+            return save_run(results(), path)
+
+        monkeypatch.setattr(metrics, "save_run", interrupted)
+        code = dispatch([*SIMULATE, "--seed", "2", "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            1, "", "error: interrupted\n")
+        assert snapshot(out) == before
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="needs a file system that takes any name bytes")
+class TestNonUtf8Paths:
+    """A path that is not UTF-8 is echoed in the summary as the JSON escape
+    of its lone surrogate, which decodes back to the same path."""
+
+    def run(self, *argv):
+        return subprocess.run(CLI + list(argv), capture_output=True, env=ENV,
+                              timeout=120)
+
+    def test_aggregate_ctr_out(self, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"query":"q","impressions":["A"]}\n',
+                          encoding="utf-8")
+        out = tmp_path / os.fsdecode(b"ctr\xff.jsonl")
+        done = self.run("aggregate-ctr", "--events", str(events),
+                        "--min-impressions", "1", "--out", str(out))
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.is_file()
+        assert b'"out":' in done.stdout and b"\\udcff" in done.stdout
+        assert json.loads(done.stdout)["out"] == os.fsdecode(out)
+
+    def test_simulate_out_dir(self, tmp_path):
+        out = tmp_path / os.fsdecode(b"o\xffd")
+        done = self.run(*SIMULATE, "--seed", "1", "--out-dir", str(out))
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert sorted(p.name for p in out.iterdir()) == SIM_FILES
+        assert json.loads(done.stdout)["out_dir"] == os.fsdecode(out)
+
+
+def test_one_rename_in_the_package():
+    """os.replace is named once under src/er_evalkit/, in jsonl.landing, so
+    no stage can land a file by a second rule."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in (SRC / "er_evalkit").glob("*.py")}
+    renames = {name: text.count("os.replace") + text.count("os.rename")
+               + text.count("from os import") for name, text in sources.items()}
+    assert {name: n for name, n in renames.items() if n} == {"jsonl.py": 1}
+    landing_def, = (node for node in ast.parse(sources["jsonl.py"]).body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "landing")
+    assert "os.replace(" in ast.get_source_segment(sources["jsonl.py"],
+                                                   landing_def)

@@ -61,10 +61,6 @@ RELEVANT = {"A", "B"}
 
 
 class TestConfidenceBin:
-    def test_total_order(self):
-        assert HIGH > MEDIUM > LOW
-        assert LOW < HIGH
-
     def test_exactly_three_values(self):
         assert len(ConfidenceBin) == 3
         assert [b.value for b in BINS] == ["high", "medium", "low"]

@@ -337,10 +337,11 @@ def test_closed_stdout_is_one_error_line(report_inputs, tmp_path):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("command,out", [
     ("evaluate", False), ("evaluate", True), ("diagnose", False),
-    ("diagnose", True), ("compare", True)])
+    ("diagnose", True), ("compare", True), ("aggregate-ctr", True)])
 def test_full_stdout_is_one_error_line(tmp_path, command, out):
     """A stdout that takes no byte (ENOSPC): exit 1 with one error line that
-    blames stdout, not the --out file, and no --out file."""
+    blames stdout, not the --out file, and no --out file, for a report stage
+    and a file stage alike."""
     qrels, run = tmp_path / "qrels.jsonl", tmp_path / "run.jsonl"
     qrels.write_text('{"query":"q","relevant":["A"]}\n', encoding="utf-8")
     run.write_text('{"query":"q","results":[{"entity_id":"A","score":1.0,'
@@ -353,6 +354,11 @@ def test_full_stdout_is_one_error_line(tmp_path, command, out):
                         *argv[1:], "--out", str(base)], check=True,
                        capture_output=True, env=env, timeout=120)
         argv = [command, "--baseline", str(base), "--candidate", str(base)]
+    elif command == "aggregate-ctr":
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"query":"q","impressions":["A"]}\n',
+                          encoding="utf-8")
+        argv = [command, "--events", str(events)]
     inputs = sorted(tmp_path.iterdir())
     if out:
         argv += ["--out", str(tmp_path / "report.json")]
