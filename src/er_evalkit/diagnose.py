@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import ConfigError
-from .jsonl import fields, iter_records, optional, require, write_jsonl
+from .jsonl import optional, require, write_jsonl
 from .metrics import (
     BINS,
     DEFAULT_K,
@@ -168,27 +168,6 @@ def diagnosis_records(diagnoses: Iterable[Diagnosis]) -> Iterator[dict]:
 
 def write_diagnoses(diagnoses: Iterable[Diagnosis], path: str | Path) -> int:
     return write_jsonl(path, diagnosis_records(diagnoses))
-
-
-def load_diagnoses(path: str | Path) -> list[Diagnosis]:
-    """Load diagnoses JSONL, typed as :func:`write_diagnoses` writes them.
-
-    ``query`` is a string, ``category`` a category name, ``best_rank`` an
-    int >= 1 (never a bool) or null, and ``best_bin`` a bin name or null.
-    """
-    seen: set[str] = set()
-
-    def parse(rec: dict) -> Diagnosis:
-        query, category, best_rank, best_bin = fields(rec, DIAGNOSIS_FIELDS)
-        if query in seen:
-            raise ValueError(f"duplicate query {query!r}")
-        seen.add(query)
-        if best_rank is not None and best_rank < 1:
-            raise ValueError(f"best_rank must be >= 1, got {best_rank}")
-        return Diagnosis(query, FailureCategory(category), best_rank,
-                         None if best_bin is None else ConfidenceBin(best_bin))
-
-    return list(iter_records(path, parse, "diagnosis"))
 
 
 def format_signed(value: float | None, suffix: str) -> str | None:

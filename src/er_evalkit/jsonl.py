@@ -12,6 +12,7 @@ import math
 import os
 import re
 from contextlib import contextmanager, suppress
+from itertools import takewhile
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
@@ -24,7 +25,8 @@ T = TypeVar("T")
 dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
-_pending: list[tuple[Path, str | Path]] | None = None  # (temp, target) pairs
+# (temp, target) pairs, and (directory, None) for each directory made.
+_pending: list[tuple[Path, str | Path | None]] | None = None
 
 
 @contextmanager
@@ -32,9 +34,10 @@ def landing() -> Iterator[None]:
     """Land the files :func:`atomic_open` writes in this context together.
 
     Landings nest. One left by an exception, KeyboardInterrupt included,
-    removes the temp files opened in it. A clean exit from the outermost
-    renames each temp file left over its target, in the order they opened;
-    a failed rename is ``cannot write PATH: ...``."""
+    removes the temp files opened in it, then the directories
+    :func:`make_dirs` made in it that are empty, deepest first. A clean exit
+    from the outermost renames each temp file left over its target, in the
+    order they opened; a failed rename is ``cannot write PATH: ...``."""
     global _pending
     outer = _pending is None
     pending = _pending = [] if outer else _pending
@@ -43,13 +46,14 @@ def landing() -> Iterator[None]:
         yield
         for tmp, target in pending if outer else ():
             try:
-                os.replace(tmp, target)
+                if target is not None:
+                    os.replace(tmp, target)
             except OSError as exc:
                 raise IngestError(f"cannot write {target}: {exc}") from exc
     except BaseException:
-        for tmp, _ in pending[start:]:
+        for made, target in reversed(pending[start:]):
             with suppress(OSError):
-                os.unlink(tmp)
+                (os.rmdir if target is None else os.unlink)(made)
         del pending[start:]
         raise
     finally:
@@ -75,6 +79,16 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
                 yield fh
         except OSError as exc:
             raise IngestError(f"cannot write {path}: {exc}") from exc
+
+
+def make_dirs(path: str | Path) -> None:
+    """``Path(path).mkdir(parents=True, exist_ok=True)``, registering each
+    directory it makes with the open :func:`landing`, or its own."""
+    path = Path(path)
+    with landing():
+        _pending.extend((made, None) for made in [*takewhile(
+            lambda p: not p.exists(), (path, *path.parents))][::-1])
+        path.mkdir(parents=True, exist_ok=True)
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:

@@ -24,7 +24,7 @@ from .catalog import (BASICS_COLUMNS, MISSING_TOKEN, RANKS_COLUMNS,
                       RATINGS_COLUMNS, Catalog, Title, assign_pseudo_ranks)
 from .clickstream import ClickEvent, normalize_query
 from .errors import ConfigError
-from .jsonl import write_lines
+from .jsonl import make_dirs, write_lines
 from .metrics import RunResult
 from .relevance import write_qrels
 from .rng import SplitMix64, derive_seed
@@ -332,7 +332,7 @@ def write_catalog_tsv(catalog: Catalog, out_dir: str | Path,
                       ) -> tuple[Path, Path, Path]:
     """Write basics/ratings/ranks TSVs in the ingestable dump format."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(out_dir)
     paths = []
     for name, header, attrs in (
             ("basics", BASICS_COLUMNS, ("name", "release_year")),

@@ -499,6 +499,31 @@ class TestStrictMode:
         assert json.loads(out)["rejected_events"] == 2
         assert out_path.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("value", ["yes", "off", "maybe"])
+    def test_strict_from_config_reaches_ingest_catalog(self, capsys, tmp_path,
+                                                       value):
+        basics = tmp_path / "basics.tsv"
+        basics.write_text("tconst\tprimaryTitle\tstartYear\n"
+                          "tt1\tA\t2000\ntt2\tB\t19x9\n", encoding="utf-8")
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("tconst\taverageRating\tnumVotes\n",
+                           encoding="utf-8")
+        config = tmp_path / "settings.conf"
+        config.write_text(f"strict = {value}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "ingest-catalog", "--basics",
+                                 str(basics), "--ratings", str(ratings),
+                                 "--out", str(tmp_path / "catalog.jsonl"),
+                                 "--config", str(config))
+        if value == "off":
+            assert (code, err) == (0, "")
+            assert json.loads(out)["rejects"] == 1
+        else:
+            assert (code, out) == (1, "")
+            assert err == {
+                "yes": f"error: {basics}:3: unparseable year '19x9'\n",
+                "maybe": f"error: strict 'maybe' from config file {config}: "
+                         "not a boolean: 'maybe'\n"}[value]
+
 
 class TestDiagnoseCommand:
     def test_target_bin_flag_changes_classification(self, capsys, tmp_path):
@@ -644,6 +669,21 @@ class TestCompareMalformedReport:
         assert "bad.json" in error_lines(err)[0]
         assert f"{field} must be" in error_lines(err)[0]
         assert "Traceback" not in err
+
+    def test_reports_that_disagree_on_bins(self, capsys, tmp_path):
+        qrels, run = write_worked_fixture(tmp_path)
+        good = tmp_path / "good.json"
+        run_cli(capsys, "evaluate", "--qrels", str(qrels), "--run", str(run),
+                "--out", str(good))
+        report = json.loads(good.read_text())
+        report["bins"] = ["high", "low", "medium"]
+        other = tmp_path / "other.json"
+        other.write_text(dumps(report), encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--baseline", str(good),
+                                 "--candidate", str(other))
+        assert (code, out, err) == (
+            1, "", "error: reports disagree on bins: ('high', 'medium', "
+            "'low') vs ('high', 'low', 'medium')\n")
 
 
 class TestCompareValueRange:
@@ -1204,6 +1244,18 @@ class TestInputTyping:
         assert out == ""
         assert error_lines(err)[0] == \
             "error: year_window 2100,1870 is reversed: 2100 > 1870"
+
+    def test_empty_basics_file(self, capsys, tmp_path):
+        basics = tmp_path / "basics.tsv"
+        basics.write_bytes(b"")
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("tconst\taverageRating\tnumVotes\n",
+                           encoding="utf-8")
+        code, out, err = run_cli(capsys, "ingest-catalog", "--basics",
+                                 str(basics), "--ratings", str(ratings),
+                                 "--out", str(tmp_path / "catalog.jsonl"))
+        assert (code, out, err) == (
+            1, "", f"error: {basics}: missing header row\n")
 
     @pytest.mark.parametrize("value", ["0.5", float("nan"), float("inf"),
                                        True, [0.5], {"v": 1}])

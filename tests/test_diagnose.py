@@ -11,15 +11,12 @@ from hypothesis import given, settings, strategies as st
 from er_evalkit.diagnose import (
     CATEGORIES,
     DeltaCell,
-    Diagnosis,
     FailureCategory,
     compare_reports,
     diagnose_run,
     format_signed,
-    load_diagnoses,
-    write_diagnoses,
 )
-from er_evalkit.errors import ConfigError, IngestError
+from er_evalkit.errors import ConfigError
 from er_evalkit.metrics import (
     BINS,
     MACRO,
@@ -189,58 +186,6 @@ class TestDiagnoseRun:
         _, summary = diagnose_run({}, [], k=5)
         assert summary.total == 0
         assert summary.consistent
-
-
-class TestDiagnosisFiles:
-    def test_round_trip(self, tmp_path):
-        diagnoses = [
-            Diagnosis("q1", FailureCategory.SUCCESS, best_rank=1,
-                      best_bin=HIGH),
-            Diagnosis("q2", FailureCategory.RETRIEVAL_MISS),
-        ]
-        path = tmp_path / "diagnoses.jsonl"
-        write_diagnoses(diagnoses, path)
-        assert load_diagnoses(path) == diagnoses
-
-    @pytest.mark.parametrize("field,value,message", [
-        ("query", 5, "query must be str, got 5"),
-        ("query", None, "query must be str, got None"),
-        ("category", "bogus", "'bogus' is not a valid FailureCategory"),
-        ("category", 1, "category must be str, got 1"),
-        ("best_rank", True, "best_rank must be int, got True"),
-        ("best_rank", 1.0, "best_rank must be int, got 1.0"),
-        ("best_rank", 0, "best_rank must be >= 1, got 0"),
-        ("best_bin", "huge", "'huge' is not a valid ConfidenceBin"),
-        ("best_bin", 2, "best_bin must be str, got 2"),
-    ])
-    def test_fields_typed_on_load(self, tmp_path, field, value, message):
-        good = {"query": "q", "category": "success", "best_rank": 1,
-                "best_bin": "high"}
-        path = tmp_path / "diagnoses.jsonl"
-        path.write_text(json.dumps({**good, field: value}) + "\n",
-                        encoding="utf-8")
-        with pytest.raises(IngestError) as caught:
-            load_diagnoses(path)
-        assert str(caught.value) == f"{path}:1: bad diagnosis: {message}"
-
-    def test_repeated_query_rejected(self, tmp_path):
-        path = tmp_path / "diagnoses.jsonl"
-        path.write_text('{"query":"q","category":"success","best_rank":1,'
-                        '"best_bin":"high"}\n'
-                        '{"query":"r","category":"retrieval_miss"}\n'
-                        '{"query":"q","category":"retrieval_miss"}\n',
-                        encoding="utf-8")
-        with pytest.raises(IngestError) as caught:
-            load_diagnoses(path)
-        assert str(caught.value) == \
-            f"{path}:3: bad diagnosis: duplicate query 'q'"
-
-    def test_missing_evidence_loads_as_none(self, tmp_path):
-        path = tmp_path / "diagnoses.jsonl"
-        path.write_text('{"query":"q","category":"retrieval_miss"}\n',
-                        encoding="utf-8")
-        assert load_diagnoses(path) == [
-            Diagnosis("q", FailureCategory.RETRIEVAL_MISS)]
 
 
 class TestFormatSigned:

@@ -73,6 +73,13 @@ class TestLogScaleScore:
         with pytest.raises(ConfigError):
             log_scale_score(5, 100, 100)
 
+    def test_zero_upper_bound_is_not_positive(self):
+        """hi = 0 fails the positivity check, before the lo < hi one."""
+        with pytest.raises(ValueError) as caught:
+            log_scale_score(5, 1, 0)
+        assert str(caught.value) == \
+            "log scale needs positive bounds, got lo=1 hi=0"
+
 
 # 1 then 400 zeros: its log rounds to the same float as BIG + 1's, and
 # neither it nor a difference with it converts to a float.
@@ -171,6 +178,20 @@ class TestImportanceConfig:
         with pytest.raises(ConfigError):
             ImportanceConfig(default_component_score=1.5)
 
+    def test_zero_default_component_score_through_the_cli(self, tmp_path,
+                                                          capsys):
+        """0 is the closed lower end of [0, 1]: a missing rank scores 0."""
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text(
+            '{"entity_id":"tt1","name":"A","release_year":2000,'
+            '"rating_count":10}\n', encoding="utf-8")
+        out = tmp_path / "scored.jsonl"
+        assert dispatch(["score-importance", "--catalog", str(catalog),
+                         "--out", str(out), "--bounds", "1950,2020,1,10,100",
+                         "--default-component-score", "0"]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_scored(out)[0].components.rank_score == 0.0
+
 
 def make_catalog():
     return Catalog(titles=[
@@ -192,6 +213,16 @@ class TestFitBounds:
                                         rating_count=5)])
         with pytest.raises(ConfigError, match="rank"):
             fit_bounds(catalog)
+
+    def test_no_rating_count_through_the_cli(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text(
+            '{"entity_id":"tt1","name":"A","release_year":2000,"rank":3}\n',
+            encoding="utf-8")
+        code = dispatch(["score-importance", "--catalog", str(catalog),
+                         "--out", str(tmp_path / "scored.jsonl")])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: cannot fit bounds: no title has rating_count\n")
 
 
 class TestScoreCatalog:

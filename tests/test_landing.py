@@ -127,6 +127,43 @@ class TestStages:
         assert snapshot(out) == before
 
 
+class TestNewOutDir:
+    """A simulate that fails leaves no --out-dir it made, nor its parents;
+    a directory that was there before stays."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    def test_full_stdout(self, tmp_path):
+        (tmp_path / "old").mkdir()
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            done = subprocess.run(
+                CLI + [*SIMULATE, "--seed", "7", "--out-dir", "new/dir"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=ENV,
+                cwd=tmp_path, timeout=120)
+        assert (done.returncode, done.stderr) == (
+            1, "error: cannot write stdout: [Errno 28] No space left on device\n")
+        assert snapshot(tmp_path) == {"old": None}
+
+    def test_interrupted(self, capsys, tmp_path, monkeypatch):
+        def interrupted(run, path):
+            raise KeyboardInterrupt
+
+        (tmp_path / "old").mkdir()
+        monkeypatch.setattr(metrics, "save_run", interrupted)
+        code = dispatch([*SIMULATE, "--seed", "7", "--out-dir",
+                         str(tmp_path / "new" / "dir")])
+        assert (code, capsys.readouterr().err) == (1, "error: interrupted\n")
+        assert snapshot(tmp_path) == {"old": None}
+
+    def test_out_dir_that_is_a_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept\n", encoding="utf-8")
+        code = dispatch([*SIMULATE, "--seed", "7", "--out-dir", "afile"])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: [Errno 17] File exists: 'afile'\n")
+        assert snapshot(tmp_path) == {"afile": b"kept\n"}
+
+
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="needs a file system that takes any name bytes")
 class TestNonUtf8Paths:

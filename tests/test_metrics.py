@@ -10,11 +10,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from er_evalkit import metrics
 from er_evalkit.errors import IngestError
 from er_evalkit.jsonl import dumps
 from er_evalkit.metrics import (
     BINS,
     ROWS_PER_PIECE,
+    RUN_FIELDS,
+    RUN_ITEM_FIELDS,
     ConfidenceBin,
     MetricsReport,
     RankedEntity,
@@ -466,6 +469,24 @@ class TestRunFiles:
             '{"entity_id":"B","score":1e308,"bin":"low"}')
         [result] = load_run(path)
         assert result.scores == (1e308, 1e308)
+
+    def test_only_a_bad_list_is_walked_item_by_item(self, tmp_path,
+                                                    monkeypatch):
+        """A clean list, int and float scores mixed, loads by its columns
+        with no per-item fields call; a list with a bad item is walked."""
+        tables = []
+        real = metrics.fields
+        monkeypatch.setattr(metrics, "fields", lambda rec, table: (
+            tables.append(table), real(rec, table))[1])
+        load_run(write_results(
+            tmp_path, '{"entity_id":"A","score":2,"bin":"high"},'
+            '{"entity_id":"B","score":0.5,"bin":"low"}'))
+        assert tables == [RUN_FIELDS]
+        tables.clear()
+        with pytest.raises(IngestError):
+            load_run(write_results(
+                tmp_path, '{"entity_id":"A","score":true,"bin":"high"}'))
+        assert tables == [RUN_FIELDS, RUN_ITEM_FIELDS]
 
     def test_integer_score_loads_as_float(self, tmp_path):
         path = tmp_path / "run.jsonl"

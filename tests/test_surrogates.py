@@ -13,7 +13,6 @@ import pytest
 from er_evalkit.catalog import load_catalog
 from er_evalkit.cli import dispatch
 from er_evalkit.clickstream import load_ctr_records, parse_events
-from er_evalkit.diagnose import load_diagnoses
 from er_evalkit.errors import IngestError
 from er_evalkit.importance import load_scored
 from er_evalkit.jsonl import decode, decode_utf8, load_jsonl
@@ -33,7 +32,6 @@ READERS = {
     "qrels": (load_qrels, '{"query":"q","relevant":["tt1"]}'),
     "run": (load_run, '{"query":"q","results":[{"entity_id":"tt1",'
                       '"score":1.0,"bin":"high"}]}'),
-    "diagnoses": (load_diagnoses, '{"query":"tt1","category":"success"}'),
     "events": (lambda path: list(parse_events(path, strict=True)),
                '{"query":"q","impressions":["tt1"]}'),
     "jsonl": (load_jsonl, '{"tt1":1}'),
