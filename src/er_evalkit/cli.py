@@ -23,7 +23,7 @@ from typing import Iterable
 from . import catalog as catalog_mod
 from . import clickstream, diagnose, importance, metrics, relevance, simulate
 from .errors import ConfigError, EvalKitError
-from .jsonl import INPUT_ENCODING, atomic_open, dumps, landing, read_failure
+from .jsonl import atomic_open, dumps, landing, read_lines
 
 _SIM_DEFAULTS = {f.name: f.default for f in fields(simulate.SimConfig)
                  if f.name != "seed"}
@@ -109,16 +109,10 @@ def _converter(name: str, default):
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat key-value file: one `key = value` per line, # comments."""
-    try:
-        text = Path(path).read_text(encoding=INPUT_ENCODING)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(
-            f"cannot read config {path}: {read_failure(path, exc)}") from exc
     out: dict[str, str] = {}
     first: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for lineno, stripped in read_lines(path):
+        if stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key = value")

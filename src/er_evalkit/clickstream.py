@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, IngestError
-from .jsonl import (decode_utf8, dumps, fields, iter_records, read_lines,
+from .jsonl import (decode, dumps, fields, iter_records, read_lines,
                     require, write_jsonl, write_lines)
 
 DEFAULT_MIN_IMPRESSIONS = 25
@@ -141,7 +141,7 @@ def _checked_lines(path: str | Path, strict: bool, stats: ParseStats | None
     for lineno, line in read_lines(path):
         stats.lines += 1
         try:
-            fields = _event_fields(decode_utf8(line))
+            fields = _event_fields(decode(line))
         except ValueError as exc:
             stats.rejected += 1
             if strict:

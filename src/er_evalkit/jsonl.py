@@ -158,8 +158,10 @@ def decode(line: str) -> Any:
     """``json.loads(line)``; any failure to decode is one ValueError.
 
     Besides a syntax error, that covers an integer literal over the
-    interpreter's digit limit (a plain ValueError) and nesting too deep for
-    the decoder (a RecursionError). The message starts ``invalid JSON:``.
+    interpreter's digit limit (a plain ValueError), nesting too deep for
+    the decoder (a RecursionError), and a string with a lone surrogate,
+    which a ``\\u`` escape can spell and UTF-8 cannot encode (``lone
+    surrogate ...``). The message starts ``invalid JSON:``.
 
     Every reader decodes one value per line, so the usual path calls the
     decoder's scanner directly: ``json.loads`` adds a BOM check, two
@@ -168,28 +170,20 @@ def decode(line: str) -> Any:
     is exactly what ``json.loads`` would return. Any other outcome (an
     error, trailing data, or leading whitespace or a BOM, where the scan
     cannot start) is decoded again by ``json.loads``, which stays the only
-    source of error texts.
+    source of error texts. Only a value whose line holds ``\\u`` (found by
+    a memchr for the backslash first) is walked for surrogates, by a stack
+    that takes any nesting.
     """
     try:
         value, end = _scan_once(line, 0)
+        scanned = end == len(line) or not line[end:].strip(_JSON_WHITESPACE)
     except (StopIteration, ValueError, RecursionError):
-        pass
-    else:
-        if end == len(line) or not line[end:].strip(_JSON_WHITESPACE):
-            return value
-    try:
-        return json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-
-
-def decode_utf8(line: str) -> Any:
-    """:func:`decode`, but a string with a lone surrogate, which a ``\\u``
-    escape can spell and UTF-8 cannot encode, is the ValueError ``invalid
-    JSON: lone surrogate ...``. Every reader decodes through this. Only a
-    line with ``\\u`` (found by a memchr for the backslash first) is walked,
-    by a stack that takes any nesting."""
-    value = decode(line)
+        scanned = False
+    if not scanned:
+        try:
+            value = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"invalid JSON: {exc}") from exc
     stack = [value] if "\\" in line and "\\u" in line else []
     while stack:
         item = stack.pop()
@@ -212,7 +206,7 @@ def iter_records(path: str | Path, parse: Callable[[Any], T],
     """
     for lineno, line in read_lines(path):
         try:
-            rec = decode_utf8(line)
+            rec = decode(line)
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
         try:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestError
-from .jsonl import (INPUT_ENCODING, decode_utf8, dumps, fields, iter_records,
+from .jsonl import (INPUT_ENCODING, decode, dumps, fields, iter_records,
                     read_failure, require, write_jsonl, write_lines)
 
 log = logging.getLogger(__name__)
@@ -50,10 +50,8 @@ class ConfidenceBin(enum.Enum):
 
 
 BINS = (ConfidenceBin.HIGH, ConfidenceBin.MEDIUM, ConfidenceBin.LOW)
-# A bin's level is its byte in RunResult.levels: 0 low, 1 medium, 2 high.
-_BIN_AT_LEVEL = BINS[::-1]
-_LEVEL = {bin: level for level, bin in enumerate(_BIN_AT_LEVEL)}
-_BIN_LEVELS = bytes(map(_LEVEL.__getitem__, BINS))
+# A bin's level, its byte in RunResult.levels, is its index in BINS.
+_LEVEL = {bin: level for level, bin in enumerate(BINS)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +102,7 @@ class RunResult:
     @property
     def ranked(self) -> tuple[RankedEntity, ...]:
         return tuple(map(RankedEntity, self.ids, self.scores,
-                         map(_BIN_AT_LEVEL.__getitem__, self.levels)))
+                         map(BINS.__getitem__, self.levels)))
 
 
 def _check_k(k: int):
@@ -142,11 +140,11 @@ def scan_query(relevant: set[str], result: RunResult | None,
     hit_levels = bytes(levels[rank] for rank in ranks if rank < k)
     return QueryScan(
         n_relevant=len(relevant),
-        topk_hits=tuple(map(hit_levels.count, _BIN_LEVELS)),
-        topk_counts=tuple(map(levels[:k].count, _BIN_LEVELS)),
-        first_bin=_BIN_AT_LEVEL[levels[0]] if levels else None,
+        topk_hits=tuple(map(hit_levels.count, range(len(BINS)))),
+        topk_counts=tuple(map(levels[:k].count, range(len(BINS)))),
+        first_bin=BINS[levels[0]] if levels else None,
         best_rank=ranks[0] + 1 if ranks else None,
-        best_bin=_BIN_AT_LEVEL[levels[ranks[0]]] if ranks else None,
+        best_bin=BINS[levels[ranks[0]]] if ranks else None,
     )
 
 
@@ -310,11 +308,11 @@ class MetricsReport:
     def load(cls, path: str | Path) -> "MetricsReport":
         try:
             return cls.from_dict(
-                decode_utf8(Path(path).read_text(encoding=INPUT_ENCODING)))
+                decode(Path(path).read_text(encoding=INPUT_ENCODING)))
         except (OSError, ValueError) as exc:
             raise IngestError(f"cannot load report {path}: "
                               f"{read_failure(path, exc)}") from exc
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise IngestError(f"{path}: not a metrics report: {exc!r}") from exc
 
     def render_table(self) -> str:
@@ -446,7 +444,7 @@ def iter_run(path: str | Path) -> Iterator[RunResult]:
                 return RunResult(query, columns=(
                     ids, tuple(map(float, scores)), levels))
         return RunResult(query, (
-            RankedEntity(entity_id, float(score), _BIN_AT_LEVEL[level])
+            RankedEntity(entity_id, float(score), BINS[level])
             for entity_id, score, level in (fields(item, RUN_ITEM_FIELDS)
                                             for item in results)))
 
@@ -461,7 +459,7 @@ def load_run(path: str | Path) -> list[RunResult]:
 def save_run(run: Iterable[RunResult], path: str | Path) -> int:
     keys = [key for key, _, _ in RUN_FIELDS]
     item_keys = [key for key, _, _ in RUN_ITEM_FIELDS]
-    bin_values = [bin.value for bin in _BIN_AT_LEVEL]
+    bin_values = [bin.value for bin in BINS]
     return write_jsonl(path, (dict(zip(keys, (result.query, [
         dict(zip(item_keys, item)) for item in zip(
             result.ids, result.scores,

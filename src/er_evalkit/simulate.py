@@ -163,14 +163,6 @@ def levenshtein(a: str, b: str) -> int:
     return PackedMyers([a]).distances(b)[0]
 
 
-def similarity(a: str, b: str) -> float:
-    """1 − distance/max(len); identical strings (even empty) score 1.0."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / longest
-
-
 def _syllable(rng: SplitMix64) -> str:
     return rng.choice(_CONSONANTS) + rng.choice(_VOWELS)
 
@@ -293,9 +285,9 @@ def run_mock_er(catalog: Catalog, queries: list[tuple[str, str]],
             (-(1.0 - d / (w if w > m else m) + e), entity_id)
             for d, w, e, entity_id in zip(kernel.distances(query), widths,
                                           noise, ids)))
-        # Ids are distinct and scores fall; a level is thresholds reached.
+        # Ids are distinct and scores fall; a level is thresholds missed.
         scores = tuple(-neg for neg, _ in top)
-        levels = bytes((s >= t_high) + (s >= t_medium) for s in scores)
+        levels = bytes((s < t_high) + (s < t_medium) for s in scores)
         results.append(RunResult(query, columns=(
             tuple(entity_id for _, entity_id in top), scores, levels)))
     return results

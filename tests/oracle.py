@@ -157,6 +157,14 @@ def dp_levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+def similarity(a: str, b: str) -> float:
+    """1 − distance/max(len); identical strings (even empty) score 1.0."""
+    longest = max(len(a), len(b))
+    if longest == 0:
+        return 1.0
+    return 1.0 - dp_levenshtein(a, b) / longest
+
+
 def binomial_bounds(p: float, n: int, z: float = 2.576) -> tuple[float, float]:
     """Normal-approximation confidence bounds for a binomial proportion.
 

@@ -158,6 +158,15 @@ class TestConfigPrecedence:
         with pytest.raises(ConfigError, match="1"):
             load_config_file(config)
 
+    def test_only_a_newline_ends_a_config_line(self, tmp_path):
+        """Line numbers count file lines, as every other reader does."""
+        config = tmp_path / "settings.conf"
+        config.write_text("# a\x0cb\u2028c\nk = 3\x1e\nbogus\n",
+                          encoding="utf-8")
+        with pytest.raises(ConfigError) as raised:
+            load_config_file(config)
+        assert str(raised.value) == f"{config}:3: expected key = value"
+
     def test_unparsable_config_value_names_key_and_file(self, capsys,
                                                         tmp_path):
         qrels, run = write_worked_fixture(tmp_path)
@@ -1409,7 +1418,7 @@ class TestUndecodableInput:
                                  "--run", str(run), "--config", str(config))
         assert_one_error_line(code, err)
         assert out == ""
-        assert error_lines(err) == [f"error: cannot read config {config}: "
+        assert error_lines(err) == [f"error: cannot read {config}: "
                                     f"{not_utf8(line=2, offset=2)}"]
 
     def test_report_not_utf8(self, capsys, tmp_path):

@@ -163,6 +163,12 @@ class TestImportanceConfig:
         with pytest.raises(ConfigError):
             ImportanceConfig(weights=(-0.1, 0.6, 0.5))
 
+    def test_weights_must_be_a_triple(self):
+        with pytest.raises(ConfigError) as raised:
+            ImportanceConfig(weights=(0.5, 0.5))
+        assert str(raised.value) == \
+            "weights must be a (year, rank, count) triple"
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ConfigError):
             ImportanceConfig(weights=(0.5, 0.5, 0.5))

@@ -1,5 +1,5 @@
 """Tests for the JSONL helpers: every output is replaced atomically, and
-decode reads exactly what json.loads reads."""
+decode reads exactly what json.loads reads, but for a lone surrogate."""
 
 import json
 
@@ -78,8 +78,18 @@ JUNK = [
 ]
 
 
+# The one text json.loads reads and decode refuses: UTF-8 cannot encode it.
+REJECTED = {'"\\ud800"': "invalid JSON: lone surrogate '\\ud800'"}
+
+
 def assert_decodes_like_loads(text):
-    """decode(text) is json.loads(text), or fails with its text."""
+    """decode(text) is json.loads(text), or fails with its text, or with
+    the text REJECTED gives."""
+    if text in REJECTED:
+        with pytest.raises(ValueError) as excinfo:
+            decode(text)
+        assert str(excinfo.value) == REJECTED[text]
+        return
     try:
         expected = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -1,0 +1,57 @@
+"""Each input rule is written once under src/er_evalkit/: one JSON decoder,
+and a fixed set of functions that open a text input, so no reader can grow
+a second form of either."""
+
+import ast
+
+from peak import SRC
+
+
+def owned_nodes():
+    """``(owner, node)`` for each AST node under src/er_evalkit/; the owner
+    is ``module.qualname`` of the innermost def or class holding the node,
+    or ``module`` at module level."""
+    for path in sorted((SRC / "er_evalkit").glob("*.py")):
+        stack = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))]
+        while stack:
+            owner, node = stack.pop()
+            yield owner, node
+            for child in ast.iter_child_nodes(node):
+                stack.append((f"{owner}.{child.name}" if isinstance(child, (
+                    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    else owner, child))
+
+
+def test_one_json_decoder():
+    """``json.loads`` and the decoder's scanner are named only in
+    jsonl.decode and on jsonl's module line that takes the scanner."""
+    decoders = ("loads", "scan_once", "raw_decode", "JSONDecoder")
+    assert {owner for owner, node in owned_nodes()
+            if isinstance(node, ast.Attribute) and node.attr in decoders
+            or isinstance(node, ast.alias) and node.name in decoders
+            } == {"jsonl", "jsonl.decode"}
+
+
+def opens_for_reading(node):
+    """A call that opens a file to read it: ``read_text``, ``read_bytes``,
+    or an ``open`` other than ``os.open`` whose mode does not write."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = ast.unparse(node.func)
+    if func.endswith((".read_text", ".read_bytes")):
+        return True
+    if func == "os.open" or func != "open" and not func.endswith(".open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+    return not (isinstance(mode, ast.Constant)
+                and set(str(mode.value)) & set("wax"))
+
+
+def test_text_inputs_open_in_four_places():
+    """Every input is opened by the line reader, the decode-error locator,
+    the TSV dump reader or the report loader, and by nothing else."""
+    assert {owner for owner, node in owned_nodes()
+            if opens_for_reading(node)} == {
+        "jsonl.read_lines", "jsonl.read_failure", "catalog._read_dump",
+        "metrics.MetricsReport.load"}

@@ -13,10 +13,7 @@ PACKAGE = SRC / "er_evalkit"
 READERS = [*(SRC.parent / "perfbench").glob("*.py"),
            Path(__file__).with_name("test_acceptance.py")]
 # module.name -> why it stays although nothing above reaches it.
-ALLOWED = {
-    "simulate.similarity": "the reference oracle of "
-    "test_scores_are_similarity_plus_noise_in_title_order",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def names_in(node):

@@ -9,8 +9,9 @@ import sys
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from er_evalkit.catalog import (CATALOG_FIELDS, Catalog, Title,
-                                load_catalog, write_catalog)
+from er_evalkit.catalog import (BASICS_COLUMNS, CATALOG_FIELDS,
+                                RANKS_COLUMNS, RATINGS_COLUMNS, Catalog,
+                                Title, load_catalog, write_catalog)
 from er_evalkit.cli import dispatch
 from er_evalkit.clickstream import (CTR_FIELDS, CtrRecord, load_ctr_records,
                                     write_ctr_records)
@@ -20,8 +21,9 @@ from er_evalkit.errors import IngestError
 from er_evalkit.importance import (SCORED_FIELDS, ComponentScores,
                                    ScoredTitle, load_scored, write_scored)
 from er_evalkit.jsonl import fields, optional as optional_field
-from er_evalkit.metrics import (RUN_FIELDS, RUN_ITEM_FIELDS, ConfidenceBin,
-                                MetricsReport, load_run)
+from er_evalkit.metrics import (MACRO, MICRO, REPORT_FIELDS, RUN_FIELDS,
+                                RUN_ITEM_FIELDS, ConfidenceBin,
+                                MetricsReport, load_run, metric_names)
 from er_evalkit.relevance import (PROVENANCE_FIELDS, QRELS_FIELDS,
                                   emit_qrels, load_qrels, merge_relevance,
                                   write_qrels)
@@ -267,3 +269,121 @@ def test_stages_take_any_typed_value(tmp_path, capsys, catalog, bounds,
         errors = [line for line in err.splitlines()
                   if line.startswith("error:")]
         assert (code, len(errors)) in ((0, 0), (1, 1)), (argv, err)
+
+
+def assert_one_outcome(capsys, argv):
+    """``dispatch(argv)`` exits 0, or 1 with exactly one ``error:`` line;
+    an exception it lets through fails the test with its traceback."""
+    code = dispatch([str(arg) for arg in argv])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert (code, len(errors)) in ((0, 0), (1, 1)), (argv, err)
+
+
+def mostly(strategy, other, odds=3):
+    """``strategy``, but ``other`` once in ``odds + 1`` draws, so examples
+    that pass most checks still reach the later ones. ``other`` is drawn at
+    the top of the range: Hypothesis favours 0, and shrinks towards it."""
+    return st.integers(0, odds).flatmap(
+        lambda i: strategy if i < odds else other)
+
+
+def any_of(own):
+    """Mostly a value of type ``own``, else null or any typed value."""
+    return mostly(TYPED[own], st.none() | st.one_of(*TYPED.values()))
+
+
+# A click-log line: an object of typed values for the four event keys, each
+# maybe absent, or any typed value, or any text. One file in four ends in
+# arbitrary bytes.
+event_lines = mostly(st.fixed_dictionaries({}, optional={
+    "query": any_of(str), "impressions": any_of(list),
+    "clicked": any_of(str), "ts": any_of(int),
+}).map(json.dumps), st.one_of(*TYPED.values()).map(json.dumps) | text)
+event_files = st.builds(lambda lines, tail: "\n".join(lines).encode() + tail,
+                        st.lists(event_lines, max_size=6),
+                        mostly(st.just(b""), st.binary(max_size=8)))
+
+
+@STAGE_FUZZ
+@given(log=event_files, strict=st.booleans())
+def test_aggregate_ctr_takes_any_line(tmp_path, capsys, log, strict):
+    events = tmp_path / "events.jsonl"
+    events.write_bytes(log)
+    assert_one_outcome(capsys, [
+        "aggregate-ctr", "--events", events, "--out", tmp_path / "ctr.jsonl",
+        "--min-impressions", "1", *(["--strict"] if strict else [])])
+
+
+# A TSV cell: the missing token, a digit or non-digit run, or rarely a tab
+# (so one more cell) or a cell over the csv module's field limit.
+cells = mostly(st.just("\\N") | st.from_regex(r"\A[0-9]{1,5}\Z")
+               | st.text(st.characters(blacklist_categories=("Cs", "Nd")),
+                         max_size=6),
+               st.sampled_from(["\t", "x" * 131_073]), odds=31)
+ids = st.sampled_from(["tt1", "tt2", "tt3", "tt4", "tt5"]) | cells
+
+
+def dumps_of(columns):
+    """A TSV dump: mostly its header, then up to five rows, each mostly an
+    id and one cell per other column."""
+    shaped = st.builds(lambda first, rest: "\t".join([first, *rest]), ids,
+                       st.lists(cells, min_size=len(columns) - 1,
+                                max_size=len(columns) - 1))
+    any_row = st.lists(cells, max_size=5).map("\t".join)
+    return st.builds(lambda head, body: "\n".join([head, *body]) + "\n",
+                     mostly(st.just("\t".join(columns)), any_row, odds=7),
+                     st.lists(mostly(shaped, any_row, odds=7), max_size=5))
+
+
+@STAGE_FUZZ
+@given(basics=dumps_of(BASICS_COLUMNS), ratings=dumps_of(RATINGS_COLUMNS),
+       ranks=st.none() | dumps_of(RANKS_COLUMNS), strict=st.booleans())
+def test_ingest_catalog_takes_any_cells(tmp_path, capsys, basics, ratings,
+                                        ranks, strict):
+    paths = []
+    for name, text in (("basics", basics), ("ratings", ratings),
+                       ("ranks", ranks)):
+        if text is not None:
+            paths += [f"--{name}", tmp_path / f"{name}.tsv"]
+            paths[-1].write_text(text, encoding="utf-8")
+    assert_one_outcome(capsys, [
+        "ingest-catalog", *paths, "--out", tmp_path / "catalog.jsonl",
+        *(["--strict"] if strict else [])])
+
+
+def reports(k):
+    """A report of typed values for REPORT_FIELDS, mostly shaped like one
+    at ``k``, or rarely any typed value in place of the whole report."""
+    value = mostly(st.none() | unit, TYPED[float] | TYPED[int], odds=255)
+    anything = st.one_of(value, *TYPED.values())
+
+    def rows(keys):
+        return mostly(st.fixed_dictionaries({key: value for key in keys}),
+                      anything, odds=127)
+
+    return mostly(table_record(
+        REPORT_FIELDS, k=mostly(st.just(k), TYPED[int], odds=7),
+        bins=mostly(st.just([bin.value for bin in ConfidenceBin]),
+                    TYPED[list], odds=7),
+        counts=st.dictionaries(text, TYPED[int], max_size=3),
+        aggregates=st.fixed_dictionaries({
+            name: rows((MICRO, MACRO)) for name in metric_names(k)}),
+        per_query=st.dictionaries(text, rows(metric_names(k)), max_size=3),
+    ), anything, odds=7)
+
+
+@STAGE_FUZZ
+@given(k_and_reports=st.sampled_from([1, 2]).flatmap(
+           lambda k: st.tuples(reports(k), reports(k))),
+       fmt=st.sampled_from(["json", "table"]))
+def test_compare_takes_any_typed_report(tmp_path, capsys, k_and_reports,
+                                        fmt):
+    paths = []
+    for name, report in zip(("baseline", "candidate"), k_and_reports):
+        paths += [f"--{name}", tmp_path / f"{name}.json"]
+        paths[-1].write_text(json.dumps(report, ensure_ascii=False),
+                             encoding="utf-8")
+    assert_one_outcome(capsys, [
+        "compare", *paths, "--format", fmt, "--out",
+        tmp_path / "delta.json"])

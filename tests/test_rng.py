@@ -45,6 +45,15 @@ class TestSplitMix64:
         values = {rng.randint(3, 7) for _ in range(2000)}
         assert values == {3, 4, 5, 6, 7}
 
+    def test_empty_ranges_rejected(self):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError) as raised:
+            rng.randrange(0)
+        assert str(raised.value) == "randrange() requires n >= 1"
+        with pytest.raises(ValueError) as raised:
+            rng.randint(2, 1)
+        assert str(raised.value) == "randint() requires lo <= hi"
+
     def test_choice_returns_members(self):
         rng = SplitMix64(3)
         options = ("a", "b", "c")

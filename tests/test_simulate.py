@@ -2,11 +2,12 @@
 
 import random
 from dataclasses import replace
+from string import ascii_lowercase
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import binomial_bounds, dp_levenshtein
+from oracle import binomial_bounds, dp_levenshtein, similarity
 
 from er_evalkit.catalog import Catalog, Title, parse_catalog
 from er_evalkit.clickstream import normalize_query
@@ -22,7 +23,6 @@ from er_evalkit.simulate import (
     gen_queries,
     levenshtein,
     run_mock_er,
-    similarity,
     write_catalog_tsv,
     write_truth_qrels,
 )
@@ -176,6 +176,22 @@ class TestGenQueries:
         texts = [q for q, _ in queries]
         assert all(texts)
         assert len(set(texts)) == len(texts) == 40
+
+    def test_the_name_itself_is_the_last_resort(self):
+        """Edits of the name "1" spell only "", "11" and the 26 letters, so
+        28 such titles take those 27 queries and the name itself, which a
+        title gets once 100 edits fail, and a 29th has none left."""
+        titles = [Title(f"tt{i}", "1", None, None, None, None)
+                  for i in range(1, 30)]
+        config = SimConfig(seed=1, n_titles=28, n_queries=28, typo_rate=1.0)
+        queries = gen_queries(Catalog(titles[:28]), config)
+        assert sorted(query for query, _ in queries) == \
+            sorted(["1", "11", *ascii_lowercase])
+        with pytest.raises(ConfigError) as raised:
+            gen_queries(Catalog(titles),
+                        replace(config, n_titles=29, n_queries=29))
+        assert str(raised.value) == \
+            "cannot produce a distinct query for tt18"
 
     def test_deterministic(self):
         config = SimConfig(seed=10, n_titles=30, n_queries=15)

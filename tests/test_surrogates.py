@@ -15,7 +15,7 @@ from er_evalkit.cli import dispatch
 from er_evalkit.clickstream import load_ctr_records, parse_events
 from er_evalkit.errors import IngestError
 from er_evalkit.importance import load_scored
-from er_evalkit.jsonl import decode, decode_utf8, load_jsonl
+from er_evalkit.jsonl import decode, load_jsonl
 from er_evalkit.metrics import MetricsReport, evaluate_run, load_run
 from er_evalkit.relevance import RelevanceSet, load_qrels
 
@@ -68,9 +68,8 @@ def test_report_reader(tmp_path):
     ('"\\uD800"', "'\\ud800'"),                   # upper-case hex
 ])
 def test_lone_halves_anywhere(text, found):
-    assert decode(text) == json.loads(text)
     with pytest.raises(ValueError) as caught:
-        decode_utf8(text)
+        decode(text)
     assert str(caught.value) == f"invalid JSON: lone surrogate {found}"
 
 
@@ -80,18 +79,18 @@ def test_lone_halves_anywhere(text, found):
     ('"\\u00e9"', "é"),
 ])
 def test_other_escapes_load(text, value):
-    assert decode_utf8(text) == value
+    assert decode(text) == value
 
 
 def test_deep_nesting_is_walked_without_recursion():
     depth = 900
     good = "[" * depth + '"\\u0041"' + "]" * depth
-    value = decode_utf8(good)
+    value = decode(good)
     for _ in range(depth):
         (value,) = value
     assert value == "A"
     with pytest.raises(ValueError, match="lone surrogate"):
-        decode_utf8(good.replace("0041", "d800"))
+        decode(good.replace("0041", "d800"))
 
 
 def run_cli(capsys, *argv):
