@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, IngestError
-from .jsonl import (decode, dumps, fields, iter_records, read_lines,
-                    require, write_jsonl, write_lines)
+from .jsonl import (as_records, decode, dumps, fields, iter_records,
+                    read_lines, require, write_jsonl, write_lines)
 
 DEFAULT_MIN_IMPRESSIONS = 25
 DEFAULT_MIN_CTR = 0.3
@@ -298,9 +298,8 @@ CTR_FIELDS = (
 
 
 def write_ctr_records(records: Iterable[CtrRecord], path: str | Path) -> int:
-    keys = [key for key, _, _ in CTR_FIELDS]
-    values = attrgetter(*keys)
-    return write_jsonl(path, (dict(zip(keys, values(rec))) for rec in records))
+    return write_jsonl(path, as_records(CTR_FIELDS, map(attrgetter(
+        "query", "entity_id", "nimp", "nclick", "ctr"), records)))
 
 
 def load_ctr_records(path: str | Path) -> list[CtrRecord]:

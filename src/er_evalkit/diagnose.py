@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import ConfigError
-from .jsonl import optional, require, write_jsonl
+from .jsonl import as_records, optional, require, write_jsonl
 from .metrics import (
     BINS,
     DEFAULT_K,
@@ -48,8 +48,7 @@ class FailureCategory(enum.Enum):
     RETRIEVAL_MISS = "retrieval_miss"
 
 
-CATEGORIES = (FailureCategory.SUCCESS, FailureCategory.BINNING_MISS,
-              FailureCategory.RANKING_MISS, FailureCategory.RETRIEVAL_MISS)
+CATEGORIES = tuple(FailureCategory)
 
 
 @dataclass(frozen=True)
@@ -160,10 +159,9 @@ DIAGNOSIS_FIELDS = (
 
 def diagnosis_records(diagnoses: Iterable[Diagnosis]) -> Iterator[dict]:
     """Each diagnosis as its JSONL record, lazily."""
-    keys = [key for key, _, _ in DIAGNOSIS_FIELDS]
-    return (dict(zip(keys, (d.query, d.category.value, d.best_rank,
-                            d.best_bin.value if d.best_bin else None)))
-            for d in diagnoses)
+    return as_records(DIAGNOSIS_FIELDS, (
+        (d.query, d.category.value, d.best_rank,
+         d.best_bin.value if d.best_bin else None) for d in diagnoses))
 
 
 def write_diagnoses(diagnoses: Iterable[Diagnosis], path: str | Path) -> int:

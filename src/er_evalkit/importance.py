@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .catalog import Catalog, Title
 from .errors import ConfigError
-from .jsonl import fields, iter_records, require, write_jsonl
+from .jsonl import as_records, fields, iter_records, require, write_jsonl
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -255,11 +255,9 @@ SCORED_FIELDS = (
 
 
 def write_scored(scored: Iterable[ScoredTitle], path: str | Path) -> int:
-    keys = [key for key, _, _ in SCORED_FIELDS]
-    components = attrgetter(*keys[1:-1])
-    return write_jsonl(path, (dict(zip(keys, (
-        item.entity_id, *components(item.components), item.importance)))
-        for item in scored))
+    return write_jsonl(path, as_records(SCORED_FIELDS, map(attrgetter(
+        "entity_id", "components.release_year_score", "components.rank_score",
+        "components.rating_count_score", "importance"), scored)))
 
 
 def iter_scored(path: str | Path) -> Iterator[ScoredTitle]:

@@ -12,7 +12,7 @@ import math
 import os
 import re
 from contextlib import contextmanager, suppress
-from itertools import takewhile
+from itertools import repeat, takewhile
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
@@ -105,6 +105,11 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> int:
 def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
     """Write one JSON document per line, atomically; returns the line count."""
     return write_lines(path, map(dumps, records))
+
+
+def as_records(table: tuple, rows: Iterable[Iterable]) -> Iterator[dict]:
+    """Each row, its values in a :func:`fields` table's key order, as a dict."""
+    return map(dict, map(zip, repeat([key for key, _, _ in table]), rows))
 
 
 # Every text input is read as UTF-8 through this codec, which also drops a

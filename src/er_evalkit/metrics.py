@@ -25,8 +25,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestError
-from .jsonl import (INPUT_ENCODING, decode, dumps, fields, iter_records,
-                    read_failure, require, write_jsonl, write_lines)
+from .jsonl import (INPUT_ENCODING, as_records, decode, dumps, fields,
+                    iter_records, read_failure, require, write_jsonl,
+                    write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -49,9 +50,9 @@ class ConfidenceBin(enum.Enum):
     LOW = "low"
 
 
-BINS = (ConfidenceBin.HIGH, ConfidenceBin.MEDIUM, ConfidenceBin.LOW)
-# A bin's level, its byte in RunResult.levels, is its index in BINS.
-_LEVEL = {bin: level for level, bin in enumerate(BINS)}
+BINS = tuple(ConfidenceBin)
+# A bin value's level, its byte in RunResult.levels, is its index in BINS.
+_LEVEL = {bin.value: level for level, bin in enumerate(BINS)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +85,7 @@ class RunResult:
             ranked = tuple(ranked)
             columns = (tuple(item.entity_id for item in ranked),
                        tuple(item.score for item in ranked),
-                       bytes(_LEVEL[item.bin] for item in ranked))
+                       bytes(_LEVEL[item.bin.value] for item in ranked))
         ids, scores, _ = columns
         if len(set(ids)) != len(ids):
             seen: set[str] = set()
@@ -408,12 +409,11 @@ def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
     )
 
 
-_LEVEL_BY_VALUE = {bin.value: level for bin, level in _LEVEL.items()}
 RUN_FIELDS = (("query", require, (str,)), ("results", require, (list,)))
 # A bin is checked by looking up its level, which names a bad one.
 RUN_ITEM_FIELDS = (
     ("entity_id", require, (str,)), ("score", require, (int, float)),
-    ("bin", lambda item, key, _: _LEVEL_BY_VALUE[item[key]], ()))
+    ("bin", lambda item, key, _: _LEVEL[item[key]], ()))
 _FIELDS = operator.itemgetter(*(key for key, _, _ in RUN_ITEM_FIELDS))
 
 
@@ -437,16 +437,16 @@ def iter_run(path: str | Path) -> Iterator[RunResult]:
         seen.add(query)
         with suppress(KeyError, TypeError, OverflowError):
             ids, scores, bins = list(zip(*map(_FIELDS, results))) or [()] * 3
-            levels = bytes(map(_LEVEL_BY_VALUE.__getitem__, bins))
+            levels = bytes(map(_LEVEL.__getitem__, bins))
             if (set(map(type, ids)) <= {str}
                     and set(map(type, scores)) <= {int, float}
                     and math.isfinite(sum(scores))):
                 return RunResult(query, columns=(
                     ids, tuple(map(float, scores)), levels))
-        return RunResult(query, (
-            RankedEntity(entity_id, float(score), BINS[level])
-            for entity_id, score, level in (fields(item, RUN_ITEM_FIELDS)
-                                            for item in results)))
+        ids, scores, levels = zip(*(fields(item, RUN_ITEM_FIELDS)
+                                    for item in results))
+        return RunResult(query, columns=(
+            ids, tuple(map(float, scores)), bytes(levels)))
 
     yield from iter_records(path, parse, "run record")
 
@@ -457,11 +457,7 @@ def load_run(path: str | Path) -> list[RunResult]:
 
 
 def save_run(run: Iterable[RunResult], path: str | Path) -> int:
-    keys = [key for key, _, _ in RUN_FIELDS]
-    item_keys = [key for key, _, _ in RUN_ITEM_FIELDS]
     bin_values = [bin.value for bin in BINS]
-    return write_jsonl(path, (dict(zip(keys, (result.query, [
-        dict(zip(item_keys, item)) for item in zip(
-            result.ids, result.scores,
-            map(bin_values.__getitem__, result.levels))])))
-        for result in run))
+    return write_jsonl(path, as_records(RUN_FIELDS, ((result.query, [
+        *as_records(RUN_ITEM_FIELDS, zip(result.ids, result.scores, map(
+            bin_values.__getitem__, result.levels)))]) for result in run)))

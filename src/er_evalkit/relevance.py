@@ -15,7 +15,8 @@ from typing import Iterable, Mapping
 from .clickstream import CtrRecord
 from .errors import ConfigError
 from .importance import ScoredTitle
-from .jsonl import fields, iter_records, landing, require, write_jsonl
+from .jsonl import (as_records, fields, iter_records, landing, require,
+                    write_jsonl)
 
 DEFAULT_MIN_IMPORTANCE = 0.3
 
@@ -97,9 +98,8 @@ PROVENANCE_FIELDS = (
 
 def write_qrels(entries: Mapping[str, Iterable[str]], path: str | Path) -> int:
     """Write {"query", "relevant": [ids, sorted]} lines in query order."""
-    keys = [key for key, _, _ in QRELS_FIELDS]
-    return write_jsonl(path, (dict(zip(keys, (query, sorted(entries[query]))))
-                              for query in sorted(entries)))
+    return write_jsonl(path, as_records(QRELS_FIELDS, (
+        (query, sorted(entries[query])) for query in sorted(entries))))
 
 
 def emit_qrels(relset: RelevanceSet, path: str | Path,
@@ -115,13 +115,10 @@ def emit_qrels(relset: RelevanceSet, path: str | Path,
     if provenance_path.resolve() == Path(path).resolve():
         raise ConfigError(f"provenance path {provenance_path} is the qrels "
                           f"output {path}")
-    keys = [key for key, _, _ in PROVENANCE_FIELDS]
-    provenance = (dict(zip(keys, (query, entity_id, prov.ctr, prov.nimp,
-                                  prov.importance)))
-                  for (query, entity_id), prov in sorted(
-                      relset.provenance.items()))
     with landing():
-        write_jsonl(provenance_path, provenance)
+        write_jsonl(provenance_path, as_records(PROVENANCE_FIELDS, (
+            (*pair, prov.ctr, prov.nimp, prov.importance)
+            for pair, prov in sorted(relset.provenance.items()))))
         write_qrels(relset.entries, path)
     return provenance_path
 

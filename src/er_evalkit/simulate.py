@@ -248,6 +248,8 @@ def gen_queries(catalog: Catalog, config: SimConfig) -> list[tuple[str, str]]:
                 query = candidate
                 break
         if not query:
+            if not base:
+                raise ConfigError(f"title {title.entity_id} has a blank name")
             if base in used:
                 raise ConfigError(
                     f"cannot produce a distinct query for {title.entity_id}")

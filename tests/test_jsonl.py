@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from er_evalkit.errors import IngestError
-from er_evalkit.jsonl import atomic_open, decode, write_jsonl
+from er_evalkit.jsonl import (as_records, atomic_open, decode, optional,
+                              read_lines, require, write_jsonl)
 
 
 def failing_records(n_good):
@@ -51,6 +52,46 @@ class TestAtomicWrites:
                 raise ValueError("interrupted")
         assert path.read_text(encoding="utf-8") == "{}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+class TestRecordTables:
+    TABLE = (("query", require, (str,)), ("n", require, (int,)),
+             ("bin", optional, (str,)))
+
+    def test_as_records_zips_each_row_with_the_table_keys(self):
+        records = as_records(self.TABLE, iter([("q", 1, None), ("r", 2, "x")]))
+        assert next(records) == {"query": "q", "n": 1, "bin": None}
+        assert [*records] == [{"query": "r", "n": 2, "bin": "x"}]
+
+    def test_require_names_a_value_outside_its_kinds(self):
+        """A bool is no int: the check is on the exact type."""
+        with pytest.raises(TypeError) as raised:
+            require({"n": True}, "n", (int,))
+        assert str(raised.value) == "n must be int, got True"
+
+    def test_optional_reads_a_present_value_and_none_for_absent_or_null(self):
+        assert optional({"bin": "high"}, "bin", (str,)) == "high"
+        assert optional({"bin": None}, "bin", (str,)) is None
+        assert optional({}, "bin", (str,)) is None
+        with pytest.raises(TypeError, match="bin must be str, got 1"):
+            optional({"bin": 1}, "bin", (str,))
+
+
+class TestReadLines:
+    def test_a_missing_file_is_an_ingest_error_naming_it(self, tmp_path):
+        path = tmp_path / "absent.jsonl"
+        with pytest.raises(IngestError) as raised:
+            list(read_lines(path))
+        assert str(raised.value).startswith(f"cannot read {path}: ")
+
+    def test_a_bad_byte_is_named_by_its_file_line_and_offset(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"{}\n\n[\xff]\n")
+        with pytest.raises(IngestError) as raised:
+            list(read_lines(path))
+        assert str(raised.value) == (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff on "
+            "line 3 at byte offset 1: invalid start byte")
 
 
 json_values = st.recursive(

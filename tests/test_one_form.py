@@ -55,3 +55,25 @@ def test_text_inputs_open_in_four_places():
             if opens_for_reading(node)} == {
         "jsonl.read_lines", "jsonl.read_failure", "catalog._read_dump",
         "metrics.MetricsReport.load"}
+
+
+def test_field_table_keys_read_out_in_four_places():
+    """A record table's keys are read out (``for key, _, _ in TABLE``) only
+    by jsonl.as_records, which every writer that emits each key goes
+    through, by the catalog writer, which omits absent fields, by the
+    report head and by metrics' getter of a run result's columns."""
+    def unpacks_keys(node):
+        """A loop over a ``*_FIELDS`` table, or jsonl's ``table``, that
+        keeps only the first of each row's three values."""
+        return (isinstance(node, (ast.comprehension, ast.For))
+                and isinstance(node.iter, ast.Name)
+                and (node.iter.id.endswith("_FIELDS")
+                     or node.iter.id == "table")
+                and isinstance(node.target, ast.Tuple)
+                and [ast.unparse(elt) for elt in node.target.elts[1:]]
+                == ["_", "_"])
+
+    assert sorted(owner for owner, node in owned_nodes()
+                  if unpacks_keys(node)) == [
+        "catalog.write_catalog", "jsonl.as_records", "metrics",
+        "metrics.MetricsReport.to_dict"]

@@ -193,6 +193,18 @@ class TestGenQueries:
         assert str(raised.value) == \
             "cannot produce a distinct query for tt18"
 
+    @pytest.mark.parametrize("typo_rate", [0.0, 0.5, 1.0])
+    def test_a_blank_name_is_refused_not_emitted_as_an_empty_query(
+            self, typo_rate):
+        """A name that normalizes to "" has no edit but "", so the last
+        resort is reached, and "" is no query: the title is named."""
+        catalog = Catalog([Title("tt1", "   ", None, None, None, None)])
+        config = SimConfig(seed=1, n_titles=1, n_queries=1,
+                           typo_rate=typo_rate)
+        with pytest.raises(ConfigError) as raised:
+            gen_queries(catalog, config)
+        assert str(raised.value) == "title tt1 has a blank name"
+
     def test_deterministic(self):
         config = SimConfig(seed=10, n_titles=30, n_queries=15)
         catalog = gen_catalog(config)
