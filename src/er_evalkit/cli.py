@@ -171,7 +171,7 @@ def _emit(out: str | None, pieces: Iterable[str], text: str | None) -> None:
     """The output rule of evaluate, diagnose and compare: ``pieces``, read
     once and only if taken, go to the --out file ``out``, if given, and to
     stdout if ``text`` is None; else stdout gets ``text`` as one line."""
-    with atomic_open(out) if out else nullcontext() as fh:
+    with nullcontext() if out is None else atomic_open(out) as fh:
         for piece in pieces if fh or text is None else ():
             if fh:
                 fh.write(piece)
@@ -208,9 +208,9 @@ def cmd_ingest_catalog(args: argparse.Namespace, cfg: Settings) -> dict:
 
 
 def cmd_score_importance(args: argparse.Namespace, cfg: Settings) -> dict:
+    config = _config(importance.ImportanceConfig, cfg)
     loaded = catalog_mod.load_catalog(args.catalog)
-    scored = importance.score_titles(
-        loaded, _config(importance.ImportanceConfig, cfg))
+    scored = importance.score_titles(loaded, config)
     written = importance.write_scored(scored, args.out)
     return {"scored": written, "excluded": len(loaded) - written,
             "out": str(args.out)}

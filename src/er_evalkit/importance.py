@@ -41,13 +41,20 @@ class ComponentScores:
 
 @dataclass(frozen=True)
 class ScoreBounds:
-    """Normalization endpoints, either fixed up front or fit from a catalog."""
+    """Normalization endpoints, either fixed up front or fit from a catalog.
+    Built, the year pair and then the rank pair pass their scales' checks."""
 
     min_year: int
     max_year: int
     min_rank: int
     max_rank: int
     max_rating_count: int
+
+    def __post_init__(self):
+        if self.min_year != self.max_year:
+            linear_score(self.min_year, self.min_year, self.max_year)
+        if self.min_rank != self.max_rank:
+            log_scale_score(1, self.min_rank, self.max_rank)
 
 
 @dataclass(frozen=True)
@@ -137,22 +144,15 @@ def fit_bounds(catalog: Catalog) -> ScoreBounds:
     Raises :class:`ConfigError` naming the feature when no title carries it,
     since min-max over an empty set is meaningless.
     """
-    years = [t.release_year for t in catalog.titles if t.release_year is not None]
-    ranks = [t.rank for t in catalog.titles if t.rank is not None]
-    counts = [t.rating_count for t in catalog.titles if t.rating_count is not None]
-    if not years:
-        raise ConfigError("cannot fit bounds: no title has release_year")
-    if not ranks:
-        raise ConfigError("cannot fit bounds: no title has rank")
-    if not counts:
-        raise ConfigError("cannot fit bounds: no title has rating_count")
-    return ScoreBounds(
-        min_year=min(years),
-        max_year=max(years),
-        min_rank=min(ranks),
-        max_rank=max(ranks),
-        max_rating_count=max(counts),
-    )
+    ends = []
+    for name in ("release_year", "rank", "rating_count"):
+        values = [value for value in map(attrgetter(name), catalog.titles)
+                  if value is not None]
+        if not values:
+            raise ConfigError(f"cannot fit bounds: no title has {name}")
+        ends += min(values), max(values)
+        del values
+    return ScoreBounds(*ends[:4], max_rating_count=ends[5])
 
 
 def _component(value, score_fn, lo, hi, config: ImportanceConfig, **kwargs):
@@ -195,41 +195,21 @@ def score_title(title: Title, bounds: ScoreBounds,
     )
 
 
-def _check_bounds(titles: list[Title], bounds: ScoreBounds,
-                  config: ImportanceConfig) -> None:
-    """Raise what scoring ``titles`` in their order would raise first.
-
-    A bound the scales reject (a reversed pair, a rank bound below 1)
-    raises only at a title that carries the feature, and only year and
-    rank can raise: a rating count's bounds are always valid. Scoring the
-    first title with a year and the first with a rank, in order, meets the
-    same first error.
-    """
-    firsts = {next((i for i, title in enumerate(titles)
-                    if getattr(title, name) is not None), None)
-              for name in ("release_year", "rank")}
-    for i in sorted(firsts - {None}):
-        score_title(titles[i], bounds, config)
-
-
 def score_titles(catalog: Catalog,
                  config: ImportanceConfig) -> Iterator[ScoredTitle]:
     """Score the titles one at a time, in entity-id order, skipping those
     the policy excludes.
 
-    The bounds are fit (or taken from ``config``) and checked when this is
-    called, not when the first title is drawn: a catalog that cannot be
-    fit, or a bound that cannot score it, fails before a consumer opens its
-    output, with the error scoring in catalog order met first. Each
-    ScoredTitle is built only when it is drawn, so :func:`write_scored`
-    holds one at a time.
+    The bounds are fit (or taken from ``config``) when this is called, not
+    when the first title is drawn: a catalog that cannot be fit fails
+    before a consumer opens its output. Each ScoredTitle is built only when
+    it is drawn, so :func:`write_scored` holds one at a time.
     """
     bounds = config.bounds
     if bounds is None:
         if not catalog.titles:
             raise ConfigError("cannot fit bounds from an empty catalog")
         bounds = fit_bounds(catalog)
-    _check_bounds(catalog.titles, bounds, config)
     titles = sorted(catalog.titles, key=attrgetter("entity_id"))
     scored = (score_title(title, bounds, config) for title in titles)
     return (item for item in scored if item is not None)

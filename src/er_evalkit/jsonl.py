@@ -65,16 +65,21 @@ def landing() -> Iterator[None]:
 def atomic_open(path: str | Path) -> Iterator[IO[str]]:
     """Open a temp file beside ``path`` for writing UTF-8 text, with no
     newline translation, to land whole with the open :func:`landing` or its
-    own. A directory ``path`` fails before the temp file opens. An OSError,
-    the body's writes included, is the IngestError ``cannot write PATH: ...``.
+    own. A ``path`` that is a directory (the empty path is ``.``), or
+    anything else but a regular file or a symlink, fails before the temp
+    file opens. An OSError, the body's writes included, is the IngestError
+    ``cannot write PATH: ...``.
     """
     target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     with landing():
-        _pending.append((tmp, path))
         try:
             if target.is_dir() and not target.is_symlink():
                 raise IsADirectoryError("is a directory")
+            if target.exists() and not (target.is_file()
+                                        or target.is_symlink()):
+                raise OSError("not a regular file")
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            _pending.append((tmp, path))
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
                 yield fh
         except OSError as exc:

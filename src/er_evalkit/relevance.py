@@ -86,7 +86,7 @@ def merge_relevance(ctr_records: Iterable[CtrRecord],
 
 def default_provenance_path(path: str | Path) -> Path:
     path = Path(path)
-    return path.with_name(path.stem + ".provenance.jsonl")
+    return path.parent / (path.stem + ".provenance.jsonl")
 
 
 QRELS_FIELDS = (("query", require, (str,)), ("relevant", require, (list,)))
@@ -111,16 +111,18 @@ def emit_qrels(relset: RelevanceSet, path: str | Path,
     importance. A sidecar path that resolves to the qrels path is a
     ConfigError, raised before either file is written. The two land
     together, in one :func:`jsonl.landing`, or neither does."""
-    provenance_path = Path(provenance_path or default_provenance_path(path))
-    if provenance_path.resolve() == Path(path).resolve():
-        raise ConfigError(f"provenance path {provenance_path} is the qrels "
+    if provenance_path is None:
+        provenance_path = default_provenance_path(path)
+    sidecar = Path(provenance_path)
+    if sidecar.resolve() == Path(path).resolve():
+        raise ConfigError(f"provenance path {sidecar} is the qrels "
                           f"output {path}")
     with landing():
         write_jsonl(provenance_path, as_records(PROVENANCE_FIELDS, (
             (*pair, prov.ctr, prov.nimp, prov.importance)
             for pair, prov in sorted(relset.provenance.items()))))
         write_qrels(relset.entries, path)
-    return provenance_path
+    return sidecar
 
 
 def load_qrels(path: str | Path) -> RelevanceSet:

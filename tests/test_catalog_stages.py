@@ -231,7 +231,8 @@ class TestErrorPrecedence:
         assert err == "error: cannot fit bounds: no title has release_year\n"
 
     @pytest.mark.parametrize("bounds,reason", [
-        ("2020,1950,100,1,1000", "log bounds need lo < hi, got lo=100 hi=1"),
+        ("2020,1950,100,1,1000",
+         "linear bounds need lo < hi, got lo=2020 hi=1950"),
         ("2020,1950,1,100,1000",
          "linear bounds need lo < hi, got lo=2020 hi=1950"),
         ("1950,2020,0,100,1000",
@@ -240,8 +241,10 @@ class TestErrorPrecedence:
     @pytest.mark.parametrize("out_dir", ["missing", "."])
     def test_bad_fixed_bounds_in_catalog_order(self, capsys, tmp_path, bounds,
                                                reason, out_dir):
-        """The first title in the file has a rank but no year; in id order
-        a title with a year comes first."""
+        """Bounds are checked as --bounds is parsed, the year pair first,
+        whatever order the catalog's titles come in: the first title in the
+        file has a rank but no year; in id order a title with a year comes
+        first."""
         catalog = tmp_path / "catalog.jsonl"
         catalog.write_text("".join(dumps(rec) + "\n" for rec in [
             {"entity_id": "tt3", "name": "A", "rank": 5},
@@ -252,7 +255,38 @@ class TestErrorPrecedence:
         out = tmp_path / out_dir / "scored.jsonl"
         code, stdout, err = run_cli(capsys, "score-importance", "--catalog",
                                     catalog, "--out", out, "--bounds", bounds)
-        assert (code, stdout, err) == (1, "", f"error: {reason}\n")
+        assert (code, stdout, err) == (
+            1, "", f"error: bounds {bounds!r} from flag --bounds: {reason}\n")
+        assert not out.exists()
+
+    def test_bad_bounds_before_missing_catalog(self, capsys, tmp_path):
+        """Bounds are a setting: they fail as they are parsed, before the
+        catalog is opened."""
+        out = tmp_path / "scored.jsonl"
+        code, stdout, err = run_cli(
+            capsys, "score-importance", "--catalog", tmp_path / "absent.jsonl",
+            "--out", out, "--bounds", "2020,1950,1,100,1000")
+        assert (code, stdout) == (1, "")
+        assert err == ("error: bounds '2020,1950,1,100,1000' from flag "
+                       "--bounds: linear bounds need lo < hi, got lo=2020 "
+                       "hi=1950\n")
+        assert not out.exists()
+
+    def test_bad_bounds_for_a_feature_no_title_carries(self, capsys,
+                                                       tmp_path):
+        """No title has a year, so no year is ever scored; the reversed
+        year pair is still refused."""
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text(dumps({"entity_id": "tt1", "name": "A", "rank": 3,
+                                  "rating_count": 4}) + "\n",
+                           encoding="utf-8")
+        out = tmp_path / "scored.jsonl"
+        code, stdout, err = run_cli(capsys, "score-importance", "--catalog",
+                                    catalog, "--out", out, "--bounds",
+                                    "2020,1950,1,100,1000")
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: bounds '2020,1950,1,100,1000' from "
+                              "flag --bounds: linear bounds need lo < hi")
         assert not out.exists()
 
 

@@ -199,6 +199,38 @@ class TestImportanceConfig:
         assert load_scored(out)[0].components.rank_score == 0.0
 
 
+class TestScoreBounds:
+    """Bounds are checked when they are built, by the scales that score
+    them, the year pair first."""
+
+    @pytest.mark.parametrize("bounds,error,message", [
+        ((2020, 1950, 1, 100, 1000), ConfigError,
+         "linear bounds need lo < hi, got lo=2020 hi=1950"),
+        ((1950, 2020, 100, 1, 1000), ConfigError,
+         "log bounds need lo < hi, got lo=100 hi=1"),
+        ((1950, 2020, 0, 100, 1000), ValueError,
+         "log scale needs positive bounds, got lo=0 hi=100"),
+        ((2020, 1950, 100, 1, 1000), ConfigError,
+         "linear bounds need lo < hi, got lo=2020 hi=1950"),
+    ], ids=["reversed-years", "reversed-ranks", "zero-rank", "both-reversed"])
+    def test_bad_bounds_rejected(self, bounds, error, message):
+        with pytest.raises(error) as raised:
+            ScoreBounds(*bounds)
+        assert str(raised.value) == message
+
+    def test_equal_bounds_score_every_present_value_one(self):
+        bounds = ScoreBounds(2000, 2000, 5, 5, 0)
+        catalog = Catalog(titles=[Title("tt1", "A", 1990, 9, 0),
+                                  Title("tt2", "B", 2010, 1, 7)])
+        scored, _ = score_catalog(catalog, ImportanceConfig(bounds=bounds))
+        assert [s.components for s in scored] == \
+            [ComponentScores(1.0, 1.0, 1.0)] * 2
+
+    def test_any_rating_count_bound_is_valid(self):
+        for max_rating_count in (-5, 0, 1, 10 ** 400):
+            ScoreBounds(1950, 2020, 1, 100, max_rating_count)
+
+
 def make_catalog():
     return Catalog(titles=[
         Title("tt1", "Oldest", release_year=1990, rank=1, rating_count=1),

@@ -4,6 +4,7 @@ stdout, or none does (jsonl.landing)."""
 import ast
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +126,78 @@ class TestStages:
         assert (code, captured.out, captured.err) == (
             1, "", "error: interrupted\n")
         assert snapshot(out) == before
+
+
+def stage_argvs(d):
+    """Each --out stage's argv on the inputs in ``d``, in pipeline order,
+    its --out path last."""
+    sim = d / "sim"
+    return {
+        "ingest-catalog": ["ingest-catalog", "--basics", sim / "basics.tsv",
+                           "--ratings", sim / "ratings.tsv",
+                           "--out", d / "catalog.jsonl"],
+        "score-importance": ["score-importance", "--catalog",
+                             d / "catalog.jsonl", "--out", d / "scored.jsonl"],
+        "aggregate-ctr": ["aggregate-ctr", "--events", sim / "clicklog.jsonl",
+                          "--out", d / "ctr.jsonl"],
+        "build-relevance": ["build-relevance", "--ctr", d / "ctr.jsonl",
+                            "--scored", d / "scored.jsonl",
+                            "--out", d / "qrels.jsonl"],
+        "evaluate": ["evaluate", "--qrels", d / "qrels.jsonl",
+                     "--run", sim / "run.jsonl", "--out", d / "report.json"],
+        "diagnose": ["diagnose", "--qrels", d / "qrels.jsonl",
+                     "--run", sim / "run.jsonl", "--out", d / "diag.jsonl"],
+        "compare": ["compare", "--baseline", d / "report.json",
+                    "--candidate", d / "report.json", "--out", d / "delta.json"],
+    }
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """A small simulated set and every stage's output from it."""
+    d = tmp_path_factory.mktemp("stages")
+    for argv in ([*SIMULATE, "--seed", "7", "--out-dir", d / "sim"],
+                 *stage_argvs(d).values()):
+        assert dispatch([str(arg) for arg in argv]) == 0
+    return d
+
+
+class TestTargets:
+    """What an output path names, if not a regular file or nothing."""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_fifo_out_is_refused_not_replaced(self, capsys, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"query":"q","impressions":["A"]}\n',
+                          encoding="utf-8")
+        fifo = tmp_path / "ctr.jsonl"
+        os.mkfifo(fifo)
+        code = dispatch(["aggregate-ctr", "--events", str(events),
+                         "--min-impressions", "1", "--out", str(fifo)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            1, "", f"error: cannot write {fifo}: not a regular file\n")
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ctr.jsonl", "events.jsonl"]
+
+    @pytest.mark.parametrize("stage", [*stage_argvs(Path()), "--provenance"])
+    def test_empty_path_is_one_error_line(self, capsys, tmp_path, monkeypatch,
+                                          stage_inputs, stage):
+        """The empty path is the directory ``.``: every stage says so, and
+        leaves nothing in it."""
+        if stage == "--provenance":
+            argv = [*stage_argvs(stage_inputs)["build-relevance"][:-1],
+                    "qrels.jsonl", "--provenance", ""]
+        else:
+            argv = [*stage_argvs(stage_inputs)[stage][:-1], ""]
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code = dispatch([str(arg) for arg in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            1, "", "error: cannot write : is a directory\n")
+        assert snapshot(tmp_path) == {}
 
 
 class TestNewOutDir:

@@ -3,12 +3,17 @@ order, readers load what the writers wrote, and the table order sets which
 fault a record with two of them is named by.
 """
 
+import ast
+import importlib
 import json
+import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import er_evalkit
 from er_evalkit.catalog import (BASICS_COLUMNS, CATALOG_FIELDS,
                                 RANKS_COLUMNS, RATINGS_COLUMNS, Catalog,
                                 Title, load_catalog, write_catalog)
@@ -387,3 +392,28 @@ def test_compare_takes_any_typed_report(tmp_path, capsys, k_and_reports,
     assert_one_outcome(capsys, [
         "compare", *paths, "--format", fmt, "--out",
         tmp_path / "delta.json"])
+
+
+# Field tables no stage fuzzer draws, and why. The round-trip tests above
+# still check each line their writers emit.
+UNDRAWN_TABLES = {
+    "PROVENANCE_FIELDS": "no reader: the qrels sidecar is only written",
+    "DIAGNOSIS_FIELDS": "no reader: diagnose --out is only written",
+}
+
+
+def test_every_field_table_is_drawn():
+    """Each module-level *_FIELDS tuple of the package is drawn through
+    table_record or table_records in this file, or is an UNDRAWN_TABLES
+    entry; an entry that is drawn is stale."""
+    tables = {name for info in pkgutil.iter_modules(er_evalkit.__path__)
+              for name, value in vars(importlib.import_module(
+                  f"er_evalkit.{info.name}")).items()
+              if name.endswith("_FIELDS") and isinstance(value, tuple)}
+    drawn = {node.args[0].id
+             for node in ast.walk(ast.parse(Path(__file__).read_text(
+                 encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("table_record", "table_records")
+             and isinstance(node.args[0], ast.Name)}
+    assert tables - drawn == set(UNDRAWN_TABLES)

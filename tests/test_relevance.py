@@ -96,6 +96,11 @@ class TestMergeRelevance:
         with pytest.raises(ConfigError):
             merge_relevance([], [], min_importance=1.5)
 
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ConfigError,
+                           match=r"^min_importance -0\.5 outside \[0, 1\]$"):
+            merge_relevance([], [], min_importance=-0.5)
+
     @pytest.mark.parametrize("first,second", [(0.1, 0.9), (0.9, 0.1)])
     def test_named_title_scored_twice_rejected(self, first, second):
         with pytest.raises(ValueError,
