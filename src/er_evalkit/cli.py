@@ -407,7 +407,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        config = load_config_file(args.config) if args.config else {}
+        config = {} if args.config is None else load_config_file(args.config)
         for key in config:
             if key not in _CONFIG_KEYS:
                 print(f"warning: config file {args.config}: key {key!r} "

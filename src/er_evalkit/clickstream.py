@@ -219,15 +219,10 @@ def _records(nimp: dict[str, Counter], nclick: dict[str, Counter],
     return records
 
 
-def aggregate_pairs(events: Iterable[ClickEvent]) -> list[CtrRecord]:
-    """Count impressions and clicks per (query, entity) pair, sorted."""
-    return _records(*_tally_events(events))
-
-
 def aggregate_log(path: str | Path, ctr_filter: CtrFilter, *,
                   strict: bool = False, stats: ParseStats | None = None
                   ) -> tuple[list[CtrRecord], FilterSummary]:
-    """``filter_records(aggregate_pairs(parse_events(path, ...)),
+    """``filter_records(aggregate_in_shards(parse_events(path, ...), 1),
     ctr_filter)``, counting each line's checked fields without building a
     ClickEvent, and building only the kept records.
 
@@ -244,11 +239,12 @@ def aggregate_in_shards(events: Iterable[ClickEvent], n_shards: int,
                         threads: int | None = None) -> list[CtrRecord]:
     """Count round-robin shards of the stream apart, then sum the counts.
 
-    Exactly equivalent to single-pass aggregate_pairs, because the count
-    tables sum query by query as Counters (``Counter.update``). The events
-    are held in a list so each shard can be read from it. ``threads`` is
-    ignored and starts no workers; it exists only because the benchmark's
-    traced pass (``perfbench/traced.py``) passes ``threads=1``.
+    Every ``n_shards`` gives the records of one shard, a single pass,
+    because the count tables sum query by query as Counters
+    (``Counter.update``). The events are held in a list so each shard can
+    be read from it. ``threads`` is ignored and starts no workers; it
+    exists only because the benchmark's traced pass
+    (``perfbench/traced.py``) passes ``threads=1``.
     """
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards}")

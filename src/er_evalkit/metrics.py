@@ -176,34 +176,6 @@ def _value(fraction: Fraction | None) -> float | None:
     return None if fraction is None else fraction[0] / fraction[1]
 
 
-def _metric(relevant, ranked, k: int, name: str) -> float | None:
-    scan = scan_query(relevant, RunResult("", ranked), k)
-    return _value(_fractions(scan, metric_names(k))[name])
-
-
-def recall_at_k(relevant: set[str], ranked: tuple[RankedEntity, ...],
-                k: int) -> float | None:
-    """|relevant ∩ top-k| / |relevant|; None when relevant is empty."""
-    return _metric(relevant, ranked, k, f"recall@{k}")
-
-
-def precision_at_k(relevant: set[str], ranked: tuple[RankedEntity, ...],
-                   k: int) -> float | None:
-    """|relevant ∩ top-k| / min(k, |ranked|); None when ranked is empty."""
-    return _metric(relevant, ranked, k, f"precision@{k}")
-
-
-def recall_at_k_bin(relevant: set[str], ranked: tuple[RankedEntity, ...],
-                    k: int, bin: ConfidenceBin) -> float | None:
-    return _metric(relevant, ranked, k, f"recall@{k}@{bin.value}")
-
-
-def precision_at_k_bin(relevant: set[str], ranked: tuple[RankedEntity, ...],
-                       k: int, bin: ConfidenceBin) -> float | None:
-    """Precision over the top-k results carrying ``bin``; None when none do."""
-    return _metric(relevant, ranked, k, f"precision@{k}@{bin.value}")
-
-
 def aggregate(fractions: Iterable[Fraction | None], mode: str) -> float | None:
     """Fold per-query fractions into one number.
 

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from oracle import (
+    BIN_VALUES,
     brute_precision_at_k,
     brute_precision_at_k_bin,
     brute_recall_at_k,
@@ -23,9 +24,8 @@ from er_evalkit.clickstream import (
     ClickEvent,
     CtrFilter,
     aggregate_in_shards,
-    aggregate_pairs,
+    aggregate_log,
     compute_ctr,
-    filter_records,
     write_ctr_records,
     write_events,
 )
@@ -35,8 +35,8 @@ from er_evalkit.importance import (
     ImportanceConfig,
     ScoreBounds,
     log_scale_score,
-    score_catalog,
     score_title,
+    score_titles,
 )
 from er_evalkit.catalog import Title
 from er_evalkit.metrics import (
@@ -45,10 +45,6 @@ from er_evalkit.metrics import (
     RankedEntity,
     RunResult,
     evaluate_run,
-    precision_at_k,
-    precision_at_k_bin,
-    recall_at_k,
-    recall_at_k_bin,
 )
 from er_evalkit.relevance import merge_relevance
 from er_evalkit.simulate import (
@@ -73,14 +69,26 @@ def oracle_instances():
     return [random_instance(rng) for _ in range(10_000)]
 
 
-def as_library_inputs(instance):
-    relevant = set(instance.relevant)
-    ranked = tuple(
-        RankedEntity(entity_id=item.entity_id, score=1.0 - 0.01 * i,
-                     bin=ConfidenceBin(item.bin))
-        for i, item in enumerate(instance.ranked)
-    )
-    return relevant, ranked
+def rows_at(instances, k):
+    """evaluate_run's per-query row of each instance, in order, from one
+    call that scores them all at ``k``."""
+    qrels, run = {}, []
+    for i, instance in enumerate(instances):
+        qrels[str(i)] = set(instance.relevant)
+        run.append(RunResult(query=str(i), ranked=(
+            RankedEntity(entity_id=item.entity_id, score=1.0 - 0.01 * j,
+                         bin=ConfidenceBin(item.bin))
+            for j, item in enumerate(instance.ranked))))
+    per_query = evaluate_run(qrels, run, k=k).per_query
+    return [per_query[str(i)] for i in range(len(instances))]
+
+
+def oracle_rows(instances):
+    """Each instance with its evaluate_run row at its own k: one call per
+    distinct k."""
+    for k in sorted({instance.k for instance in instances}):
+        group = [instance for instance in instances if instance.k == k]
+        yield from zip(group, rows_at(group, k))
 
 
 @pytest.fixture(scope="module")
@@ -95,19 +103,21 @@ def noisy_sim():
     return config, catalog, queries, run, truth, events
 
 
-def test_c1_ctr_example_and_default_filter(capsys):
+def test_c1_ctr_example_and_default_filter(capsys, tmp_path):
     assert compute_ctr(3, 4) == 0.75
     events = []
     for i in range(4):
         events.append(ClickEvent(query="cocomelon",
                                  impressions=("tt1", f"x{i}"),
                                  clicked="tt1" if i < 3 else None))
-    records = aggregate_pairs(events)
+    log = tmp_path / "clicklog.jsonl"
+    write_events(events, log)
+    records, _ = aggregate_log(log, CtrFilter(min_impressions=1, min_ctr=0.0))
     pair = next(r for r in records if r.entity_id == "tt1")
     assert pair.nimp == 4
     assert pair.nclick == 3
     assert pair.ctr == 0.75
-    kept, summary = filter_records(records, CtrFilter())
+    kept, summary = aggregate_log(log, CtrFilter())
     assert kept == []
     assert summary.dropped == len(records)
     announce(capsys, "C1",
@@ -118,30 +128,22 @@ def test_c1_ctr_example_and_default_filter(capsys):
 def test_c2_oracle_equivalence_on_10k_instances(capsys, oracle_instances):
     started = time.perf_counter()
     checked = 0
-    for instance in oracle_instances:
-        relevant, ranked = as_library_inputs(instance)
-        k = instance.k
-
-        def same(got, expected):
-            if expected is None:
-                return got is None
-            return got == expected.numerator / expected.denominator
-
-        assert same(recall_at_k(relevant, ranked, k),
-                    brute_recall_at_k(instance.relevant, instance.ranked, k))
-        assert same(precision_at_k(relevant, ranked, k),
-                    brute_precision_at_k(instance.relevant, instance.ranked, k))
-        checked += 2
-        for bin in BINS:
-            assert same(
-                recall_at_k_bin(relevant, ranked, k, bin),
-                brute_recall_at_k_bin(instance.relevant, instance.ranked, k,
-                                      bin.value))
-            assert same(
-                precision_at_k_bin(relevant, ranked, k, bin),
-                brute_precision_at_k_bin(instance.relevant, instance.ranked,
-                                         k, bin.value))
-            checked += 2
+    for instance, row in oracle_rows(oracle_instances):
+        relevant, ranked, k = instance.relevant, instance.ranked, instance.k
+        expected = {
+            f"recall@{k}": brute_recall_at_k(relevant, ranked, k),
+            f"precision@{k}": brute_precision_at_k(relevant, ranked, k)}
+        for bin in BIN_VALUES:
+            expected[f"recall@{k}@{bin}"] = brute_recall_at_k_bin(
+                relevant, ranked, k, bin)
+            expected[f"precision@{k}@{bin}"] = brute_precision_at_k_bin(
+                relevant, ranked, k, bin)
+        for name, fraction in expected.items():
+            if fraction is None:
+                assert row[name] is None
+            else:
+                assert row[name] == fraction.numerator / fraction.denominator
+            checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     announce(capsys, "C2",
@@ -151,27 +153,25 @@ def test_c2_oracle_equivalence_on_10k_instances(capsys, oracle_instances):
 
 def test_c3_bin_partition_identities(capsys, oracle_instances):
     worst = 0.0
-    for instance in oracle_instances:
-        relevant, ranked = as_library_inputs(instance)
+    for instance, row in oracle_rows(oracle_instances):
         k = instance.k
+        top = instance.ranked[:k]
 
-        recall_total = recall_at_k(relevant, ranked, k)
+        recall_total = row[f"recall@{k}"]
         if recall_total is not None:
-            bin_sum = sum(recall_at_k_bin(relevant, ranked, k, b)
-                          for b in BINS)
+            bin_sum = sum(row[f"recall@{k}@{b}"] for b in BIN_VALUES)
             worst = max(worst, abs(bin_sum - recall_total))
 
-        precision_total = precision_at_k(relevant, ranked, k)
+        precision_total = row[f"precision@{k}"]
         if precision_total is not None:
-            den_total = min(k, len(ranked))
             weighted = 0.0
-            for b in BINS:
-                den_bin = sum(1 for item in ranked[:k] if item.bin is b)
-                value = precision_at_k_bin(relevant, ranked, k, b)
+            for b in BIN_VALUES:
+                den_bin = sum(1 for item in top if item.bin == b)
+                value = row[f"precision@{k}@{b}"]
                 if value is not None:
                     weighted += value * den_bin
             worst = max(worst,
-                        abs(weighted - precision_total * den_total))
+                        abs(weighted - precision_total * len(top)))
     assert worst <= TOLERANCE
     announce(capsys, "C3",
              f"bin-partition identities hold on all instances, "
@@ -222,7 +222,7 @@ def test_c4_diagnostic_exhaustiveness_and_recall_identity(capsys):
              f"({found_fraction:.4f}) exactly")
 
 
-def test_c5_zero_noise_end_to_end_closure(capsys):
+def test_c5_zero_noise_end_to_end_closure(capsys, tmp_path):
     started = time.perf_counter()
     config = SimConfig(seed=42, typo_rate=0.0, score_noise_sigma=0.0,
                        click_position_decay=1.0)
@@ -230,11 +230,11 @@ def test_c5_zero_noise_end_to_end_closure(capsys):
     queries = gen_queries(catalog, config)
     run = run_mock_er(catalog, queries, config)
     truth = dict(queries)
-    events = gen_clicklog(run, truth, config)
+    log = tmp_path / "clicklog.jsonl"
+    write_events(gen_clicklog(run, truth, config), log)
 
-    records = aggregate_pairs(events)
-    kept, _ = filter_records(records, CtrFilter())
-    scored, _ = score_catalog(catalog, ImportanceConfig())
+    kept, _ = aggregate_log(log, CtrFilter())
+    scored = score_titles(catalog, ImportanceConfig())
     # Truth membership is defined by clicks alone here, so the importance
     # floor is lowered to keep the closure judgeable end to end.
     relset, _ = merge_relevance(kept, scored, min_importance=0.0)
@@ -257,11 +257,12 @@ def test_c5_zero_noise_end_to_end_closure(capsys):
              f"in {elapsed:.2f}s (< 30s)")
 
 
-def test_c6_noisy_default_config_precision(capsys, noisy_sim):
+def test_c6_noisy_default_config_precision(capsys, noisy_sim, tmp_path):
     config, catalog, queries, run, truth, events = noisy_sim
-    records = aggregate_pairs(events)
-    kept, _ = filter_records(records, CtrFilter())
-    scored, _ = score_catalog(catalog, ImportanceConfig())
+    log = tmp_path / "clicklog.jsonl"
+    write_events(events, log)
+    kept, _ = aggregate_log(log, CtrFilter())
+    scored = score_titles(catalog, ImportanceConfig())
     relset, _ = merge_relevance(kept, scored)
 
     pairs = [(query, entity_id)
@@ -279,25 +280,21 @@ def test_c6_noisy_default_config_precision(capsys, noisy_sim):
 
 
 def test_c7_monotonicity_bounds_and_log_endpoints(capsys, oracle_instances):
-    for instance in oracle_instances[:2000]:
-        relevant, ranked = as_library_inputs(instance)
-        previous = None
-        for k in range(1, 9):
-            value = recall_at_k(relevant, ranked, k)
+    instances = oracle_instances[:2000]
+    previous = [None] * len(instances)
+    for k in range(1, 9):
+        for i, row in enumerate(rows_at(instances, k)):
+            if k in (1, 3, 5):
+                assert all(metric is None or 0.0 <= metric <= 1.0
+                           for metric in row.values())
+            value = row[f"recall@{k}"]
             if value is None:
-                assert previous is None
+                assert previous[i] is None
                 continue
             assert 0.0 <= value <= 1.0
-            if previous is not None:
-                assert value >= previous
-            previous = value
-        for k in (1, 3, 5):
-            for metric in (precision_at_k(relevant, ranked, k),
-                           *(precision_at_k_bin(relevant, ranked, k, b)
-                             for b in BINS),
-                           *(recall_at_k_bin(relevant, ranked, k, b)
-                             for b in BINS)):
-                assert metric is None or 0.0 <= metric <= 1.0
+            if previous[i] is not None:
+                assert value >= previous[i]
+            previous[i] = value
 
     bounds = ScoreBounds(min_year=1950, max_year=2020, min_rank=1,
                          max_rank=100, max_rating_count=1000)

@@ -249,6 +249,16 @@ class TestConfigPrecedence:
         assert code == 1
         assert "error:" in err
 
+    def test_empty_config_path_is_module_error(self, capsys, tmp_path):
+        """``--config ""`` names a file like any other path argument: it
+        is not read as no config file."""
+        qrels, run = write_worked_fixture(tmp_path)
+        code, out, err = run_cli(capsys, "evaluate", "--qrels", str(qrels),
+                                 "--run", str(run), "--config", "")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot read : ")
+
 
 def simulate_fixture(capsys, tmp_path, name, seed=5, **overrides):
     out_dir = tmp_path / name

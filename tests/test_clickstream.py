@@ -15,7 +15,6 @@ from er_evalkit.clickstream import (
     ParseStats,
     aggregate_in_shards,
     aggregate_log,
-    aggregate_pairs,
     compute_ctr,
     filter_records,
     load_ctr_records,
@@ -132,6 +131,11 @@ def event(query, impressions, clicked=None):
                       clicked=clicked)
 
 
+def aggregate(events):
+    """Every (query, entity) pair's counts, from one shard."""
+    return aggregate_in_shards(events, 1)
+
+
 class TestAggregatePairs:
     def test_three_event_worked_example(self):
         events = [
@@ -139,21 +143,21 @@ class TestAggregatePairs:
             event("cocomelon", ["tt1", "tt2"], clicked="tt1"),
             event("cocomelon", ["tt1", "tt2"]),
         ]
-        records = aggregate_pairs(events)
+        records = aggregate(events)
         assert records == [
             CtrRecord("cocomelon", "tt1", nimp=3, nclick=2, ctr=2 / 3),
             CtrRecord("cocomelon", "tt2", nimp=3, nclick=0, ctr=0.0),
         ]
 
     def test_empty_stream(self):
-        assert aggregate_pairs([]) == []
+        assert aggregate([]) == []
 
     def test_single_event_single_click(self):
-        records = aggregate_pairs([event("q", ["tt1"], clicked="tt1")])
+        records = aggregate([event("q", ["tt1"], clicked="tt1")])
         assert records[0].ctr == 1.0
 
     def test_repeated_impression_in_one_event_counts_once(self):
-        records = aggregate_pairs([event("q", ["tt1", "tt1"])])
+        records = aggregate([event("q", ["tt1", "tt1"])])
         assert records == [CtrRecord("q", "tt1", nimp=1, nclick=0, ctr=0.0)]
 
     def test_output_sorted_by_query_then_entity(self):
@@ -161,12 +165,12 @@ class TestAggregatePairs:
             event("zebra", ["tt2", "tt1"]),
             event("apple", ["tt9"]),
         ]
-        keys = [(r.query, r.entity_id) for r in aggregate_pairs(events)]
+        keys = [(r.query, r.entity_id) for r in aggregate(events)]
         assert keys == sorted(keys)
 
     def test_clicks_bounded_by_events_per_query(self):
         events = [event("q", ["tt1", "tt2"], clicked="tt1")] * 5
-        records = aggregate_pairs(events)
+        records = aggregate(events)
         total_clicks = sum(r.nclick for r in records)
         assert total_clicks <= 5
 
@@ -209,12 +213,12 @@ class TestShardMerge:
     @settings(max_examples=200, deadline=None)
     def test_sharded_equals_single_pass(self, events, n_shards):
         """Aggregation is a monoid merge: shard count cannot matter."""
-        assert aggregate_in_shards(events, n_shards) == aggregate_pairs(events)
+        assert aggregate_in_shards(events, n_shards) == aggregate(events)
 
     def test_threaded_aggregation_matches(self):
         events = [event("q", ["tt1", "tt2"], clicked="tt1")] * 50
         assert aggregate_in_shards(events, 4, threads=4) == \
-            aggregate_pairs(events)
+            aggregate(events)
 
     def test_zero_shards_rejected(self):
         with pytest.raises(ConfigError):
@@ -228,12 +232,12 @@ class TestAggregateFiltered:
     def test_repeated_impressions(self, tmp_path_factory, events, min_imp,
                                   min_ctr):
         ctr_filter = CtrFilter(min_impressions=min_imp, min_ctr=min_ctr)
-        expected = filter_records(aggregate_pairs(events), ctr_filter)
+        expected = filter_records(aggregate(events), ctr_filter)
         path = tmp_path_factory.mktemp("log") / "events.jsonl"
         write_events(events, path)
         assert aggregate_log(path, ctr_filter) == filter_records(
-            aggregate_pairs(parse_events(path)), ctr_filter) == expected
-        assert aggregate_in_shards(events, 3) == aggregate_pairs(events)
+            aggregate(parse_events(path)), ctr_filter) == expected
+        assert aggregate_in_shards(events, 3) == aggregate(events)
 
 
 # One line of each reason aggregate-ctr rejects a click-log line for, and
@@ -432,7 +436,7 @@ class TestAggregateLog:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         ctr_filter = CtrFilter(min_impressions=min_imp, min_ctr=min_ctr)
         expected_stats, stats = ParseStats(), ParseStats()
-        expected = filter_records(aggregate_pairs(
+        expected = filter_records(aggregate(
             parse_events(path, stats=expected_stats)), ctr_filter)
         assert aggregate_log(path, ctr_filter, stats=stats) == expected
         assert stats == expected_stats
@@ -509,7 +513,7 @@ class TestRecordInvariants:
 
 class TestJsonlRoundTrips:
     def test_ctr_records(self, tmp_path):
-        records = aggregate_pairs([
+        records = aggregate([
             event("q", ["tt1", "tt2"], clicked="tt1"),
             event("q", ["tt1"]),
         ])

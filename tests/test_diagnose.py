@@ -109,6 +109,19 @@ class TestClassifyQuery:
                 FailureCategory.BINNING_MISS
 
 
+def mixed_fixture():
+    """Qrels and a run with one query of each category, in CATEGORIES
+    order: s, b, r, m."""
+    qrels = {"s": {"A"}, "b": {"B"}, "r": {"C"}, "m": {"D"}}
+    run = [
+        run_result("s", ("A", HIGH)),
+        run_result("b", ("B", MEDIUM)),
+        run_result("r", *filler(5), ("C", HIGH)),
+        run_result("m", *filler(3)),
+    ]
+    return qrels, run
+
+
 class TestDiagnoseRun:
     def test_perfect_run_all_success(self):
         qrels = {f"q{i}": {f"t{i}"} for i in range(10)}
@@ -126,14 +139,7 @@ class TestDiagnoseRun:
         assert summary.counts["success"] == 0
 
     def test_mixed_fixture_one_per_category(self):
-        qrels = {"s": {"A"}, "b": {"B"}, "r": {"C"}, "m": {"D"}}
-        run = [
-            run_result("s", ("A", HIGH)),
-            run_result("b", ("B", MEDIUM)),
-            run_result("r", *filler(5), ("C", HIGH)),
-            run_result("m", *filler(3)),
-        ]
-        diagnoses, summary = diagnose_run(qrels, run, k=5)
+        diagnoses, summary = diagnose_run(*mixed_fixture(), k=5)
         assert summary.counts == {"success": 1, "binning_miss": 1,
                                   "ranking_miss": 1, "retrieval_miss": 1}
         assert len(diagnoses) == 4
@@ -186,6 +192,33 @@ class TestDiagnoseRun:
         _, summary = diagnose_run({}, [], k=5)
         assert summary.total == 0
         assert summary.consistent
+
+
+class TestSummaryOutput:
+    """The summary's JSON object and table, which the diagnose stage
+    prints."""
+
+    def test_summary_dict_is_its_fields_in_declaration_order(self):
+        _, summary = diagnose_run(*mixed_fixture(), k=5)
+        data = summary.to_dict()
+        assert list(data) == [field.name for field in fields(summary)]
+        quarter = dict.fromkeys(
+            ["success", "binning_miss", "ranking_miss", "retrieval_miss"])
+        assert data == {
+            "total": 4, "counts": dict.fromkeys(quarter, 1),
+            "fractions": dict.fromkeys(quarter, 0.25),
+            "success_fraction": 0.25, "hit_rate": 0.25, "consistent": True,
+            "topk_bin_histogram": {"high": 1, "medium": 1, "low": 0}}
+
+    def test_summary_table_layout(self):
+        _, summary = diagnose_run(*mixed_fixture(), k=5)
+        assert summary.render_table().splitlines() == [
+            "category          count  fraction",
+            "success               1    0.2500",
+            "binning_miss          1    0.2500",
+            "ranking_miss          1    0.2500",
+            "retrieval_miss        1    0.2500",
+            "hit_rate 0.2500 consistent=true"]
 
 
 class TestFormatSigned:
@@ -272,6 +305,26 @@ class TestCompareReports:
                                         "precision@1@high"]
         table = delta.render_table()
         assert table.index("recall@5@high") < table.index("precision@5@medium")
+
+    def test_table_layout(self):
+        """Each mode's block: its name, the header, one row per metric with
+        every value column right-aligned to width 9, then a blank line."""
+        baseline = report_with({"recall@5@high": {"micro": 0.5, "macro": 0.5}})
+        candidate = report_with(
+            {"recall@5@high": {"micro": 0.55, "macro": 0.55}})
+        block = [
+            "metric               baseline  candidate        abs        rel",
+            "recall@5@high          0.5000     0.5500    +5.00pp    +10.00%",
+            "precision@5@high       1.0000     1.0000    +0.00pp     +0.00%",
+            "precision@1@high       1.0000     1.0000    +0.00pp     +0.00%",
+            "precision@5            0.5000     0.5000    +0.00pp     +0.00%",
+            "recall@5               1.0000     1.0000    +0.00pp     +0.00%",
+            "precision@5@medium     0.0000     0.0000    +0.00pp          -",
+            "recall@5@medium        0.0000     0.0000    +0.00pp          -",
+            "precision@5@low             -          -          -          -",
+            "recall@5@low           0.0000     0.0000    +0.00pp          -"]
+        table = compare_reports(baseline, candidate).render_table()
+        assert table.split("\n") == ["[micro]", *block, "", "[macro]", *block]
 
     def test_every_category_listed_once(self):
         assert [c.value for c in CATEGORIES] == [

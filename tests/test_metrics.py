@@ -26,10 +26,6 @@ from er_evalkit.metrics import (
     evaluate_run,
     load_run,
     metric_names,
-    precision_at_k,
-    precision_at_k_bin,
-    recall_at_k,
-    recall_at_k_bin,
     save_run,
     scan_query,
 )
@@ -63,6 +59,12 @@ FIXTURE = ranked_list(("A", HIGH), ("C", HIGH), ("D", MEDIUM),
 RELEVANT = {"A", "B"}
 
 
+def row(relevant, ranked, k):
+    """evaluate_run's per-query row for one query answered by ``ranked``."""
+    run = [RunResult("q", ranked)]
+    return evaluate_run({"q": relevant}, run, k=k).per_query["q"]
+
+
 class TestConfidenceBin:
     def test_exactly_three_values(self):
         assert len(ConfidenceBin) == 3
@@ -74,74 +76,77 @@ class TestConfidenceBin:
 
 class TestRecallAtK:
     def test_worked_example(self):
-        assert recall_at_k(RELEVANT, FIXTURE, 5) == 0.5
+        assert row(RELEVANT, FIXTURE, 5)["recall@5"] == 0.5
 
     def test_full_coverage(self):
-        assert recall_at_k({"A"}, FIXTURE, 5) == 1.0
+        assert row({"A"}, FIXTURE, 5)["recall@5"] == 1.0
 
     def test_empty_relevant_undefined(self):
-        assert recall_at_k(set(), FIXTURE, 5) is None
+        assert row(set(), FIXTURE, 5)["recall@5"] is None
 
     def test_nondecreasing_in_k(self):
-        values = [recall_at_k(RELEVANT, FIXTURE, k) for k in range(1, 8)]
+        values = [row(RELEVANT, FIXTURE, k)[f"recall@{k}"]
+                  for k in range(1, 8)]
         assert values == sorted(values)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            recall_at_k(RELEVANT, FIXTURE, 0)
+            row(RELEVANT, FIXTURE, 0)
 
 
 class TestPrecisionAtK:
     def test_worked_example(self):
-        assert precision_at_k(RELEVANT, FIXTURE, 5) == 0.2
+        assert row(RELEVANT, FIXTURE, 5)["precision@5"] == 0.2
 
     def test_empty_ranked_undefined(self):
-        assert precision_at_k(RELEVANT, (), 5) is None
+        assert row(RELEVANT, (), 5)["precision@5"] is None
 
     def test_denominator_is_min_of_k_and_length(self):
         short = ranked_list(("A", HIGH))
-        assert precision_at_k({"A"}, short, 5) == 1.0
+        assert row({"A"}, short, 5)["precision@5"] == 1.0
 
 
 class TestBinConditionedMetrics:
     def test_recall_high_bin(self):
-        assert recall_at_k_bin(RELEVANT, FIXTURE, 5, HIGH) == 0.5
+        assert row(RELEVANT, FIXTURE, 5)["recall@5@high"] == 0.5
 
     def test_recall_medium_bin_empty_intersection(self):
-        assert recall_at_k_bin(RELEVANT, FIXTURE, 5, MEDIUM) == 0.0
+        assert row(RELEVANT, FIXTURE, 5)["recall@5@medium"] == 0.0
 
     def test_sole_relevant_in_low_bin(self):
         ranked = ranked_list(("A", LOW))
-        assert recall_at_k_bin({"A"}, ranked, 5, LOW) == 1.0
+        assert row({"A"}, ranked, 5)["recall@5@low"] == 1.0
 
     def test_precision_high_bin(self):
-        assert precision_at_k_bin(RELEVANT, FIXTURE, 5, HIGH) == 0.5
+        assert row(RELEVANT, FIXTURE, 5)["precision@5@high"] == 0.5
 
     def test_precision_low_bin(self):
-        assert precision_at_k_bin(RELEVANT, FIXTURE, 5, LOW) == 0.0
+        assert row(RELEVANT, FIXTURE, 5)["precision@5@low"] == 0.0
 
     def test_precision_undefined_when_bin_absent_from_topk(self):
         ranked = ranked_list(("A", HIGH), ("B", LOW))
-        assert precision_at_k_bin(RELEVANT, ranked, 5, MEDIUM) is None
+        assert row(RELEVANT, ranked, 5)["precision@5@medium"] is None
 
     def test_bin_beyond_k_does_not_count(self):
         ranked = ranked_list(("C", HIGH), ("D", HIGH), ("A", HIGH))
-        assert recall_at_k_bin({"A"}, ranked, 2, HIGH) == 0.0
+        assert row({"A"}, ranked, 2)["recall@2@high"] == 0.0
 
 
 class TestBinPartitionIdentities:
     def test_recall_sums_to_unconditioned(self):
-        total = sum(recall_at_k_bin(RELEVANT, FIXTURE, 5, bin) for bin in BINS)
-        assert abs(total - recall_at_k(RELEVANT, FIXTURE, 5)) <= 1e-12
+        values = row(RELEVANT, FIXTURE, 5)
+        total = sum(values[f"recall@5@{bin.value}"] for bin in BINS)
+        assert abs(total - values["recall@5"]) <= 1e-12
 
     def test_precision_weighted_by_bin_size(self):
+        values = row(RELEVANT, FIXTURE, 5)
         lhs = 0.0
         for bin in BINS:
             in_bin = [i for i in FIXTURE[:5] if i.bin is bin]
-            value = precision_at_k_bin(RELEVANT, FIXTURE, 5, bin)
+            value = values[f"precision@5@{bin.value}"]
             if value is not None:
                 lhs += value * len(in_bin)
-        rhs = precision_at_k(RELEVANT, FIXTURE, 5) * len(FIXTURE[:5])
+        rhs = values["precision@5"] * len(FIXTURE[:5])
         assert abs(lhs - rhs) <= 1e-12
 
 
@@ -151,25 +156,26 @@ class TestOracleSpotCheck:
         rng = random.Random(20240817)
         for _ in range(1000):
             inst = random_instance(rng)
-            relevant = set(inst.relevant)
+            k = inst.k
             ranked = tuple(RankedEntity(entity_id=i.entity_id, score=0.0,
                                         bin=ConfidenceBin(i.bin))
                            for i in inst.ranked)
+            values = row(set(inst.relevant), ranked, k)
             pairs = [
-                (recall_at_k(relevant, ranked, inst.k),
-                 brute_recall_at_k(inst.relevant, inst.ranked, inst.k)),
-                (precision_at_k(relevant, ranked, inst.k),
-                 brute_precision_at_k(inst.relevant, inst.ranked, inst.k)),
+                (values[f"recall@{k}"],
+                 brute_recall_at_k(inst.relevant, inst.ranked, k)),
+                (values[f"precision@{k}"],
+                 brute_precision_at_k(inst.relevant, inst.ranked, k)),
             ]
             for bin in BINS:
                 pairs.append((
-                    recall_at_k_bin(relevant, ranked, inst.k, bin),
+                    values[f"recall@{k}@{bin.value}"],
                     brute_recall_at_k_bin(inst.relevant, inst.ranked,
-                                          inst.k, bin.value)))
+                                          k, bin.value)))
                 pairs.append((
-                    precision_at_k_bin(relevant, ranked, inst.k, bin),
+                    values[f"precision@{k}@{bin.value}"],
                     brute_precision_at_k_bin(inst.relevant, inst.ranked,
-                                             inst.k, bin.value)))
+                                             k, bin.value)))
             for got, expected in pairs:
                 if expected is None:
                     assert got is None

@@ -9,11 +9,18 @@ from pathlib import Path
 from peak import SRC
 
 PACKAGE = SRC / "er_evalkit"
+GATE = Path(__file__).with_name("test_acceptance.py")
 # Readers other than src/ itself, each counted whole.
-READERS = [*(SRC.parent / "perfbench").glob("*.py"),
-           Path(__file__).with_name("test_acceptance.py")]
+READERS = [*(SRC.parent / "perfbench").glob("*.py"), GATE]
 # module.name -> why it stays although nothing above reaches it.
 ALLOWED: dict[str, str] = {}
+# module.name -> why it stays although only the benchmark reaches it.
+BENCHMARK_ONLY = dict.fromkeys([
+    "clickstream.parse_events", "clickstream.filter_records",
+    "diagnose.write_diagnoses", "importance.score_catalog",
+    "importance.load_scored", "jsonl.load_jsonl", "metrics.load_run",
+    "simulate.levenshtein",
+], "read only by perfbench/traced.py; ROADMAP item 2 deletes it")
 
 
 def names_in(node):
@@ -27,7 +34,7 @@ def names_in(node):
             yield sub.name.rpartition(".")[2]
 
 
-def unreached():
+def unreached(readers=READERS):
     """``module.name`` of each top-level def or class no reader names.
 
     A package module's statements each count as a reader, except the
@@ -43,7 +50,7 @@ def unreached():
             if own:
                 defined.append((path.stem, own))
             reached.update(name for name in names_in(node) if name != own)
-    for path in READERS:
+    for path in readers:
         reached.update(names_in(ast.parse(path.read_text(encoding="utf-8"))))
     return [f"{module}.{name}" for module, name in defined
             if name not in reached]
@@ -56,3 +63,9 @@ def test_every_definition_has_a_reader_beyond_its_tests():
 def test_each_allowed_name_is_still_unreached():
     """An allowance that a reader now reaches is stale and must go."""
     assert sorted(set(ALLOWED) - set(unreached())) == []
+
+
+def test_benchmark_only_definitions_are_pinned():
+    """Without the benchmark as a reader, exactly BENCHMARK_ONLY is
+    unreached: a new definition only the benchmark reads fails here."""
+    assert sorted(unreached([GATE])) == sorted(BENCHMARK_ONLY)

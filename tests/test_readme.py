@@ -1,9 +1,12 @@
 """The README's code runs as written: the `Library use` snippet prints what
-its comment says, and every command of the CLI walkthrough exits 0."""
+its comment says and imports all the package exports, and every command of
+the CLI walkthrough exits 0."""
 
 import re
 import shlex
+from types import ModuleType
 
+import er_evalkit
 from er_evalkit.cli import build_parser, dispatch
 
 from peak import SRC
@@ -20,6 +23,17 @@ def fenced(language, heading):
 def test_library_use_prints_its_comment(capsys):
     exec(fenced("python", "Library use"), {})
     assert capsys.readouterr().out == "1.0\n"
+
+
+def test_package_exports_what_library_use_imports():
+    """The package's public names, its modules aside, are exactly the ones
+    the `Library use` snippet imports, so no re-export grows back unseen."""
+    imported = re.search(r"^from er_evalkit import (.+)$",
+                         fenced("python", "Library use"), re.M).group(1)
+    public = {name for name, value in vars(er_evalkit).items()
+              if not name.startswith("_")
+              and not isinstance(value, ModuleType)}
+    assert public == set(imported.split(", "))
 
 
 def test_walkthrough_runs_every_stage(capsys, tmp_path, monkeypatch):
