@@ -28,8 +28,8 @@ BASICS_COLUMNS = ("tconst", "primaryTitle", "startYear")
 RATINGS_COLUMNS = ("tconst", "averageRating", "numVotes")
 RANKS_COLUMNS = ("tconst", "rank")
 
-# Positions of the joined fields in a row, which holds Title's fields in order.
-_RANK, _RATING_COUNT = 3, 4
+# Positions of fields in a row, which holds Title's fields in order.
+_YEAR, _RANK, _RATING_COUNT = 2, 3, 4
 _RANK_SLICE = slice(_RANK, _RANK + 1)
 _RATINGS_SLICE = slice(_RATING_COUNT, _RATING_COUNT + 2)
 
@@ -100,26 +100,43 @@ def _parse_int(value: str, reason: str) -> int:
     return int(value)
 
 
-def _basics_row(cells: list, min_year: int, max_year: int) -> tuple[str, list]:
+def _parse_rating(value: str, reason: str) -> float:
+    # An ASCII digit run, optionally a point and a second run: no sign,
+    # exponent, underscore, nan or inf, and no other script's digits, all
+    # of which float() would also read.
+    whole, point, fraction = value.partition(".")
+    if not (value.isascii() and whole.isdigit()
+            and (fraction.isdigit() or not point)):
+        raise ValueError(reason)
+    return float(value)
+
+
+# The year and rating caches map a cell text that parsed to its value, so
+# equal cells share one object. They are keyed by text, not value, so "9"
+# and "9.0" never share one; the range checks still run on every row.
+def _basics_row(cells: list, years: dict[str, int], min_year: int,
+                max_year: int) -> tuple[str, list]:
     entity_id, name, year = cells
     if entity_id is None or name is None:
         raise ValueError("missing id or title")
     if year is not None:
-        year = _parse_int(year, f"unparseable year {year!r}")
+        text, year = year, years.get(year)
+        if year is None:
+            year = years[text] = _parse_int(text, f"unparseable year {text!r}")
         if not min_year <= year <= max_year:
             raise ValueError(f"implausible year {year}")
     return entity_id, [entity_id, name, year, None, None, None]
 
 
-def _ratings_row(cells: list) -> tuple[str, tuple]:
+def _ratings_row(cells: list, ratings: dict[str, float]) -> tuple[str, tuple]:
     entity_id, rating, votes = cells
     if entity_id is None:
         raise ValueError("missing id")
     reason = "unparseable rating or vote count"
-    try:
-        rating = None if rating is None else float(rating)
-    except ValueError:
-        raise ValueError(reason) from None
+    if rating is not None:
+        text, rating = rating, ratings.get(rating)
+        if rating is None:
+            rating = ratings[text] = _parse_rating(text, reason)
     votes = None if votes is None else _parse_int(votes, reason)
     if rating is not None and not 0.0 <= rating <= 10.0:
         raise ValueError(f"rating {rating} outside [0, 10]")
@@ -136,24 +153,30 @@ def _ranks_row(cells: list) -> tuple[str, tuple]:
     return entity_id, (rank,)
 
 
+def _filled(values) -> bool:
+    return values.count(None) < len(values)
+
+
 def _read_dump(path: str | Path, kind: str, required: tuple[str, ...], check,
-               stats: IngestStats, strict: bool) -> Iterator[tuple[str, object]]:
-    """Yield ``(entity_id, values)`` for each row of one dump ``check`` takes.
+               stats: IngestStats, strict: bool
+               ) -> Iterator[tuple[int, str, object]]:
+    """Yield ``(lineno, entity_id, values)`` for each row of one dump
+    ``check`` takes, in file order.
 
     ``check`` maps a row's required cells to ``(entity_id, values)`` or
     raises ValueError naming the reason; a row too short to hold them is
     rejected first. A rejected row is counted, or under ``strict`` raises an
-    IngestError naming the file and line. A repeated id among the accepted
-    rows is an error in either mode, and so is a row the csv module cannot
-    read (a cell over its field size limit) or a file that is not UTF-8.
-    Once the dump is read, ``stats`` holds its ``<kind>_rows`` and
+    IngestError naming the file and line. A row the csv module cannot read
+    (a cell over its field size limit) or a file that is not UTF-8 is an
+    error in either mode. The caller rejects a repeated id among the rows
+    yielded, so a rejected row before it keeps its precedence. Once the
+    dump is read, ``stats`` holds its ``<kind>_rows`` and
     ``<kind>_rejected`` counts.
     """
     try:
         fh = open(path, "r", encoding=INPUT_ENCODING, newline="")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    accepted: set[str] = set()
     rows = rejected = 0
     with fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
@@ -180,11 +203,7 @@ def _read_dump(path: str | Path, kind: str, required: tuple[str, ...], check,
                     if strict:
                         raise IngestError(f"{path}:{lineno}: {exc}") from exc
                     continue
-                if entity_id in accepted:
-                    raise IngestError(
-                        f"{path}:{lineno}: duplicate entity_id {entity_id!r}")
-                accepted.add(entity_id)
-                yield entity_id, values
+                yield lineno, entity_id, values
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -215,42 +234,51 @@ def parse_catalog(
     :class:`Title`'s fields in order, which the ratings and ranks rows fill
     in place. Each row becomes its Title as it is released, so the rows and
     the titles never both hold the whole catalog. Titles keep basics file
-    order.
+    order. No second table of every id is kept for the duplicate check:
+    basics checks an id against the rows, and a join finds a repeated id in
+    the row it already filled. Equal year and rating cells share one value
+    object, parsed once per call.
     """
     min_year, max_year = year_window
     if min_year > max_year:
         raise ConfigError(f"year_window {min_year},{max_year} is reversed: "
                           f"{min_year} > {max_year}")
     stats = IngestStats()
-    rows = dict(_read_dump(
-        basics_path, "basics", BASICS_COLUMNS,
-        lambda cells: _basics_row(cells, min_year, max_year), stats, strict))
-
-    def with_row(check):
-        # Key a known id by its basics row's own id string, so the dump's
-        # duplicate-id set holds no second copy of it.
-        def checked(cells):
-            entity_id, values = check(cells)
-            row = rows.get(entity_id)
-            return (entity_id, None) if row is None else (row[0], (row, values))
-        return checked
+    years: dict[str, int] = {}
+    ratings: dict[str, float] = {}
+    rows: dict[str, list] = {}
+    for lineno, entity_id, row in _read_dump(
+            basics_path, "basics", BASICS_COLUMNS,
+            lambda cells: _basics_row(cells, years, min_year, max_year),
+            stats, strict):
+        if rows.setdefault(entity_id, row) is not row:
+            raise IngestError(f"{basics_path}:{lineno}: "
+                              f"duplicate entity_id {entity_id!r}")
 
     # ratings, then ranks: left joins on entity id, each filling its slice
     # of the basics row in place
-    joins = [("ratings", ratings_path, RATINGS_COLUMNS, _ratings_row,
-              _RATINGS_SLICE),
+    joins = [("ratings", ratings_path, RATINGS_COLUMNS,
+              lambda cells: _ratings_row(cells, ratings), _RATINGS_SLICE),
              ("ranks", ranks_path, RANKS_COLUMNS, _ranks_row, _RANK_SLICE)]
     for kind, path, required, check, where in joins:
         if path is None:
             continue
+        # A filled slice marks its row as joined. The ids no row can mark
+        # are kept here: orphans, and rows whose values are all absent.
+        unmarked: set[str] = set()
         orphaned = 0
-        for _, joined in _read_dump(path, kind, required, with_row(check),
-                                    stats, strict):
-            if joined is None:
-                orphaned += 1
-            else:
-                row, values = joined
+        for lineno, entity_id, values in _read_dump(path, kind, required,
+                                                    check, stats, strict):
+            row = rows.get(entity_id)
+            if entity_id in unmarked or (row is not None
+                                         and _filled(row[where])):
+                raise IngestError(f"{path}:{lineno}: "
+                                  f"duplicate entity_id {entity_id!r}")
+            if row is not None and _filled(values):
                 row[where] = values
+            else:
+                unmarked.add(entity_id)
+                orphaned += row is None
         setattr(stats, f"{kind}_orphaned", orphaned)
     if ranks_path is None:
         # derive a pseudo-rank from rating counts
@@ -295,12 +323,17 @@ def load_catalog(path: str | Path) -> Catalog:
     The optional fields are null or absent, or else typed: year, rank and
     rating count are ints (never bools), rating a finite number. The ranges
     :func:`parse_catalog` enforces hold too: rank >= 1, rating count >= 0
-    and rating in [0, 10]. A repeated entity id is an error.
+    and rating in [0, 10]. A repeated entity id is an error. Equal years
+    share one int object (the type check keeps bools out).
     """
     seen: set[str] = set()
+    years: dict[int | None, int | None] = {}
 
     def parse(rec: dict) -> Title:
-        title = Title(*fields(rec, CATALOG_FIELDS))
+        values = fields(rec, CATALOG_FIELDS)
+        year = values[_YEAR]
+        values[_YEAR] = years.setdefault(year, year)
+        title = Title(*values)
         if title.entity_id in seen:
             raise ValueError(f"duplicate entity_id {title.entity_id!r}")
         seen.add(title.entity_id)

@@ -9,7 +9,9 @@ events that clicked it; ctr is the exact quotient.
 Aggregation is one streaming pass: each event is counted as it is parsed
 into two tables keyed by query, nimp and nclick, each query's entry a
 ``collections.Counter`` of entity ids, so memory is O(distinct pairs), not
-O(events). The CLI counts each line's checked fields without building a
+O(events). Both tables share one string object per distinct query and
+entity id (:func:`_tally`), so a pair costs a table slot, not a copy of its
+id. The CLI counts each line's checked fields without building a
 ClickEvent (:func:`aggregate_log`); every line passes the same checks as in
 :func:`parse_events`. The tables are a monoid query by query: sharding the
 event stream, counting shards independently, and summing each query's
@@ -183,16 +185,22 @@ def _tally(events: Iterable[tuple[str, Iterable[str], str | None, object]]
     clicked, ts) tuples.
 
     Events are consumed one at a time and never held, so a generator keeps
-    memory at O(distinct pairs).
+    memory at O(distinct pairs). Each distinct query or id text is counted
+    under one string object, the first read, through a table local to the
+    call: an id shown under many queries is held once, not once per query.
     """
     nimp: defaultdict[str, Counter] = defaultdict(Counter)
     nclick: defaultdict[str, Counter] = defaultdict(Counter)
+    texts: dict[str, str] = {}
     for query, impressions, clicked, _ in events:
+        query = texts.setdefault(query, query)
         # An entity impressed several times within one event still counts
         # as one impression: nimp is the number of events containing it.
-        nimp[query].update(set(impressions))
+        # Both iterators walk the one set in the same order.
+        shown = set(impressions)
+        nimp[query].update(map(texts.setdefault, shown, shown))
         if clicked is not None:
-            nclick[query][clicked] += 1
+            nclick[query][texts.setdefault(clicked, clicked)] += 1
     return nimp, nclick
 
 

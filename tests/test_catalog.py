@@ -4,6 +4,7 @@ import pytest
 
 from er_evalkit.catalog import (
     Catalog,
+    IngestStats,
     Title,
     load_catalog,
     parse_catalog,
@@ -138,6 +139,19 @@ class TestParseCatalog:
         assert [t.entity_id for t in catalog.titles] == ["tt3"]
         assert catalog.stats.basics_rejected == 2
 
+    def test_default_year_window_is_inclusive(self, dumps):
+        basics, ratings, _ = dumps(
+            [("tt1", "A", 1869), ("tt2", "B", 1870), ("tt3", "C", 2100),
+             ("tt4", "D", 2101)], [])
+        catalog = parse_catalog(basics, ratings)
+        assert [t.entity_id for t in catalog.titles] == ["tt2", "tt3"]
+        assert catalog.stats.basics_rejected == 2
+
+    def test_fresh_stats_are_zero(self):
+        """A catalog built in memory, as loaded ones are, reports no rows."""
+        assert set(IngestStats().as_dict().values()) == {0}
+        assert Catalog(titles=[]).stats == IngestStats()
+
     def test_custom_year_window(self, dumps):
         basics, ratings, _ = dumps([("tt1", "Old", 1900)], [])
         catalog = parse_catalog(basics, ratings, year_window=(1950, 2000))
@@ -234,3 +248,101 @@ class TestDigitRuns:
         title = by_id(parse_catalog(basics, ratings, ranks, strict=True))["tt1"]
         assert (title.release_year, title.rating_count, title.rank) == \
             (1999, 10, 123)
+
+
+class TestSharedCells:
+    """Equal year and rating cells parse to one shared object per text."""
+
+    def test_one_object_per_year_and_rating_text(self, dumps):
+        basics, ratings, _ = dumps(
+            [(f"tt{i}", "A", year)
+             for i, year in enumerate(["1999", "2001", "1999", "1999"])],
+            [(f"tt{i}", rating, 10)
+             for i, rating in enumerate(["7.8", "7.80", "7.8", "7.8"])])
+        titles = parse_catalog(basics, ratings, strict=True).titles
+        assert [t.release_year for t in titles] == [1999, 2001, 1999, 1999]
+        assert [t.rating for t in titles] == [7.8] * 4
+        assert len({id(t.release_year) for t in titles}) == 2
+        assert len({id(t.rating) for t in titles}) == 2
+
+    def test_repeated_bad_year_rejected_on_every_row(self, dumps):
+        basics, ratings, _ = dumps(
+            [("tt1", "A", "abc"), ("tt2", "B", "abc"), ("tt3", "C", "1200"),
+             ("tt4", "D", "1200"), ("tt5", "E", "1999")], [])
+        catalog = parse_catalog(basics, ratings)
+        assert catalog.stats.basics_rejected == 4
+        assert [t.entity_id for t in catalog.titles] == ["tt5"]
+
+    def test_load_shares_equal_years(self, tmp_path):
+        path = tmp_path / "catalog.jsonl"
+        path.write_text("".join(
+            f'{{"entity_id":"tt{i}","name":"A","release_year":1999}}\n'
+            for i in range(3)), encoding="utf-8")
+        titles = load_catalog(path).titles
+        assert [t.release_year for t in titles] == [1999] * 3
+        assert len({id(t.release_year) for t in titles}) == 1
+
+
+class TestJoinDuplicates:
+    """A join finds a repeated id without a table of every id it read."""
+
+    @pytest.mark.parametrize("first,second", [
+        (("\\N", "\\N"), ("7.0", "10")),
+        (("7.0", "10"), ("\\N", "\\N")),
+        (("\\N", "\\N"), ("\\N", "\\N")),
+        (("\\N", "10"), ("7.0", "\\N")),
+    ])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_repeated_rating_row(self, dumps, first, second, strict):
+        basics, ratings, _ = dumps([("tt1", "A", 2000)],
+                                   [("tt1", *first), ("tt1", *second)])
+        with pytest.raises(IngestError) as excinfo:
+            parse_catalog(basics, ratings, strict=strict)
+        assert str(excinfo.value) == f"{ratings}:3: duplicate entity_id 'tt1'"
+
+    def test_repeated_orphan_rating(self, dumps):
+        basics, ratings, _ = dumps([("tt1", "A", 2000)],
+                                   [("tt9", "5.0", "1"), ("tt1", "5.0", "1"),
+                                    ("tt9", "6.0", "2")])
+        with pytest.raises(IngestError) as excinfo:
+            parse_catalog(basics, ratings)
+        assert str(excinfo.value) == f"{ratings}:4: duplicate entity_id 'tt9'"
+
+    @pytest.mark.parametrize("entity_id", ["tt1", "tt9"])
+    def test_repeated_rank_row(self, dumps, entity_id):
+        basics, ratings, ranks = dumps([("tt1", "A", 2000)], [],
+                                       [(entity_id, 1), (entity_id, 2)])
+        with pytest.raises(IngestError) as excinfo:
+            parse_catalog(basics, ratings, ranks)
+        assert str(excinfo.value) == \
+            f"{ranks}:3: duplicate entity_id {entity_id!r}"
+
+    @pytest.mark.parametrize("kind", ["basics", "ratings", "ranks"])
+    def test_rejected_row_keeps_precedence(self, dumps, kind):
+        """A bad row before a repeated id is its reject under strict and
+        counted without it; a bad repeat is a reject, not a duplicate."""
+        rows = {"basics": [("tt1", "A", 2000), ("tt2", "B", "abc"),
+                           ("tt1", "C", 2001)],
+                "ratings": [("tt1", "5.0", "1"), ("tt2", "x", "1"),
+                            ("tt1", "6.0", "2")],
+                "ranks": [("tt1", 1), ("tt2", 0), ("tt1", 2)]}
+        reasons = {"basics": "unparseable year 'abc'",
+                   "ratings": "unparseable rating or vote count",
+                   "ranks": "rank 0 < 1"}
+        tables = {"basics": [("tt1", "A", 2000), ("tt2", "B", 2000)],
+                  "ratings": [], "ranks": []}
+        tables[kind] = rows[kind]
+        paths = dict(zip(tables, dumps(*tables.values())))
+        with pytest.raises(IngestError) as excinfo:
+            parse_catalog(*paths.values(), strict=True)
+        assert str(excinfo.value) == f"{paths[kind]}:3: {reasons[kind]}"
+        with pytest.raises(IngestError) as excinfo:
+            parse_catalog(*paths.values())
+        assert str(excinfo.value) == \
+            f"{paths[kind]}:4: duplicate entity_id 'tt1'"
+
+        first, bad, _ = rows[kind]
+        tables[kind] = [first, ("tt1", *bad[1:])]
+        paths = dict(zip(tables, dumps(*tables.values())))
+        stats = parse_catalog(*paths.values()).stats
+        assert getattr(stats, f"{kind}_rejected") == 1

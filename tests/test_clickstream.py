@@ -452,6 +452,19 @@ class TestAggregateLog:
             path, ctr_filter, strict=True)) == strict_error(
             lambda: list(parse_events(path, strict=True)))
 
+    def test_tables_hold_one_object_per_entity_id(self, tmp_path):
+        """An id shown under many queries is counted under one string."""
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(
+            dumps({"query": query, "impressions": ["tt0001", "tt0002"],
+                   "clicked": "tt0002"}) + "\n"
+            for query in ("a", "b", "c", "a")), encoding="utf-8")
+        records, _ = aggregate_log(path, CtrFilter(min_impressions=1,
+                                                   min_ctr=0.0))
+        assert [(r.query, r.entity_id, r.nimp) for r in records] == [
+            (q, e, 1 + (q == "a")) for q in "abc" for e in ("tt0001", "tt0002")]
+        assert len({id(r.entity_id) for r in records}) == 2
+
 
 class TestFilterRecords:
     def test_paper_motivating_case_dropped(self):

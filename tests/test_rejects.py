@@ -52,6 +52,16 @@ CATALOG_REASONS = [
     ("ratings", "tt2\t5.0\t-3", "unparseable rating or vote count"),
     ("ratings", "tt2\t11\tx", "unparseable rating or vote count"),
     ("ratings", "tt2\t11\t10", "rating 11.0 outside [0, 10]"),
+    # A rating is an ASCII digit run with at most one inner point.
+    ("ratings", "tt2\t1_0\t10", "unparseable rating or vote count"),
+    ("ratings", "tt2\t\u0661\u0660\t10", "unparseable rating or vote count"),
+    ("ratings", "tt2\t+7.8\t10", "unparseable rating or vote count"),
+    ("ratings", "tt2\t-0.0\t10", "unparseable rating or vote count"),
+    ("ratings", "tt2\t1e1\t10", "unparseable rating or vote count"),
+    ("ratings", "tt2\tnan\t10", "unparseable rating or vote count"),
+    ("ratings", "tt2\t.5\t10", "unparseable rating or vote count"),
+    ("ratings", "tt2\t5.\t10", "unparseable rating or vote count"),
+    ("ratings", "tt2\t5.0.1\t10", "unparseable rating or vote count"),
     ("ranks", "tt2", "too few columns"),
     ("ranks", "tt2\t\\N", "missing id or rank"),
     ("ranks", "\\N\t3", "missing id or rank"),
