@@ -5,7 +5,11 @@ The simulate digests were taken from the scalar edit-distance kernel with
 one Gaussian draw per call, so they pin any faster matcher to exactly the
 same fixture bytes. The ``ties`` run turns the noise off and keeps every
 title, so equal scores are common and the entity_id tie-break decides much
-of each ranking.
+of each ranking. The ``sigma1``, ``m1``, ``m_over_titles``, ``replays700``
+and ``decay1`` digests were taken from the matcher that drew and scored
+every title's noise, and from one ``random()`` call per click replay. They
+pin wide noise, a one-entry list, a list longer than the catalog, a click
+batch longer than one packed pass, and certain clicks.
 
 The digests were taken from the implementation that scored each metric and
 each diagnosis in separate passes over the ranked list, so they pin the
@@ -92,6 +96,43 @@ SIMULATE = {
         "da25aec86391d38d490944137211d0e398e8bb18e8f0b4c1e14002adb8f8ecc5",
         "3719a2364d2167c2c446f38fb46963231635609716c18f1a14a2407b6fbe451b",
         "adeb48351e9d0e379b48c208ff7bf2396cfd76c6ac9081a87143011a8d254c45")),
+    "sigma1": (("--seed", 7, "--score-noise-sigma", 1.0, "--n-queries", 100), (
+        "604721e62db31e252272e6a4e960f0326ea588a1a6d3fedc968eac9af6a7dc64",
+        "513501ad51f0fc53dc9c07505522108053a3f00dfa461b18ebbeba1ef1aefd03",
+        "def1660f4852f374b800913ac1e859b2de99acab0204eeeccb3069e8ecf5536c",
+        "8abf3b363fe3af5f18109d84608c7a93415e48b4aedc697cae11882422100fe1",
+        "d12885d2faef175f48281476074ba540d0939044ede20e43a611464dcbcbae39",
+        "adeb48351e9d0e379b48c208ff7bf2396cfd76c6ac9081a87143011a8d254c45")),
+    "m1": (("--seed", 11, "--retrieve-m", 1, "--n-queries", 100), (
+        "ecb1611f3053d1486fce2607946921e6cd30590145050538cc676d5ae47f8920",
+        "27c64cd89e6383e6eeebec5c088794ca86b2ba970ac93870933abd913b0cdd2c",
+        "0627974876f1c142711d019e6a57754bc0c56b6884f931cea205686a35f9625a",
+        "8727f0520bb523ac282c3ee4102a8a879a207df28a8733025a0e025009d2e1c8",
+        "42f7ffaf92c90dbdb4c8a22688ea395a41d054c4d290625ef01236a86e39c801",
+        "de0f5754ed544afff340abaf6096be355e8d61f59ae3fb0a49620ab89ce230f0")),
+    "m_over_titles": (("--seed", 5, "--n-titles", 30, "--n-queries", 30,
+                       "--retrieve-m", 50), (
+        "9b8a2cb3f429d5026ae23d7929234b09207b8b9afb32d2264eb0a1cef02eb1d9",
+        "f08f549e11f63e79e27ca1ce1def2076b4e21e1ff9136f2945bf1dd45f2bcc5b",
+        "ab8b2fef007ffcb73ae2ad29a5aed4e8bebfec633c7a9e9a84e44091742af968",
+        "834f6bd0705e2084d1abcee02765e1b7bfbb18f1acbf4c5775bbeaccf8f8b7a7",
+        "6abc554f361c529fc8f1eed12fd8529b7f179ee0646fb747abda1c1b5460a334",
+        "8fc6c1845674991936a64573bb3a1ac5c4cf40b894ccf788f4a10fcc941f93fa")),
+    "replays700": (("--seed", 3, "--n-queries", 60, "--n-replays", 700), (
+        "83a0540af1abdc891c814c6c2ff996125991bcd2fd2df7c4cbe23c958a6c8e4b",
+        "3e9014a5bcf241e23e546d7738867bee8be7d2782c4d73920c0456fbdfb80d51",
+        "4700e99aee172d7732c4c6f92e01a58743dcb794f408b89fd93889291581d63e",
+        "9156d6c269ba7d5e47f119fe96a63054196eb57cb2da1921f7f4647cfbacadc4",
+        "40a9de7c542c3591f7ef04abc6d3ee44b364e0101d819abc6deeea10a73d7926",
+        "ee50b7a6cce8d9b195900c8ad315a20b50e2a2fedf870d76d666174116431a5e")),
+    "decay1": (("--seed", 9, "--click-position-decay", 1.0,
+                "--n-queries", 100), (
+        "603a27376db08603a940598782b1c5f5073f5160db43d6b2fb584811ef85d043",
+        "3b426053131802712f3a1f0e5c304fa4ce30c0e2b7f9ea60e1fdd9dd317dda6a",
+        "6de46135f38b25d806fbbfb9419b89d169aaff8478f7923214c7f8c25bad07c9",
+        "5d446bc9f1207f4debb2ea5acdc2586e79b87c41b213f21ad7e222e30393f307",
+        "ebfcc6935733d4c11e25c7857e52be4ba8b2e6f068fc1e54aca43a1853a1cd0e",
+        "8678d5315ddb767043c13f03a6d6c61f0d3050d4eeb0d9f48eab465695d58cf1")),
 }
 
 COMPARE = "c8d4c5955bdd211722b6057fde76198b4576a82e986f55a410739d6dd5821e32"
