@@ -8,7 +8,11 @@ similarity with optional Gaussian noise, which gives the pipeline a ground
 truth with controllable, graded errors. Its edit distances come from one
 kernel, :class:`PackedMyers`, which packs every catalog name into its own
 lane of one Python int and scores a query against all of them in a single
-bit-parallel pass; :func:`levenshtein` is its one-lane case.
+bit-parallel pass; :func:`levenshtein` is its one-lane case. Its noise is
+drawn in Box-Muller's polar form (:meth:`~.rng.SplitMix64.polar`): a
+title's radius alone bounds its score, so only the titles whose bound can
+reach the top list get a full draw. The click log draws each shown list's
+replays as one batch of uniforms.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, compress, repeat
+from operator import add, ge, neg
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -153,8 +158,9 @@ class PackedMyers:
         counts = (self._byte_popcounts(vp)
                   + self._byte_popcounts(lanes ^ vn)).to_bytes(
                       self._n_bytes, "little")
+        sums = list(accumulate(counts, initial=0))
         n = len(text)
-        return [n - width + sum(counts[start:end]) for start, end, width
+        return [n - width + sums[end] - sums[start] for start, end, width
                 in zip(self._starts, self._ends, self._widths)]
 
 
@@ -259,6 +265,11 @@ def gen_queries(catalog: Catalog, config: SimConfig) -> list[tuple[str, str]]:
     return out
 
 
+def _reaching(values, floor: float, among: Sequence[int]) -> list[int]:
+    """The items of ``among`` whose value, in step, is at least floor."""
+    return list(compress(among, map(ge, values, repeat(floor))))
+
+
 def run_mock_er(catalog: Catalog, queries: list[tuple[str, str]],
                 config: SimConfig) -> list[RunResult]:
     """Score every catalog title per query, keep the top retrieve_m.
@@ -267,28 +278,50 @@ def run_mock_er(catalog: Catalog, queries: list[tuple[str, str]],
     plus Gaussian noise when score_noise_sigma > 0. Ties break by
     entity_id so output order is total. The names are packed once into a
     :class:`PackedMyers`; each query then takes one kernel pass and one
-    batch of noise draws, in title order.
+    batch of noise draws, in title order, completed only where needed.
+
+    A draw never exceeds its radius, so ``similarity + radius`` bounds a
+    title's score (the threshold idea of Fagin, Lotem & Naor 2001). The
+    exact scores of the 2·retrieve_m most similar titles set a cut that
+    retrieve_m titles reach, so a title whose bound falls below it cannot
+    make the list. Only titles whose similarity plus the batch's largest
+    radius reaches the cut get a radius, and only those whose bound does
+    get a full draw and a rank. A title at the cut can still win on
+    entity_id, so it stays.
     """
     rng = SplitMix64(derive_seed(config.seed, "matcher"))
-    sigma = config.score_noise_sigma
+    sigma, top_m = config.score_noise_sigma, config.retrieve_m
     t_high, t_medium = config.bin_thresholds
     ids = [title.entity_id for title in catalog.titles]
     names = [normalize_query(title.name) for title in catalog.titles]
     widths = [len(name) for name in names]
     kernel = PackedMyers(names)
+    everyone = range(len(ids))
     results = []
     for query, _truth in queries:
         # An empty query against an empty name is identical: similarity 1.
         m = len(query) or 1
-        noise = (rng.normals(len(ids), 0.0, sigma) if sigma > 0.0
-                 else [0.0] * len(ids))
+        sims = [1.0 - d / (w if w > m else m)
+                for d, w in zip(kernel.distances(query), widths)]
+        pool, scores = everyone, sims
+        if sigma > 0.0:
+            noise = rng.polar(len(ids), sigma)
+            if len(ids) > 2 * top_m:
+                # The 2m most similar titles' exact scores set a cut that m
+                # titles reach; only titles whose bound reaches it can rank.
+                best = _reaching(sims, sorted(sims)[-2 * top_m], everyone)
+                cut = sorted(map(add, map(sims.__getitem__, best),
+                                 noise.draws(best)))[-top_m]
+                near = _reaching(map(add, sims, repeat(noise.radius_bound())),
+                                 cut, everyone)
+                pool = _reaching(map(add, map(sims.__getitem__, near),
+                                     noise.radii(near)), cut, near)
+            scores = map(add, map(sims.__getitem__, pool), noise.draws(pool))
         # The smallest (-score, entity_id) pairs rank by score, ties by id.
-        top = heapq.nsmallest(config.retrieve_m, (
-            (-(1.0 - d / (w if w > m else m) + e), entity_id)
-            for d, w, e, entity_id in zip(kernel.distances(query), widths,
-                                          noise, ids)))
+        top = heapq.nsmallest(top_m, zip(map(neg, scores),
+                                         map(ids.__getitem__, pool)))
         # Ids are distinct and scores fall; a level is thresholds missed.
-        scores = tuple(-neg for neg, _ in top)
+        scores = tuple(-key for key, _ in top)
         levels = bytes((s < t_high) + (s < t_medium) for s in scores)
         results.append(RunResult(query, columns=(
             tuple(entity_id for _, entity_id in top), scores, levels)))
@@ -311,15 +344,16 @@ def gen_clicklog(run: list[RunResult], truth: dict[str, str],
         truth_id = truth.get(result.query)
         position = (impressions.index(truth_id) + 1
                     if truth_id in impressions else None)
-        click_prob = decay ** (position - 1) if position is not None else 0.0
         # Events are immutable, so every replay yields one of two objects.
         shown = ClickEvent(query=result.query, impressions=impressions)
-        if position is not None:
-            hit = ClickEvent(query=result.query, impressions=impressions,
-                             clicked=truth_id)
-        for _ in range(config.n_replays):
-            yield (hit if position is not None and rng.random() < click_prob
-                   else shown)
+        if position is None:
+            yield from repeat(shown, config.n_replays)
+            continue
+        click_prob = decay ** (position - 1)
+        hit = ClickEvent(query=result.query, impressions=impressions,
+                         clicked=truth_id)
+        for u in rng.uniforms(config.n_replays):
+            yield hit if u < click_prob else shown
 
 
 def write_catalog_tsv(catalog: Catalog, out_dir: str | Path,

@@ -1,5 +1,6 @@
 """Tests for the seeded simulator and its edit-distance matcher."""
 
+import heapq
 import random
 from dataclasses import replace
 from string import ascii_lowercase
@@ -15,6 +16,7 @@ from er_evalkit.errors import ConfigError
 from er_evalkit.errors import IngestError
 from er_evalkit.metrics import ConfidenceBin, RankedEntity, RunResult, evaluate_run
 from er_evalkit.rng import SplitMix64, derive_seed
+from er_evalkit import simulate
 from er_evalkit.simulate import (
     PackedMyers,
     SimConfig,
@@ -57,6 +59,11 @@ class TestSimConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SimConfig(seed=1, **kwargs)
+
+    def test_an_empty_catalog_is_named_before_the_query_count(self):
+        with pytest.raises(ConfigError) as raised:
+            SimConfig(seed=1, n_titles=0)
+        assert str(raised.value) == "n_titles must be >= 1, got 0"
 
     def test_boundary_decay_one_accepted(self):
         assert SimConfig(seed=1, click_position_decay=1.0)
@@ -218,6 +225,50 @@ class TestGenQueries:
         assert any(q not in names for q, _ in queries)
 
 
+def exhaustive_columns(catalog, queries, config):
+    """The matcher's reference form: every title's full noise draw and
+    score, then the retrieve_m smallest (-score, entity_id) pairs."""
+    rng = SplitMix64(derive_seed(config.seed, "matcher"))
+    sigma, titles = config.score_noise_sigma, catalog.titles
+    out = []
+    for query, _ in queries:
+        noise = (rng.normals(len(titles), 0.0, sigma) if sigma > 0.0
+                 else [0.0] * len(titles))
+        top = heapq.nsmallest(config.retrieve_m, (
+            (-(similarity(query, normalize_query(title.name)) + e),
+             title.entity_id) for title, e in zip(titles, noise)))
+        out.append(([entity_id for _, entity_id in top],
+                    [(-key).hex() for key, _ in top]))
+    return out
+
+
+@st.composite
+def matcher_cases(draw):
+    """Small configs over the noise scales and list lengths the matcher
+    prunes differently. Half use a catalog of equal-length names over two
+    letters, with ids out of title order, so scores tie often."""
+    n_titles = draw(st.integers(1, 40))
+    config = SimConfig(
+        seed=draw(st.integers(0, 2**64 - 1)), n_titles=n_titles,
+        n_queries=draw(st.integers(1, min(n_titles, 6))),
+        typo_rate=draw(st.sampled_from([0.0, 0.02, 0.5])),
+        score_noise_sigma=draw(st.sampled_from([0.0, 1e-300, 1e-12, 0.05,
+                                                3.0])),
+        retrieve_m=draw(st.integers(1, n_titles + 3)))
+    if draw(st.booleans()):
+        catalog = gen_catalog(config)
+        return catalog, gen_queries(catalog, config), config
+    names = draw(st.lists(st.text("ab", min_size=3, max_size=3),
+                          min_size=n_titles, max_size=n_titles))
+    ids = draw(st.permutations([f"tt{i:07d}" for i in range(n_titles)]))
+    texts = draw(st.lists(st.text("ab", max_size=4),
+                          min_size=config.n_queries,
+                          max_size=config.n_queries))
+    catalog = Catalog(titles=[Title(entity_id=entity_id, name=name)
+                              for entity_id, name in zip(ids, names)])
+    return catalog, [(text, ids[0]) for text in texts], config
+
+
 class TestRunMockEr:
     def test_zero_noise_puts_truth_first_in_high_bin(self):
         config = SimConfig(seed=12, n_titles=50, n_queries=20,
@@ -299,6 +350,31 @@ class TestRunMockEr:
         report = evaluate_run(qrels, run, k=5)
         assert (report.aggregates["recall@5@high"]
                 == report.aggregates["recall@5"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=matcher_cases())
+    def test_equals_the_exhaustive_matcher(self, case):
+        """The same ids and score bits as scoring every title, and the
+        matcher stream moved past 2·n_titles uniforms per noisy query."""
+        catalog, queries, config = case
+        streams = []
+
+        class Recording(SplitMix64):
+            def __init__(self, seed):
+                super().__init__(seed)
+                streams.append(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "SplitMix64", Recording)
+            run = run_mock_er(catalog, queries, config)
+        assert [(list(result.ids), [score.hex() for score in result.scores])
+                for result in run] == exhaustive_columns(catalog, queries,
+                                                         config)
+        advanced = SplitMix64(derive_seed(config.seed, "matcher"))
+        if config.score_noise_sigma > 0.0:
+            advanced.uniforms(2 * len(catalog.titles) * len(queries))
+        (stream,) = streams
+        assert stream.next_u64() == advanced.next_u64()
 
     def test_noise_draws_do_not_perturb_other_streams(self):
         base = dict(seed=16, n_titles=30, n_queries=10, typo_rate=0.0)
