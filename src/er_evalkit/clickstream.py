@@ -6,31 +6,37 @@ trivially different spellings aggregate together. Per (query, entity) pair,
 nimp counts the events whose impressions contain the entity and nclick the
 events that clicked it; ctr is the exact quotient.
 
-Aggregation is one streaming pass: each event is counted as it is parsed
-into two tables keyed by query, nimp and nclick, each query's entry a
-``collections.Counter`` of entity ids, so memory is O(distinct pairs), not
-O(events). Both tables share one string object per distinct query and
-entity id (:func:`_tally`), so a pair costs a table slot, not a copy of its
-id. The CLI counts each line's checked fields without building a
+Aggregation streams: each line is decoded, checked and counted as it is
+read (:func:`_count`) into two tables keyed by query, nimp and nclick, each
+query's entry a ``collections.Counter`` of entity ids, so memory is
+O(distinct pairs), not O(events). Both tables share one string object per
+distinct query and entity id, so a pair costs a table slot, not a copy of
+its id. The CLI counts each line's checked fields without building a
 ClickEvent (:func:`aggregate_log`); every line passes the same checks as in
-:func:`parse_events`. The tables are a monoid query by query: sharding the
-event stream, counting shards independently, and summing each query's
-Counters gives exactly the single-pass answer (:func:`aggregate_in_shards`).
-Aggregation runs in one thread.
+:func:`parse_events`. The tables are a monoid query by query: counting
+parts of the event stream apart and summing each query's counts
+(:func:`_merge`) gives exactly the single-pass answer. So aggregate-ctr,
+lenient and given two CPUs, counts the log's two halves at once, the
+second in a forked child whose tables are merged into the parent's; gate
+C8 checks the same merge over shards (:func:`aggregate_in_shards`).
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import signal
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator, NoReturn
 
 from .errors import ConfigError, IngestError
 from .jsonl import (as_records, decode, dumps, fields, iter_records,
-                    read_lines, require, write_jsonl, write_lines)
+                    middle_line, open_text, read_lines, require, write_jsonl,
+                    write_lines)
 
 DEFAULT_MIN_IMPRESSIONS = 25
 DEFAULT_MIN_CTR = 0.3
@@ -131,38 +137,27 @@ def _event_fields(raw) -> tuple[str, list, str | None, int | None]:
     return normalize_query(query), impressions, clicked, ts
 
 
-def _checked_lines(path: str | Path, strict: bool, stats: ParseStats | None
-                   ) -> Iterator[tuple[str, list, str | None, int | None]]:
-    """The fields of each good line of ``path``, in file order.
-
-    A bad line is skipped and tallied in ``stats``; under ``strict`` it
-    raises instead, naming the file, line and reason.
-    """
-    if stats is None:
-        stats = ParseStats()
-    for lineno, line in read_lines(path):
-        stats.lines += 1
-        try:
-            fields = _event_fields(decode(line))
-        except ValueError as exc:
-            stats.rejected += 1
-            if strict:
-                raise IngestError(f"{path}:{lineno}: {exc}") from exc
-            continue
-        stats.events += 1
-        yield fields
-
-
 def parse_events(path: str | Path, *, strict: bool = False,
                  stats: ParseStats | None = None) -> Iterator[ClickEvent]:
     """Yield normalized events in file order.
 
     Malformed lines and events whose click is not among the impressions are
     skipped and tallied in ``stats``; under ``strict`` the first such line
-    raises instead. Pass a ParseStats to read the tallies after the
-    generator is exhausted.
+    raises instead, naming the file, line and reason. Pass a ParseStats to
+    read the tallies after the generator is exhausted.
     """
-    for query, impressions, clicked, ts in _checked_lines(path, strict, stats):
+    if stats is None:
+        stats = ParseStats()
+    for lineno, line in read_lines(path):
+        stats.lines += 1
+        try:
+            query, impressions, clicked, ts = _event_fields(decode(line))
+        except ValueError as exc:
+            stats.rejected += 1
+            if strict:
+                raise IngestError(f"{path}:{lineno}: {exc}") from exc
+            continue
+        stats.events += 1
         yield ClickEvent(query=query, impressions=tuple(impressions),
                          clicked=clicked, ts=ts)
 
@@ -179,33 +174,164 @@ def compute_ctr(nclick: int, nimp: int) -> float:
 _Tables = tuple[dict[str, Counter], dict[str, Counter]]
 
 
-def _tally(events: Iterable[tuple[str, Iterable[str], str | None, object]]
-           ) -> _Tables:
-    """(nimp, nclick) per query, in one pass over (query, impressions,
-    clicked, ts) tuples.
+def _count(path: str | Path, start: int, end: int | None, strict: bool,
+           stats: ParseStats, texts: dict[str, str]) -> _Tables:
+    """(nimp, nclick) per query of the lines in bytes ``start`` to ``end``
+    of ``path`` (:func:`jsonl.open_text`), in one pass that decodes, checks
+    (:func:`_event_fields`) and counts each line as it is read.
 
-    Events are consumed one at a time and never held, so a generator keeps
-    memory at O(distinct pairs). Each distinct query or id text is counted
-    under one string object, the first read, through a table local to the
-    call: an id shown under many queries is held once, not once per query.
+    Memory is O(distinct pairs), not O(events). Each distinct query or id
+    text is counted under one string object, the one ``texts`` holds: an
+    id shown under many queries is held once, not once per query. A bad
+    line is skipped and tallied in ``stats``; under ``strict`` it raises
+    instead, naming the file, line and reason.
     """
     nimp: defaultdict[str, Counter] = defaultdict(Counter)
     nclick: defaultdict[str, Counter] = defaultdict(Counter)
-    texts: dict[str, str] = {}
-    for query, impressions, clicked, _ in events:
-        query = texts.setdefault(query, query)
-        # An entity impressed several times within one event still counts
-        # as one impression: nimp is the number of events containing it.
-        # Both iterators walk the one set in the same order.
-        shown = set(impressions)
-        nimp[query].update(map(texts.setdefault, shown, shown))
-        if clicked is not None:
-            nclick[query][texts.setdefault(clicked, clicked)] += 1
+    intern = texts.setdefault
+    lines = events = 0
+    with open_text(path, start, end) as text:
+        for lineno, line in enumerate(text, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            lines += 1
+            try:
+                query, impressions, clicked, _ = _event_fields(decode(line))
+            except ValueError as exc:
+                if strict:
+                    raise IngestError(f"{path}:{lineno}: {exc}") from exc
+                continue
+            events += 1
+            query = intern(query, query)
+            # An entity impressed several times within one event still
+            # counts as one impression: nimp is the number of events
+            # containing it. Both iterators walk the one set in the same
+            # order.
+            shown = set(impressions)
+            nimp[query].update(map(intern, shown, shown))
+            if clicked is not None:
+                nclick[query][intern(clicked, clicked)] += 1
+    stats.lines += lines
+    stats.events += events
+    stats.rejected += lines - events
     return nimp, nclick
 
 
-def _tally_events(events: Iterable[ClickEvent]) -> _Tables:
-    return _tally((e.query, e.impressions, e.clicked, e.ts) for e in events)
+def _merge(tables: _Tables, texts: dict[str, str],
+           rows: Iterable[tuple[str, dict, dict | None]]) -> None:
+    """Add each (query, nimp counts, nclick counts) row into ``tables``,
+    query by query, under the one string ``texts`` holds for each query
+    and id. Merging the rows of any split of an event stream's tables
+    gives the tables of the whole stream: counts sum pair by pair."""
+    intern = texts.setdefault
+    for query, *row in rows:
+        query = intern(query, query)
+        for table, counts in zip(tables, row):
+            if counts:
+                total = table[query]
+                for entity_id, n in counts.items():
+                    entity_id = intern(entity_id, entity_id)
+                    total[entity_id] = total.get(entity_id, 0) + n
+
+
+def _rows(tables: _Tables) -> Iterator[tuple[str, dict, dict | None]]:
+    """The (query, nimp counts, nclick counts) rows of ``tables``."""
+    nimp, nclick = tables
+    return ((query, nimp[query], nclick.get(query)) for query in nimp)
+
+
+def _two_cpus() -> bool:
+    """Whether a forked child can count half the log on a CPU of its own."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1)
+
+
+# Rows per marshal message from the counting child: its tables cross the
+# pipe a slice at a time, so neither side holds a second copy of them.
+_ROWS_PER_MESSAGE = 64
+
+
+def _send(pipe: IO[bytes], message: object) -> None:
+    blob = marshal.dumps(message)
+    pipe.write(len(blob).to_bytes(8, "little") + blob)
+
+
+def _receive(pipe: IO[bytes]) -> object:
+    """The next message :func:`_send` wrote, or None if the pipe ended."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    blob = pipe.read(size) if len(head) == 8 else b""
+    return marshal.loads(blob) if size and len(blob) == size else None
+
+
+def _count_child(path: str | Path, start: int, pipe_ends: tuple[int, int]
+                 ) -> NoReturn:
+    """In a forked child: count bytes ``start`` on of ``path`` and send the
+    tables through the pipe's write end, as lists of plain-dict rows
+    (marshal takes no Counter), then the ParseStats tallies; or the text of
+    the IngestError that stopped the count. Ends only through ``os._exit``,
+    so nothing of the parent's (a landing, a test runner) unwinds here."""
+    code = 1
+    try:
+        readable, writable = pipe_ends
+        os.close(readable)
+        with os.fdopen(writable, "wb") as pipe:
+            try:
+                stats = ParseStats()
+                rows = _rows(_count(path, start, None, False, stats, {}))
+                while chunk := [(query, dict(shown), dict(hits or ()))
+                                for query, shown, hits
+                                in islice(rows, _ROWS_PER_MESSAGE)]:
+                    _send(pipe, chunk)
+                _send(pipe, (stats.lines, stats.events, stats.rejected))
+            except IngestError as exc:
+                _send(pipe, str(exc))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _count_halves(path: str | Path, split: int, stats: ParseStats,
+                  texts: dict[str, str]) -> _Tables:
+    """:func:`_count` of all of ``path``, lenient: a forked child counts
+    the bytes from the line start ``split`` on while this process counts
+    those before it, then merges the child's tables into its own as they
+    arrive. Either half's read error is the one whole-file ``cannot read
+    PATH: ...``. If this process raises or is interrupted, the child is
+    killed first; it is reaped on every path. If no child can be made, this
+    process counts the whole file."""
+    readable, writable = pipe_ends = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(readable)
+        os.close(writable)
+        return _count(path, 0, None, False, stats, texts)
+    if not pid:
+        _count_child(path, split, pipe_ends)
+    try:
+        os.close(writable)
+        with os.fdopen(readable, "rb") as pipe:
+            tables = _count(path, 0, split, False, stats, texts)
+            while isinstance(message := _receive(pipe), list):
+                _merge(tables, texts, message)
+        if isinstance(message, str):
+            raise IngestError(message)
+        if message is None:
+            raise ChildProcessError(
+                f"the process counting the second half of {path} ended "
+                "without its counts")
+        lines, events, rejected = message
+        stats.lines += lines
+        stats.events += events
+        stats.rejected += rejected
+        return tables
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
 
 
 def _records(nimp: dict[str, Counter], nclick: dict[str, Counter],
@@ -235,9 +361,20 @@ def aggregate_log(path: str | Path, ctr_filter: CtrFilter, *,
     ClickEvent, and building only the kept records.
 
     The same lines are rejected for the same reasons, so the records,
-    summary and ``stats`` tallies are those of the three-step form.
+    summary and ``stats`` tallies are those of the three-step form. A
+    lenient count of a regular file, given two CPUs and ``os.fork``, reads
+    the file's two halves at once (:func:`_count_halves`); under
+    ``strict``, whose error names the first bad line in file order, and
+    otherwise, the file is read in one pass.
     """
-    nimp, nclick = _tally(_checked_lines(path, strict, stats))
+    if stats is None:
+        stats = ParseStats()
+    texts: dict[str, str] = {}
+    split = None if strict or not _two_cpus() else middle_line(path)
+    if split is None:
+        nimp, nclick = _count(path, 0, None, strict, stats, texts)
+    else:
+        nimp, nclick = _count_halves(path, split, stats, texts)
     kept = _records(nimp, nclick, ctr_filter)
     pairs = sum(map(len, nimp.values()))
     return kept, FilterSummary(kept=len(kept), dropped=pairs - len(kept))
@@ -248,21 +385,24 @@ def aggregate_in_shards(events: Iterable[ClickEvent], n_shards: int,
     """Count round-robin shards of the stream apart, then sum the counts.
 
     Every ``n_shards`` gives the records of one shard, a single pass,
-    because the count tables sum query by query as Counters
-    (``Counter.update``). The events are held in a list so each shard can
-    be read from it. ``threads`` is ignored and starts no workers; it
-    exists only because the benchmark's traced pass
+    because :func:`_merge`, which also joins :func:`aggregate_log`'s two
+    halves, sums the count tables query by query. The events are held in a
+    list so each shard can be read from it. ``threads`` is ignored and
+    starts no workers; it exists only because the benchmark's traced pass
     (``perfbench/traced.py``) passes ``threads=1``.
     """
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
     events = list(events)
     totals = (defaultdict(Counter), defaultdict(Counter))  # nimp, nclick
+    texts: dict[str, str] = {}
     for shard in range(n_shards):
-        parts = _tally_events(islice(events, shard, None, n_shards))
-        for total, part in zip(totals, parts):
-            for query, counts in part.items():
-                total[query].update(counts)
+        part = (defaultdict(Counter), defaultdict(Counter))
+        for event in islice(events, shard, None, n_shards):
+            part[0][event.query].update(set(event.impressions))
+            if event.clicked is not None:
+                part[1][event.query][event.clicked] += 1
+        _merge(totals, texts, _rows(part))
     return _records(*totals)
 
 

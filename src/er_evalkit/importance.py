@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .catalog import Catalog, Title
 from .errors import ConfigError
@@ -42,19 +42,32 @@ class ComponentScores:
 @dataclass(frozen=True)
 class ScoreBounds:
     """Normalization endpoints, either fixed up front or fit from a catalog.
-    Built, the year pair and then the rank pair pass their scales' checks."""
+    Built, the year pair and then the rank pair pass their scales' checks.
+
+    ``scales`` holds the year, rank and rating-count scales, each built
+    once here for every title it scores (a log scale takes the logs of its
+    bounds once), or None where the pair is degenerate (lo == hi).
+    """
 
     min_year: int
     max_year: int
     min_rank: int
     max_rank: int
     max_rating_count: int
+    scales: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        year = rank = count = None
         if self.min_year != self.max_year:
             linear_score(self.min_year, self.min_year, self.max_year)
+            year = functools.partial(linear_score, lo=self.min_year,
+                                     hi=self.max_year)
         if self.min_rank != self.max_rank:
-            log_scale_score(1, self.min_rank, self.max_rank)
+            rank = _log_scale(self.min_rank, self.max_rank, invert=True)
+        # Rating counts floor at 1 (see score_title), so that pins lo.
+        if self.max_rating_count > 1:
+            count = _log_scale(1, self.max_rating_count)
+        object.__setattr__(self, "scales", (year, rank, count))
 
 
 @dataclass(frozen=True)
@@ -114,20 +127,32 @@ def linear_score(x: float, lo: float, hi: float) -> float:
     return _position(x, lo, hi)
 
 
+def _log_scale(lo: float, hi: float,
+               invert: bool = False) -> Callable[[float], float]:
+    """``log_scale_score(·, lo, hi, invert)``, with the bounds checked and
+    their logs taken once."""
+    if lo <= 0 or hi <= 0:
+        raise ValueError(f"log scale needs positive bounds, got lo={lo} hi={hi}")
+    if lo >= hi:
+        raise ConfigError(f"log bounds need lo < hi, got lo={lo} hi={hi}")
+    log_lo, log_hi = math.log(lo), math.log(hi)
+
+    def score(x: float) -> float:
+        if x <= 0:
+            raise ValueError(f"log scale needs x > 0, got {x}")
+        s = _position(math.log(x), log_lo, log_hi)
+        return 1.0 - s if invert else s
+
+    return score
+
+
 def log_scale_score(x: float, lo: float, hi: float, invert: bool = False) -> float:
     """Min-max normalize ``ln x`` into [0, 1]; ``invert`` flips the scale.
 
     Inversion serves rank, where 1 is the most popular title and should
     score highest.
     """
-    if x <= 0:
-        raise ValueError(f"log scale needs x > 0, got {x}")
-    if lo <= 0 or hi <= 0:
-        raise ValueError(f"log scale needs positive bounds, got lo={lo} hi={hi}")
-    if lo >= hi:
-        raise ConfigError(f"log bounds need lo < hi, got lo={lo} hi={hi}")
-    s = _position(math.log(x), math.log(lo), math.log(hi))
-    return 1.0 - s if invert else s
+    return _log_scale(lo, hi, invert)(x)
 
 
 def importance_score(components: ComponentScores,
@@ -155,20 +180,21 @@ def fit_bounds(catalog: Catalog) -> ScoreBounds:
     return ScoreBounds(*ends[:4], max_rating_count=ends[5])
 
 
-def _component(value, score_fn, lo, hi, config: ImportanceConfig, **kwargs):
-    """Score one feature; None means absent and defers to the policy.
+def _component(value, scale, config: ImportanceConfig):
+    """Score one feature on its scale; None means absent and defers to the
+    policy.
 
     Returns the score, or None when the policy excludes the title.
-    Degenerate bounds (lo == hi) carry no information, so every present
+    Degenerate bounds (no scale) carry no information, so every present
     value scores 1.0.
     """
     if value is None:
         if config.missing_feature_policy == POLICY_EXCLUDE_TITLE:
             return None
         return config.default_component_score
-    if lo == hi:
+    if scale is None:
         return 1.0
-    return score_fn(value, lo, hi, **kwargs)
+    return scale(value)
 
 
 def score_title(title: Title, bounds: ScoreBounds,
@@ -179,12 +205,10 @@ def score_title(title: Title, bounds: ScoreBounds,
     count = title.rating_count
     if count is not None:
         count = max(1, count)
-    year = _component(title.release_year, linear_score,
-                      bounds.min_year, bounds.max_year, config)
-    rank = _component(title.rank, log_scale_score,
-                      bounds.min_rank, bounds.max_rank, config, invert=True)
-    count_score = _component(count, log_scale_score,
-                             1, max(1, bounds.max_rating_count), config)
+    year_scale, rank_scale, count_scale = bounds.scales
+    year = _component(title.release_year, year_scale, config)
+    rank = _component(title.rank, rank_scale, config)
+    count_score = _component(count, count_scale, config)
     if year is None or rank is None or count_score is None:
         return None
     components = ComponentScores(year, rank, count_score)

@@ -7,10 +7,12 @@ identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import re
+import stat
 from contextlib import contextmanager, suppress
 from itertools import repeat, takewhile
 from pathlib import Path
@@ -21,8 +23,25 @@ from .errors import IngestError
 T = TypeVar("T")
 
 
-# json.dumps with these arguments, minus building an encoder per call.
-dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# The C encoder that ``json.JSONEncoder(ensure_ascii=False, separators=(",",
+# ":")).encode`` builds on every call, from the arguments it passes, built
+# once: circular-reference markers, the default hook, the non-ASCII string
+# encoder, no indent, the key and item separators, then sort_keys, skipkeys
+# and allow_nan at their defaults.
+_markers: dict = {}
+_encode = json.encoder.c_make_encoder(
+    _markers, json.JSONEncoder().default, json.encoder.encode_basestring,
+    None, ":", ",", False, False, True)
+
+
+def dumps(value: Any) -> str:
+    """``json.dumps(value, ensure_ascii=False, separators=(",", ":"))``."""
+    try:
+        return "".join(_encode(value, 0))
+    except BaseException:
+        # A failed encode leaves the markers of the containers it was in.
+        _markers.clear()
+        raise
 
 
 # (temp, target) pairs, and (directory, None) for each directory made.
@@ -101,8 +120,7 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> int:
     count = 0
     with atomic_open(path) as fh:
         for line in lines:
-            fh.write(line)
-            fh.write("\n")
+            fh.write(line + "\n")
             count += 1
     return count
 
@@ -142,20 +160,74 @@ def read_failure(path: str | Path, exc: Exception) -> str:
     return str(exc)
 
 
+class _Range(io.RawIOBase):
+    """The next ``left`` bytes of a binary file."""
+
+    def __init__(self, raw: IO[bytes], left: int):
+        self.raw, self.left = raw, left
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.raw.readinto(memoryview(buffer)[:self.left])
+        self.left -= count
+        return count
+
+
+@contextmanager
+def open_text(path: str | Path, start: int = 0,
+              end: int | None = None) -> Iterator[IO[str]]:
+    """Bytes ``start`` to ``end`` (the file's end if None) of ``path``, as
+    UTF-8 text with universal newlines, streamed; only a range that starts
+    at byte 0 drops a byte-order mark. Each range a file is cut into at
+    line starts (:func:`middle_line`) reads the lines a whole read would.
+
+    A file that cannot be opened, or an OSError or a UnicodeDecodeError
+    while the stream is open, is the IngestError ``cannot read PATH: ...``,
+    the same whichever range met it.
+    """
+    try:
+        with open(path, "rb") as raw:
+            if start:
+                raw.seek(start)
+            with io.TextIOWrapper(
+                    raw if end is None else _Range(raw, end - start),
+                    encoding="utf-8" if start else INPUT_ENCODING) as text:
+                yield text
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(
+            f"cannot read {path}: {read_failure(path, exc)}") from exc
+
+
+def middle_line(path: str | Path) -> int | None:
+    """Where the second half of ``path`` starts: the first line start at or
+    after half its size. None if ``path`` is not a regular file that can be
+    read or no line starts in its second half, so that it is read whole."""
+    try:
+        info = os.stat(path)
+        half = info.st_size // 2
+        if not half or not stat.S_ISREG(info.st_mode):
+            return None
+        with open(path, "rb") as fh:
+            fh.seek(half - 1)
+            fh.readline()
+            split = fh.tell()
+        return split if split < info.st_size else None
+    except OSError:
+        return None
+
+
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line_number, raw_line) pairs, skipping blank lines.
 
     A file that cannot be opened or is not UTF-8 is an IngestError naming it.
     """
-    try:
-        with open(path, "r", encoding=INPUT_ENCODING) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if stripped:
-                    yield lineno, stripped
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(
-            f"cannot read {path}: {read_failure(path, exc)}") from exc
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if stripped:
+                yield lineno, stripped
 
 
 # The decoder's own scanner, called once per value; see decode.

@@ -36,6 +36,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _LANE_BYTES = 16
 _BATCH = 512   # lanes per packed pass; bounds the lane constants
 _TWO_PI = 2.0 * math.pi
+# The largest radius of a unit draw, as Polar.radii computes it: the
+# largest first uniform, (2**53 - 1) * 2**-53, leaves 1 - u1 = 2**-53.
+MAX_RADIUS = math.sqrt(-2.0 * math.log(1.0 - (2**53 - 1) * 2.0**-53))
 
 
 def _mix64(z: int) -> int:

@@ -32,7 +32,7 @@ from .errors import ConfigError
 from .jsonl import make_dirs, write_lines
 from .metrics import RunResult
 from .relevance import write_qrels
-from .rng import SplitMix64, derive_seed
+from .rng import MAX_RADIUS, SplitMix64, derive_seed
 
 DEFAULT_BIN_THRESHOLDS = (0.8, 0.5)
 
@@ -71,6 +71,13 @@ class SimConfig:
                 and self.score_noise_sigma >= 0):
             raise ConfigError(f"score_noise_sigma must be finite and >= 0, "
                               f"got {self.score_noise_sigma}")
+        # A draw is at most sigma * MAX_RADIUS, and rounding is monotone, so
+        # every score is finite when that product is; past it, one can
+        # overflow.
+        if not math.isfinite(self.score_noise_sigma * MAX_RADIUS):
+            raise ConfigError(
+                f"score_noise_sigma must keep scores finite (noise reaches "
+                f"{MAX_RADIUS:.4f} sigma), got {self.score_noise_sigma}")
         t_high, t_medium = self.bin_thresholds
         if not (1.0 >= t_high > t_medium >= 0.0):
             raise ConfigError(

@@ -1200,6 +1200,22 @@ class TestInputTyping:
             f"error: score_noise_sigma must be finite and >= 0, got {sigma}")
         assert not out_dir.exists()
 
+    def test_noise_sigma_that_can_overflow_a_score_rejected(self, capsys,
+                                                           tmp_path):
+        """A finite sigma so large that a noise draw overflows a score to
+        infinity, which JSON cannot hold, is refused before any output."""
+        out_dir = tmp_path / "sim"
+        code, out, err = run_cli(capsys, "simulate", "--seed", "1",
+                                 "--score-noise-sigma", "1e308",
+                                 "--n-titles", "50", "--n-queries", "5",
+                                 "--out-dir", str(out_dir))
+        assert_one_error_line(code, err)
+        assert out == ""
+        assert error_lines(err)[0] == (
+            "error: score_noise_sigma must keep scores finite (noise reaches "
+            "8.5717 sigma), got 1e+308")
+        assert not out_dir.exists()
+
     def test_report_row_missing_a_column_rejected(self, capsys, tmp_path):
         qrels, run = write_worked_fixture(tmp_path)
         good = tmp_path / "good.json"

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from er_evalkit import clickstream
 from er_evalkit.clickstream import (
     ClickEvent,
     CtrFilter,
@@ -25,7 +28,7 @@ from er_evalkit.clickstream import (
 )
 from er_evalkit.cli import dispatch
 from er_evalkit.errors import ConfigError, IngestError
-from er_evalkit.jsonl import dumps
+from er_evalkit.jsonl import dumps, middle_line
 
 
 class TestNormalizeQuery:
@@ -464,6 +467,214 @@ class TestAggregateLog:
         assert [(r.query, r.entity_id, r.nimp) for r in records] == [
             (q, e, 1 + (q == "a")) for q in "abc" for e in ("tt0001", "tt0002")]
         assert len({id(r.entity_id) for r in records}) == 2
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def one_pass(path, ctr_filter, **kwargs):
+    """aggregate_log(path, ...) read in one pass, never forking."""
+    with mock.patch.object(clickstream, "_count_halves",
+                           side_effect=AssertionError("forked")):
+        with mock.patch.object(os, "sched_getaffinity", return_value={0},
+                               create=True):
+            return aggregate_log(path, ctr_filter, **kwargs)
+
+
+def halves(path, ctr_filter, **kwargs):
+    """aggregate_log(path, ...) counting the file's halves at once."""
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1},
+                           create=True):
+        return aggregate_log(path, ctr_filter, **kwargs)
+
+
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def click_log_bytes(draw):
+    """A click log of good, bad and blank lines, each ended by a newline,
+    CRLF or a lone CR, perhaps behind a byte-order mark and perhaps with
+    no ending after its last line."""
+    lines = draw(log_lines)
+    text = "".join(line + draw(st.sampled_from(ENDINGS)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if draw(st.booleans()) else "").encode() + text.encode()
+
+
+# A split that lands on a blank line: half the size falls in the run of
+# blank lines between the two events.
+BLANK_MIDDLE = ('{"query":"q","impressions":["tt1"],"clicked":"tt1"}'
+                + "\n" * 60 + '{"query":"Q","impressions":["tt1","tt2"]}\n'
+                ).encode()
+
+
+class TestTwoHalves:
+    """aggregate_log's two-halves count against its one-pass count."""
+
+    @given(click_log_bytes(), st.sampled_from([(1, 0.0), (2, 0.5)]))
+    @example(BLANK_MIDDLE, (1, 0.0))
+    @example(b"\xef\xbb\xbf" + BLANK_MIDDLE.replace(b"\n", b"\r\n"),
+             (1, 0.0))
+    @example(BLANK_MIDDLE.replace(b"\n", b"\r"), (1, 0.0))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_one_pass(self, tmp_path_factory, data, thresholds):
+        path = tmp_path_factory.mktemp("log") / "events.jsonl"
+        path.write_bytes(data)
+        ctr_filter = CtrFilter(*thresholds)
+        whole_stats, two_stats = ParseStats(), ParseStats()
+        whole = one_pass(path, ctr_filter, stats=whole_stats)
+        assert halves(path, ctr_filter, stats=two_stats) == whole
+        assert two_stats == whole_stats
+        assert no_child_left()
+        split = middle_line(path)
+        if split is not None:
+            counted, texts = ParseStats(), {}
+            tables = clickstream._count_halves(path, split, counted, texts)
+            assert tables == clickstream._count(path, 0, None, False,
+                                                ParseStats(), {})
+            assert counted == whole_stats
+            assert all(texts[text] is text for table in tables
+                       for query, counts in table.items()
+                       for text in (query, *counts))
+
+    def test_a_blank_middle_is_split_in_its_blank_lines(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(BLANK_MIDDLE)
+        first = BLANK_MIDDLE.index(b"\n")
+        assert first < middle_line(path) < BLANK_MIDDLE.rindex(b"\n\n") + 1
+
+    def test_no_child_after_success(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(pinned_click_log(n_events=200), encoding="utf-8")
+        kept, summary = halves(path, CtrFilter(1, 0.0))
+        assert (kept, summary) == one_pass(path, CtrFilter(1, 0.0))
+        assert no_child_left()
+
+    @pytest.mark.parametrize("where", ["first", "second"])
+    def test_a_bad_byte_in_either_half_is_one_whole_file_error(
+            self, tmp_path, where):
+        good = '{"query":"q","impressions":["tt1"]}\n'.encode() * 40
+        bad = b'{"query":"\xff","impressions":["tt1"]}\n'
+        data = bad + good if where == "first" else good + bad
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(data)
+        assert (data.index(bad) < middle_line(path)) == (where == "first")
+        with pytest.raises(IngestError) as whole:
+            one_pass(path, CtrFilter())
+        with pytest.raises(IngestError) as two:
+            halves(path, CtrFilter())
+        line = 1 if where == "first" else 41
+        assert str(two.value) == str(whole.value) == (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff on "
+            f"line {line} at byte offset 10: invalid start byte")
+        assert no_child_left()
+
+    @pytest.mark.parametrize("side", ["parent", "child"])
+    def test_an_interrupt_kills_and_reaps_the_child(self, tmp_path, side):
+        """Ctrl-C (or SIGTERM, which the CLI turns into KeyboardInterrupt)
+        in the parent kills the child; in the child, it ends the child and
+        the parent raises."""
+        path = tmp_path / "events.jsonl"
+        path.write_text(pinned_click_log(n_events=400), encoding="utf-8")
+        parent = os.getpid()
+        fields = clickstream._event_fields
+
+        def interrupted(raw):
+            if (os.getpid() == parent) == (side == "parent"):
+                raise KeyboardInterrupt
+            return fields(raw)
+
+        with mock.patch.object(clickstream, "_event_fields", interrupted):
+            with pytest.raises(KeyboardInterrupt if side == "parent"
+                               else ChildProcessError):
+                halves(path, CtrFilter())
+        assert no_child_left()
+
+    def test_an_interrupt_while_merging_kills_and_reaps_the_child(
+            self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(pinned_click_log(n_events=400), encoding="utf-8")
+        with mock.patch.object(clickstream, "_merge",
+                               side_effect=KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                halves(path, CtrFilter())
+        assert no_child_left()
+
+    def test_a_child_that_dies_is_one_error_line(self, capsys, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_text(pinned_click_log(n_events=400), encoding="utf-8")
+        parent = os.getpid()
+        count = clickstream._count
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return count(*args)
+
+        out = tmp_path / "ctr.jsonl"
+        with mock.patch.object(clickstream, "_count", dying), \
+                mock.patch.object(os, "sched_getaffinity",
+                                  return_value={0, 1}, create=True):
+            code, stdout, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                        events, "--out", out)
+        assert (code, stdout, err) == (1, "", (
+            f"error: the process counting the second half of {events} "
+            "ended without its counts\n"))
+        assert not out.exists()
+        assert no_child_left()
+
+    def test_a_failed_fork_counts_in_one_pass(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(pinned_click_log(n_events=400), encoding="utf-8")
+        with mock.patch.object(os, "fork", side_effect=BlockingIOError(
+                11, "Resource temporarily unavailable")):
+            assert halves(path, CtrFilter(1, 0.0)) == one_pass(
+                path, CtrFilter(1, 0.0))
+
+
+class TestOnePassPaths:
+    """--strict, one CPU and no os.fork each read the log in one pass and
+    write the bytes the two-halves count writes."""
+
+    @pytest.fixture
+    def click_log(self, tmp_path):
+        path = tmp_path / "clicklog.jsonl"
+        path.write_text("\n".join(pinned_click_log().splitlines()[:150])
+                        + "\n", encoding="utf-8")
+        return path
+
+    def cli_bytes(self, capsys, tmp_path, click_log, *flags):
+        out = tmp_path / "ctr.jsonl"
+        code, stdout, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                    click_log, "--out", out,
+                                    "--min-impressions", "1", *flags)
+        assert (code, err) == (0, "")
+        return out.read_bytes(), stdout
+
+    def test_strict_one_cpu_and_no_fork(self, capsys, tmp_path, click_log,
+                                        monkeypatch):
+        with mock.patch.object(os, "sched_getaffinity", return_value={0, 1},
+                               create=True):
+            expected = self.cli_bytes(capsys, tmp_path, click_log)
+        assert no_child_left()
+        monkeypatch.setattr(clickstream, "_count_halves", None)
+        assert self.cli_bytes(capsys, tmp_path, click_log,
+                              "--strict") == expected
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert self.cli_bytes(capsys, tmp_path, click_log) == expected
+        monkeypatch.undo()
+        monkeypatch.setattr(clickstream, "_count_halves", None)
+        monkeypatch.delattr(os, "fork")
+        assert self.cli_bytes(capsys, tmp_path, click_log) == expected
 
 
 class TestFilterRecords:

@@ -1,6 +1,8 @@
 """Tests for component normalization and the combined importance score."""
 
 import json
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -229,6 +231,27 @@ class TestScoreBounds:
     def test_any_rating_count_bound_is_valid(self):
         for max_rating_count in (-5, 0, 1, 10 ** 400):
             ScoreBounds(1950, 2020, 1, 100, max_rating_count)
+
+    def test_one_log_per_log_scale_score(self):
+        """The logs of the bounds are taken once per stage, not per title,
+        and each score is the float of the three-log formula."""
+        ranks = [1, 2, 3, 7, 10, 99, 100, 250]
+        catalog = Catalog(titles=[
+            Title(f"tt{i}", "T", 1990 + i, rank, 4 ** i)
+            for i, rank in enumerate(ranks)])
+        with mock.patch("math.log", wraps=math.log) as log:
+            scored, _ = score_catalog(catalog, ImportanceConfig())
+        assert log.call_count == 4 + 2 * len(ranks)
+
+        def three_logs(x, lo, hi):
+            t, a, b = math.log(x), math.log(lo), math.log(hi)
+            return (t - a) / (b - a) if a < t < b else float(t >= b)
+
+        top = 4 ** (len(ranks) - 1)
+        assert [(s.components.rank_score, s.components.rating_count_score)
+                for s in scored] == [
+            (1.0 - three_logs(rank, 1, 250), three_logs(4 ** i, 1, top))
+            for i, rank in enumerate(ranks)]
 
 
 def make_catalog():

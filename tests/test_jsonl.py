@@ -2,13 +2,15 @@
 decode reads exactly what json.loads reads, but for a lone surrogate."""
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from er_evalkit.errors import IngestError
-from er_evalkit.jsonl import (as_records, atomic_open, decode, optional,
-                              read_lines, require, write_jsonl)
+from er_evalkit.jsonl import (as_records, atomic_open, decode, dumps,
+                              middle_line, open_text, optional, read_lines,
+                              require, write_jsonl)
 
 
 def failing_records(n_good):
@@ -94,6 +96,55 @@ class TestReadLines:
             "line 3 at byte offset 1: invalid start byte")
 
 
+class TestTextRanges:
+    """open_text reads a file cut at line starts as one read would, and
+    middle_line finds the cut, or None where there is none to make."""
+
+    def test_halves_read_the_lines_of_the_whole(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes("\ufeffa\r\nb\rc\n\nd\ne\n".encode())
+        split = middle_line(path)
+        assert path.read_bytes()[split - 1:split] == b"\n"
+        with open_text(path) as whole:
+            lines = list(whole)
+        with open_text(path, 0, split) as first, \
+                open_text(path, split) as second:
+            assert list(first) + list(second) == lines
+        assert lines[0] == "a\n"
+
+    def test_only_the_range_at_byte_zero_drops_a_mark(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes("\ufeffa\n\ufeffb\n".encode())
+        split = middle_line(path)
+        with open_text(path, 0, split) as first, \
+                open_text(path, split) as second:
+            assert (list(first), list(second)) == (["a\n"], ["\ufeffb\n"])
+
+    @pytest.mark.parametrize("data", [b"", b"x", b"x\n",
+                                      b"one line\r", b"1\r2\r3\n"])
+    def test_no_line_starts_in_the_second_half(self, tmp_path, data):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(data)
+        assert middle_line(path) is None
+
+    def test_only_a_regular_file_is_cut(self, tmp_path):
+        assert middle_line(tmp_path) is None
+        assert middle_line(tmp_path / "absent") is None
+        if hasattr(os, "mkfifo"):
+            os.mkfifo(tmp_path / "fifo")
+            assert middle_line(tmp_path / "fifo") is None
+
+    def test_the_cut_is_the_first_line_start_past_half(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        for data in (b"ab\ncd\n", b"abc\nd\n", b"a\nbcdef\ngh\n",
+                     b"ab\ncd\nef\n"):
+            path.write_bytes(data)
+            half = len(data) // 2
+            starts = [i + 1 for i, byte in enumerate(data[:-1])
+                      if byte == ord("\n")]
+            assert middle_line(path) == min(i for i in starts if i >= half)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda children: (st.lists(children, max_size=4)
@@ -140,6 +191,25 @@ def assert_decodes_like_loads(text):
     else:
         # repr tells NaN, -0.0, 1 and 1.0, True and 1 apart.
         assert repr(decode(text)) == repr(expected)
+
+
+class TestDumps:
+    @given(json_values)
+    @settings(deadline=None)
+    def test_is_json_dumps_with_the_writers_arguments(self, value):
+        assert dumps(value) == json.dumps(value, ensure_ascii=False,
+                                          separators=(",", ":"))
+
+    def test_a_failed_encode_leaves_no_container_marked(self):
+        inner = {"a": object()}
+        with pytest.raises(TypeError):
+            dumps([inner])
+        inner["a"] = 1
+        assert dumps([inner]) == '[{"a":1}]'
+        cycle = []
+        cycle.append(cycle)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            dumps(cycle)
 
 
 class TestDecode:

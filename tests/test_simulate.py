@@ -1,7 +1,9 @@
 """Tests for the seeded simulator and its edit-distance matcher."""
 
 import heapq
+import math
 import random
+import sys
 from dataclasses import replace
 from string import ascii_lowercase
 
@@ -15,7 +17,7 @@ from er_evalkit.clickstream import normalize_query
 from er_evalkit.errors import ConfigError
 from er_evalkit.errors import IngestError
 from er_evalkit.metrics import ConfidenceBin, RankedEntity, RunResult, evaluate_run
-from er_evalkit.rng import SplitMix64, derive_seed
+from er_evalkit.rng import MAX_RADIUS, Polar, SplitMix64, derive_seed
 from er_evalkit import simulate
 from er_evalkit.simulate import (
     PackedMyers,
@@ -67,6 +69,25 @@ class TestSimConfig:
 
     def test_boundary_decay_one_accepted(self):
         assert SimConfig(seed=1, click_position_decay=1.0)
+
+    def test_largest_noise_sigma_keeps_every_score_finite(self):
+        """The largest sigma accepted scores finitely, even a draw at the
+        top radius; the next float up could overflow one and is refused."""
+        sigma = sys.float_info.max / MAX_RADIUS
+        assert math.isfinite(sigma * MAX_RADIUS)
+        config = SimConfig(seed=1, n_titles=50, n_queries=5,
+                           score_noise_sigma=sigma)
+        catalog = gen_catalog(config)
+        run = run_mock_er(catalog, gen_queries(catalog, config), config)
+        assert all(map(math.isfinite, (s for r in run for s in r.scores)))
+        top = Polar(0, (2**53 - 1,), sigma)
+        assert top.radii([0]) == [sigma * MAX_RADIUS]
+        assert math.isfinite(top.draws([0])[0])
+        with pytest.raises(ConfigError) as raised:
+            SimConfig(seed=1,
+                      score_noise_sigma=math.nextafter(sigma, math.inf))
+        assert str(raised.value).startswith(
+            "score_noise_sigma must keep scores finite")
 
 
 class TestLevenshtein:
