@@ -38,12 +38,17 @@ file's bytes.
 import hashlib
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from er_evalkit.cli import dispatch
-from er_evalkit.jsonl import load_jsonl, write_jsonl
+from er_evalkit.jsonl import load_jsonl, middle_line, write_jsonl
+
+from peak import SRC
 
 MULTI_QRELS = "3fb7022e556a83a1ec6833e46cc9a92fb20fe4e00d39767a1b97aeb0c83ad593"
 
@@ -385,3 +390,198 @@ def test_layout_warning_lines(capsys, caplog, layout_dir):
                 "--run", layout_dir / "run.jsonl")
     lines = [record.getMessage() for record in caplog.records]
     assert (len(lines), sha256("\n".join(lines).encode())) == LAYOUT_WARNINGS
+
+
+# The two-halves pins: (case, command) -> (exit code, sha256 of the --out
+# file or None, of stdout, of stderr with the run path spelled RUN). Taken
+# from the implementation that read every run file in one pass. The run's
+# rising lists sit in both halves of the file, and each error case puts its
+# bad line, repeat or byte where its name says.
+HALVES = {
+    ('plain', 'evaluate'): (0, 'ea8937d85e82436251a3cdeee8a5accc7f84070739818b08c78458c3ae83fee8',
+        'ea8937d85e82436251a3cdeee8a5accc7f84070739818b08c78458c3ae83fee8',
+        '6a8b57dcdb698fc9aab3f32394acc6e8db9b952fe31ac7b80b2d28fd98cd3f2b'),
+    ('plain', 'diagnose'): (0, '7ef9f1330ffcd954354c850709fbcfc719b6f25ea40d54e218c37b6f1677785a',
+        '09c916ba27e09d30be01bc2723ad205c0d40d39622a3e347c17078631600c2c3',
+        '6a8b57dcdb698fc9aab3f32394acc6e8db9b952fe31ac7b80b2d28fd98cd3f2b'),
+    ('crlf', 'evaluate'): (0, 'ea8937d85e82436251a3cdeee8a5accc7f84070739818b08c78458c3ae83fee8',
+        'ea8937d85e82436251a3cdeee8a5accc7f84070739818b08c78458c3ae83fee8',
+        '6a8b57dcdb698fc9aab3f32394acc6e8db9b952fe31ac7b80b2d28fd98cd3f2b'),
+    ('crlf', 'diagnose'): (0, '7ef9f1330ffcd954354c850709fbcfc719b6f25ea40d54e218c37b6f1677785a',
+        '09c916ba27e09d30be01bc2723ad205c0d40d39622a3e347c17078631600c2c3',
+        '6a8b57dcdb698fc9aab3f32394acc6e8db9b952fe31ac7b80b2d28fd98cd3f2b'),
+    ('cr', 'evaluate'): (0, 'ea8937d85e82436251a3cdeee8a5accc7f84070739818b08c78458c3ae83fee8',
+        'ea8937d85e82436251a3cdeee8a5accc7f84070739818b08c78458c3ae83fee8',
+        '6a8b57dcdb698fc9aab3f32394acc6e8db9b952fe31ac7b80b2d28fd98cd3f2b'),
+    ('cr', 'diagnose'): (0, '7ef9f1330ffcd954354c850709fbcfc719b6f25ea40d54e218c37b6f1677785a',
+        '09c916ba27e09d30be01bc2723ad205c0d40d39622a3e347c17078631600c2c3',
+        '6a8b57dcdb698fc9aab3f32394acc6e8db9b952fe31ac7b80b2d28fd98cd3f2b'),
+    ('bom', 'evaluate'): (0, 'ea8937d85e82436251a3cdeee8a5accc7f84070739818b08c78458c3ae83fee8',
+        'ea8937d85e82436251a3cdeee8a5accc7f84070739818b08c78458c3ae83fee8',
+        '6a8b57dcdb698fc9aab3f32394acc6e8db9b952fe31ac7b80b2d28fd98cd3f2b'),
+    ('bom', 'diagnose'): (0, '7ef9f1330ffcd954354c850709fbcfc719b6f25ea40d54e218c37b6f1677785a',
+        '09c916ba27e09d30be01bc2723ad205c0d40d39622a3e347c17078631600c2c3',
+        '6a8b57dcdb698fc9aab3f32394acc6e8db9b952fe31ac7b80b2d28fd98cd3f2b'),
+    ('blank_cut', 'evaluate'): (0, 'ea8937d85e82436251a3cdeee8a5accc7f84070739818b08c78458c3ae83fee8',
+        'ea8937d85e82436251a3cdeee8a5accc7f84070739818b08c78458c3ae83fee8',
+        '6a8b57dcdb698fc9aab3f32394acc6e8db9b952fe31ac7b80b2d28fd98cd3f2b'),
+    ('blank_cut', 'diagnose'): (0, '7ef9f1330ffcd954354c850709fbcfc719b6f25ea40d54e218c37b6f1677785a',
+        '09c916ba27e09d30be01bc2723ad205c0d40d39622a3e347c17078631600c2c3',
+        '6a8b57dcdb698fc9aab3f32394acc6e8db9b952fe31ac7b80b2d28fd98cd3f2b'),
+    ('bad_first', 'evaluate'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'dafa47ff0a4b57dd20ce022c346fdcaf97ca7ceb08a116618aeb04cac0b2acce'),
+    ('bad_first', 'diagnose'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'dafa47ff0a4b57dd20ce022c346fdcaf97ca7ceb08a116618aeb04cac0b2acce'),
+    ('bad_second', 'evaluate'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '08ae9cbd775b1b6a368d648368cb112eda3dc5db7d2e04e91f8012469a7d06ea'),
+    ('bad_second', 'diagnose'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '08ae9cbd775b1b6a368d648368cb112eda3dc5db7d2e04e91f8012469a7d06ea'),
+    ('bad_both', 'evaluate'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'dafa47ff0a4b57dd20ce022c346fdcaf97ca7ceb08a116618aeb04cac0b2acce'),
+    ('bad_both', 'diagnose'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'dafa47ff0a4b57dd20ce022c346fdcaf97ca7ceb08a116618aeb04cac0b2acce'),
+    ('dup_cross', 'evaluate'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '8c812421fda964888cd1b7de8a1ccb375141ad1d5fe829326b8e152c977e620c'),
+    ('dup_cross', 'diagnose'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '8c812421fda964888cd1b7de8a1ccb375141ad1d5fe829326b8e152c977e620c'),
+    ('dup_after_child_error', 'evaluate'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '5b239676b36372981ee10d1354a1636c8efbad6652782411a3535176aa35aabb'),
+    ('dup_after_child_error', 'diagnose'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '5b239676b36372981ee10d1354a1636c8efbad6652782411a3535176aa35aabb'),
+    ('dup_second', 'evaluate'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '4403f15fae8211093d56051899b93ea9fc14302ad27a3c047a38865fd5bedba9'),
+    ('dup_second', 'diagnose'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '4403f15fae8211093d56051899b93ea9fc14302ad27a3c047a38865fd5bedba9'),
+    ('crlf_bad_second', 'evaluate'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '08ae9cbd775b1b6a368d648368cb112eda3dc5db7d2e04e91f8012469a7d06ea'),
+    ('crlf_bad_second', 'diagnose'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '08ae9cbd775b1b6a368d648368cb112eda3dc5db7d2e04e91f8012469a7d06ea'),
+    ('blank_cut_bad_second', 'evaluate'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '5b3687cfa2eed1b6652918e400ac78d53872afbb41022518532717838d69b7a7'),
+    ('blank_cut_bad_second', 'diagnose'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '5b3687cfa2eed1b6652918e400ac78d53872afbb41022518532717838d69b7a7'),
+    ('utf8_second', 'evaluate'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '1ac820d66d1986109c726b87c3aa28778564b792c62b2d5466a73f1ada16855f'),
+    ('utf8_second', 'diagnose'): (1, None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '1ac820d66d1986109c726b87c3aa28778564b792c62b2d5466a73f1ada16855f'),
+}
+
+
+def halves_rows():
+    """60 run rows of six results, four of them rising down the list in
+    each half, and qrels that skip every tenth run query and add one the
+    run never answers."""
+    run, qrels = [], []
+    for i in range(60):
+        query = f"h{i:02d}"
+        scores = [round(0.95 - 0.15 * j, 2) for j in range(6)]
+        if i % 9 == 4:
+            scores[2], scores[3] = scores[3], scores[2]
+        run.append({"query": query, "results": [
+            {"entity_id": f"e{(i * 7 + j) % 23:02d}", "score": score,
+             "bin": ("high", "medium", "low")[j // 2]}
+            for j, score in enumerate(scores)]})
+        if i % 10 != 7:
+            qrels.append({"query": query, "relevant": sorted(
+                {f"e{(i * 7 + i % 8) % 23:02d}", f"e{i * 5 % 23:02d}"})})
+    qrels.append({"query": "zz unanswered", "relevant": ["e99"]})
+    return run, qrels
+
+
+def halves_case(name):
+    """The run file bytes of one two-halves case."""
+    run, _ = halves_rows()
+    lines = [json.dumps(row, separators=(",", ":")) for row in run]
+    bad_first = '{"query":"h02","results":['
+    bad_second = lines[49].replace('"bin":"low"', '"bin":"top"', 1)
+    edits = {
+        "bad_first": {2: bad_first},
+        "bad_second": {49: bad_second},
+        "bad_both": {2: bad_first, 49: bad_second},
+        "dup_cross": {44: lines[4]},
+        "dup_after_child_error": {39: bad_second, 44: lines[4]},
+        "dup_second": {50: lines[40]},
+        "crlf_bad_second": {49: bad_second},
+        "blank_cut_bad_second": {49: bad_second},
+    }.get(name, {})
+    lines = [edits.get(i, line) for i, line in enumerate(lines)]
+    if name.startswith("blank_cut"):
+        lines[30:30] = [""] * 300
+    end = {"crlf": "\r\n", "crlf_bad_second": "\r\n", "cr": "\r"}.get(name, "\n")
+    data = "".join(line + end for line in lines).encode()
+    if name == "bom":
+        data = b"\xef\xbb\xbf" + data
+    if name == "utf8_second":
+        data = data.replace(b'"h50"', b'"h5\xff0"')
+    return data
+
+
+HALVES_CASES = ("plain", "crlf", "cr", "bom", "blank_cut", "bad_first",
+                "bad_second", "bad_both", "dup_cross", "dup_after_child_error",
+                "dup_second", "crlf_bad_second", "blank_cut_bad_second",
+                "utf8_second")
+
+
+def run_process(*argv):
+    """``python -m er_evalkit.cli`` in its own process, with real stderr."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "er_evalkit.cli",
+                           *map(str, argv)], capture_output=True, env=env,
+                          timeout=120)
+
+
+@pytest.fixture(scope="module")
+def halves_qrels(tmp_path_factory):
+    path = tmp_path_factory.mktemp("halves") / "qrels.jsonl"
+    write_jsonl(path, halves_rows()[1])
+    return path
+
+
+def test_halves_cases_cut_where_named(tmp_path):
+    """The plain run's second half starts at line 31, a CR-only run has no
+    line start to cut at, and the blank run holds the blank cut."""
+    for name, first_of_second in (("plain", 31), ("crlf", 31), ("bom", 31),
+                                  ("cr", None), ("blank_cut", None)):
+        path = tmp_path / f"{name}.jsonl"
+        data = halves_case(name)
+        path.write_bytes(data)
+        split = middle_line(path)
+        if name == "cr":
+            assert split is None
+        elif name == "blank_cut":
+            assert data[split - 2:split + 2] == b"\n\n\n\n"
+        else:
+            assert data[:split].count(b"\n") + 1 == first_of_second
+
+
+@pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+@pytest.mark.parametrize("name", HALVES_CASES)
+def test_halves_bytes(tmp_path, halves_qrels, name, command):
+    run = tmp_path / "run.jsonl"
+    run.write_bytes(halves_case(name))
+    out = tmp_path / "out"
+    done = run_process(command, "--qrels", halves_qrels, "--run", run,
+                       "--out", out)
+    got = (done.returncode,
+           sha256(out.read_bytes()) if out.exists() else None,
+           sha256(done.stdout),
+           sha256(done.stderr.replace(str(run).encode(), b"RUN")))
+    assert got == HALVES[(name, command)]
