@@ -242,7 +242,7 @@ def cmd_build_relevance(args: argparse.Namespace, cfg: Settings) -> dict:
 def cmd_evaluate(args: argparse.Namespace, cfg: Settings) -> None:
     table = _wants_table(cfg)
     qrels = relevance.load_qrels(args.qrels)
-    report = metrics.evaluate_run(qrels, metrics.iter_run(args.run),
+    report = metrics.evaluate_run(qrels, args.run,
                                   k=cfg.get("k", metrics.DEFAULT_K))
     _emit(args.out, chain(report.json_pieces(), ["\n"]),
           report.render_table() if table else None)
@@ -253,7 +253,7 @@ def cmd_diagnose(args: argparse.Namespace, cfg: Settings) -> None:
     target = cfg.get("target_bin", diagnose.DEFAULT_TARGET_BIN)
     qrels = relevance.load_qrels(args.qrels)
     diagnoses, summary = diagnose.diagnose_run(
-        qrels, metrics.iter_run(args.run), k=cfg.get("k", metrics.DEFAULT_K),
+        qrels, args.run, k=cfg.get("k", metrics.DEFAULT_K),
         target_bin=target)
     _emit(args.out, (dumps(rec) + "\n"
                      for rec in diagnose.diagnosis_records(diagnoses)),

@@ -16,24 +16,25 @@ ClickEvent (:func:`aggregate_log`); every line passes the same checks as in
 :func:`parse_events`. The tables are a monoid query by query: counting
 parts of the event stream apart and summing each query's counts
 (:func:`_merge`) gives exactly the single-pass answer. So aggregate-ctr,
-lenient and given two CPUs, counts the log's two halves at once, the
-second in a forked child whose tables are merged into the parent's; gate
-C8 checks the same merge over shards (:func:`aggregate_in_shards`).
+lenient and given two CPUs, counts the log's two halves at once: the
+second in a child forked by :func:`halves.forked`, the helper evaluate and
+diagnose also read their run file through, whose tables are merged into
+the parent's. Gate C8 checks the same merge over shards
+(:func:`aggregate_in_shards`).
 """
 
 from __future__ import annotations
 
-import marshal
-import os
-import signal
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
 from .errors import ConfigError, IngestError
+from .halves import batches, forked, two_cpus
 from .jsonl import (as_records, decode, dumps, fields, iter_records,
                     middle_line, open_text, read_lines, require, write_jsonl,
                     write_lines)
@@ -241,97 +242,47 @@ def _rows(tables: _Tables) -> Iterator[tuple[str, dict, dict | None]]:
     return ((query, nimp[query], nclick.get(query)) for query in nimp)
 
 
-def _two_cpus() -> bool:
-    """Whether a forked child can count half the log on a CPU of its own."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1)
-
-
-# Rows per marshal message from the counting child: its tables cross the
-# pipe a slice at a time, so neither side holds a second copy of them.
-_ROWS_PER_MESSAGE = 64
-
-
-def _send(pipe: IO[bytes], message: object) -> None:
-    blob = marshal.dumps(message)
-    pipe.write(len(blob).to_bytes(8, "little") + blob)
-
-
-def _receive(pipe: IO[bytes]) -> object:
-    """The next message :func:`_send` wrote, or None if the pipe ended."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    blob = pipe.read(size) if len(head) == 8 else b""
-    return marshal.loads(blob) if size and len(blob) == size else None
-
-
-def _count_child(path: str | Path, start: int, pipe_ends: tuple[int, int]
-                 ) -> NoReturn:
-    """In a forked child: count bytes ``start`` on of ``path`` and send the
-    tables through the pipe's write end, as lists of plain-dict rows
-    (marshal takes no Counter), then the ParseStats tallies; or the text of
-    the IngestError that stopped the count. Ends only through ``os._exit``,
-    so nothing of the parent's (a landing, a test runner) unwinds here."""
-    code = 1
+def _counted(path: str | Path, split: int) -> Iterator[object]:
+    """In a forked child: the messages of a lenient count of bytes
+    ``split`` on of ``path``. They are its tables, as batches of plain-dict
+    rows (marshal takes no Counter), then its ParseStats tallies; or the
+    text of the IngestError that stopped the count."""
+    stats = ParseStats()
     try:
-        readable, writable = pipe_ends
-        os.close(readable)
-        with os.fdopen(writable, "wb") as pipe:
-            try:
-                stats = ParseStats()
-                rows = _rows(_count(path, start, None, False, stats, {}))
-                while chunk := [(query, dict(shown), dict(hits or ()))
-                                for query, shown, hits
-                                in islice(rows, _ROWS_PER_MESSAGE)]:
-                    _send(pipe, chunk)
-                _send(pipe, (stats.lines, stats.events, stats.rejected))
-            except IngestError as exc:
-                _send(pipe, str(exc))
-        code = 0
-    finally:
-        os._exit(code)
+        tables = _count(path, split, None, False, stats, {})
+    except IngestError as exc:
+        yield str(exc)
+        return
+    yield from batches((query, dict(shown), dict(hits or ()))
+                       for query, shown, hits in _rows(tables))
+    yield stats.lines, stats.events, stats.rejected
 
 
 def _count_halves(path: str | Path, split: int, stats: ParseStats,
                   texts: dict[str, str]) -> _Tables:
     """:func:`_count` of all of ``path``, lenient: a forked child counts
-    the bytes from the line start ``split`` on while this process counts
-    those before it, then merges the child's tables into its own as they
-    arrive. Either half's read error is the one whole-file ``cannot read
-    PATH: ...``. If this process raises or is interrupted, the child is
-    killed first; it is reaped on every path. If no child can be made, this
+    the bytes from the line start ``split`` on (:func:`halves.forked`)
+    while this process counts those before it, then merges the child's
+    tables into its own, a batch at a time. Either half's read error is the
+    one whole-file ``cannot read PATH: ...``. If no child can be made, this
     process counts the whole file."""
-    readable, writable = pipe_ends = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(readable)
-        os.close(writable)
-        return _count(path, 0, None, False, stats, texts)
-    if not pid:
-        _count_child(path, split, pipe_ends)
-    try:
-        os.close(writable)
-        with os.fdopen(readable, "rb") as pipe:
-            tables = _count(path, 0, split, False, stats, texts)
-            while isinstance(message := _receive(pipe), list):
-                _merge(tables, texts, message)
-        if isinstance(message, str):
-            raise IngestError(message)
-        if message is None:
-            raise ChildProcessError(
+    with forked(partial(_counted, path, split),
                 f"the process counting the second half of {path} ended "
-                "without its counts")
-        lines, events, rejected = message
-        stats.lines += lines
-        stats.events += events
-        stats.rejected += rejected
-        return tables
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
+                "without its counts") as messages:
+        if messages is None:
+            return _count(path, 0, None, False, stats, texts)
+        tables = _count(path, 0, split, False, stats, texts)
+        for message in messages:
+            if isinstance(message, str):
+                raise IngestError(message)
+            if isinstance(message, list):
+                _merge(tables, texts, message)
+            else:
+                lines, events, rejected = message
+                stats.lines += lines
+                stats.events += events
+                stats.rejected += rejected
+    return tables
 
 
 def _records(nimp: dict[str, Counter], nclick: dict[str, Counter],
@@ -370,7 +321,7 @@ def aggregate_log(path: str | Path, ctr_filter: CtrFilter, *,
     if stats is None:
         stats = ParseStats()
     texts: dict[str, str] = {}
-    split = None if strict or not _two_cpus() else middle_line(path)
+    split = None if strict or not two_cpus() else middle_line(path)
     if split is None:
         nimp, nclick = _count(path, 0, None, strict, stats, texts)
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from operator import attrgetter
@@ -111,15 +112,18 @@ def _classify(query: str, scan: QueryScan,
                      best_rank=scan.best_rank, best_bin=scan.best_bin)
 
 
-def diagnose_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
+def diagnose_run(qrels, run: Iterable[RunResult] | str | os.PathLike,
+                 k: int = DEFAULT_K,
                  target_bin: ConfidenceBin = DEFAULT_TARGET_BIN,
                  ) -> tuple[list[Diagnosis], DiagnosisSummary]:
     """Classify every qrels query and summarize the category partition.
 
-    Queries the run never answered are scanned as empty lists, so they
-    classify as retrieval_miss. The summary also counts hits at bins ≥
-    target_bin straight from each scan, without the category decision
-    table, and flags whether that hit rate agrees with the success rate.
+    ``run`` is RunResults or a run file's path, read as
+    :func:`metrics.scan_run` reads it. Queries the run never answered are
+    scanned as empty lists, so they classify as retrieval_miss. The
+    summary also counts hits at bins ≥ target_bin straight from each scan,
+    without the category decision table, and flags whether that hit rate
+    agrees with the success rate.
     """
     at_target = BINS.index(target_bin) + 1
     diagnoses = []

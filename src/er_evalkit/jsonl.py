@@ -146,17 +146,27 @@ def read_failure(path: str | Path, exc: Exception) -> str:
 
     A text reader counts a decode error's position from the start of the
     chunk it was decoding, so only this error path reads the file again,
-    in binary, a line at a time, to find that place.
+    in binary, to find that place. Lines are numbered as the readers'
+    universal newlines number them: a lone CR, a CRLF and an LF each end
+    one.
     """
     if isinstance(exc, UnicodeDecodeError):
         with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
+            lineno = 1
+            # Each piece ends in LF, so a CR anywhere but just before that
+            # LF ends a line alone, and a CRLF at the end is one line end.
+            for raw in fh:
                 try:
                     raw.decode("utf-8")
                 except UnicodeDecodeError as found:
+                    head = raw[:found.start]
+                    line = lineno + head.count(b"\r")
+                    offset = found.start - head.rfind(b"\r") - 1
                     return (f"'utf-8' codec can't decode byte "
-                            f"0x{raw[found.start]:02x} on line {lineno} at "
-                            f"byte offset {found.start}: {found.reason}")
+                            f"0x{raw[found.start]:02x} on line {line} at "
+                            f"byte offset {offset}: {found.reason}")
+                lineno += (raw.count(b"\r") + raw.endswith(b"\n")
+                           - raw.endswith(b"\r\n"))
     return str(exc)
 
 
@@ -218,16 +228,27 @@ def middle_line(path: str | Path) -> int | None:
         return None
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, raw_line) pairs, skipping blank lines.
+def read_lines(path: str | Path, start: int = 0,
+               end: int | None = None) -> Iterator[tuple[int, str]]:
+    """Yield (line_number, raw_line) pairs of bytes ``start`` to ``end`` of
+    ``path`` (:func:`open_text`), numbered from 1 at ``start``, skipping
+    blank lines.
 
     A file that cannot be opened or is not UTF-8 is an IngestError naming it.
     """
-    with open_text(path) as fh:
+    with open_text(path, start, end) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if stripped:
                 yield lineno, stripped
+
+
+def count_lines(path: str | Path, start: int = 0,
+                end: int | None = None) -> int:
+    """How many lines, blank ones included, :func:`read_lines` numbers in
+    bytes ``start`` to ``end`` of ``path``."""
+    with open_text(path, start, end) as fh:
+        return sum(1 for _ in fh)
 
 
 # The decoder's own scanner, called once per value; see decode.
@@ -279,22 +300,30 @@ def decode(line: str) -> Any:
     return value
 
 
-def iter_records(path: str | Path, parse: Callable[[Any], T],
-                 what: str) -> Iterator[T]:
-    """Yield ``parse(record)`` for each JSON line of ``path``, in file order.
+def parse_record(line: str, parse: Callable[[Any], T], what: str) -> T:
+    """``parse(decode(line))``. Any failure is one ValueError: invalid JSON
+    as :func:`decode` words it, or ``bad WHAT: ...`` for a KeyError,
+    TypeError or ValueError raised by ``parse``."""
+    rec = decode(line)
+    try:
+        return parse(rec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad {what}: {exc}") from exc
 
-    Invalid JSON, and a KeyError, TypeError or ValueError raised by
-    ``parse``, become one IngestError naming the file and line.
+
+def iter_records(path: str | Path, parse: Callable[[Any], T], what: str,
+                 start: int = 0, end: int | None = None) -> Iterator[T]:
+    """Yield ``parse(record)`` for each JSON line in bytes ``start`` to
+    ``end`` of ``path``, in file order.
+
+    A line :func:`parse_record` fails becomes one IngestError naming the
+    file and line.
     """
-    for lineno, line in read_lines(path):
+    for lineno, line in read_lines(path, start, end):
         try:
-            rec = decode(line)
+            value = parse_record(line, parse, what)
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
-        try:
-            value = parse(rec)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"{path}:{lineno}: bad {what}: {exc}") from exc
         yield value
 
 

@@ -19,14 +19,17 @@ import functools
 import logging
 import math
 import operator
-from contextlib import suppress
+import os
+from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestError
-from .jsonl import (INPUT_ENCODING, as_records, decode, dumps, fields,
-                    iter_records, read_failure, require, write_jsonl,
+from .halves import batches, forked, two_cpus
+from .jsonl import (INPUT_ENCODING, as_records, count_lines, decode, dumps,
+                    fields, iter_records, middle_line, parse_record,
+                    read_failure, read_lines, require, write_jsonl,
                     write_lines)
 
 log = logging.getLogger(__name__)
@@ -316,38 +319,158 @@ def render_rows(header: tuple[str, ...], widths: tuple[int, ...],
             for row in [header, *rows]]
 
 
-def scan_run(qrels, run: Iterable[RunResult], k: int,
+def _row(result: RunResult, entries: Mapping[str, Iterable[str]],
+         k: int) -> tuple[str, QueryScan | None]:
+    """(query, scan) of one result; the scan is None for a query
+    ``entries`` lacks."""
+    query = result.query
+    return query, (scan_query(set(entries[query]), result, k)
+                   if query in entries else None)
+
+
+def _rows(run: Iterable[RunResult], entries: Mapping[str, Iterable[str]],
+          k: int) -> Iterator[tuple[str, QueryScan | None]]:
+    """:func:`_row` of each result of ``run``, as it arrives."""
+    return (_row(result, entries, k) for result in run)
+
+
+def _received(n_relevant: int, topk_hits: tuple[int, ...],
+              topk_counts: tuple[int, ...], first_bin: str | None,
+              best_rank: int | None, best_bin: str | None) -> QueryScan:
+    """The QueryScan :func:`_second_half` sent, its bins by value."""
+    return QueryScan(n_relevant, topk_hits, topk_counts,
+                     first_bin and ConfidenceBin(first_bin), best_rank,
+                     best_bin and ConfidenceBin(best_bin))
+
+
+def _second_half(path: str | Path, split: int,
+                 entries: Mapping[str, Iterable[str]],
+                 k: int) -> Iterator[object]:
+    """In a forked child: the messages of the run lines from byte ``split``
+    on of ``path``, checked as :func:`iter_run` checks them.
+
+    They are batches of (line, query, scan, warnings) rows, then None or
+    the error that stopped the read: (line, reason, query), where query is
+    the bad line's if it has one (a repeat of a first-half query is named
+    before anything else wrong with its line), or (None, text, None) for
+    an error with no line. Lines count from 1 at ``split``; a scan has its
+    bins by value, and is None for a query ``entries`` lacks; warnings are
+    the (msg, args) of what RunResult logged for that line, held back here.
+    """
+    held: list[logging.LogRecord] = []
+    handler = logging.Handler()
+    handler.emit = held.append
+    log.handlers, log.propagate = [handler], False
+    parse = _run_parser()
+    rows, error = [], None
+    try:
+        for lineno, line in read_lines(path, split):
+            try:
+                result = parse_record(line, parse, "run record")
+            except ValueError as exc:
+                query = None
+                with suppress(KeyError, TypeError, ValueError):
+                    query = fields(decode(line), RUN_FIELDS)[0]
+                error = lineno, str(exc), query
+                break
+            query, scan = _row(result, entries, k)
+            # marshal takes no enum: each bin goes by its value.
+            rows.append((lineno, query, scan and tuple(
+                getattr(field, "value", field) for field in scan),
+                [(record.msg, record.args) for record in held]))
+            held.clear()
+    except IngestError as exc:
+        error = None, str(exc), None
+    yield from batches(rows)
+    yield error
+
+
+def _file_rows(path: str | Path, entries: Mapping[str, Iterable[str]],
+               k: int, seen: set[str]
+               ) -> Iterator[tuple[str, QueryScan | None]]:
+    """:func:`_rows` of ``iter_run(path)``, reading the file's two halves
+    at once where it can.
+
+    Given two CPUs and a regular file with a line start in its second
+    half (:func:`jsonl.middle_line`), a forked child reads and scans the
+    second half (:func:`_second_half`) while this process does the first.
+    The child's rows follow, each checked against ``seen``, the queries
+    of the rows taken so far: a repeat is the error iter_run raises at its
+    line. Each row's warnings are logged here as it is yielded, and the
+    child's error, if any, is raised after its rows, so the warnings and
+    the error come in file order. Otherwise the file is read in one pass.
+    """
+    split = middle_line(path) if two_cpus() else None
+
+    def where(line: int) -> str:
+        """``PATH:LINE`` of a second-half line; the first half's lines are
+        counted only for such an error."""
+        return f"{path}:{count_lines(path, 0, split) + line}"
+
+    with nullcontext() if split is None else forked(
+            functools.partial(_second_half, path, split, entries, k),
+            f"the process scanning the second half of {path} ended without "
+            "its scans") as messages:
+        if messages is None:
+            yield from _rows(iter_run(path), entries, k)
+            return
+        yield from _rows(iter_run(path, 0, split), entries, k)
+        for message in messages:
+            if isinstance(message, list):
+                for line, query, scan, warnings in message:
+                    if query in seen:
+                        raise IngestError(f"{where(line)}: bad run record: "
+                                          f"duplicate query {query!r}")
+                    for msg, args in warnings:
+                        log.warning(msg, *args)
+                    yield query, scan and _received(*scan)
+            elif message:
+                line, reason, query = message
+                if query in seen:
+                    reason = f"bad run record: duplicate query {query!r}"
+                raise IngestError(reason if line is None
+                                  else f"{where(line)}: {reason}")
+
+
+def scan_run(qrels, run: Iterable[RunResult] | str | os.PathLike, k: int,
              visit: Callable[[str, QueryScan], None]) -> tuple[int, int]:
     """Call ``visit(query, scan)`` once per qrels query, reading ``run`` once.
 
-    An answered query is scanned as its list arrives, and no list is kept;
-    the unanswered ones are scanned last, as empty lists. A query appearing
-    twice in the run is an error naming it. Returns (evaluated, ignored):
-    the qrels queries answered, and the run queries absent from qrels.
+    ``run`` is RunResults, or the path of a run file, read as
+    :func:`iter_run` reads it, perhaps in two halves at once
+    (:func:`_file_rows`), with the same warnings, errors and visits. An
+    answered query is scanned as its list arrives, and no list is kept;
+    the unanswered ones are scanned last, as empty lists. A query
+    appearing twice in the run is an error naming it. Returns (evaluated,
+    ignored): the qrels queries answered, and the run queries absent from
+    qrels.
     """
     _check_k(k)
     entries: Mapping[str, Iterable[str]] = getattr(qrels, "entries", qrels)
     seen: set[str] = set()
     evaluated = 0
-    for result in run:
-        query = result.query
-        if query in seen:
-            raise ValueError(f"duplicate query in run: {query!r}")
-        seen.add(query)
-        if query in entries:
-            evaluated += 1
-            visit(query, scan_query(set(entries[query]), result, k))
+    with closing(_file_rows(run, entries, k, seen)
+                 if isinstance(run, (str, os.PathLike))
+                 else _rows(run, entries, k)) as rows:
+        for query, scan in rows:
+            if query in seen:
+                raise ValueError(f"duplicate query in run: {query!r}")
+            seen.add(query)
+            if scan is not None:
+                evaluated += 1
+                visit(query, scan)
     for query in entries:
         if query not in seen:
             visit(query, scan_query(set(entries[query]), None, k))
     return evaluated, len(seen) - evaluated
 
 
-def evaluate_run(qrels, run: Iterable[RunResult], k: int = DEFAULT_K,
-                 ) -> MetricsReport:
+def evaluate_run(qrels, run: Iterable[RunResult] | str | os.PathLike,
+                 k: int = DEFAULT_K) -> MetricsReport:
     """Score a run against qrels and report per-query plus aggregates.
 
-    ``qrels`` is a RelevanceSet or a plain mapping query → set of ids. Run
+    ``qrels`` is a RelevanceSet or a plain mapping query → set of ids;
+    ``run`` is RunResults or a run file's path (:func:`scan_run`). Run
     queries absent from qrels are ignored (tallied); qrels queries absent
     from the run are scanned as empty lists, so they contribute recall 0.
     A query appearing twice in the run is an error naming it. Each
@@ -389,17 +512,9 @@ RUN_ITEM_FIELDS = (
 _FIELDS = operator.itemgetter(*(key for key, _, _ in RUN_ITEM_FIELDS))
 
 
-def iter_run(path: str | Path) -> Iterator[RunResult]:
-    """Read run JSONL: {"query", "results": [{entity_id, score, bin},…]}.
-
-    Ids are strings and a score is a finite int or float; the file order of
-    results is the rank order. Each list's types, scores and bins are
-    checked a column at a time, and one that fails a check or overflows a
-    float is walked again item by item to name its first bad item.
-    RunResult checks for repeated ids and rising scores. Each RunResult is
-    yielded as its line is read, so a caller that drops it holds one list
-    at a time.
-    """
+def _run_parser() -> Callable[[dict], RunResult]:
+    """The RunResult of one run record, for :func:`iter_run`: a query it
+    has parsed before is an error."""
     seen: set[str] = set()
 
     def parse(rec: dict) -> RunResult:
@@ -420,7 +535,23 @@ def iter_run(path: str | Path) -> Iterator[RunResult]:
         return RunResult(query, columns=(
             ids, tuple(map(float, scores)), bytes(levels)))
 
-    yield from iter_records(path, parse, "run record")
+    return parse
+
+
+def iter_run(path: str | Path, start: int = 0,
+             end: int | None = None) -> Iterator[RunResult]:
+    """Read run JSONL: {"query", "results": [{entity_id, score, bin},…]},
+    in bytes ``start`` to ``end`` of ``path``.
+
+    Ids are strings and a score is a finite int or float; the file order of
+    results is the rank order. Each list's types, scores and bins are
+    checked a column at a time, and one that fails a check or overflows a
+    float is walked again item by item to name its first bad item.
+    RunResult checks for repeated ids and rising scores. Each RunResult is
+    yielded as its line is read, so a caller that drops it holds one list
+    at a time.
+    """
+    return iter_records(path, _run_parser(), "run record", start, end)
 
 
 def load_run(path: str | Path) -> list[RunResult]:

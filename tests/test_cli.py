@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from er_evalkit import clickstream, importance
+from er_evalkit import clickstream, importance, relevance
 from er_evalkit.cli import (
     _SIM_HELP,
     DEFAULTS,
@@ -76,6 +76,17 @@ class TestExitCodes:
                                "--run", str(tmp_path / "absent.jsonl"))
         assert code == 1
         assert err.startswith("error:")
+
+    def test_interrupt_is_one(self, capsys, tmp_path, monkeypatch):
+        """Ctrl-C, or SIGTERM, which main turns into KeyboardInterrupt."""
+        qrels, run = write_worked_fixture(tmp_path)
+
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(relevance, "load_qrels", interrupted)
+        assert run_cli(capsys, "evaluate", "--qrels", str(qrels),
+                       "--run", str(run)) == (1, "", "error: interrupted\n")
 
     def test_help_is_zero_and_lists_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

@@ -7,6 +7,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from er_evalkit.cli import dispatch
 from er_evalkit.errors import IngestError
 from er_evalkit.jsonl import (as_records, atomic_open, decode, dumps,
                               middle_line, open_text, optional, read_lines,
@@ -94,6 +95,59 @@ class TestReadLines:
         assert str(raised.value) == (
             f"cannot read {path}: 'utf-8' codec can't decode byte 0xff on "
             "line 3 at byte offset 1: invalid start byte")
+
+
+    @given(st.lists(st.text(alphabet="ab{}", min_size=1, max_size=5),
+                    min_size=1, max_size=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_bad_byte_is_named_by_the_line_the_readers_number(
+            self, tmp_path_factory, lines, data):
+        """Under any mix of LF, CRLF and lone-CR line ends, the line and
+        offset are those of the line read_lines numbers."""
+        endings = [data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                   for _ in lines]
+        bad = data.draw(st.integers(0, len(lines) - 1))
+        offset = data.draw(st.integers(0, len(lines[bad])))
+        lines[bad] = lines[bad][:offset] + "\udcff" + lines[bad][offset:]
+        path = tmp_path_factory.mktemp("ends") / "bad.jsonl"
+        path.write_bytes("".join(map(str.__add__, lines, endings)).encode(
+            "utf-8", "surrogateescape"))
+        with pytest.raises(IngestError) as raised:
+            list(read_lines(path))
+        assert str(raised.value) == (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff on "
+            f"line {bad + 1} at byte offset {offset}: invalid start byte")
+
+
+class TestDecodeErrorLines:
+    """A stage names a non-UTF-8 byte by the line its reader numbers, on a
+    file whose lines end in a lone CR."""
+
+    def cr_file(self, path, lines):
+        path.write_bytes(b"".join(line + b"\r" for line in lines))
+        return path
+
+    def test_evaluate(self, capsys, tmp_path):
+        qrels = self.cr_file(tmp_path / "qrels.jsonl",
+                             [b'{"query":"q","relevant":["a"]}'])
+        run = self.cr_file(tmp_path / "run.jsonl", [
+            b'{"query":"q%d","results":[]}' % i for i in range(2)] + [
+            b'{"query":"q\xff","results":[]}'])
+        assert dispatch(["evaluate", "--qrels", str(qrels),
+                         "--run", str(run)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {run}: 'utf-8' codec can't decode byte "
+            "0xff on line 3 at byte offset 11: invalid start byte\n")
+
+    def test_aggregate_ctr(self, capsys, tmp_path):
+        events = self.cr_file(tmp_path / "events.jsonl", [
+            b'{"query":"q","impressions":["a"]}'] * 2 + [
+            b'{"query":"\xff","impressions":["a"]}'])
+        assert dispatch(["aggregate-ctr", "--events", str(events),
+                         "--out", str(tmp_path / "ctr.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {events}: 'utf-8' codec can't decode byte "
+            "0xff on line 3 at byte offset 10: invalid start byte\n")
 
 
 class TestTextRanges:

@@ -25,14 +25,35 @@ def owned_nodes():
 def test_one_json_decoder():
     """``json.loads`` and the decoder's scanner are named only in
     jsonl.decode and on jsonl's module line that takes the scanner.
-    ``marshal.loads``, which reads the counts aggregate-ctr's forked child
-    sends, decodes no JSON."""
+    ``marshal.loads``, which halves._messages calls to read what a forked
+    child sends, decodes no JSON."""
     decoders = ("loads", "scan_once", "raw_decode", "JSONDecoder")
     assert {owner for owner, node in owned_nodes()
             if isinstance(node, ast.Attribute) and node.attr in decoders
             and ast.unparse(node) != "marshal.loads"
             or isinstance(node, ast.alias) and node.name in decoders
             } == {"jsonl", "jsonl.decode"}
+
+
+def test_one_fork():
+    """The fork protocol is written once: ``os.fork``, ``os.pipe``,
+    ``os.kill``, ``os.waitpid``, ``os._exit``, ``marshal.dumps`` and
+    ``marshal.loads`` are named in the halves module and nowhere else
+    under src/er_evalkit/, each of them there."""
+    protocol = {"os.fork", "os.pipe", "os.kill", "os.waitpid", "os._exit",
+                "marshal.dumps", "marshal.loads"}
+
+    def spelled(node):
+        """The dotted names an attribute or a ``from`` import spells."""
+        if isinstance(node, ast.Attribute):
+            return [ast.unparse(node)]
+        if isinstance(node, ast.ImportFrom):
+            return [f"{node.module}.{alias.name}" for alias in node.names]
+        return []
+
+    assert {(owner.split(".")[0], name) for owner, node in owned_nodes()
+            for name in spelled(node) if name in protocol} == {
+        ("halves", name) for name in protocol}
 
 
 def opens_for_reading(node):

@@ -7,12 +7,13 @@ Usage, from the root of a checkout:
         tests/test_landing.py tests/test_surrogates.py --seed 1 --sample 15
 
 It lists every mutation site of the module, draws a seeded sample of them,
-and for each writes the mutated module into a copy of ``src/``, ``tests/``
-and ``pyproject.toml`` in a temporary directory, where it runs the given
-test files (by default ``tests/test_<module>.py``) with ``pytest -x``. The
-checkout itself is never written. A mutant whose run fails or times out is
-killed; one whose run passes survived, and its diff is printed: it is
-either equivalent to the module or a fault no test catches. The operators:
+and for each writes the mutated module into a copy of ``src/``, ``tests/``,
+``pyproject.toml`` and ``README.md`` in a temporary directory, where it
+runs the given test files (by default ``tests/test_<module>.py``) with
+``pytest -x``. The checkout itself is never written. A mutant whose run
+fails or times out is killed; one whose run passes survived, and its diff
+is printed: it is either equivalent to the module or a fault no test
+catches. The operators:
 
     compare   a comparison replaced by its negation (< by >=, == by !=,
               in by not in, is by is not)
@@ -129,7 +130,9 @@ def main() -> int:
         for name in ("src", "tests"):
             shutil.copytree(checkout / name, root / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(checkout / "pyproject.toml", root)
+        # The CLI's tests read README.md's defaults table.
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(checkout / name, root)
         target = root / module
         passed, baseline_s = run_tests(root, tests, timeout=3600)
         if not passed:
