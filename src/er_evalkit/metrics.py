@@ -334,13 +334,21 @@ def _rows(run: Iterable[RunResult], entries: Mapping[str, Iterable[str]],
     return (_row(result, entries, k) for result in run)
 
 
+def _sent(scan: QueryScan) -> tuple:
+    """``scan`` as marshal takes it, which is no enum: each bin by its
+    level."""
+    return tuple(BINS.index(field) if isinstance(field, ConfidenceBin)
+                 else field for field in scan)
+
+
 def _received(n_relevant: int, topk_hits: tuple[int, ...],
-              topk_counts: tuple[int, ...], first_bin: str | None,
-              best_rank: int | None, best_bin: str | None) -> QueryScan:
-    """The QueryScan :func:`_second_half` sent, its bins by value."""
+              topk_counts: tuple[int, ...], first_level: int | None,
+              best_rank: int | None, best_level: int | None) -> QueryScan:
+    """The QueryScan :func:`_sent` made these fields from."""
     return QueryScan(n_relevant, topk_hits, topk_counts,
-                     first_bin and ConfidenceBin(first_bin), best_rank,
-                     best_bin and ConfidenceBin(best_bin))
+                     None if first_level is None else BINS[first_level],
+                     best_rank,
+                     None if best_level is None else BINS[best_level])
 
 
 def _second_half(path: str | Path, split: int,
@@ -353,9 +361,10 @@ def _second_half(path: str | Path, split: int,
     the error that stopped the read: (line, reason, query), where query is
     the bad line's if it has one (a repeat of a first-half query is named
     before anything else wrong with its line), or (None, text, None) for
-    an error with no line. Lines count from 1 at ``split``; a scan has its
-    bins by value, and is None for a query ``entries`` lacks; warnings are
-    the (msg, args) of what RunResult logged for that line, held back here.
+    an error with no line. Lines count from 1 at ``split``; a scan is in
+    :func:`_sent`'s form, or None for a query ``entries`` lacks; warnings
+    are the (msg, args) of what RunResult logged for that line, held back
+    here.
     """
     held: list[logging.LogRecord] = []
     handler = logging.Handler()
@@ -374,10 +383,8 @@ def _second_half(path: str | Path, split: int,
                 error = lineno, str(exc), query
                 break
             query, scan = _row(result, entries, k)
-            # marshal takes no enum: each bin goes by its value.
-            rows.append((lineno, query, scan and tuple(
-                getattr(field, "value", field) for field in scan),
-                [(record.msg, record.args) for record in held]))
+            rows.append((lineno, query, scan and _sent(scan),
+                         [(record.msg, record.args) for record in held]))
             held.clear()
     except IngestError as exc:
         error = None, str(exc), None
