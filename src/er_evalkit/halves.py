@@ -79,10 +79,11 @@ def forked(work: Callable[[], Iterable[Any]],
     The body gets the iterator of the messages ``work()`` yields, each any
     value ``marshal`` takes, in order; a child that ends without all of
     them, as by an exception, makes it raise ``ChildProcessError(failure)``.
-    The child writes into a pipe, so a body that reads after its own work
-    lets the child finish first. If the body raises or is interrupted, the
-    child is killed first; it is reaped on every path. The body gets None
-    if no child can be made, and then does all the work itself.
+    The messages wait in a pipe until the body reads them, so a body that
+    does its own part before it reads runs at the same time as the child.
+    If the body raises or is interrupted, the child is killed first; it is
+    reaped on every path. The body gets None if no child can be made, and
+    then does all the work itself.
     """
     readable, writable = os.pipe()
     try:
