@@ -20,7 +20,7 @@ from itertools import islice
 from typing import IO, Any, Callable, Iterable, Iterator, NoReturn
 
 # Rows per message: a child's results cross the pipe a slice at a time, so
-# neither side holds a second copy of them.
+# neither side holds them a second time as one blob.
 ROWS_PER_MESSAGE = 64
 
 

@@ -520,8 +520,8 @@ _FIELDS = operator.itemgetter(*(key for key, _, _ in RUN_ITEM_FIELDS))
 
 
 def _run_parser() -> Callable[[dict], RunResult]:
-    """The RunResult of one run record, for :func:`iter_run`: a query it
-    has parsed before is an error."""
+    """:func:`iter_run`'s parse of one run record into a RunResult; a
+    query the parse has seen before is an error."""
     seen: set[str] = set()
 
     def parse(rec: dict) -> RunResult:
