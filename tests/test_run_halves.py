@@ -202,6 +202,18 @@ class TestTwoHalves:
                 halves(diagnosed, path)
         assert no_child_left()
 
+    def test_an_interrupt_in_visit_kills_and_reaps_the_child(self, tmp_path):
+        """An exception in the caller's visit, outside the row source, ends
+        the child as it propagates, while its traceback, which holds the
+        row source's frame, is still alive."""
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join(good_lines(30)) + "\n", encoding="utf-8")
+        with mock.patch.object(metrics, "_fractions",
+                               side_effect=KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt) as raised:
+                halves(evaluated, path)
+        assert raised.traceback and no_child_left()
+
     @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
     def test_a_child_that_dies_is_one_error_line(self, capsys, tmp_path,
                                                  command):
