@@ -243,11 +243,10 @@ def read_lines(path: str | Path, start: int = 0,
                 yield lineno, stripped
 
 
-def count_lines(path: str | Path, start: int = 0,
-                end: int | None = None) -> int:
+def count_lines(path: str | Path, end: int) -> int:
     """How many lines, blank ones included, :func:`read_lines` numbers in
-    bytes ``start`` to ``end`` of ``path``."""
-    with open_text(path, start, end) as fh:
+    the first ``end`` bytes of ``path``."""
+    with open_text(path, 0, end) as fh:
         return sum(1 for _ in fh)
 
 

@@ -412,7 +412,7 @@ def _file_rows(path: str | Path, entries: Mapping[str, Iterable[str]],
     def where(line: int) -> str:
         """``PATH:LINE`` of a second-half line; the first half's lines are
         counted only for such an error."""
-        return f"{path}:{count_lines(path, 0, split) + line}"
+        return f"{path}:{count_lines(path, split) + line}"
 
     with nullcontext() if split is None else forked(
             functools.partial(_second_half, path, split, entries, k),

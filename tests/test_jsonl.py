@@ -72,6 +72,12 @@ class TestRecordTables:
             require({"n": True}, "n", (int,))
         assert str(raised.value) == "n must be int, got True"
 
+    def test_require_checks_finiteness_only_where_a_float_is_allowed(self):
+        with pytest.raises(ValueError) as raised:
+            require({"x": float("nan")}, "x", (int, float))
+        assert str(raised.value) == "x must be finite, got nan"
+        assert require({"n": 10 ** 400}, "n", (int,)) == 10 ** 400
+
     def test_optional_reads_a_present_value_and_none_for_absent_or_null(self):
         assert optional({"bin": "high"}, "bin", (str,)) == "high"
         assert optional({"bin": None}, "bin", (str,)) is None
