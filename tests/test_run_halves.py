@@ -66,6 +66,12 @@ def outcome(read, *args):
         log.removeHandler(handler)
 
 
+def write_qrels(path):
+    path.write_text("".join(dumps({"query": query, "relevant": sorted(ids)})
+                            + "\n" for query, ids in QRELS.items()),
+                    encoding="utf-8")
+
+
 def evaluated(path, k=3):
     return evaluate_run(QRELS, path, k).to_dict()
 
@@ -220,8 +226,7 @@ class TestTwoHalves:
         run, qrels, out = (tmp_path / name for name in (
             "run.jsonl", "qrels.jsonl", "out"))
         run.write_text("\n".join(good_lines(30)) + "\n", encoding="utf-8")
-        qrels.write_text("".join(dumps({"query": query, "relevant": sorted(
-            ids)}) + "\n" for query, ids in QRELS.items()), encoding="utf-8")
+        write_qrels(qrels)
         parent = os.getpid()
 
         def dying(*args):
@@ -255,8 +260,7 @@ class TestOnePassPaths:
     def inputs(self, tmp_path):
         run, qrels = tmp_path / "run.jsonl", tmp_path / "qrels.jsonl"
         run.write_text("\n".join(good_lines(30)) + "\n", encoding="utf-8")
-        qrels.write_text("".join(dumps({"query": query, "relevant": sorted(
-            ids)}) + "\n" for query, ids in QRELS.items()), encoding="utf-8")
+        write_qrels(qrels)
         return run, qrels
 
     def cli_bytes(self, capsys, tmp_path, command, run, qrels):
