@@ -102,7 +102,6 @@ class TestReadLines:
             f"cannot read {path}: 'utf-8' codec can't decode byte 0xff on "
             "line 3 at byte offset 1: invalid start byte")
 
-
     @given(st.lists(st.text(alphabet="ab{}", min_size=1, max_size=5),
                     min_size=1, max_size=8), st.data())
     @settings(max_examples=60, deadline=None)
