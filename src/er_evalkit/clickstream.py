@@ -15,26 +15,25 @@ its id. The CLI counts each line's checked fields without building a
 ClickEvent (:func:`aggregate_log`); every line passes the same checks as in
 :func:`parse_events`. The tables are a monoid query by query: counting
 parts of the event stream apart and summing each query's counts
-(:func:`_merge`) gives exactly the single-pass answer. So aggregate-ctr,
-lenient and given two CPUs, counts the log's two halves at once: the
-second in a child forked by :func:`halves.forked`, the helper evaluate and
-diagnose also read their run file through, whose tables are merged into
-the parent's. Gate C8 checks the same merge over shards
-(:func:`aggregate_in_shards`).
+(:func:`_merge`) gives exactly the single-pass answer. So a lenient
+aggregate-ctr counts its log through :func:`halves.parts`, the call
+evaluate and diagnose also read their run file through: one process
+counts the first half while a forked child counts the second, whose
+tables are then merged in (:func:`_count_all`). Gate C8 checks the same
+merge over shards (:func:`aggregate_in_shards`).
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, IngestError
-from .halves import batches, forked, two_cpus
+from .halves import parts
 from .jsonl import (as_records, decode, dumps, fields, iter_records,
                     middle_line, open_text, read_lines, require, write_jsonl,
                     write_lines)
@@ -242,46 +241,37 @@ def _rows(tables: _Tables) -> Iterator[tuple[str, dict, dict | None]]:
     return ((query, nimp[query], nclick.get(query)) for query in nimp)
 
 
-def _counted(path: str | Path, split: int) -> Iterator[object]:
-    """In a forked child: the messages of a lenient count of bytes
-    ``split`` on of ``path``. They are its tables, as batches of plain-dict
-    rows (marshal takes no Counter), then its ParseStats tallies; or the
-    text of the IngestError that stopped the count."""
-    stats = ParseStats()
-    try:
-        tables = _count(path, split, None, False, stats, {})
-    except IngestError as exc:
-        yield str(exc)
-        return
-    yield from batches((query, dict(shown), dict(hits or ()))
-                       for query, shown, hits in _rows(tables))
-    yield stats.lines, stats.events, stats.rejected
+def _count_all(path: str | Path, cut: int | None, strict: bool,
+               stats: ParseStats, texts: dict[str, str]) -> _Tables:
+    """:func:`_count` of all of ``path``, in parts at ``cut`` where it can
+    (:func:`halves.parts`).
 
+    The part from byte 0 is counted here into the tables returned. A later
+    part, counted in a forked child, sends its ParseStats tallies, then its
+    tables as (query, nimp counts, nclick counts) rows of plain dicts,
+    which marshal takes, and they are merged into those tables. A read
+    error in either part is the one whole-file ``cannot read PATH: ...``.
+    """
+    tables: _Tables
 
-def _count_halves(path: str | Path, split: int, stats: ParseStats,
-                  texts: dict[str, str]) -> _Tables:
-    """:func:`_count` of all of ``path``, lenient: a forked child counts
-    the bytes from the line start ``split`` on (:func:`halves.forked`)
-    while this process counts those before it, then merges the child's
-    tables into its own, a batch at a time. Either half's read error is the
-    one whole-file ``cannot read PATH: ...``. If no child can be made, this
-    process counts the whole file."""
-    with forked(partial(_counted, path, split),
-                f"the process counting the second half of {path} ended "
-                "without its counts") as messages:
-        if messages is None:
-            return _count(path, 0, None, False, stats, texts)
-        tables = _count(path, 0, split, False, stats, texts)
-        for message in messages:
-            if isinstance(message, str):
-                raise IngestError(message)
-            if isinstance(message, list):
-                _merge(tables, texts, message)
-            else:
-                lines, events, rejected = message
-                stats.lines += lines
-                stats.events += events
-                stats.rejected += rejected
+    def part(start: int, end: int | None) -> Iterator[tuple]:
+        nonlocal tables
+        if not start:
+            tables = _count(path, 0, end, strict, stats, texts)
+            return
+        tallies = ParseStats()
+        counted = _count(path, start, end, strict, tallies, {})
+        yield tallies.lines, tallies.events, tallies.rejected
+        for query, shown, hits in _rows(counted):
+            yield query, dict(shown), hits and dict(hits)
+
+    with parts(part, path, cut, f"the process counting the second half of "
+               f"{path} ended without its counts") as messages:
+        lines, events, rejected = next(messages, (0, 0, 0))
+        stats.lines += lines
+        stats.events += events
+        stats.rejected += rejected
+        _merge(tables, texts, messages)
     return tables
 
 
@@ -313,19 +303,15 @@ def aggregate_log(path: str | Path, ctr_filter: CtrFilter, *,
 
     The same lines are rejected for the same reasons, so the records,
     summary and ``stats`` tallies are those of the three-step form. A
-    lenient count of a regular file, given two CPUs and ``os.fork``, reads
-    the file's two halves at once (:func:`_count_halves`); under
-    ``strict``, whose error names the first bad line in file order, and
-    otherwise, the file is read in one pass.
+    lenient count cuts a regular file at its middle line and counts the
+    two parts at once where it can (:func:`_count_all`); under
+    ``strict``, whose error names the first bad line in file order, the
+    file is read in one pass.
     """
     if stats is None:
         stats = ParseStats()
-    texts: dict[str, str] = {}
-    split = None if strict or not two_cpus() else middle_line(path)
-    if split is None:
-        nimp, nclick = _count(path, 0, None, strict, stats, texts)
-    else:
-        nimp, nclick = _count_halves(path, split, stats, texts)
+    nimp, nclick = _count_all(path, None if strict else middle_line(path),
+                              strict, stats, {})
     kept = _records(nimp, nclick, ctr_filter)
     pairs = sum(map(len, nimp.values()))
     return kept, FilterSummary(kept=len(kept), dropped=pairs - len(kept))

@@ -109,7 +109,9 @@ def _classify(query: str, scan: QueryScan,
     else:
         category = FailureCategory.RETRIEVAL_MISS
     return Diagnosis(query=query, category=category,
-                     best_rank=scan.best_rank, best_bin=scan.best_bin)
+                     best_rank=scan.best_rank,
+                     best_bin=(None if scan.best_level is None
+                               else BINS[scan.best_level]))
 
 
 def diagnose_run(qrels, run: Iterable[RunResult] | str | os.PathLike,

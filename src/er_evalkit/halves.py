@@ -1,106 +1,178 @@
-"""A file's two halves at once, the second in a forked child.
+"""A file's work in two parts at once, the second in a forked child.
 
 Where each line of a regular file is worked on apart from the others, the
 file cut at a line start (:func:`jsonl.middle_line`) is two independent
-parts whose results join in file order. :func:`forked` runs the second
-part's work in a child made by ``os.fork`` after the imports, so it pays no
-interpreter start-up, while the caller does the first part's; the caller
-then reads the child's results in the order the child made them. This is
-the one place a process is forked: aggregate-ctr counts its click log this
-way, and evaluate and diagnose scan their run file.
+parts whose results join in file order: a map, then an ordered merge.
+:func:`parts` is the one call that runs a stage's work that way, and the
+one place a process is forked. A stage gives it one ``part(start, end)``
+that yields the messages of bytes ``start`` to ``end``, so the whole file
+on one pass and each of the two parts run the same function, and folds
+the messages: aggregate-ctr merges its click log's count tables, and
+evaluate and diagnose visit their run file's scans.
 """
 
 from __future__ import annotations
 
+import logging
 import marshal
 import os
 import signal
-from contextlib import contextmanager
-from itertools import islice
-from typing import IO, Any, Callable, Iterable, Iterator, NoReturn
+from contextlib import closing, contextmanager
+from pathlib import Path
+from typing import IO, Any, Callable, Generator, Iterator
 
-# Rows per message: a child's results cross the pipe a slice at a time, so
-# neither side holds them a second time as one blob.
+from .errors import IngestError
+from .jsonl import count_lines
+
+# Messages per frame: a child's messages cross the pipe a slice at a time,
+# marshalled as they are made, so it never holds them as objects.
 ROWS_PER_MESSAGE = 64
 
+Part = Callable[[int, int | None], Generator[Any, None, None]]
 
-def two_cpus() -> bool:
+
+def _two_cpus() -> bool:
     """Whether a forked child can work on a CPU of its own."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1)
 
 
-def batches(rows: Iterable) -> Iterator[list]:
-    """``rows`` as lists of ``ROWS_PER_MESSAGE``, the last perhaps shorter."""
-    rows = iter(rows)
-    while batch := list(islice(rows, ROWS_PER_MESSAGE)):
-        yield batch
+def _frames(part: Part, cut: int) -> Iterator[bytes]:
+    """In a forked child: ``part(cut, None)``'s messages as marshalled
+    frames ``(records, messages)`` of at most ``ROWS_PER_MESSAGE``
+    messages, records being the (logger, level, text) of what was logged
+    before the first. The last frame, ``(records, [], error)``, ends with
+    the text of the IngestError that stopped the part, or None."""
+    held: list[logging.LogRecord] = []
+    # Nothing is emitted here: each record waits for the message it precedes.
+    logging.Logger.handle = lambda logger, record: held.append(record)
+
+    def taken() -> list[tuple[str, int, str]]:
+        records = [(r.name, r.levelno, r.getMessage()) for r in held]
+        held.clear()
+        return records
+
+    records, messages, error = [], [], None
+    try:
+        for message in part(cut, None):
+            if messages and (held or len(messages) == ROWS_PER_MESSAGE):
+                yield marshal.dumps((records, messages))
+                records, messages = [], []
+            if held:
+                records = taken()
+            messages.append(message)
+    except IngestError as exc:
+        error = str(exc)
+    if messages:
+        yield marshal.dumps((records, messages))
+    yield marshal.dumps((taken(), [], error))
 
 
-def _child(work: Callable[[], Iterable[Any]], readable: int,
-           writable: int) -> NoReturn:
-    """In a forked child: send each message ``work()`` makes through the
-    pipe's write end as a length-prefixed ``marshal`` blob, then an empty
-    frame. Ends only through ``os._exit``, so nothing of the parent's (a
-    landing, a test runner) unwinds here; an exception ends it without the
-    empty frame."""
+def _fork(part: Part, cut: int) -> tuple[int, int] | None:
+    """(pid, pipe read end) of a forked child that sends every frame of
+    :func:`_frames`, length-prefixed, once its part has ended, so a pipe
+    not yet read never stalls the part; None if no pipe or no child can be
+    made. The child ends only through ``os._exit``, so nothing of the
+    parent's (a landing, a test runner) unwinds there; an exception ends
+    it before its last frame."""
+    try:
+        readable, writable = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(readable)
+        os.close(writable)
+        return None
+    if pid:
+        os.close(writable)
+        return pid, readable
     code = 1
     try:
         os.close(readable)
+        frames = list(_frames(part, cut))
         with os.fdopen(writable, "wb") as pipe:
-            for message in work():
-                blob = marshal.dumps(message)
-                pipe.write(len(blob).to_bytes(8, "little") + blob)
-            pipe.write(bytes(8))
+            for frame in frames:
+                pipe.write(len(frame).to_bytes(8, "little") + frame)
         code = 0
     finally:
         os._exit(code)
 
 
 def _messages(pipe: IO[bytes], failure: str) -> Iterator[Any]:
-    """Each message :func:`_child` sent, until its empty frame; a pipe that
-    ends before that frame is ``ChildProcessError(failure)``."""
+    """Each message the child sent, each frame's records logged before its
+    first message, then the child's error raised, if any. A pipe that ends
+    before the last frame is ``ChildProcessError(failure)``."""
     while True:
         head = pipe.read(8)
         size = int.from_bytes(head, "little")
         blob = pipe.read(size) if len(head) == 8 else b""
         if len(head) < 8 or len(blob) < size:
             raise ChildProcessError(failure)
-        if not size:
+        records, messages, *end = marshal.loads(blob)
+        for name, level, text in records:
+            logging.getLogger(name).log(level, text)
+        yield from messages
+        if end:
+            if end[0] is not None:
+                raise IngestError(end[0])
             return
-        yield marshal.loads(blob)
+
+
+def _renumber(exc: IngestError, path: str | Path, cut: int) -> None:
+    """Renumber in the whole file the line of an error whose text starts
+    ``PATH:LINE:``, LINE counted from 1 at ``cut``."""
+    text = str(exc)
+    line, _, reason = text.removeprefix(f"{path}:").partition(": ")
+    if text.startswith(f"{path}:") and line.isdecimal():
+        exc.args = (f"{path}:{count_lines(path, cut) + int(line)}: "
+                    f"{reason}",)
 
 
 @contextmanager
-def forked(work: Callable[[], Iterable[Any]],
-           failure: str) -> Iterator[Iterator[Any] | None]:
-    """Run ``work()`` in a forked child while the body runs here.
+def parts(part: Part, path: str | Path, cut: int | None,
+          failure: str) -> Iterator[Iterator[Any]]:
+    """The messages of ``path``'s work, in two parts at once where it can.
 
-    The body gets the iterator of the messages ``work()`` yields, each any
-    value ``marshal`` takes, in order; a child that ends without all of
-    them, as by an exception, makes it raise ``ChildProcessError(failure)``.
-    The messages wait in a pipe until the body reads them, so a body that
-    does its own part before it reads runs at the same time as the child.
-    If the body raises or is interrupted, the child is killed first; it is
-    reaped on every path. The body gets None if no child can be made, and
-    then does all the work itself.
+    Given ``cut``, a line start of ``path``, and two CPUs, a pipe and a
+    child, the body's iterator yields ``part(0, cut)``'s messages, made
+    here as they are read, then ``part(cut, None)``'s, made in a forked
+    child and so values ``marshal`` takes. It logs each record the child
+    logged before the message that record preceded, and raises the child's
+    IngestError after the child's messages. Otherwise (no cut, one CPU, no
+    ``os.fork``, or no pipe or child) it yields ``part(0, None)``'s.
+
+    The child numbers lines from 1 at ``cut``: an IngestError naming
+    ``PATH:LINE``, raised by the child or by the body while it reads the
+    child's messages, is renumbered in the whole file (:func:`_renumber`),
+    so only such an error counts the lines before ``cut``. A child that
+    ends without all its messages, as by any other exception, is
+    ``ChildProcessError(failure)``. When the body ends, by any path, the
+    child is killed and reaped.
     """
-    readable, writable = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(readable)
-        os.close(writable)
-        yield None
+    child = _fork(part, cut) if cut is not None and _two_cpus() else None
+    if child is None:
+        with closing(part(0, None)) as messages:
+            yield messages
         return
-    if not pid:
-        _child(work, readable, writable)
+    pid, readable = child
+    reading = False
+
+    def stream() -> Iterator[Any]:
+        nonlocal reading
+        yield from part(0, cut)
+        reading = True
+        yield from _messages(pipe, failure)
+
     try:
-        os.close(writable)
-        with os.fdopen(readable, "rb") as pipe:
-            yield _messages(pipe, failure)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        with os.fdopen(readable, "rb") as pipe, closing(stream()) as messages:
+            yield messages
+    except IngestError as exc:
+        if reading:
+            _renumber(exc, path, cut)
         raise
     finally:
+        # A child whose messages were not all read may still be at work.
+        os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)

@@ -20,17 +20,16 @@ import logging
 import math
 import operator
 import os
-from contextlib import closing, nullcontext, suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestError
-from .halves import batches, forked, two_cpus
-from .jsonl import (INPUT_ENCODING, as_records, count_lines, decode, dumps,
-                    fields, iter_records, middle_line, parse_record,
-                    read_failure, read_lines, require, write_jsonl,
-                    write_lines)
+from .halves import parts
+from .jsonl import (INPUT_ENCODING, as_records, decode, dumps, fields,
+                    iter_records, middle_line, read_failure, read_lines,
+                    require, write_jsonl, write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -119,15 +118,17 @@ class QueryScan(NamedTuple):
 
     ``topk_hits`` and ``topk_counts`` count, per bin in BINS order, the
     relevant results and all results in the top k; ``best_rank`` and
-    ``best_bin`` locate the first relevant result anywhere in the list.
+    ``best_level`` locate the first relevant result anywhere in the list.
+    A level is its bin's index in BINS; ``first_level`` is the first
+    result's.
     """
 
     n_relevant: int
     topk_hits: tuple[int, ...]
     topk_counts: tuple[int, ...]
-    first_bin: ConfidenceBin | None
+    first_level: int | None
     best_rank: int | None
-    best_bin: ConfidenceBin | None
+    best_level: int | None
 
 
 def scan_query(relevant: set[str], result: RunResult | None,
@@ -146,9 +147,9 @@ def scan_query(relevant: set[str], result: RunResult | None,
         n_relevant=len(relevant),
         topk_hits=tuple(map(hit_levels.count, range(len(BINS)))),
         topk_counts=tuple(map(levels[:k].count, range(len(BINS)))),
-        first_bin=BINS[levels[0]] if levels else None,
+        first_level=levels[0] if levels else None,
         best_rank=ranks[0] + 1 if ranks else None,
-        best_bin=BINS[levels[ranks[0]]] if ranks else None,
+        best_level=levels[ranks[0]] if ranks else None,
     )
 
 
@@ -171,7 +172,7 @@ def _fractions(scan: QueryScan,
     for hits, shown in zip(scan.topk_hits, scan.topk_counts):
         values += _fraction(hits, shown), _fraction(hits, n_relevant)
     values.append(_fraction(int(scan.best_rank == 1),
-                            int(scan.first_bin is ConfidenceBin.HIGH)))
+                            int(scan.first_level == 0)))
     return dict(zip(names, values))
 
 
@@ -319,124 +320,36 @@ def render_rows(header: tuple[str, ...], widths: tuple[int, ...],
             for row in [header, *rows]]
 
 
-def _row(result: RunResult, entries: Mapping[str, Iterable[str]],
-         k: int) -> tuple[str, QueryScan | None]:
-    """(query, scan) of one result; the scan is None for a query
-    ``entries`` lacks."""
-    query = result.query
-    return query, (scan_query(set(entries[query]), result, k)
-                   if query in entries else None)
-
-
-def _rows(run: Iterable[RunResult], entries: Mapping[str, Iterable[str]],
-          k: int) -> Iterator[tuple[str, QueryScan | None]]:
-    """:func:`_row` of each result of ``run``, as it arrives."""
-    return (_row(result, entries, k) for result in run)
-
-
-def _sent(scan: QueryScan) -> tuple:
-    """``scan`` as marshal takes it, which is no enum: each bin by its
-    level."""
-    return tuple(BINS.index(field) if isinstance(field, ConfidenceBin)
-                 else field for field in scan)
-
-
-def _received(n_relevant: int, topk_hits: tuple[int, ...],
-              topk_counts: tuple[int, ...], first_level: int | None,
-              best_rank: int | None, best_level: int | None) -> QueryScan:
-    """The QueryScan :func:`_sent` made these fields from."""
-    return QueryScan(n_relevant, topk_hits, topk_counts,
-                     None if first_level is None else BINS[first_level],
-                     best_rank,
-                     None if best_level is None else BINS[best_level])
-
-
-def _second_half(path: str | Path, split: int,
-                 entries: Mapping[str, Iterable[str]],
-                 k: int) -> Iterator[object]:
-    """In a forked child: the messages of the run lines from byte ``split``
-    on of ``path``, checked as :func:`iter_run` checks them.
-
-    They are batches of (line, query, scan, warnings) rows, then None or
-    the error that stopped the read: (line, reason, query), where query is
-    the bad line's if it has one (a repeat of a first-half query is named
-    before anything else wrong with its line), or (None, text, None) for
-    an error with no line. Lines count from 1 at ``split``; a scan is in
-    :func:`_sent`'s form, or None for a query ``entries`` lacks; warnings
-    are the (msg, args) of what RunResult logged for that line, held back
-    here.
-    """
-    held: list[logging.LogRecord] = []
-    handler = logging.Handler()
-    handler.emit = held.append
-    log.handlers, log.propagate = [handler], False
-    parse = _run_parser()
-    rows, error = [], None
-    try:
-        for lineno, line in read_lines(path, split):
+def _scans(path: str | Path, entries: Mapping[str, Iterable[str]], k: int,
+           start: int = 0, end: int | None = None) -> Iterator[tuple | None]:
+    """:func:`scan_run`'s part of a run file: for each line in bytes
+    ``start`` to ``end`` of ``path``, read and checked as :func:`iter_run`
+    reads it, (line, query) once its query is read, then its scan as a
+    plain tuple, or None for a query ``entries`` lacks. Lines count from 1
+    at ``start``. The caller checks each query against those before it,
+    so a repeat is named before anything else wrong with its line."""
+    for lineno, line in read_lines(path, start, end):
+        try:
+            rec = decode(line)
             try:
-                result = parse_record(line, parse, "run record")
-            except ValueError as exc:
-                query = None
-                with suppress(KeyError, TypeError, ValueError):
-                    query = fields(decode(line), RUN_FIELDS)[0]
-                error = lineno, str(exc), query
-                break
-            query, scan = _row(result, entries, k)
-            rows.append((lineno, query, scan and _sent(scan),
-                         [(record.msg, record.args) for record in held]))
-            held.clear()
-    except IngestError as exc:
-        error = None, str(exc), None
-    yield from batches(rows)
-    yield error
+                query, results = fields(rec, RUN_FIELDS)
+                yield lineno, query
+                result = _run_result(query, results)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"bad run record: {exc}") from exc
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {exc}") from exc
+        yield (tuple(scan_query(set(entries[query]), result, k))
+               if query in entries else None)
 
 
-def _file_rows(path: str | Path, entries: Mapping[str, Iterable[str]],
-               k: int, seen: set[str]
-               ) -> Iterator[tuple[str, QueryScan | None]]:
-    """:func:`_rows` of ``iter_run(path)``, reading the file's two halves
-    at once where it can.
-
-    Given two CPUs and a regular file with a line start in its second
-    half (:func:`jsonl.middle_line`), a forked child reads and scans the
-    second half (:func:`_second_half`) while this process does the first.
-    The child's rows follow, each checked against ``seen``, the queries
-    of the rows taken so far: a repeat is the error iter_run raises at its
-    line. Each row's warnings are logged here as it is yielded, and the
-    child's error, if any, is raised after its rows, so the warnings and
-    the error come in file order. Otherwise the file is read in one pass.
-    """
-    split = middle_line(path) if two_cpus() else None
-
-    def where(line: int) -> str:
-        """``PATH:LINE`` of a second-half line; the first half's lines are
-        counted only for such an error."""
-        return f"{path}:{count_lines(path, split) + line}"
-
-    with nullcontext() if split is None else forked(
-            functools.partial(_second_half, path, split, entries, k),
-            f"the process scanning the second half of {path} ended without "
-            "its scans") as messages:
-        if messages is None:
-            yield from _rows(iter_run(path), entries, k)
-            return
-        yield from _rows(iter_run(path, 0, split), entries, k)
-        for message in messages:
-            if isinstance(message, list):
-                for line, query, scan, warnings in message:
-                    if query in seen:
-                        raise IngestError(f"{where(line)}: bad run record: "
-                                          f"duplicate query {query!r}")
-                    for msg, args in warnings:
-                        log.warning(msg, *args)
-                    yield query, scan and _received(*scan)
-            elif message:
-                line, reason, query = message
-                if query in seen:
-                    reason = f"bad run record: duplicate query {query!r}"
-                raise IngestError(reason if line is None
-                                  else f"{where(line)}: {reason}")
+def _listed(run: Iterable[RunResult], entries: Mapping[str, Iterable[str]],
+            k: int) -> Iterator[tuple | None]:
+    """:func:`_scans`' messages for RunResults, each line None."""
+    for result in run:
+        yield None, result.query
+        yield (scan_query(set(entries[result.query]), result, k)
+               if result.query in entries else None)
 
 
 def scan_run(qrels, run: Iterable[RunResult] | str | os.PathLike, k: int,
@@ -444,28 +357,34 @@ def scan_run(qrels, run: Iterable[RunResult] | str | os.PathLike, k: int,
     """Call ``visit(query, scan)`` once per qrels query, reading ``run`` once.
 
     ``run`` is RunResults, or the path of a run file, read as
-    :func:`iter_run` reads it, perhaps in two halves at once
-    (:func:`_file_rows`), with the same warnings, errors and visits. An
-    answered query is scanned as its list arrives, and no list is kept;
-    the unanswered ones are scanned last, as empty lists. A query
-    appearing twice in the run is an error naming it. Returns (evaluated,
-    ignored): the qrels queries answered, and the run queries absent from
-    qrels.
+    :func:`iter_run` reads it, with the same warnings and errors, in two
+    parts at once where it can (:func:`_scans` through
+    :func:`halves.parts`). An answered query is scanned as its list
+    arrives, and no list is kept; the unanswered ones are scanned last, as
+    empty lists. A query appearing twice in the run is an error naming it.
+    Returns (evaluated, ignored): the qrels queries answered, and the run
+    queries absent from qrels.
     """
     _check_k(k)
     entries: Mapping[str, Iterable[str]] = getattr(qrels, "entries", qrels)
     seen: set[str] = set()
     evaluated = 0
-    with closing(_file_rows(run, entries, k, seen)
-                 if isinstance(run, (str, os.PathLike))
-                 else _rows(run, entries, k)) as rows:
-        for query, scan in rows:
+    with (parts(functools.partial(_scans, run, entries, k), run,
+                middle_line(run), f"the process scanning the second half "
+                f"of {run} ended without its scans")
+          if isinstance(run, (str, os.PathLike))
+          else nullcontext(_listed(run, entries, k))) as messages:
+        for line, query in messages:
             if query in seen:
-                raise ValueError(f"duplicate query in run: {query!r}")
+                raise (ValueError(f"duplicate query in run: {query!r}")
+                       if line is None else IngestError(
+                           f"{run}:{line}: bad run record: duplicate query "
+                           f"{query!r}"))
             seen.add(query)
+            scan = next(messages)
             if scan is not None:
                 evaluated += 1
-                visit(query, scan)
+                visit(query, QueryScan(*scan))
     for query in entries:
         if query not in seen:
             visit(query, scan_query(set(entries[query]), None, k))
@@ -519,6 +438,22 @@ RUN_ITEM_FIELDS = (
 _FIELDS = operator.itemgetter(*(key for key, _, _ in RUN_ITEM_FIELDS))
 
 
+def _run_result(query: str, results: list) -> RunResult:
+    """The RunResult of a run record's checked query and results list."""
+    with suppress(KeyError, TypeError, OverflowError):
+        ids, scores, bins = list(zip(*map(_FIELDS, results))) or [()] * 3
+        levels = bytes(map(_LEVEL.__getitem__, bins))
+        if (set(map(type, ids)) <= {str}
+                and set(map(type, scores)) <= {int, float}
+                and math.isfinite(sum(scores))):
+            return RunResult(query, columns=(
+                ids, tuple(map(float, scores)), levels))
+    ids, scores, levels = zip(*(fields(item, RUN_ITEM_FIELDS)
+                                for item in results))
+    return RunResult(query, columns=(
+        ids, tuple(map(float, scores)), bytes(levels)))
+
+
 def _run_parser() -> Callable[[dict], RunResult]:
     """:func:`iter_run`'s parse of one run record into a RunResult; a
     query the parse has seen before is an error."""
@@ -529,18 +464,7 @@ def _run_parser() -> Callable[[dict], RunResult]:
         if query in seen:
             raise ValueError(f"duplicate query {query!r}")
         seen.add(query)
-        with suppress(KeyError, TypeError, OverflowError):
-            ids, scores, bins = list(zip(*map(_FIELDS, results))) or [()] * 3
-            levels = bytes(map(_LEVEL.__getitem__, bins))
-            if (set(map(type, ids)) <= {str}
-                    and set(map(type, scores)) <= {int, float}
-                    and math.isfinite(sum(scores))):
-                return RunResult(query, columns=(
-                    ids, tuple(map(float, scores)), levels))
-        ids, scores, levels = zip(*(fields(item, RUN_ITEM_FIELDS)
-                                    for item in results))
-        return RunResult(query, columns=(
-            ids, tuple(map(float, scores)), bytes(levels)))
+        return _run_result(query, results)
 
     return parse
 

@@ -1,0 +1,69 @@
+"""tools/ab.py's summary of paired runs, on synthetic records: medians,
+quartiles and the head's wins, without running the benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+spec = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab)
+
+
+def side(wall, rss, failed=0):
+    return {"failed": failed,
+            "metrics": {"wall_s": wall, "peak_rss_mb": rss,
+                        "items_per_s": 100 / wall},
+            "stage_wall_s": {"evaluate": wall / 2, "compare": wall / 4},
+            "stage_peak_rss_mb": {"evaluate": rss, "compare": rss - 1}}
+
+
+BETTER = {"wall_s": "lower", "peak_rss_mb": "lower", "items_per_s": "higher"}
+# Five pairs: the head is faster in four, slower in one, and its memory
+# ties twice, wins twice and loses once.
+PAIRS = [{"base": side(b, rb), "head": side(h, rh)} for b, h, rb, rh in [
+    (2.0, 1.5, 26.0, 26.0), (1.8, 1.6, 26.0, 25.0), (2.4, 1.4, 26.5, 26.5),
+    (1.6, 1.7, 25.5, 26.0), (2.2, 1.2, 26.0, 25.5)]]
+
+
+def test_medians_quartiles_and_wins():
+    out = ab.summary(PAIRS, BETTER)
+    wall = out["metrics"]["wall_s"]
+    # base 1.6 1.8 2.0 2.2 2.4; head 1.2 1.4 1.5 1.6 1.7 (sorted)
+    assert wall["base"] == pytest.approx({"q1": 1.8, "median": 2.0,
+                                          "q3": 2.2})
+    assert wall["head"] == pytest.approx({"q1": 1.4, "median": 1.5,
+                                          "q3": 1.6})
+    assert (wall["head_wins"], wall["ties"]) == (4, 0)
+    rss = out["metrics"]["peak_rss_mb"]
+    assert (rss["head_wins"], rss["ties"]) == (2, 2)
+    assert rss["base"]["median"] == 26.0 and rss["head"]["median"] == 26.0
+    # Higher is better: the head wins a throughput pair when it is faster.
+    assert out["metrics"]["items_per_s"]["head_wins"] == 4
+    assert out["stage_wall_s"]["evaluate"] == pytest.approx(
+        {"base": 1.0, "head": 0.75})
+    assert out["stage_peak_rss_mb"]["compare"] == {"base": 25.0,
+                                                   "head": 25.0}
+    assert out["failed"] == {"base": 0, "head": 0}
+
+
+def test_quartiles_of_even_and_single_samples():
+    assert ab.quartiles([1.0, 2.0, 3.0, 4.0]) == pytest.approx(
+        {"q1": 1.75, "median": 2.5, "q3": 3.25})
+    assert ab.quartiles([7.0]) == {"q1": 7.0, "median": 7.0, "q3": 7.0}
+
+
+def test_stage_peaks_take_the_median_of_each_repetitions_largest_call():
+    record = {"iterations": [
+        [{"name": "evaluate", "rss_mb": 25.0},
+         {"name": "evaluate", "rss_mb": 26.0},
+         {"name": "compare", "rss_mb": 24.0}],
+        [{"name": "evaluate", "rss_mb": 25.5},
+         {"name": "evaluate", "rss_mb": 25.0},
+         {"name": "compare", "rss_mb": 23.0}],
+        [{"name": "evaluate", "rss_mb": 27.0},
+         {"name": "evaluate", "rss_mb": 24.0},
+         {"name": "compare", "rss_mb": 25.0}]]}
+    assert ab.stage_peaks(record) == {"evaluate": 26.0, "compare": 24.0}

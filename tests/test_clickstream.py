@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from er_evalkit import clickstream
+from er_evalkit import clickstream, halves as halves_mod
 from er_evalkit.clickstream import (
     ClickEvent,
     CtrFilter,
@@ -480,7 +480,7 @@ def no_child_left():
 
 def one_pass(path, ctr_filter, **kwargs):
     """aggregate_log(path, ...) read in one pass, never forking."""
-    with mock.patch.object(clickstream, "_count_halves",
+    with mock.patch.object(halves_mod, "_fork",
                            side_effect=AssertionError("forked")):
         with mock.patch.object(os, "sched_getaffinity", return_value={0},
                                create=True):
@@ -537,7 +537,10 @@ class TestTwoHalves:
         split = middle_line(path)
         if split is not None:
             counted, texts = ParseStats(), {}
-            tables = clickstream._count_halves(path, split, counted, texts)
+            with mock.patch.object(os, "sched_getaffinity",
+                                   return_value={0, 1}, create=True):
+                tables = clickstream._count_all(path, split, False, counted,
+                                                texts)
             assert tables == clickstream._count(path, 0, None, False,
                                                 ParseStats(), {})
             assert counted == whole_stats
@@ -639,6 +642,14 @@ class TestTwoHalves:
             assert halves(path, CtrFilter(1, 0.0)) == one_pass(
                 path, CtrFilter(1, 0.0))
 
+    def test_a_failed_pipe_counts_in_one_pass(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(pinned_click_log(n_events=400), encoding="utf-8")
+        with mock.patch.object(os, "pipe", side_effect=OSError(
+                24, "Too many open files")):
+            assert halves(path, CtrFilter(1, 0.0)) == one_pass(
+                path, CtrFilter(1, 0.0))
+
 
 class TestOnePassPaths:
     """--strict, one CPU and no os.fork each read the log in one pass and
@@ -665,14 +676,14 @@ class TestOnePassPaths:
                                create=True):
             expected = self.cli_bytes(capsys, tmp_path, click_log)
         assert no_child_left()
-        monkeypatch.setattr(clickstream, "_count_halves", None)
+        monkeypatch.setattr(halves_mod, "_fork", None)
         assert self.cli_bytes(capsys, tmp_path, click_log,
                               "--strict") == expected
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         assert self.cli_bytes(capsys, tmp_path, click_log) == expected
         monkeypatch.undo()
-        monkeypatch.setattr(clickstream, "_count_halves", None)
+        monkeypatch.setattr(halves_mod, "_fork", None)
         monkeypatch.delattr(os, "fork")
         assert self.cli_bytes(capsys, tmp_path, click_log) == expected
 

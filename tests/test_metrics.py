@@ -571,6 +571,7 @@ class TestColumnarLayout:
             assert fraction(hits, shown) == \
                 brute_precision_at_k_bin(relevant, rows, k, bin.value)
         _, best_rank, best_bin = brute_classify(relevant, rows, k, "high")
-        assert (scan.best_rank, scan.best_bin) == \
-            (best_rank, best_bin and ConfidenceBin(best_bin))
-        assert scan.first_bin == (ranked[0].bin if ranked else None)
+        assert (scan.best_rank, scan.best_level) == \
+            (best_rank, best_bin and BINS.index(ConfidenceBin(best_bin)))
+        assert scan.first_level == (BINS.index(ranked[0].bin) if ranked
+                                    else None)

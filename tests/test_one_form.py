@@ -39,9 +39,14 @@ def test_one_fork():
     """The fork protocol is written once: ``os.fork``, ``os.pipe``,
     ``os.kill``, ``os.waitpid``, ``os._exit``, ``marshal.dumps`` and
     ``marshal.loads`` are named in the halves module and nowhere else
-    under src/er_evalkit/, each of them there."""
+    under src/er_evalkit/, each of them there. So are the choice of two
+    CPUs and the framing of a child's messages (``forked``, ``two_cpus``,
+    ``batches``, ``ROWS_PER_MESSAGE``): a stage runs its two parts through
+    ``halves.parts`` alone, the one name other modules import from it."""
     protocol = {"os.fork", "os.pipe", "os.kill", "os.waitpid", "os._exit",
                 "marshal.dumps", "marshal.loads"}
+    private = {"forked", "two_cpus", "_two_cpus", "batches",
+               "ROWS_PER_MESSAGE"}
 
     def spelled(node):
         """The dotted names an attribute or a ``from`` import spells."""
@@ -51,9 +56,20 @@ def test_one_fork():
             return [f"{node.module}.{alias.name}" for alias in node.names]
         return []
 
+    def named(node):
+        """The names a node spells: a name, an attribute, an imported
+        name or a definition."""
+        return [getattr(node, key) for key in ("id", "attr", "name")
+                if isinstance(getattr(node, key, None), str)]
+
     assert {(owner.split(".")[0], name) for owner, node in owned_nodes()
             for name in spelled(node) if name in protocol} == {
         ("halves", name) for name in protocol}
+    assert {owner.split(".")[0] for owner, node in owned_nodes()
+            for name in named(node) if name in private} == {"halves"}
+    assert {alias.name for _, node in owned_nodes()
+            if isinstance(node, ast.ImportFrom) and node.module == "halves"
+            for alias in node.names} == {"parts"}
 
 
 def opens_for_reading(node):

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from er_evalkit import metrics
+from er_evalkit import halves as halves_mod, metrics
 from er_evalkit.cli import dispatch
 from er_evalkit.diagnose import diagnose_run
 from er_evalkit.errors import IngestError
@@ -36,7 +36,7 @@ def no_child_left():
 
 def one_pass(read, *args):
     """``read(*args)`` with the run file read in one pass, never forking."""
-    with mock.patch.object(metrics, "forked",
+    with mock.patch.object(halves_mod, "_fork",
                            side_effect=AssertionError("forked")), \
             mock.patch.object(os, "sched_getaffinity", return_value={0},
                               create=True):
@@ -202,8 +202,13 @@ class TestTwoHalves:
             self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text("\n".join(good_lines(30)) + "\n", encoding="utf-8")
-        with mock.patch.object(metrics, "_received",
-                               side_effect=KeyboardInterrupt):
+        messages = halves_mod._messages
+
+        def interrupted(*args):
+            yield next(messages(*args))
+            raise KeyboardInterrupt
+
+        with mock.patch.object(halves_mod, "_messages", interrupted):
             with pytest.raises(KeyboardInterrupt):
                 halves(diagnosed, path)
         assert no_child_left()
@@ -228,12 +233,14 @@ class TestTwoHalves:
         run.write_text("\n".join(good_lines(30)) + "\n", encoding="utf-8")
         write_qrels(qrels)
         parent = os.getpid()
+        scans = metrics._scans
 
         def dying(*args):
             if os.getpid() != parent:
                 os._exit(3)
+            return scans(*args)
 
-        with mock.patch.object(metrics, "_second_half", dying):
+        with mock.patch.object(metrics, "_scans", dying):
             code = halves(dispatch, [command, "--qrels", str(qrels),
                                      "--run", str(run), "--out", str(out)])
         captured = capsys.readouterr()
@@ -248,6 +255,14 @@ class TestTwoHalves:
         path.write_text("\n".join(good_lines(30)) + "\n", encoding="utf-8")
         with mock.patch.object(os, "fork", side_effect=BlockingIOError(
                 11, "Resource temporarily unavailable")):
+            assert outcome(halves, evaluated, path) == outcome(
+                one_pass, evaluated, path)
+
+    def test_a_failed_pipe_reads_in_one_pass(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join(good_lines(30)) + "\n", encoding="utf-8")
+        with mock.patch.object(os, "pipe", side_effect=OSError(
+                24, "Too many open files")):
             assert outcome(halves, evaluated, path) == outcome(
                 one_pass, evaluated, path)
 
@@ -278,18 +293,18 @@ class TestOnePassPaths:
         expected = halves(self.cli_bytes, capsys, tmp_path, command, run,
                           qrels)
         assert no_child_left()
-        monkeypatch.setattr(metrics, "forked", None)
+        monkeypatch.setattr(halves_mod, "_fork", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         assert self.cli_bytes(capsys, tmp_path, command, run,
                               qrels) == expected
         monkeypatch.undo()
-        monkeypatch.setattr(metrics, "forked", None)
+        monkeypatch.setattr(halves_mod, "_fork", None)
         monkeypatch.delattr(os, "fork")
         assert self.cli_bytes(capsys, tmp_path, command, run,
                               qrels) == expected
         monkeypatch.undo()
-        monkeypatch.setattr(metrics, "forked", None)
+        monkeypatch.setattr(halves_mod, "_fork", None)
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes,
