@@ -20,7 +20,7 @@ import logging
 import math
 import operator
 import os
-from contextlib import nullcontext, suppress
+from contextlib import closing, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -321,7 +321,7 @@ def render_rows(header: tuple[str, ...], widths: tuple[int, ...],
 
 
 def _scans(path: str | Path, entries: Mapping[str, Iterable[str]], k: int,
-           start: int = 0, end: int | None = None) -> Iterator[tuple | None]:
+           start: int, end: int | None) -> Iterator[tuple | None]:
     """:func:`scan_run`'s part of a run file: for each line in bytes
     ``start`` to ``end`` of ``path``, read and checked as :func:`iter_run`
     reads it, (line, query) once its query is read, then its scan as a
@@ -373,7 +373,7 @@ def scan_run(qrels, run: Iterable[RunResult] | str | os.PathLike, k: int,
                 middle_line(run), f"the process scanning the second half "
                 f"of {run} ended without its scans")
           if isinstance(run, (str, os.PathLike))
-          else nullcontext(_listed(run, entries, k))) as messages:
+          else closing(_listed(run, entries, k))) as messages:
         for line, query in messages:
             if query in seen:
                 raise (ValueError(f"duplicate query in run: {query!r}")
