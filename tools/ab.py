@@ -13,13 +13,13 @@ and both trees are byte-compiled before the first run. A pair runs
 each tree, alternating which side runs first, and reads each run's record
 from that tree's ``.perfbench_work/results/``.
 
-``BENCH_<head-sha>.json`` at the root of the checkout gets, per workload,
-every pair's end-to-end metrics, stage walls and stage peak RSS, then each
-side's median and quartiles and the head's wins per metric (ties count for
-neither side); and the machine facts, both SHAs and each command line. It
-is rewritten after every pair, and a later call for the same two SHAs adds
-its workload to the file. Standard library only, and outside the tests'
-collection, so no test run starts it.
+``BENCH_<head-sha>.json`` at the root of the checkout gets, per workload
+and seed, every pair's end-to-end metrics, stage walls and stage peak RSS,
+then each side's median and quartiles and the head's wins per metric (ties
+count for neither side); and the machine facts, both SHAs and each command
+line. It is rewritten after every pair, and a later call for the same two
+SHAs adds its workload and seed to the file. Standard library only, and
+outside the tests' collection, so no test run starts it.
 """
 
 from __future__ import annotations
@@ -153,8 +153,9 @@ def main(argv: list[str] | None = None) -> int:
     if {side: bench.get(side) for side in shas} != shas:
         bench = {**shas, "workloads": {}}
     bench["machine"] = machine()
-    entry = bench["workloads"][args.workload] = {
-        "seed": args.seed, "seconds": args.seconds, "trace": 0,
+    entry = bench["workloads"][f"{args.workload}-seed{args.seed}"] = {
+        "workload": args.workload, "seed": args.seed,
+        "seconds": args.seconds, "trace": 0,
         "command": [Path(sys.argv[0]).as_posix(), *sys.argv[1:]],
         "pairs": []}
     with tempfile.TemporaryDirectory(prefix="ab-") as work:
