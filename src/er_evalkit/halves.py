@@ -26,7 +26,7 @@ from .jsonl import count_lines
 
 # Messages per frame: a child's messages cross the pipe a slice at a time,
 # marshalled as they are made, so it never holds them as objects.
-ROWS_PER_MESSAGE = 64
+MESSAGES_PER_FRAME = 64
 
 Part = Callable[[int, int | None], Generator[Any, None, None]]
 
@@ -39,7 +39,7 @@ def _two_cpus() -> bool:
 
 def _frames(part: Part, cut: int) -> Iterator[bytes]:
     """In a forked child: ``part(cut, None)``'s messages as marshalled
-    frames ``(records, messages)`` of at most ``ROWS_PER_MESSAGE``
+    frames ``(records, messages)`` of at most ``MESSAGES_PER_FRAME``
     messages, records being the (logger, level, text) of what was logged
     before the first. The last frame, ``(records, [], error)``, ends with
     the text of the IngestError that stopped the part, or None."""
@@ -55,7 +55,7 @@ def _frames(part: Part, cut: int) -> Iterator[bytes]:
     records, messages, error = [], [], None
     try:
         for message in part(cut, None):
-            if messages and (held or len(messages) == ROWS_PER_MESSAGE):
+            if messages and (held or len(messages) == MESSAGES_PER_FRAME):
                 yield marshal.dumps((records, messages))
                 records, messages = [], []
             if held:

@@ -310,15 +310,15 @@ def parse_record(line: str, parse: Callable[[Any], T], what: str) -> T:
         raise ValueError(f"bad {what}: {exc}") from exc
 
 
-def iter_records(path: str | Path, parse: Callable[[Any], T], what: str,
-                 start: int = 0, end: int | None = None) -> Iterator[T]:
-    """Yield ``parse(record)`` for each JSON line in bytes ``start`` to
-    ``end`` of ``path``, in file order.
+def iter_records(path: str | Path, parse: Callable[[Any], T],
+                 what: str) -> Iterator[T]:
+    """Yield ``parse(record)`` for each JSON line of ``path``, in file
+    order.
 
     A line :func:`parse_record` fails becomes one IngestError naming the
     file and line.
     """
-    for lineno, line in read_lines(path, start, end):
+    for lineno, line in read_lines(path):
         try:
             value = parse_record(line, parse, what)
         except ValueError as exc:

@@ -469,10 +469,8 @@ def _run_parser() -> Callable[[dict], RunResult]:
     return parse
 
 
-def iter_run(path: str | Path, start: int = 0,
-             end: int | None = None) -> Iterator[RunResult]:
-    """Read run JSONL: {"query", "results": [{entity_id, score, bin},…]},
-    in bytes ``start`` to ``end`` of ``path``.
+def iter_run(path: str | Path) -> Iterator[RunResult]:
+    """Read run JSONL: {"query", "results": [{entity_id, score, bin},…]}.
 
     Ids are strings and a score is a finite int or float; the file order of
     results is the rank order. Each list's types, scores and bins are
@@ -482,7 +480,7 @@ def iter_run(path: str | Path, start: int = 0,
     yielded as its line is read, so a caller that drops it holds one list
     at a time.
     """
-    return iter_records(path, _run_parser(), "run record", start, end)
+    return iter_records(path, _run_parser(), "run record")
 
 
 def load_run(path: str | Path) -> list[RunResult]:

@@ -41,12 +41,13 @@ def test_one_fork():
     ``marshal.loads`` are named in the halves module and nowhere else
     under src/er_evalkit/, each of them there. So are the choice of two
     CPUs and the framing of a child's messages (``forked``, ``two_cpus``,
-    ``batches``, ``ROWS_PER_MESSAGE``): a stage runs its two parts through
-    ``halves.parts`` alone, the one name other modules import from it."""
+    ``batches``, ``MESSAGES_PER_FRAME``, once ``ROWS_PER_MESSAGE``): a stage
+    runs its two parts through ``halves.parts`` alone, the one name other
+    modules import from it."""
     protocol = {"os.fork", "os.pipe", "os.kill", "os.waitpid", "os._exit",
                 "marshal.dumps", "marshal.loads"}
     private = {"forked", "two_cpus", "_two_cpus", "batches",
-               "ROWS_PER_MESSAGE"}
+               "ROWS_PER_MESSAGE", "MESSAGES_PER_FRAME"}
 
     def spelled(node):
         """The dotted names an attribute or a ``from`` import spells."""
