@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 from .errors import IngestError
 from .halves import parts
 from .jsonl import (INPUT_ENCODING, as_records, decode, dumps, fields,
-                    iter_records, middle_line, read_failure, read_lines,
-                    require, write_jsonl, write_lines)
+                    middle_line, read_failure, read_lines, require,
+                    write_jsonl, write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -55,6 +55,7 @@ class ConfidenceBin(enum.Enum):
 BINS = tuple(ConfidenceBin)
 # A bin value's level, its byte in RunResult.levels, is its index in BINS.
 _LEVEL = {bin.value: level for level, bin in enumerate(BINS)}
+_HIGH = _LEVEL[ConfidenceBin.HIGH.value]
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +173,7 @@ def _fractions(scan: QueryScan,
     for hits, shown in zip(scan.topk_hits, scan.topk_counts):
         values += _fraction(hits, shown), _fraction(hits, n_relevant)
     values.append(_fraction(int(scan.best_rank == 1),
-                            int(scan.first_level == 0)))
+                            int(scan.first_level == _HIGH)))
     return dict(zip(names, values))
 
 
@@ -320,13 +321,13 @@ def render_rows(header: tuple[str, ...], widths: tuple[int, ...],
             for row in [header, *rows]]
 
 
-def _scans(path: str | Path, entries: Mapping[str, Iterable[str]], k: int,
-           start: int, end: int | None) -> Iterator[tuple | None]:
-    """:func:`scan_run`'s part of a run file: for each line in bytes
-    ``start`` to ``end`` of ``path``, read and checked as :func:`iter_run`
-    reads it, (line, query) once its query is read, then its scan as a
-    plain tuple, or None for a query ``entries`` lacks. Lines count from 1
-    at ``start``. The caller checks each query against those before it,
+def _run_lines(path: str | Path, start: int = 0, end: int | None = None,
+               then: Callable[[RunResult], object] = lambda result: result
+               ) -> Iterator[object]:
+    """The run records of bytes ``start`` to ``end`` of ``path``, read and
+    checked, each as two messages: (line, query) once its query is read,
+    then ``then`` of its RunResult. Lines count from 1 at ``start``. The
+    caller checks each query against those before it (:func:`_unique`),
     so a repeat is named before anything else wrong with its line."""
     for lineno, line in read_lines(path, start, end):
         try:
@@ -339,17 +340,30 @@ def _scans(path: str | Path, entries: Mapping[str, Iterable[str]], k: int,
                 raise ValueError(f"bad run record: {exc}") from exc
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
-        yield (tuple(scan_query(set(entries[query]), result, k))
-               if query in entries else None)
+        yield then(result)
 
 
-def _listed(run: Iterable[RunResult], entries: Mapping[str, Iterable[str]],
-            k: int) -> Iterator[tuple | None]:
-    """:func:`_scans`' messages for RunResults, each line None."""
+def _listed(run: Iterable[RunResult],
+            then: Callable[[RunResult], object]) -> Iterator[object]:
+    """:func:`_run_lines`' messages for RunResults, each line None."""
     for result in run:
         yield None, result.query
-        yield (scan_query(set(entries[result.query]), result, k)
-               if result.query in entries else None)
+        yield then(result)
+
+
+def _unique(run: object, messages: Iterator, seen: set[str]
+            ) -> Iterator[tuple]:
+    """(query, its next message) for each (line, query) message of ``run``;
+    a query in ``seen`` is an error naming it, and its line in ``run`` unless
+    that is None. Each query is added to ``seen``."""
+    for line, query in messages:
+        if query in seen:
+            raise (ValueError(f"duplicate query in run: {query!r}")
+                   if line is None else IngestError(
+                       f"{run}:{line}: bad run record: duplicate query "
+                       f"{query!r}"))
+        seen.add(query)
+        yield query, next(messages)
 
 
 def scan_run(qrels, run: Iterable[RunResult] | str | os.PathLike, k: int,
@@ -358,7 +372,7 @@ def scan_run(qrels, run: Iterable[RunResult] | str | os.PathLike, k: int,
 
     ``run`` is RunResults, or the path of a run file, read as
     :func:`iter_run` reads it, with the same warnings and errors, in two
-    parts at once where it can (:func:`_scans` through
+    parts at once where it can (:func:`_run_lines` through
     :func:`halves.parts`). An answered query is scanned as its list
     arrives, and no list is kept; the unanswered ones are scanned last, as
     empty lists. A query appearing twice in the run is an error naming it.
@@ -367,24 +381,22 @@ def scan_run(qrels, run: Iterable[RunResult] | str | os.PathLike, k: int,
     """
     _check_k(k)
     entries: Mapping[str, Iterable[str]] = getattr(qrels, "entries", qrels)
+
+    def scan(result: RunResult) -> tuple | None:
+        return (tuple(scan_query(set(entries[result.query]), result, k))
+                if result.query in entries else None)
+
     seen: set[str] = set()
     evaluated = 0
-    with (parts(functools.partial(_scans, run, entries, k), run,
+    with (parts(functools.partial(_run_lines, run, then=scan), run,
                 middle_line(run), f"the process scanning the second half "
                 f"of {run} ended without its scans")
           if isinstance(run, (str, os.PathLike))
-          else closing(_listed(run, entries, k))) as messages:
-        for line, query in messages:
-            if query in seen:
-                raise (ValueError(f"duplicate query in run: {query!r}")
-                       if line is None else IngestError(
-                           f"{run}:{line}: bad run record: duplicate query "
-                           f"{query!r}"))
-            seen.add(query)
-            scan = next(messages)
-            if scan is not None:
+          else closing(_listed(run, scan))) as messages:
+        for query, scanned in _unique(run, messages, seen):
+            if scanned is not None:
                 evaluated += 1
-                visit(query, QueryScan(*scan))
+                visit(query, QueryScan(*scanned))
     for query in entries:
         if query not in seen:
             visit(query, scan_query(set(entries[query]), None, k))
@@ -454,21 +466,6 @@ def _run_result(query: str, results: list) -> RunResult:
         ids, tuple(map(float, scores)), bytes(levels)))
 
 
-def _run_parser() -> Callable[[dict], RunResult]:
-    """:func:`iter_run`'s parse of one run record into a RunResult; a
-    query the parse has seen before is an error."""
-    seen: set[str] = set()
-
-    def parse(rec: dict) -> RunResult:
-        query, results = fields(rec, RUN_FIELDS)
-        if query in seen:
-            raise ValueError(f"duplicate query {query!r}")
-        seen.add(query)
-        return _run_result(query, results)
-
-    return parse
-
-
 def iter_run(path: str | Path) -> Iterator[RunResult]:
     """Read run JSONL: {"query", "results": [{entity_id, score, bin},…]}.
 
@@ -480,7 +477,7 @@ def iter_run(path: str | Path) -> Iterator[RunResult]:
     yielded as its line is read, so a caller that drops it holds one list
     at a time.
     """
-    return iter_records(path, _run_parser(), "run record")
+    return (result for _, result in _unique(path, _run_lines(path), set()))
 
 
 def load_run(path: str | Path) -> list[RunResult]:

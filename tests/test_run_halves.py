@@ -233,14 +233,14 @@ class TestTwoHalves:
         run.write_text("\n".join(good_lines(30)) + "\n", encoding="utf-8")
         write_qrels(qrels)
         parent = os.getpid()
-        scans = metrics._scans
+        run_lines = metrics._run_lines
 
-        def dying(*args):
+        def dying(*args, **kwargs):
             if os.getpid() != parent:
                 os._exit(3)
-            return scans(*args)
+            return run_lines(*args, **kwargs)
 
-        with mock.patch.object(metrics, "_scans", dying):
+        with mock.patch.object(metrics, "_run_lines", dying):
             code = halves(dispatch, [command, "--qrels", str(qrels),
                                      "--run", str(run), "--out", str(out)])
         captured = capsys.readouterr()

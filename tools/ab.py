@@ -4,14 +4,16 @@
 Usage, from the root of a checkout:
 
     python3 tools/ab.py --base REV --head REV --workload W --seed 7 \\
-        --pairs 10 --seconds 30
+        --pairs 10
 
-Each revision is extracted whole with ``git archive REV | tar -x`` into a
-temporary directory, where its own ``perfbench/`` times its own ``src/``,
-and both trees are byte-compiled before the first run. A pair runs
-``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
-each tree, alternating which side runs first, and reads each run's record
-from that tree's ``.perfbench_work/results/``.
+A pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
+once for each revision, T being ``run_seconds`` of ``BENCHMARK.json``,
+alternating which side runs first. Each pair extracts both revisions anew
+with ``git archive REV | tar -x`` into a fresh temporary directory, in run
+order, each tree named by its place in that order, so no side keeps a tree
+or a name of its own. Both trees are byte-compiled, each tree's own
+``perfbench/`` times its own ``src/``, and each run's record is read from
+its tree's ``.perfbench_work/results/``.
 
 ``BENCH_<head-sha>.json`` at the root of the checkout gets, per workload
 and seed, every pair's end-to-end metrics, stage walls and stage peak RSS,
@@ -142,12 +144,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=30)
     args = parser.parse_args(argv)
     shas = {side: git("rev-parse", f"{getattr(args, side)}^{{commit}}")
             for side in ("base", "head")}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     out = ROOT / f"BENCH_{shas['head']}.json"
     bench = json.loads(out.read_text()) if out.exists() else {}
     if {side: bench.get(side) for side in shas} != shas:
@@ -155,25 +157,26 @@ def main(argv: list[str] | None = None) -> int:
     bench["machine"] = machine()
     entry = bench["workloads"][f"{args.workload}-seed{args.seed}"] = {
         "workload": args.workload, "seed": args.seed,
-        "seconds": args.seconds, "trace": 0,
+        "seconds": seconds, "trace": 0,
         "command": [Path(sys.argv[0]).as_posix(), *sys.argv[1:]],
         "pairs": []}
-    with tempfile.TemporaryDirectory(prefix="ab-") as work:
-        trees = {side: Path(work) / side for side in shas}
-        for side, tree in trees.items():
-            extract(shas[side], tree)
-        for i in range(args.pairs):
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            pair = {"first": order[0]}
+    for i in range(args.pairs):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        pair = {"first": order[0]}
+        with tempfile.TemporaryDirectory(prefix="ab-") as work:
+            trees = {side: Path(work) / str(place)
+                     for place, side in enumerate(order, 1)}
+            for side in order:
+                extract(shas[side], trees[side])
             for side in order:
                 pair[side] = run(trees[side], args.workload, args.seed,
-                                 args.seconds)
-            entry["pairs"].append(pair)
-            entry["summary"] = summary(entry["pairs"], better)
-            out.write_text(json.dumps(bench, indent=1) + "\n")
-            print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-                f"{side} wall_s {pair[side]['metrics']['wall_s']:.3f}"
-                for side in ("base", "head")), file=sys.stderr)
+                                 seconds)
+        entry["pairs"].append(pair)
+        entry["summary"] = summary(entry["pairs"], better)
+        out.write_text(json.dumps(bench, indent=1) + "\n")
+        print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
+            f"{side} wall_s {pair[side]['metrics']['wall_s']:.3f}"
+            for side in ("base", "head")), file=sys.stderr)
     print(out)
     return 0
 
