@@ -1,14 +1,15 @@
-"""A file's work in two parts at once, the second in a forked child.
+"""A stage's work in two parts at once, the second in a forked child.
 
-Where each line of a regular file is worked on apart from the others, the
-file cut at a line start (:func:`jsonl.middle_line`) is two independent
-parts whose results join in file order: a map, then an ordered merge.
+Where each line of a regular file, or each query of a list, is worked on
+apart from the others, the file cut at a line start
+(:func:`jsonl.middle_line`), or the list in the middle, is two independent
+parts whose results join in order: a map, then an ordered merge.
 :func:`parts` is the one call that runs a stage's work that way, and the
 one place a process is forked. A stage gives it one ``part(start, end)``
-that yields the messages of bytes ``start`` to ``end``, so the whole file
-on one pass and each of the two parts run the same function, and folds
-the messages: aggregate-ctr merges its click log's count tables, and
-evaluate and diagnose visit their run file's scans.
+that yields the messages of bytes (or queries) ``start`` to ``end``, so
+one pass and each part run the same function, and folds the messages:
+aggregate-ctr merges count tables, evaluate and diagnose visit a run
+file's scans, and simulate's matcher collects its top lists.
 """
 
 from __future__ import annotations
@@ -131,15 +132,16 @@ def _renumber(exc: IngestError, path: str | Path, cut: int) -> None:
 
 
 @contextmanager
-def parts(part: Part, path: str | Path, cut: int | None,
+def parts(part: Part, path: str | Path | None, cut: int | None,
           failure: str) -> Iterator[Iterator[Any]]:
     """The messages of ``path``'s work, in two parts at once where it can.
 
-    Given ``cut``, a line start of ``path``, and two CPUs, a pipe and a
-    child, the body's iterator yields ``part(0, cut)``'s messages, made
-    here as they are read, then ``part(cut, None)``'s, made in a forked
-    child and so values ``marshal`` takes. It logs each record the child
-    logged before the message that record preceded, and raises the child's
+    Given ``cut``, a line start of ``path`` (or of a part when ``path``
+    is None, for work naming no file line), two CPUs, a pipe and a child,
+    the body's iterator yields ``part(0, cut)``'s messages, made here as
+    they are read, then ``part(cut, None)``'s, made in a forked child and
+    so values ``marshal`` takes. It logs each record the child logged
+    before the message that record preceded, and raises the child's
     IngestError after the child's messages. Otherwise (no cut, one CPU, no
     ``os.fork``, or no pipe or child) it yields ``part(0, None)``'s.
 
@@ -169,7 +171,7 @@ def parts(part: Part, path: str | Path, cut: int | None,
         with os.fdopen(readable, "rb") as pipe, closing(stream()) as messages:
             yield messages
     except IngestError as exc:
-        if reading:
+        if reading and path is not None:
             _renumber(exc, path, cut)
         raise
     finally:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 _MASK64 = (1 << 64) - 1
@@ -80,21 +81,25 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix64(self._state)
 
+    def skip(self, n: int) -> None:
+        """Move past the next n draws, each ``mix(seed + i·γ)``, at once."""
+        self._state = (self._state + n * _GAMMA) & _MASK64
+
     def _top53(self, n: int, stride: int = 1) -> tuple[int, ...]:
         """Every stride-th of the next ``n·stride`` draws, from the first,
         each ``next_u64() >> 11``, mixed _BATCH at a time."""
-        out = ()
+        chunks = []
         for done in range(0, n, _BATCH):
             k = min(_BATCH, n - done)
             ones, low, offsets = _lanes(k, stride)
             z = (self._state * ones + offsets) & low
-            self._state = (self._state + k * stride * _GAMMA) & _MASK64
+            self.skip(k * stride)
             z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
             z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
             z = (z ^ (z >> 31)) >> 11
             words = z.to_bytes(_LANE_BYTES * k, "little")
-            out += struct.unpack(f"<{2 * k}Q", words)[::2]
-        return out
+            chunks.append(struct.unpack(f"<{2 * k}Q", words)[::2])
+        return tuple(chain.from_iterable(chunks))
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""

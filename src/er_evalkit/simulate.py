@@ -11,7 +11,9 @@ lane of one Python int and scores a query against all of them in a single
 bit-parallel pass; :func:`levenshtein` is its one-lane case. Its noise is
 drawn in Box-Muller's polar form (:meth:`~.rng.SplitMix64.polar`): a
 title's radius alone bounds its score, so only the titles whose bound can
-reach the top list get a full draw. The click log draws each shown list's
+reach the top list get a full draw. It scores the two halves of the
+query list at once (:func:`halves.parts`), the second half's noise stream
+jumped past the first half's draws. The click log draws each shown list's
 replays as one batch of uniforms.
 """
 
@@ -29,6 +31,7 @@ from .catalog import (BASICS_COLUMNS, MISSING_TOKEN, RANKS_COLUMNS,
                       RATINGS_COLUMNS, Catalog, Title, assign_pseudo_ranks)
 from .clickstream import ClickEvent, normalize_query
 from .errors import ConfigError
+from .halves import parts
 from .jsonl import make_dirs, write_lines
 from .metrics import RunResult
 from .relevance import write_qrels
@@ -295,8 +298,11 @@ def run_mock_er(catalog: Catalog, queries: list[tuple[str, str]],
     radius reaches the cut get a radius, and only those whose bound does
     get a full draw and a rank. A title at the cut can still win on
     entity_id, so it stays.
+
+    The halves of ``queries`` are scored at once where they can be
+    (:func:`halves.parts`), the second's stream jumped past the first's
+    2·n_titles draws per noisy query (:meth:`~.rng.SplitMix64.skip`).
     """
-    rng = SplitMix64(derive_seed(config.seed, "matcher"))
     sigma, top_m = config.score_noise_sigma, config.retrieve_m
     t_high, t_medium = config.bin_thresholds
     ids = [title.entity_id for title in catalog.titles]
@@ -304,35 +310,43 @@ def run_mock_er(catalog: Catalog, queries: list[tuple[str, str]],
     widths = [len(name) for name in names]
     kernel = PackedMyers(names)
     everyone = range(len(ids))
-    results = []
-    for query, _truth in queries:
-        # An empty query against an empty name is identical: similarity 1.
-        m = len(query) or 1
-        sims = [1.0 - d / (w if w > m else m)
-                for d, w in zip(kernel.distances(query), widths)]
-        pool, scores = everyone, sims
-        if sigma > 0.0:
-            noise = rng.polar(len(ids), sigma)
-            if len(ids) > 2 * top_m:
-                # The 2m most similar titles' exact scores set a cut that m
-                # titles reach; only titles whose bound reaches it can rank.
-                best = _reaching(sims, sorted(sims)[-2 * top_m], everyone)
-                cut = sorted(map(add, map(sims.__getitem__, best),
-                                 noise.draws(best)))[-top_m]
-                near = _reaching(map(add, sims, repeat(noise.radius_bound())),
-                                 cut, everyone)
-                pool = _reaching(map(add, map(sims.__getitem__, near),
-                                     noise.radii(near)), cut, near)
-            scores = map(add, map(sims.__getitem__, pool), noise.draws(pool))
-        # The smallest (-score, entity_id) pairs rank by score, ties by id.
-        top = heapq.nsmallest(top_m, zip(map(neg, scores),
-                                         map(ids.__getitem__, pool)))
-        # Ids are distinct and scores fall; a level is thresholds missed.
-        scores = tuple(-key for key, _ in top)
-        levels = bytes((s < t_high) + (s < t_medium) for s in scores)
-        results.append(RunResult(query, columns=(
-            tuple(entity_id for _, entity_id in top), scores, levels)))
-    return results
+
+    def part(start: int, end: int | None) -> Iterator[tuple]:
+        """(query, (ids, scores, levels)) of each of queries[start:end]."""
+        rng = SplitMix64(derive_seed(config.seed, "matcher"))
+        rng.skip(2 * len(ids) * start if sigma > 0.0 else 0)
+        for query, _truth in queries[start:end]:
+            # An empty query against an empty name is identical: similarity 1.
+            m = len(query) or 1
+            sims = [1.0 - d / (w if w > m else m)
+                    for d, w in zip(kernel.distances(query), widths)]
+            pool, scores = everyone, sims
+            if sigma > 0.0:
+                noise = rng.polar(len(ids), sigma)
+                if len(ids) > 2 * top_m:
+                    # The 2m most similar titles' exact scores set a cut m
+                    # titles reach; only titles whose bound reaches it rank.
+                    best = _reaching(sims, sorted(sims)[-2 * top_m], everyone)
+                    cut = sorted(map(add, map(sims.__getitem__, best),
+                                     noise.draws(best)))[-top_m]
+                    near = _reaching(map(add, sims, repeat(
+                        noise.radius_bound())), cut, everyone)
+                    pool = _reaching(map(add, map(sims.__getitem__, near),
+                                         noise.radii(near)), cut, near)
+                scores = map(add, map(sims.__getitem__, pool),
+                             noise.draws(pool))
+            # The smallest (-score, entity_id) pairs rank by score, then id.
+            top = heapq.nsmallest(top_m, zip(map(neg, scores),
+                                             map(ids.__getitem__, pool)))
+            # Ids are distinct and scores fall; a level is thresholds missed.
+            scores = tuple(-key for key, _ in top)
+            yield query, (tuple(entity_id for _, entity_id in top), scores,
+                          bytes((s < t_high) + (s < t_medium) for s in scores))
+
+    with parts(part, None, len(queries) // 2 or None,
+               "the process scoring the second half of the queries ended "
+               "without their lists") as lists:
+        return [RunResult(query, columns=columns) for query, columns in lists]
 
 
 def gen_clicklog(run: list[RunResult], truth: dict[str, str],

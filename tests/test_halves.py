@@ -1,14 +1,22 @@
 """The contract of halves.parts, on a toy part that yields a file's
 numbered lines: the two parts equal one pass, with the same records
 logged in the same places and the same errors, whole-file line numbers
-included, and no child process is left behind on any path."""
+included, and no child process is left behind on any path, nor alive
+after its parent is killed."""
 
 import logging
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+from peak import SRC
 
 from er_evalkit import halves
 from er_evalkit.errors import IngestError
@@ -205,3 +213,68 @@ class TestParts:
             else:
                 read()
         assert no_child_left()
+
+
+ORPHANED = """
+import os, sys, time
+from er_evalkit import halves
+
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, pid_file = os.getpid(), sys.argv[1]
+
+
+def part(start, end):
+    if start:
+        with open(pid_file + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.rename(pid_file + ".tmp", pid_file)
+        # At work until the parent is gone, for 60 s at most.
+        deadline = time.monotonic() + 60
+        while os.getppid() == parent and time.monotonic() < deadline:
+            time.sleep(0.01)
+    yield start
+
+
+with halves.parts(part, None, 1, "the child ended") as messages:
+    list(messages)
+"""
+
+
+def process_state(pid):
+    """The state letter of ``pid`` in /proc/PID/stat, or None once the
+    process is reaped and gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat[stat.rindex(")") + 2]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="process states are read from /proc/PID/stat")
+def test_a_killed_parent_leaves_its_child_to_end_on_the_closed_pipe(
+        tmp_path):
+    """SIGKILL the parent while its child works on the second part: the
+    child finishes, finds the pipe's read end closed and exits."""
+    pid_file = tmp_path / "child.pid"
+    parent = subprocess.Popen(
+        [sys.executable, "-c", ORPHANED, str(pid_file)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        child = int(pid_file.read_text())
+        assert process_state(child) in set("RS")
+    finally:
+        parent.kill()
+        parent.wait(timeout=30)
+    deadline = time.monotonic() + 10
+    while process_state(child) not in (None, "Z", "X") \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+    state = process_state(child)
+    if state not in (None, "Z", "X"):
+        os.kill(child, signal.SIGKILL)
+    assert state in (None, "Z", "X")

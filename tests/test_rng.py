@@ -100,6 +100,43 @@ class TestSplitMix64:
         assert bits(got) == bits(single.random() for _ in range(n))
         assert batch.next_u64() == single.next_u64()
 
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_a_multi_batch_top53_equals_repeated_draws(self, seed, stride):
+        """Three packed passes give every stride-th ``next_u64() >> 11``
+        and leave the state past all n·stride draws."""
+        n = 2 * rng_module._BATCH + 37
+        batch, single = SplitMix64(seed), SplitMix64(seed)
+        words = [single.next_u64() >> 11 for _ in range(n * stride)]
+        assert batch._top53(n, stride) == tuple(words[::stride])
+        assert batch.next_u64() == single.next_u64()
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, 700])
+    def test_skip_jumps_past_n_draws(self, seed, n):
+        """After skip(n), the next draw is the (n + 1)-th; skip(0) moves
+        nothing."""
+        jumped, stepped = SplitMix64(seed), SplitMix64(seed)
+        jumped.skip(n)
+        for _ in range(n):
+            stepped.next_u64()
+        assert jumped.next_u64() == stepped.next_u64()
+
+    @pytest.mark.parametrize("seed", [5, 2**63 + 1])
+    @pytest.mark.parametrize("n,h", [(1, 3), (300, 2), (600, 1)])
+    def test_polar_after_a_jump_is_the_long_polars_tail(self, seed, n, h):
+        """A stream jumped 2·n·h draws makes draws h·n to h·n + n - 1 of
+        one long polar from the start: the same radii and draws, bit for
+        bit, and the same state after."""
+        long_rng, jumped = SplitMix64(seed), SplitMix64(seed)
+        long = long_rng.polar(n * (h + 1), 0.3)
+        jumped.skip(2 * n * h)
+        tail = jumped.polar(n, 0.3)
+        at = range(h * n, h * n + n)
+        assert bits(tail.radii(range(n))) == bits(long.radii(at))
+        assert bits(tail.draws(range(n), 0.5)) == bits(long.draws(at, 0.5))
+        assert jumped.next_u64() == long_rng.next_u64()
+
     @pytest.mark.parametrize("seed", [0, 9, 2**63 + 5])
     @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025])
     @pytest.mark.parametrize("mu,sigma", [(0.0, 0.05), (-3.5, 2.0),

@@ -2,10 +2,12 @@
 
 import heapq
 import math
+import os
 import random
 import sys
 from dataclasses import replace
 from string import ascii_lowercase
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +20,7 @@ from er_evalkit.errors import ConfigError
 from er_evalkit.errors import IngestError
 from er_evalkit.metrics import ConfidenceBin, RankedEntity, RunResult, evaluate_run
 from er_evalkit.rng import MAX_RADIUS, Polar, SplitMix64, derive_seed
-from er_evalkit import simulate
+from er_evalkit import halves as halves_mod, simulate
 from er_evalkit.simulate import (
     PackedMyers,
     SimConfig,
@@ -375,8 +377,9 @@ class TestRunMockEr:
     @settings(max_examples=200, deadline=None)
     @given(case=matcher_cases())
     def test_equals_the_exhaustive_matcher(self, case):
-        """The same ids and score bits as scoring every title, and the
-        matcher stream moved past 2·n_titles uniforms per noisy query."""
+        """In one pass, the same ids and score bits as scoring every title,
+        and the matcher stream moved past 2·n_titles uniforms per noisy
+        query."""
         catalog, queries, config = case
         streams = []
 
@@ -387,7 +390,7 @@ class TestRunMockEr:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulate, "SplitMix64", Recording)
-            run = run_mock_er(catalog, queries, config)
+            run = one_pass(catalog, queries, config)
         assert [(list(result.ids), [score.hex() for score in result.scores])
                 for result in run] == exhaustive_columns(catalog, queries,
                                                          config)
@@ -397,6 +400,14 @@ class TestRunMockEr:
         (stream,) = streams
         assert stream.next_u64() == advanced.next_u64()
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=matcher_cases())
+    def test_the_halves_equal_the_exhaustive_matcher(self, case):
+        catalog, queries, config = case
+        assert [(list(result.ids), [score.hex() for score in result.scores])
+                for result in halves(catalog, queries, config)
+                ] == exhaustive_columns(catalog, queries, config)
+
     def test_noise_draws_do_not_perturb_other_streams(self):
         base = dict(seed=16, n_titles=30, n_queries=10, typo_rate=0.0)
         noisy = SimConfig(score_noise_sigma=0.3, **base)
@@ -404,6 +415,69 @@ class TestRunMockEr:
         assert gen_catalog(noisy).titles == gen_catalog(clean).titles
         catalog = gen_catalog(clean)
         assert gen_queries(catalog, noisy) == gen_queries(catalog, clean)
+
+
+def one_pass(catalog, queries, config):
+    """run_mock_er on one pass, as when no child can be made."""
+    with mock.patch.object(halves_mod, "_fork", return_value=None):
+        return run_mock_er(catalog, queries, config)
+
+
+def halves(catalog, queries, config):
+    """run_mock_er with its queries' halves scored at once, the second
+    half in a child whenever there are two queries or more."""
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1},
+                           create=True), \
+            mock.patch.object(halves_mod, "_fork",
+                              wraps=halves_mod._fork) as fork:
+        run = run_mock_er(catalog, queries, config)
+    assert fork.called == (len(queries) > 1)
+    assert no_child_left()
+    return run
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def lists(run):
+    """Each result's query, ids, score bits and levels."""
+    return [(result.query, result.ids,
+             [score.hex() for score in result.scores], result.levels)
+            for result in run]
+
+
+class TestMatcherHalves:
+    """run_mock_er over its queries' two halves against one pass."""
+
+    @pytest.mark.parametrize("changes", [
+        dict(score_noise_sigma=0.0), dict(score_noise_sigma=3.0),
+        dict(n_queries=7), dict(n_queries=1), dict(retrieve_m=40),
+        dict(typo_rate=1.0), dict(n_titles=600, n_queries=9)])
+    def test_the_halves_equal_one_pass(self, changes):
+        config = replace(SimConfig(seed=23, n_titles=30, n_queries=12),
+                         **changes)
+        catalog = gen_catalog(config)
+        queries = gen_queries(catalog, config)
+        assert lists(halves(catalog, queries, config)) == lists(
+            one_pass(catalog, queries, config))
+
+    @pytest.mark.parametrize("raised", [ValueError, KeyboardInterrupt])
+    def test_no_child_is_left_after_the_fold_raises(self, raised):
+        """The fold raises at its first list, while the child is still
+        scoring the second half."""
+        config = SimConfig(seed=24, n_titles=400, n_queries=200)
+        catalog = gen_catalog(config)
+        queries = gen_queries(catalog, config)
+        with mock.patch.object(simulate, "RunResult", side_effect=raised):
+            with pytest.raises(raised):
+                halves(catalog, queries, config)
+        assert no_child_left()
 
 
 def one_query_run(truth_position, list_len=5):
