@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import ConfigError, IngestError
-from .jsonl import (INPUT_ENCODING, fields, iter_records, optional,
-                    read_failure, require, write_jsonl)
+from .jsonl import (fields, iter_records, open_text, optional, require,
+                    write_jsonl)
 
 MISSING_TOKEN = "\\N"
 DEFAULT_YEAR_WINDOW = (1870, 2100)
@@ -173,13 +173,9 @@ def _read_dump(path: str | Path, kind: str, required: tuple[str, ...], check,
     dump is read, ``stats`` holds its ``<kind>_rows`` and
     ``<kind>_rejected`` counts.
     """
-    try:
-        fh = open(path, "r", encoding=INPUT_ENCODING, newline="")
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
     rows = rejected = 0
-    with fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
+    with open_text(path) as lines:
+        reader = csv.reader(lines, delimiter="\t", quoting=csv.QUOTE_NONE)
         try:
             header = next(reader, None)
             if header is None:
@@ -206,9 +202,6 @@ def _read_dump(path: str | Path, kind: str, required: tuple[str, ...], check,
                 yield lineno, entity_id, values
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise IngestError(
-                f"cannot read {path}: {read_failure(path, exc)}") from exc
     setattr(stats, f"{kind}_rows", rows)
     setattr(stats, f"{kind}_rejected", rejected)
 

@@ -35,8 +35,7 @@ from typing import Iterable, Iterator
 from .errors import ConfigError, IngestError
 from .halves import parts
 from .jsonl import (as_records, decode, dumps, fields, iter_records,
-                    middle_line, open_text, read_lines, require, write_jsonl,
-                    write_lines)
+                    middle_line, read_lines, require, write_jsonl, write_lines)
 
 DEFAULT_MIN_IMPRESSIONS = 25
 DEFAULT_MIN_CTR = 0.3
@@ -177,7 +176,7 @@ _Tables = tuple[dict[str, Counter], dict[str, Counter]]
 def _count(path: str | Path, start: int, end: int | None, strict: bool,
            stats: ParseStats, texts: dict[str, str]) -> _Tables:
     """(nimp, nclick) per query of the lines in bytes ``start`` to ``end``
-    of ``path`` (:func:`jsonl.open_text`), in one pass that decodes, checks
+    of ``path`` (:func:`jsonl.read_lines`), in one pass that decodes, checks
     (:func:`_event_fields`) and counts each line as it is read.
 
     Memory is O(distinct pairs), not O(events). Each distinct query or id
@@ -190,28 +189,23 @@ def _count(path: str | Path, start: int, end: int | None, strict: bool,
     nclick: defaultdict[str, Counter] = defaultdict(Counter)
     intern = texts.setdefault
     lines = events = 0
-    with open_text(path, start, end) as text:
-        for lineno, line in enumerate(text, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            lines += 1
-            try:
-                query, impressions, clicked, _ = _event_fields(decode(line))
-            except ValueError as exc:
-                if strict:
-                    raise IngestError(f"{path}:{lineno}: {exc}") from exc
-                continue
-            events += 1
-            query = intern(query, query)
-            # An entity impressed several times within one event still
-            # counts as one impression: nimp is the number of events
-            # containing it. Both iterators walk the one set in the same
-            # order.
-            shown = set(impressions)
-            nimp[query].update(map(intern, shown, shown))
-            if clicked is not None:
-                nclick[query][intern(clicked, clicked)] += 1
+    for lineno, line in read_lines(path, start, end):
+        lines += 1
+        try:
+            query, impressions, clicked, _ = _event_fields(decode(line))
+        except ValueError as exc:
+            if strict:
+                raise IngestError(f"{path}:{lineno}: {exc}") from exc
+            continue
+        events += 1
+        query = intern(query, query)
+        # An entity impressed several times within one event still counts
+        # as one impression: nimp is the number of events containing it.
+        # Both iterators walk the one set in the same order.
+        shown = set(impressions)
+        nimp[query].update(map(intern, shown, shown))
+        if clicked is not None:
+            nclick[query][intern(clicked, clicked)] += 1
     stats.lines += lines
     stats.events += events
     stats.rejected += lines - events
@@ -249,8 +243,8 @@ def _count_all(path: str | Path, cut: int | None, strict: bool,
     The part from byte 0 is counted here into the tables returned. A later
     part, counted in a forked child, sends its ParseStats tallies, then its
     tables as (query, nimp counts, nclick counts) rows of plain dicts,
-    which marshal takes, and they are merged into those tables. A read
-    error in either part is the one whole-file ``cannot read PATH: ...``.
+    which marshal takes, and they are merged into those tables. An error
+    naming a line of either part names it in the whole file.
     """
     tables: _Tables
 
@@ -303,15 +297,14 @@ def aggregate_log(path: str | Path, ctr_filter: CtrFilter, *,
 
     The same lines are rejected for the same reasons, so the records,
     summary and ``stats`` tallies are those of the three-step form. A
-    lenient count cuts a regular file at its middle line and counts the
-    two parts at once where it can (:func:`_count_all`); under
-    ``strict``, whose error names the first bad line in file order, the
-    file is read in one pass.
+    regular file is cut at its middle line and its two parts counted at
+    once where it can (:func:`_count_all`); under ``strict`` the first
+    part's error is raised before the second part's is read, so the error
+    names the first bad line in file order either way.
     """
     if stats is None:
         stats = ParseStats()
-    nimp, nclick = _count_all(path, None if strict else middle_line(path),
-                              strict, stats, {})
+    nimp, nclick = _count_all(path, middle_line(path), strict, stats, {})
     kept = _records(nimp, nclick, ctr_filter)
     pairs = sum(map(len, nimp.values()))
     return kept, FilterSummary(kept=len(kept), dropped=pairs - len(kept))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import marshal
 import os
+import re
 import signal
 from contextlib import closing, contextmanager
 from pathlib import Path
@@ -123,12 +124,16 @@ def _messages(pipe: IO[bytes], failure: str) -> Iterator[Any]:
 
 def _renumber(exc: IngestError, path: str | Path, cut: int) -> None:
     """Renumber in the whole file the line of an error whose text starts
-    ``PATH:LINE:``, LINE counted from 1 at ``cut``."""
-    text = str(exc)
-    line, _, reason = text.removeprefix(f"{path}:").partition(": ")
-    if text.startswith(f"{path}:") and line.isdecimal():
-        exc.args = (f"{path}:{count_lines(path, cut) + int(line)}: "
-                    f"{reason}",)
+    ``PATH:LINE:`` or names a bad byte ``on line LINE`` of ``path``
+    (:func:`jsonl.checked`), LINE counted from 1 at ``cut``."""
+    text, name = str(exc), re.escape(f"{path}:")
+    found = (re.match(rf"{name}(\d+): ", text)
+             or re.match(rf"cannot read {name} 'utf-8' codec can't decode "
+                         rf"byte 0x[0-9a-f]{{2}} on line (\d+) at ", text))
+    if found:
+        exc.args = (f"{text[:found.start(1)]}"
+                    f"{count_lines(path, cut) + int(found[1])}"
+                    f"{text[found.end(1):]}",)
 
 
 @contextmanager
@@ -145,9 +150,10 @@ def parts(part: Part, path: str | Path | None, cut: int | None,
     IngestError after the child's messages. Otherwise (no cut, one CPU, no
     ``os.fork``, or no pipe or child) it yields ``part(0, None)``'s.
 
-    The child numbers lines from 1 at ``cut``: an IngestError naming
-    ``PATH:LINE``, raised by the child or by the body while it reads the
-    child's messages, is renumbered in the whole file (:func:`_renumber`),
+    The child numbers lines from 1 at ``cut``: an IngestError naming a
+    line of ``path`` (``PATH:LINE``, or a bad byte's line), raised by the
+    child or by the body while it reads the child's messages, is
+    renumbered in the whole file (:func:`_renumber`),
     so only such an error counts the lines before ``cut``. A child that
     ends without all its messages, as by any other exception, is
     ``ChildProcessError(failure)``. When the body ends, by any path, the

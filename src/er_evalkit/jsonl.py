@@ -135,39 +135,34 @@ def as_records(table: tuple, rows: Iterable[Iterable]) -> Iterator[dict]:
     return map(dict, map(zip, repeat([key for key, _, _ in table]), rows))
 
 
-# Every text input is read as UTF-8 through this codec, which also drops a
-# byte-order mark at the very start of a file, and only there.
-INPUT_ENCODING = "utf-8-sig"
+def checked(text: str, lineno: int = 1, bom: bool = False) -> str:
+    """``text``, read with universal newlines and ``errors="surrogateescape"``
+    from line ``lineno`` on, checked to be UTF-8; with ``bom``, less a
+    byte-order mark that starts it, dropped after the check so that it
+    counts in a byte offset.
 
-
-def read_failure(path: str | Path, exc: Exception) -> str:
-    """Why reading ``path`` failed: ``str(exc)``, except that a file that
-    is not UTF-8 is named by the line and the byte offset within it.
-
-    A text reader counts a decode error's position from the start of the
-    chunk it was decoding, so only this error path reads the file again,
-    in binary, to find that place. Lines are numbered as the readers'
-    universal newlines number them: a lone CR, a CRLF and an LF each end
-    one.
+    An escaped byte is the ValueError ``'utf-8' codec can't decode byte
+    0xNN on line L at byte offset O: REASON``, O and REASON those of a
+    strict decode of its line's bytes. No UTF-8 sequence holds a CR or LF
+    byte, so the lines are those a strict read would split.
     """
-    if isinstance(exc, UnicodeDecodeError):
-        with open(path, "rb") as fh:
-            lineno = 1
-            # Each piece ends in LF, so a CR anywhere but just before that
-            # LF ends a line alone, and a CRLF at the end is one line end.
-            for raw in fh:
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as found:
-                    head = raw[:found.start]
-                    line = lineno + head.count(b"\r")
-                    offset = found.start - head.rfind(b"\r") - 1
-                    return (f"'utf-8' codec can't decode byte "
-                            f"0x{raw[found.start]:02x} on line {line} at "
-                            f"byte offset {offset}: {found.reason}")
-                lineno += (raw.count(b"\r") + raw.endswith(b"\n")
-                           - raw.endswith(b"\r\n"))
-    return str(exc)
+    if text.isascii():
+        return text
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raw = text.encode("utf-8", "surrogateescape")
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as found:
+            head = raw[:found.start]
+            line = lineno + head.count(b"\n")
+            offset = len(head) - head.rfind(b"\n") - 1
+            raise ValueError(
+                f"'utf-8' codec can't decode byte 0x{raw[found.start]:02x} "
+                f"on line {line} at byte offset {offset}: {found.reason}"
+            ) from None
+    return text.removeprefix("\ufeff") if bom else text
 
 
 class _Range(io.RawIOBase):
@@ -187,15 +182,16 @@ class _Range(io.RawIOBase):
 
 @contextmanager
 def open_text(path: str | Path, start: int = 0,
-              end: int | None = None) -> Iterator[IO[str]]:
-    """Bytes ``start`` to ``end`` (the file's end if None) of ``path``, as
-    UTF-8 text with universal newlines, streamed; only a range that starts
-    at byte 0 drops a byte-order mark. Each range a file is cut into at
-    line starts (:func:`middle_line`) reads the lines a whole read would.
+              end: int | None = None) -> Iterator[Iterator[str]]:
+    """The lines of bytes ``start`` to ``end`` (the file's end if None) of
+    ``path``, as UTF-8 text with universal newlines, streamed, each
+    :func:`checked` as it comes (lines count from 1 at ``start``); only a
+    range that starts at byte 0 drops a byte-order mark. Each range a file
+    is cut into at line starts (:func:`middle_line`) reads the lines a
+    whole read would.
 
-    A file that cannot be opened, or an OSError or a UnicodeDecodeError
-    while the stream is open, is the IngestError ``cannot read PATH: ...``,
-    the same whichever range met it.
+    A file that cannot be opened, an OSError while the stream is open, or
+    a line that is not UTF-8 is the IngestError ``cannot read PATH: ...``.
     """
     try:
         with open(path, "rb") as raw:
@@ -203,11 +199,22 @@ def open_text(path: str | Path, start: int = 0,
                 raw.seek(start)
             with io.TextIOWrapper(
                     raw if end is None else _Range(raw, end - start),
-                    encoding="utf-8" if start else INPUT_ENCODING) as text:
-                yield text
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(
-            f"cannot read {path}: {read_failure(path, exc)}") from exc
+                    encoding="utf-8", errors="surrogateescape") as text:
+                yield _checked_lines(path, text, not start)
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+
+
+def _checked_lines(path: str | Path, text: IO[str],
+                   bom: bool) -> Iterator[str]:
+    """Each line of ``text``, :func:`checked` unless it is ASCII."""
+    for lineno, line in enumerate(text, start=1):
+        if not line.isascii():
+            try:
+                line = checked(line, lineno, bom and lineno == 1)
+            except ValueError as exc:
+                raise IngestError(f"cannot read {path}: {exc}") from exc
+        yield line
 
 
 def middle_line(path: str | Path) -> int | None:
@@ -236,8 +243,8 @@ def read_lines(path: str | Path, start: int = 0,
 
     A file that cannot be opened or is not UTF-8 is an IngestError naming it.
     """
-    with open_text(path, start, end) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open_text(path, start, end) as lines:
+        for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if stripped:
                 yield lineno, stripped
@@ -246,8 +253,8 @@ def read_lines(path: str | Path, start: int = 0,
 def count_lines(path: str | Path, end: int) -> int:
     """How many lines, blank ones included, :func:`read_lines` numbers in
     the first ``end`` bytes of ``path``."""
-    with open_text(path, 0, end) as fh:
-        return sum(1 for _ in fh)
+    with open_text(path, 0, end) as lines:
+        return sum(1 for _ in lines)
 
 
 # The decoder's own scanner, called once per value; see decode.

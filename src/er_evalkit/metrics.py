@@ -27,9 +27,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestError
 from .halves import parts
-from .jsonl import (INPUT_ENCODING, as_records, decode, dumps, fields,
-                    middle_line, read_failure, read_lines, require,
-                    write_jsonl, write_lines)
+from .jsonl import (as_records, checked, decode, dumps, fields, middle_line,
+                    read_lines, require, write_jsonl, write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -285,11 +284,11 @@ class MetricsReport:
     @classmethod
     def load(cls, path: str | Path) -> "MetricsReport":
         try:
-            return cls.from_dict(
-                decode(Path(path).read_text(encoding=INPUT_ENCODING)))
+            # No name holds the text, so it is freed before from_dict runs.
+            return cls.from_dict(decode(checked(Path(path).read_text(
+                encoding="utf-8", errors="surrogateescape"), bom=True)))
         except (OSError, ValueError) as exc:
-            raise IngestError(f"cannot load report {path}: "
-                              f"{read_failure(path, exc)}") from exc
+            raise IngestError(f"cannot load report {path}: {exc}") from exc
         except (KeyError, TypeError) as exc:
             raise IngestError(f"{path}: not a metrics report: {exc!r}") from exc
 

@@ -1,5 +1,6 @@
-"""tools/ab.py's summary of paired runs, on synthetic records: medians,
-quartiles and the head's wins, without running the benchmark."""
+"""tools/ab.py's summary of paired runs and the rounds it keeps, on
+synthetic records: medians, quartiles, the head's wins and one round per
+call, without running the benchmark."""
 
 import importlib.util
 from pathlib import Path
@@ -67,3 +68,27 @@ def test_stage_peaks_take_the_median_of_each_repetitions_largest_call():
          {"name": "evaluate", "rss_mb": 24.0},
          {"name": "compare", "rss_mb": 25.0}]]}
     assert ab.stage_peaks(record) == {"evaluate": 26.0, "compare": 24.0}
+
+
+def test_a_later_call_adds_a_round_and_keeps_the_earlier():
+    shas = {"base": "b" * 40, "head": "h" * 40}
+    bench = ab.new_round({}, shas, "evaluate", 7, {"pairs": PAIRS[:3]})
+    bench = ab.new_round(bench, shas, "testset", 7, {"pairs": PAIRS[:1]})
+    bench = ab.new_round(bench, dict(shas), "evaluate", 7,
+                         {"pairs": PAIRS})
+    assert bench["workloads"]["evaluate-seed7"] == {
+        "workload": "evaluate", "seed": 7,
+        "rounds": [{"pairs": PAIRS[:3]}, {"pairs": PAIRS}]}
+    assert bench["workloads"]["testset-seed7"]["rounds"] == [
+        {"pairs": PAIRS[:1]}]
+    assert {side: bench[side] for side in shas} == shas
+
+
+def test_contents_for_other_shas_are_replaced():
+    old = ab.new_round({}, {"base": "a" * 40, "head": "h" * 40}, "evaluate",
+                       7, {"pairs": PAIRS})
+    bench = ab.new_round(old, {"base": "b" * 40, "head": "h" * 40},
+                         "evaluate", 7, {"pairs": PAIRS[:1]})
+    assert bench == {"base": "b" * 40, "head": "h" * 40, "workloads": {
+        "evaluate-seed7": {"workload": "evaluate", "seed": 7,
+                           "rounds": [{"pairs": PAIRS[:1]}]}}}

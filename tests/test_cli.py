@@ -1447,6 +1447,24 @@ class TestUndecodableInput:
                                     f"{not_utf8(line=line, offset=0)}"]
         assert not out_path.exists()
 
+    def test_a_strict_bad_row_before_a_bad_byte_is_named(self, capsys,
+                                                         tmp_path):
+        """Under --strict the first bad row is named, not a bad byte on
+        the next line, which the reader meets in the same block."""
+        basics = tmp_path / "basics.tsv"
+        basics.write_bytes(b"tconst\tprimaryTitle\tstartYear\n"
+                           b"tt1\tFine\tabc\ntt2\tTi\xfftle\t2000\n")
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("tconst\taverageRating\tnumVotes\n",
+                           encoding="utf-8")
+        code, out, err = run_cli(capsys, "ingest-catalog", "--basics",
+                                 str(basics), "--ratings", str(ratings),
+                                 "--out", str(tmp_path / "catalog.jsonl"),
+                                 "--strict")
+        assert_one_error_line(code, err)
+        assert error_lines(err) == [
+            f"error: {basics}:2: unparseable year 'abc'"]
+
     def test_config_not_utf8(self, capsys, tmp_path):
         qrels, run = write_worked_fixture(tmp_path)
         config = tmp_path / "settings.conf"
@@ -1472,6 +1490,19 @@ class TestUndecodableInput:
         assert error_lines(err) == [f"error: cannot load report {bad}: "
                                     f"{not_utf8(line=1, offset=2)}"]
 
+
+    @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r"])
+    def test_report_not_utf8_on_a_later_line(self, capsys, tmp_path, ends):
+        """A report is one document, checked whole, and a bad byte in it is
+        named by its line, however the lines end, and its offset there."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(ends.join(['{', ' "k": 1,', '  "\xff": 2}', '']
+                                  ).encode("latin-1"))
+        code, out, err = run_cli(capsys, "compare", "--baseline", str(bad),
+                                 "--candidate", str(bad))
+        assert_one_error_line(code, err)
+        assert error_lines(err) == [f"error: cannot load report {bad}: "
+                                    f"{not_utf8(line=3, offset=3)}"]
 
 def with_bom(path):
     """Copy ``path`` beside itself with a UTF-8 byte-order mark in front."""
@@ -1549,3 +1580,37 @@ class TestByteOrderMark:
         assert_one_error_line(code, err)
         assert error_lines(err)[0].startswith(
             f"error: {qrels}:{line}: invalid JSON: Unexpected UTF-8 BOM")
+
+    def bom_not_utf8(self, capsys, tmp_path, kind):
+        """The error line of an input of ``kind`` whose first bytes are a
+        mark and whose line 1 holds a 0xff byte."""
+        qrels, run = write_worked_fixture(tmp_path)
+        bad = tmp_path / f"bad-{kind}"
+        if kind == "run":
+            bad.write_bytes(b'\xef\xbb\xbf{"query":"\xff","results":[]}\n')
+            argv = ["evaluate", "--qrels", qrels, "--run", bad]
+        elif kind == "tsv":
+            bad.write_bytes(b"\xef\xbb\xbftconst\tprimaryTitle\xff\tstartYear"
+                            b"\ntt1\tFine\t1999\n")
+            ratings = tmp_path / "ratings.tsv"
+            ratings.write_text("tconst\taverageRating\tnumVotes\n",
+                               encoding="utf-8")
+            argv = ["ingest-catalog", "--basics", bad, "--ratings", ratings,
+                    "--out", tmp_path / "catalog.jsonl"]
+        else:
+            bad.write_bytes(b'\xef\xbb\xbf{"k":"\xff"}\n')
+            argv = ["compare", "--baseline", bad, "--candidate", bad]
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert_one_error_line(code, err)
+        return error_lines(err)[0].replace(str(bad), "BAD")
+
+    @pytest.mark.parametrize("kind,error", [
+        ("run", f"error: cannot read BAD: {not_utf8(line=1, offset=13)}"),
+        ("tsv", f"error: cannot read BAD: {not_utf8(line=1, offset=22)}"),
+        ("report",
+         f"error: cannot load report BAD: {not_utf8(line=1, offset=9)}")])
+    def test_a_mark_counts_in_a_line_1_offset(self, capsys, tmp_path, kind,
+                                              error):
+        """A bad byte's offset on line 1 counts the mark's three bytes, as
+        a strict read of the file's bytes does."""
+        assert self.bom_not_utf8(capsys, tmp_path, kind) == error

@@ -580,6 +580,65 @@ class TestTwoHalves:
             f"line {line} at byte offset 10: invalid start byte")
         assert no_child_left()
 
+    @given(click_log_bytes(), st.integers(0), st.sampled_from(
+        [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]))
+    @example(BLANK_MIDDLE, len(BLANK_MIDDLE) - 20, b"\xff")
+    @settings(max_examples=40, deadline=None)
+    def test_a_bad_byte_anywhere_equals_one_pass(self, tmp_path_factory,
+                                                 data, at, bad):
+        """A non-UTF-8 byte put anywhere, lenient or strict: the halves
+        give one pass's records and tallies, or its error."""
+        at %= len(data) + 1
+        data = data[:at] + bad + data[at:]
+        path = tmp_path_factory.mktemp("log") / "events.jsonl"
+        path.write_bytes(data)
+        for strict in (False, True):
+            results = []
+            for read in (one_pass, halves):
+                stats = ParseStats()
+                try:
+                    results.append((read(path, CtrFilter(1, 0.0),
+                                         strict=strict, stats=stats), stats))
+                except IngestError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+        assert no_child_left()
+
+    def strict_error(self, capsys, tmp_path, data, cpus):
+        """aggregate-ctr --strict's error line on a log of ``data``, run on
+        ``cpus`` CPUs; asserts that it forked exactly where it could."""
+        events, out = tmp_path / "events.jsonl", tmp_path / "ctr.jsonl"
+        events.write_bytes(data)
+        with mock.patch.object(os, "sched_getaffinity", return_value=cpus,
+                               create=True), \
+                mock.patch.object(halves_mod, "_fork",
+                                  wraps=halves_mod._fork) as fork:
+            code, stdout, err = run_cli(capsys, "aggregate-ctr", "--events",
+                                        events, "--out", out, "--strict")
+        assert fork.call_count == (len(cpus) > 1)
+        assert (code, stdout, out.exists()) == (1, "", False)
+        assert no_child_left()
+        return err.replace(str(events), "EVENTS")
+
+    def test_a_strict_bad_event_before_a_bad_byte_is_named(self, capsys,
+                                                           tmp_path):
+        data = (b'{"query":"q","impressions":[],"ts":1234567890}\n'
+                b'{"query":"\xff","impressions":["tt1"]}\n')
+        assert middle_line(tmp_path / "events.jsonl") is None
+        assert self.strict_error(capsys, tmp_path, data, {0}) == \
+            self.strict_error(capsys, tmp_path, data, {0, 1}) == (
+            "error: EVENTS:1: impressions must be a nonempty list of ids\n")
+
+    def test_a_strict_bad_event_past_the_cut_is_named_in_the_file(
+            self, capsys, tmp_path):
+        """Its line is counted in the whole file, as on one pass."""
+        good = b'{"query":"q","impressions":["tt1"]}\n' * 40
+        data = good + b'{"query":"q","impressions":["tt1"],"ts":"x"}\n'
+        assert self.strict_error(capsys, tmp_path, data, {0}) == \
+            self.strict_error(capsys, tmp_path, data, {0, 1}) == (
+            "error: EVENTS:41: ts must be an integer or null\n")
+        assert middle_line(tmp_path / "events.jsonl") < len(good)
+
     @pytest.mark.parametrize("side", ["parent", "child"])
     def test_an_interrupt_kills_and_reaps_the_child(self, tmp_path, side):
         """Ctrl-C (or SIGTERM, which the CLI turns into KeyboardInterrupt)
@@ -652,8 +711,9 @@ class TestTwoHalves:
 
 
 class TestOnePassPaths:
-    """--strict, one CPU and no os.fork each read the log in one pass and
-    write the bytes the two-halves count writes."""
+    """One CPU and no os.fork each read the log in one pass, and --strict
+    reads it in two halves, and each writes the bytes the lenient
+    two-halves count writes."""
 
     @pytest.fixture
     def click_log(self, tmp_path):
@@ -675,10 +735,14 @@ class TestOnePassPaths:
         with mock.patch.object(os, "sched_getaffinity", return_value={0, 1},
                                create=True):
             expected = self.cli_bytes(capsys, tmp_path, click_log)
+            assert no_child_left()
+            with mock.patch.object(halves_mod, "_fork",
+                                   wraps=halves_mod._fork) as fork:
+                assert self.cli_bytes(capsys, tmp_path, click_log,
+                                      "--strict") == expected
+            assert fork.call_count == 1
         assert no_child_left()
         monkeypatch.setattr(halves_mod, "_fork", None)
-        assert self.cli_bytes(capsys, tmp_path, click_log,
-                              "--strict") == expected
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         assert self.cli_bytes(capsys, tmp_path, click_log) == expected

@@ -478,10 +478,10 @@ HALVES = {
         '5b3687cfa2eed1b6652918e400ac78d53872afbb41022518532717838d69b7a7'),
     ('utf8_second', 'evaluate'): (1, None,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        '1ac820d66d1986109c726b87c3aa28778564b792c62b2d5466a73f1ada16855f'),
+        'de83c3a9ea625c8d99519f8951e49682d5e535fa8b4f45b2f8d3396fa0a98291'),
     ('utf8_second', 'diagnose'): (1, None,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        '1ac820d66d1986109c726b87c3aa28778564b792c62b2d5466a73f1ada16855f'),
+        'de83c3a9ea625c8d99519f8951e49682d5e535fa8b4f45b2f8d3396fa0a98291'),
 }
 
 

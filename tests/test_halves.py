@@ -4,7 +4,9 @@ logged in the same places and the same errors, whole-file line numbers
 included, and no child process is left behind on any path, nor alive
 after its parent is killed."""
 
+import io
 import logging
+import marshal
 import os
 import signal
 import subprocess
@@ -137,6 +139,18 @@ class TestParts:
                                                 f"{path}:{line}: {reason}")
         assert events(path, stop=stop) == events(path, cpus=(0,), stop=stop)
 
+    @pytest.mark.parametrize("name", ["lines.txt", "l[i]n+e(s)*.txt"])
+    def test_a_second_part_bad_byte_names_its_line_in_the_whole_file(
+            self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\n" * 30 + numbered(100).replace(
+            b"line80", b"ok\xffx"))
+        assert middle_line(path) < path.read_bytes().index(b"\xff")
+        assert events(path)[-1] == ("error", (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff on "
+            "line 110 at byte offset 2: invalid start byte"))
+        assert events(path) == events(path, cpus=(0,))
+
     def test_a_first_part_error_keeps_its_line(self, tmp_path):
         path = tmp_path / "lines.txt"
         path.write_bytes(numbered(100, at10="badx"))
@@ -184,6 +198,29 @@ class TestParts:
                                   FAILURE) as messages:
                     list(messages)
         assert no_child_left()
+
+    def test_a_frame_holds_messages_per_frame_messages(self):
+        """A child's messages cross in frames of MESSAGES_PER_FRAME, the
+        last of them shorter, then the end frame."""
+        size = halves.MESSAGES_PER_FRAME
+
+        def part(start, end):
+            yield from range(start, 2 * size + 3)
+
+        with mock.patch.object(logging.Logger, "handle"):
+            frames = [marshal.loads(frame) for frame in halves._frames(
+                part, 1)]
+        assert frames == [([], list(range(1, size + 1))),
+                          ([], list(range(size + 1, 2 * size + 1))),
+                          ([], [2 * size + 1, 2 * size + 2]), ([], [], None)]
+
+    def test_a_pipe_that_ends_inside_a_frame_is_the_failure(self):
+        frame = marshal.dumps(([], [1, 2], None))
+        sent = len(frame).to_bytes(8, "little") + frame
+        for cut in range(len(sent)):
+            with pytest.raises(ChildProcessError, match=FAILURE):
+                list(halves._messages(io.BytesIO(sent[:cut]), FAILURE))
+        assert list(halves._messages(io.BytesIO(sent), FAILURE)) == [1, 2]
 
     @pytest.mark.parametrize("end", ["success", "error", "interrupt",
                                      "early stop"])

@@ -89,14 +89,14 @@ def opens_for_reading(node):
                 and set(str(mode.value)) & set("wax"))
 
 
-def test_text_inputs_open_in_five_places():
-    """Every input is opened by the line stream, the finder of the line
-    start that halves a file, the decode-error locator, the TSV dump reader
-    or the report loader, and by nothing else."""
+def test_text_inputs_open_in_three_places():
+    """Every input is opened by the checked line stream, which the JSONL,
+    TSV and config readers all take their lines from, the finder of the
+    line start that halves a file, or the report loader, and by nothing
+    else."""
     assert {owner for owner, node in owned_nodes()
             if opens_for_reading(node)} == {
-        "jsonl.open_text", "jsonl.middle_line", "jsonl.read_failure",
-        "catalog._read_dump", "metrics.MetricsReport.load"}
+        "jsonl.open_text", "jsonl.middle_line", "metrics.MetricsReport.load"}
 
 
 def test_field_table_keys_read_out_in_four_places():

@@ -177,6 +177,44 @@ class TestTwoHalves:
             assert str(error.value) == expected
         assert no_child_left()
 
+    @given(run_bytes(), st.integers(0), st.sampled_from(
+        [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]))
+    @example(REPEAT_AND_BAD, len(REPEAT_AND_BAD) - 1, b"\xff")
+    @settings(max_examples=40, deadline=None)
+    def test_a_bad_byte_anywhere_equals_one_pass(self, tmp_path_factory,
+                                                 data, at, bad):
+        """A non-UTF-8 byte put anywhere: the same warnings, then the same
+        rows or error."""
+        at %= len(data) + 1
+        path = tmp_path_factory.mktemp("run") / "run.jsonl"
+        path.write_bytes(data[:at] + bad + data[at:])
+        for read in (evaluated, diagnosed):
+            assert outcome(halves, read, path) == outcome(one_pass, read,
+                                                          path)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("read", [evaluated, diagnosed])
+    @pytest.mark.parametrize("bad_line", [31, 200])
+    def test_every_warning_before_a_bad_byte_prints(self, tmp_path, read,
+                                                    bad_line):
+        """Lines that share the reader's 8 KB block with a bad byte after
+        them are each read and warned about first, on either route."""
+        lines = good_lines(220)
+        lines[bad_line - 1] = lines[bad_line - 1].replace(
+            ':"q', ':"\udcffq', 1)
+        data = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(data)
+        assert len(data) > 4 * 8192
+        expected = (None, [
+            f"query 'q{i}': score increases down the ranking (0.5 < 0.7)"
+            for i in range(bad_line - 1)],
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff on "
+            f"line {bad_line} at byte offset 10: invalid start byte")
+        assert outcome(one_pass, read, path) == expected
+        assert outcome(halves, read, path) == expected
+        assert no_child_left()
+
     @pytest.mark.parametrize("side", ["parent", "child"])
     def test_an_interrupt_kills_and_reaps_the_child(self, tmp_path, side):
         """Ctrl-C (or SIGTERM, which the CLI turns into KeyboardInterrupt)

@@ -16,12 +16,14 @@ or a name of its own. Both trees are byte-compiled, each tree's own
 its tree's ``.perfbench_work/results/``.
 
 ``BENCH_<head-sha>.json`` at the root of the checkout gets, per workload
-and seed, every pair's end-to-end metrics, stage walls and stage peak RSS,
-then each side's median and quartiles and the head's wins per metric (ties
-count for neither side); and the machine facts, both SHAs and each command
-line. It is rewritten after every pair, and a later call for the same two
-SHAs adds its workload and seed to the file. Standard library only, and
-outside the tests' collection, so no test run starts it.
+and seed, a list of rounds, one per call: each round's command line,
+every pair's end-to-end metrics, stage walls and stage peak RSS, then each
+side's median and quartiles and the head's wins per metric (ties count for
+neither side); and the machine facts and both SHAs. It is rewritten after
+every pair. A later call for the same two SHAs adds its workload and seed
+to the file, or a round to that workload and seed's rounds, so no run made
+is dropped. Standard library only, and outside the tests' collection, so
+no test run starts it.
 """
 
 from __future__ import annotations
@@ -137,6 +139,19 @@ def machine() -> dict:
             "python_c_pass_s": statistics.median(starts)}
 
 
+def new_round(bench: dict, shas: dict[str, str], workload: str, seed: int,
+              entry: dict) -> dict:
+    """``bench``, a BENCH file's contents, with ``entry`` appended to the
+    rounds of ``workload`` at ``seed``; contents for other SHAs are
+    replaced by these SHAs' alone."""
+    if {side: bench.get(side) for side in shas} != shas:
+        bench = {**shas, "workloads": {}}
+    rounds = bench["workloads"].setdefault(f"{workload}-seed{seed}", {
+        "workload": workload, "seed": seed, "rounds": []})["rounds"]
+    rounds.append(entry)
+    return bench
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True)
@@ -151,15 +166,12 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     out = ROOT / f"BENCH_{shas['head']}.json"
-    bench = json.loads(out.read_text()) if out.exists() else {}
-    if {side: bench.get(side) for side in shas} != shas:
-        bench = {**shas, "workloads": {}}
+    entry = {"seconds": seconds, "trace": 0,
+             "command": [Path(sys.argv[0]).as_posix(), *sys.argv[1:]],
+             "pairs": []}
+    bench = new_round(json.loads(out.read_text()) if out.exists() else {},
+                      shas, args.workload, args.seed, entry)
     bench["machine"] = machine()
-    entry = bench["workloads"][f"{args.workload}-seed{args.seed}"] = {
-        "workload": args.workload, "seed": args.seed,
-        "seconds": seconds, "trace": 0,
-        "command": [Path(sys.argv[0]).as_posix(), *sys.argv[1:]],
-        "pairs": []}
     for i in range(args.pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         pair = {"first": order[0]}
