@@ -394,7 +394,9 @@ def test_layout_warning_lines(capsys, caplog, layout_dir):
 
 # The two-halves pins: (case, command) -> (exit code, sha256 of the --out
 # file or None, of stdout, of stderr with the run path spelled RUN). Taken
-# from the implementation that read every run file in one pass. The run's
+# from the implementation that read every run file in one pass; the
+# utf8_second stderr was taken again once each line came to be checked for
+# a bad byte as it is read, so the warnings before that byte print. The run's
 # rising lists sit in both halves of the file, and each error case puts its
 # bad line, repeat or byte where its name says.
 HALVES = {
