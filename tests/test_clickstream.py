@@ -624,7 +624,6 @@ class TestTwoHalves:
                                                            tmp_path):
         data = (b'{"query":"q","impressions":[],"ts":1234567890}\n'
                 b'{"query":"\xff","impressions":["tt1"]}\n')
-        assert middle_line(tmp_path / "events.jsonl") is None
         assert self.strict_error(capsys, tmp_path, data, {0}) == \
             self.strict_error(capsys, tmp_path, data, {0, 1}) == (
             "error: EVENTS:1: impressions must be a nonempty list of ids\n")
