@@ -6,15 +6,17 @@ trivially different spellings aggregate together. Per (query, entity) pair,
 nimp counts the events whose impressions contain the entity and nclick the
 events that clicked it; ctr is the exact quotient.
 
-Aggregation streams: each line is decoded, checked and counted as it is
-read (:func:`_count`) into two tables keyed by query, nimp and nclick, each
-query's entry a ``collections.Counter`` of entity ids, so memory is
-O(distinct pairs), not O(events). Both tables share one string object per
-distinct query and entity id, so a pair costs a table slot, not a copy of
-its id. The CLI counts each line's checked fields without building a
-ClickEvent (:func:`aggregate_log`); every line passes the same checks as in
-:func:`parse_events`. The tables are a monoid query by query: counting
-parts of the event stream apart and summing each query's counts
+Aggregation streams: the log has one reader (:func:`_events`), which
+decodes and checks each line as it is read, and one counter
+(:func:`_tally`), which counts the checked fields into two tables keyed by
+query, nimp and nclick, each query's entry a ``collections.Counter`` of
+entity ids, so memory is O(distinct pairs), not O(events). Each query and
+id is counted under its interned string (``sys.intern``), so both tables
+share one string object per distinct text and a pair costs a table slot,
+not a copy of its id. The CLI counts each line's checked fields without
+building a ClickEvent (:func:`aggregate_log`); :func:`parse_events` builds
+ClickEvents over the same reader. The tables are a monoid query by query:
+counting parts of the event stream apart and summing each query's counts
 (:func:`_merge`) gives exactly the single-pass answer. So a lenient
 aggregate-ctr counts its log through :func:`halves.parts`, the call
 evaluate and diagnose also read their run file through: one process
@@ -25,6 +27,7 @@ merge over shards (:func:`aggregate_in_shards`).
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import islice
@@ -136,6 +139,34 @@ def _event_fields(raw) -> tuple[str, list, str | None, int | None]:
     return normalize_query(query), impressions, clicked, ts
 
 
+def _events(path: str | Path, start: int, end: int | None, strict: bool,
+            stats: ParseStats) -> Iterator[tuple[str, list, str | None,
+                                                 int | None]]:
+    """:func:`_event_fields` of each good line in bytes ``start`` to ``end``
+    of ``path`` (:func:`jsonl.read_lines`), in file order.
+
+    A bad line is skipped and tallied; under ``strict`` it raises instead,
+    naming the file, line and reason. The tallies reach ``stats`` however
+    the reading ends: at the last line, at an error or when it is closed.
+    """
+    lines = events = 0
+    try:
+        for lineno, line in read_lines(path, start, end):
+            lines += 1
+            try:
+                fields = _event_fields(decode(line))
+            except ValueError as exc:
+                if strict:
+                    raise IngestError(f"{path}:{lineno}: {exc}") from exc
+                continue
+            events += 1
+            yield fields
+    finally:
+        stats.lines += lines
+        stats.events += events
+        stats.rejected += lines - events
+
+
 def parse_events(path: str | Path, *, strict: bool = False,
                  stats: ParseStats | None = None) -> Iterator[ClickEvent]:
     """Yield normalized events in file order.
@@ -145,20 +176,10 @@ def parse_events(path: str | Path, *, strict: bool = False,
     raises instead, naming the file, line and reason. Pass a ParseStats to
     read the tallies after the generator is exhausted.
     """
-    if stats is None:
-        stats = ParseStats()
-    for lineno, line in read_lines(path):
-        stats.lines += 1
-        try:
-            query, impressions, clicked, ts = _event_fields(decode(line))
-        except ValueError as exc:
-            stats.rejected += 1
-            if strict:
-                raise IngestError(f"{path}:{lineno}: {exc}") from exc
-            continue
-        stats.events += 1
-        yield ClickEvent(query=query, impressions=tuple(impressions),
-                         clicked=clicked, ts=ts)
+    return (ClickEvent(query, tuple(impressions), clicked, ts)
+            for query, impressions, clicked, ts in _events(
+                path, 0, None, strict,
+                ParseStats() if stats is None else stats))
 
 
 def compute_ctr(nclick: int, nimp: int) -> float:
@@ -173,60 +194,41 @@ def compute_ctr(nclick: int, nimp: int) -> float:
 _Tables = tuple[dict[str, Counter], dict[str, Counter]]
 
 
-def _count(path: str | Path, start: int, end: int | None, strict: bool,
-           stats: ParseStats, texts: dict[str, str]) -> _Tables:
-    """(nimp, nclick) per query of the lines in bytes ``start`` to ``end``
-    of ``path`` (:func:`jsonl.read_lines`), in one pass that decodes, checks
-    (:func:`_event_fields`) and counts each line as it is read.
+def _tally(events: Iterable[tuple[str, Iterable[str], str | None, object]]
+           ) -> _Tables:
+    """(nimp, nclick) per query of (query, impressions, clicked, ts)
+    events, counted as they arrive, so memory is O(distinct pairs), not
+    O(events).
 
-    Memory is O(distinct pairs), not O(events). Each distinct query or id
-    text is counted under one string object, the one ``texts`` holds: an
-    id shown under many queries is held once, not once per query. A bad
-    line is skipped and tallied in ``stats``; under ``strict`` it raises
-    instead, naming the file, line and reason.
+    Each query and id is counted under its interned string, so an id
+    shown under many queries is held once, not once per query, and
+    ``marshal``, which keeps a string interned, brings a forked child's
+    ids back as the parent's own string objects.
     """
     nimp: defaultdict[str, Counter] = defaultdict(Counter)
     nclick: defaultdict[str, Counter] = defaultdict(Counter)
-    intern = texts.setdefault
-    lines = events = 0
-    for lineno, line in read_lines(path, start, end):
-        lines += 1
-        try:
-            query, impressions, clicked, _ = _event_fields(decode(line))
-        except ValueError as exc:
-            if strict:
-                raise IngestError(f"{path}:{lineno}: {exc}") from exc
-            continue
-        events += 1
-        query = intern(query, query)
+    intern = sys.intern
+    for query, impressions, clicked, ts in events:
+        query = intern(query)
         # An entity impressed several times within one event still counts
         # as one impression: nimp is the number of events containing it.
-        # Both iterators walk the one set in the same order.
-        shown = set(impressions)
-        nimp[query].update(map(intern, shown, shown))
+        nimp[query].update(map(intern, set(impressions)))
         if clicked is not None:
-            nclick[query][intern(clicked, clicked)] += 1
-    stats.lines += lines
-    stats.events += events
-    stats.rejected += lines - events
+            nclick[query][intern(clicked)] += 1
     return nimp, nclick
 
 
-def _merge(tables: _Tables, texts: dict[str, str],
+def _merge(tables: _Tables,
            rows: Iterable[tuple[str, dict, dict | None]]) -> None:
     """Add each (query, nimp counts, nclick counts) row into ``tables``,
-    query by query, under the one string ``texts`` holds for each query
-    and id. Merging the rows of any split of an event stream's tables
-    gives the tables of the whole stream: counts sum pair by pair."""
-    intern = texts.setdefault
-    for query, *row in rows:
-        query = intern(query, query)
-        for table, counts in zip(tables, row):
-            if counts:
-                total = table[query]
-                for entity_id, n in counts.items():
-                    entity_id = intern(entity_id, entity_id)
-                    total[entity_id] = total.get(entity_id, 0) + n
+    query by query. Merging the rows of any split of an event stream's
+    tables gives the tables of the whole stream: counts sum pair by
+    pair."""
+    nimp, nclick = tables
+    for query, shown, hits in rows:
+        nimp[query].update(shown)
+        if hits:
+            nclick[query].update(hits)
 
 
 def _rows(tables: _Tables) -> Iterator[tuple[str, dict, dict | None]]:
@@ -236,9 +238,9 @@ def _rows(tables: _Tables) -> Iterator[tuple[str, dict, dict | None]]:
 
 
 def _count_all(path: str | Path, cut: int | None, strict: bool,
-               stats: ParseStats, texts: dict[str, str]) -> _Tables:
-    """:func:`_count` of all of ``path``, in parts at ``cut`` where it can
-    (:func:`halves.parts`).
+               stats: ParseStats) -> _Tables:
+    """:func:`_tally` of :func:`_events` of all of ``path``, in parts at
+    ``cut`` where it can (:func:`halves.parts`).
 
     The part from byte 0 is counted here into the tables returned. A later
     part, counted in a forked child, sends its ParseStats tallies, then its
@@ -251,10 +253,10 @@ def _count_all(path: str | Path, cut: int | None, strict: bool,
     def part(start: int, end: int | None) -> Iterator[tuple]:
         nonlocal tables
         if not start:
-            tables = _count(path, 0, end, strict, stats, texts)
+            tables = _tally(_events(path, 0, end, strict, stats))
             return
         tallies = ParseStats()
-        counted = _count(path, start, end, strict, tallies, {})
+        counted = _tally(_events(path, start, end, strict, tallies))
         yield tallies.lines, tallies.events, tallies.rejected
         for query, shown, hits in _rows(counted):
             yield query, dict(shown), hits and dict(hits)
@@ -265,7 +267,7 @@ def _count_all(path: str | Path, cut: int | None, strict: bool,
         stats.lines += lines
         stats.events += events
         stats.rejected += rejected
-        _merge(tables, texts, messages)
+        _merge(tables, messages)
     return tables
 
 
@@ -304,7 +306,7 @@ def aggregate_log(path: str | Path, ctr_filter: CtrFilter, *,
     """
     if stats is None:
         stats = ParseStats()
-    nimp, nclick = _count_all(path, middle_line(path), strict, stats, {})
+    nimp, nclick = _count_all(path, middle_line(path), strict, stats)
     kept = _records(nimp, nclick, ctr_filter)
     pairs = sum(map(len, nimp.values()))
     return kept, FilterSummary(kept=len(kept), dropped=pairs - len(kept))
@@ -325,14 +327,10 @@ def aggregate_in_shards(events: Iterable[ClickEvent], n_shards: int,
         raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
     events = list(events)
     totals = (defaultdict(Counter), defaultdict(Counter))  # nimp, nclick
-    texts: dict[str, str] = {}
+    fields = attrgetter("query", "impressions", "clicked", "ts")
     for shard in range(n_shards):
-        part = (defaultdict(Counter), defaultdict(Counter))
-        for event in islice(events, shard, None, n_shards):
-            part[0][event.query].update(set(event.impressions))
-            if event.clicked is not None:
-                part[1][event.query][event.clicked] += 1
-        _merge(totals, texts, _rows(part))
+        _merge(totals, _rows(_tally(map(fields, islice(
+            events, shard, None, n_shards)))))
     return _records(*totals)
 
 

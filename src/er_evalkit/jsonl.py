@@ -306,28 +306,22 @@ def decode(line: str) -> Any:
     return value
 
 
-def parse_record(line: str, parse: Callable[[Any], T], what: str) -> T:
-    """``parse(decode(line))``. Any failure is one ValueError: invalid JSON
-    as :func:`decode` words it, or ``bad WHAT: ...`` for a KeyError,
-    TypeError or ValueError raised by ``parse``."""
-    rec = decode(line)
-    try:
-        return parse(rec)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad {what}: {exc}") from exc
-
-
 def iter_records(path: str | Path, parse: Callable[[Any], T],
                  what: str) -> Iterator[T]:
     """Yield ``parse(record)`` for each JSON line of ``path``, in file
     order.
 
-    A line :func:`parse_record` fails becomes one IngestError naming the
-    file and line.
+    A line that fails is one IngestError naming the file and line: invalid
+    JSON as :func:`decode` words it, or ``bad WHAT: ...`` for a KeyError,
+    TypeError or ValueError raised by ``parse``.
     """
     for lineno, line in read_lines(path):
         try:
-            value = parse_record(line, parse, what)
+            rec = decode(line)
+            try:
+                value = parse(rec)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"bad {what}: {exc}") from exc
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
         yield value

@@ -3,6 +3,7 @@ synthetic records: medians, quartiles, the head's wins and one round per
 call, without running the benchmark."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -70,7 +71,8 @@ def test_stage_peaks_take_the_median_of_each_repetitions_largest_call():
     assert ab.stage_peaks(record) == {"evaluate": 26.0, "compare": 24.0}
 
 
-def test_a_later_call_adds_a_round_and_keeps_the_earlier():
+def test_a_later_call_adds_a_round_and_keeps_the_earlier(
+        monkeypatch, tmp_path):
     shas = {"base": "b" * 40, "head": "h" * 40}
     bench = ab.new_round({}, shas, "evaluate", 7, {"pairs": PAIRS[:3]})
     bench = ab.new_round(bench, shas, "testset", 7, {"pairs": PAIRS[:1]})
@@ -82,6 +84,27 @@ def test_a_later_call_adds_a_round_and_keeps_the_earlier():
     assert bench["workloads"]["testset-seed7"]["rounds"] == [
         {"pairs": PAIRS[:1]}]
     assert {side: bench[side] for side in shas} == shas
+
+    # Two calls of main: each round keeps the machine facts of its own call.
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [
+            {"name": name, "better": way} for name, way in BETTER.items()]}))
+    facts = iter([{"cpu_count": 2, "python": "3.11.7"},
+                  {"cpu_count": 4, "python": "3.12.1"}])
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "git", lambda *args: args[-1].split("^")[0])
+    monkeypatch.setattr(ab, "extract", lambda sha, tree: None)
+    monkeypatch.setattr(ab, "run", lambda *args: side(2.0, 26.0))
+    monkeypatch.setattr(ab, "machine", lambda: next(facts))
+    for _ in range(2):
+        assert ab.main(["--base", shas["base"], "--head", shas["head"],
+                        "--workload", "evaluate", "--seed", "7",
+                        "--pairs", "1"]) == 0
+    bench = json.loads((tmp_path / f"BENCH_{shas['head']}.json").read_text())
+    assert [r["machine"] for r in bench["workloads"]["evaluate-seed7"][
+        "rounds"]] == [{"cpu_count": 2, "python": "3.11.7"},
+                       {"cpu_count": 4, "python": "3.12.1"}]
+    assert "machine" not in bench
 
 
 def test_contents_for_other_shas_are_replaced():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -536,15 +537,14 @@ class TestTwoHalves:
         assert no_child_left()
         split = middle_line(path)
         if split is not None:
-            counted, texts = ParseStats(), {}
+            counted = ParseStats()
             with mock.patch.object(os, "sched_getaffinity",
                                    return_value={0, 1}, create=True):
-                tables = clickstream._count_all(path, split, False, counted,
-                                                texts)
-            assert tables == clickstream._count(path, 0, None, False,
-                                                ParseStats(), {})
+                tables = clickstream._count_all(path, split, False, counted)
+            assert tables == clickstream._tally(clickstream._events(
+                path, 0, None, False, ParseStats()))
             assert counted == whole_stats
-            assert all(texts[text] is text for table in tables
+            assert all(sys.intern(text) is text for table in tables
                        for query, counts in table.items()
                        for text in (query, *counts))
 
@@ -673,15 +673,15 @@ class TestTwoHalves:
         events = tmp_path / "events.jsonl"
         events.write_text(pinned_click_log(n_events=400), encoding="utf-8")
         parent = os.getpid()
-        count = clickstream._count
+        tally = clickstream._tally
 
         def dying(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return count(*args)
+            return tally(*args)
 
         out = tmp_path / "ctr.jsonl"
-        with mock.patch.object(clickstream, "_count", dying), \
+        with mock.patch.object(clickstream, "_tally", dying), \
                 mock.patch.object(os, "sched_getaffinity",
                                   return_value={0, 1}, create=True):
             code, stdout, err = run_cli(capsys, "aggregate-ctr", "--events",

@@ -35,6 +35,16 @@ def test_one_json_decoder():
             } == {"jsonl", "jsonl.decode"}
 
 
+def test_one_click_line_reader():
+    """A click log line is checked by one reader: ``_event_fields`` is
+    named only in clickstream._events, which parse_events and the
+    aggregate-ctr counter both read through."""
+    assert {owner for owner, node in owned_nodes()
+            if isinstance(node, ast.Name) and node.id == "_event_fields"
+            or isinstance(node, ast.Attribute)
+            and node.attr == "_event_fields"} == {"clickstream._events"}
+
+
 def test_one_fork():
     """The fork protocol is written once: ``os.fork``, ``os.pipe``,
     ``os.kill``, ``os.waitpid``, ``os._exit``, ``marshal.dumps`` and

@@ -17,9 +17,10 @@ its tree's ``.perfbench_work/results/``.
 
 ``BENCH_<head-sha>.json`` at the root of the checkout gets, per workload
 and seed, a list of rounds, one per call: each round's command line,
-every pair's end-to-end metrics, stage walls and stage peak RSS, then each
-side's median and quartiles and the head's wins per metric (ties count for
-neither side); and the machine facts and both SHAs. It is rewritten after
+the facts of the machine it ran on (CPUs, affinity, Python, kernel,
+start-up time), every pair's end-to-end metrics, stage walls and stage
+peak RSS, then each side's median and quartiles and the head's wins per
+metric (ties count for neither side); and both SHAs. It is rewritten after
 every pair. A later call for the same two SHAs adds its workload and seed
 to the file, or a round to that workload and seed's rounds, so no run made
 is dropped. Standard library only, and outside the tests' collection, so
@@ -168,10 +169,9 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{shas['head']}.json"
     entry = {"seconds": seconds, "trace": 0,
              "command": [Path(sys.argv[0]).as_posix(), *sys.argv[1:]],
-             "pairs": []}
+             "machine": machine(), "pairs": []}
     bench = new_round(json.loads(out.read_text()) if out.exists() else {},
                       shas, args.workload, args.seed, entry)
-    bench["machine"] = machine()
     for i in range(args.pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         pair = {"first": order[0]}
