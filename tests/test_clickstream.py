@@ -129,6 +129,10 @@ class TestComputeCtr:
         with pytest.raises(ValueError):
             compute_ctr(5, 4)
 
+    def test_negative_clicks_rejected(self):
+        with pytest.raises(ValueError):
+            compute_ctr(-1, 4)
+
 
 def event(query, impressions, clicked=None):
     return ClickEvent(query=query, impressions=tuple(impressions),
@@ -789,6 +793,8 @@ class TestFilterRecords:
             CtrFilter(min_impressions=0)
         with pytest.raises(ConfigError):
             CtrFilter(min_ctr=1.5)
+        with pytest.raises(ConfigError):
+            CtrFilter(min_ctr=-0.5)
 
 
 class TestRecordInvariants:

@@ -23,9 +23,7 @@ catches. The operators:
     raise     a ``raise`` statement replaced by ``pass``
     return    a ``return`` statement replaced by ``pass``
 
-``--function NAME`` (repeatable) keeps only the sites inside the
-module-level definitions of those names. Expressions inside f-strings are
-left alone. Standard library only, and
+Expressions inside f-strings are left alone. Standard library only, and
 outside the tests' collection, so no test run starts it. The last line of
 standard output is a JSON summary; the exit code is 2 when the tests fail
 on the unmutated module, else 0.
@@ -118,24 +116,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--sample", type=int, default=15,
                         help="mutants to run, drawn from all sites")
-    parser.add_argument("--function", action="append", default=[],
-                        help="draw only from the sites of this module-level "
-                        "def or class (repeatable)")
     args = parser.parse_args()
     checkout = Path.cwd()
     module = Path(args.module)
     tests = args.tests or [f"tests/test_{module.stem}.py"]
     source = module.read_text(encoding="utf-8")
     found = mutations(source)
-    if args.function:
-        spans = {node.name: (node.lineno, node.end_lineno)
-                 for node in ast.parse(source).body
-                 if getattr(node, "name", None) in args.function}
-        if set(args.function) - set(spans):
-            parser.error(f"not defined in {module}: "
-                         f"{sorted(set(args.function) - set(spans))}")
-        found = [site for site in found
-                 if any(a <= site[1].lineno <= b for a, b in spans.values())]
     chosen = sorted(random.Random(args.seed).sample(
         range(len(found)), min(args.sample, len(found))))
 
