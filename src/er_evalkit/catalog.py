@@ -12,6 +12,7 @@ semantics.
 from __future__ import annotations
 
 import csv
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -174,7 +175,7 @@ def _read_dump(path: str | Path, kind: str, required: tuple[str, ...], check,
     ``<kind>_rejected`` counts.
     """
     rows = rejected = 0
-    with open_text(path) as lines:
+    with closing(open_text(path)) as lines:
         reader = csv.reader(lines, delimiter="\t", quoting=csv.QUOTE_NONE)
         try:
             header = next(reader, None)

@@ -261,8 +261,7 @@ def _count_all(path: str | Path, cut: int | None, strict: bool,
         for query, shown, hits in _rows(counted):
             yield query, dict(shown), hits and dict(hits)
 
-    with parts(part, path, cut, f"the process counting the second half of "
-               f"{path} ended without its counts") as messages:
+    with parts(part, path, cut) as messages:
         lines, events, rejected = next(messages, (0, 0, 0))
         stats.lines += lines
         stats.events += events

@@ -9,12 +9,13 @@ one place a process is forked. A stage gives it one ``part(start, end)``
 that yields the messages of bytes (or queries) ``start`` to ``end``, so
 one pass and each part run the same function, and folds the messages:
 aggregate-ctr merges count tables, evaluate and diagnose visit a run
-file's scans, and simulate's matcher collects its top lists.
+file's scans, and simulate's matcher collects its top lists. Messages
+are the one channel from a child, which sends nothing it logs: a warning
+a part finds travels in a message for the fold to log.
 """
 
 from __future__ import annotations
 
-import logging
 import marshal
 import os
 import re
@@ -41,33 +42,19 @@ def _two_cpus() -> bool:
 
 def _frames(part: Part, cut: int) -> Iterator[bytes]:
     """In a forked child: ``part(cut, None)``'s messages as marshalled
-    frames ``(records, messages)`` of at most ``MESSAGES_PER_FRAME``
-    messages, records being the (logger, level, text) of what was logged
-    before the first. The last frame, ``(records, [], error)``, ends with
-    the text of the IngestError that stopped the part, or None."""
-    held: list[logging.LogRecord] = []
-    # Nothing is emitted here: each record waits for the message it precedes.
-    logging.Logger.handle = lambda logger, record: held.append(record)
-
-    def taken() -> list[tuple[str, int, str]]:
-        records = [(r.name, r.levelno, r.getMessage()) for r in held]
-        held.clear()
-        return records
-
-    records, messages, error = [], [], None
+    frames ``(messages,)`` of ``MESSAGES_PER_FRAME`` messages, the last
+    ``(messages, error)`` with at most that many and the text of the
+    IngestError that stopped the part, or None."""
+    messages, error = [], None
     try:
         for message in part(cut, None):
-            if messages and (held or len(messages) == MESSAGES_PER_FRAME):
-                yield marshal.dumps((records, messages))
-                records, messages = [], []
-            if held:
-                records = taken()
+            if len(messages) == MESSAGES_PER_FRAME:
+                yield marshal.dumps((messages,))
+                messages = []
             messages.append(message)
     except IngestError as exc:
         error = str(exc)
-    if messages:
-        yield marshal.dumps((records, messages))
-    yield marshal.dumps((taken(), [], error))
+    yield marshal.dumps((messages, error))
 
 
 def _fork(part: Part, cut: int) -> tuple[int, int] | None:
@@ -102,19 +89,19 @@ def _fork(part: Part, cut: int) -> tuple[int, int] | None:
         os._exit(code)
 
 
-def _messages(pipe: IO[bytes], failure: str) -> Iterator[Any]:
-    """Each message the child sent, each frame's records logged before its
-    first message, then the child's error raised, if any. A pipe that ends
-    before the last frame is ``ChildProcessError(failure)``."""
+def _messages(pipe: IO[bytes], path: str | Path | None) -> Iterator[Any]:
+    """Each message the child sent, then the child's error raised, if any.
+    A pipe that ends before the last frame is a ChildProcessError naming
+    ``path``'s second half."""
     while True:
         head = pipe.read(8)
         size = int.from_bytes(head, "little")
         blob = pipe.read(size) if len(head) == 8 else b""
         if len(head) < 8 or len(blob) < size:
-            raise ChildProcessError(failure)
-        records, messages, *end = marshal.loads(blob)
-        for name, level, text in records:
-            logging.getLogger(name).log(level, text)
+            raise ChildProcessError("the process " + (
+                "working on the second half" if path is None
+                else f"reading the second half of {path}") + " ended early")
+        messages, *end = marshal.loads(blob)
         yield from messages
         if end:
             if end[0] is not None:
@@ -137,27 +124,27 @@ def _renumber(exc: IngestError, path: str | Path, cut: int) -> None:
 
 
 @contextmanager
-def parts(part: Part, path: str | Path | None, cut: int | None,
-          failure: str) -> Iterator[Iterator[Any]]:
+def parts(part: Part, path: str | Path | None,
+          cut: int | None) -> Iterator[Iterator[Any]]:
     """The messages of ``path``'s work, in two parts at once where it can.
 
     Given ``cut``, a line start of ``path`` (or of a part when ``path``
     is None, for work naming no file line), two CPUs, a pipe and a child,
     the body's iterator yields ``part(0, cut)``'s messages, made here as
     they are read, then ``part(cut, None)``'s, made in a forked child and
-    so values ``marshal`` takes. It logs each record the child logged
-    before the message that record preceded, and raises the child's
-    IngestError after the child's messages. Otherwise (no cut, one CPU, no
-    ``os.fork``, or no pipe or child) it yields ``part(0, None)``'s.
+    so values ``marshal`` takes, and raises the child's IngestError after
+    the child's messages. Otherwise (no cut, one CPU, no ``os.fork``, or no
+    pipe or child) it yields ``part(0, None)``'s.
 
     The child numbers lines from 1 at ``cut``: an IngestError naming a
     line of ``path`` (``PATH:LINE``, or a bad byte's line), raised by the
     child or by the body while it reads the child's messages, is
     renumbered in the whole file (:func:`_renumber`),
     so only such an error counts the lines before ``cut``. A child that
-    ends without all its messages, as by any other exception, is
-    ``ChildProcessError(failure)``. When the body ends, by any path, the
-    child is killed and reaped.
+    ends without all its messages, as by any other exception, is the
+    ChildProcessError ``the process reading the second half of PATH ended
+    early`` (``working on the second half`` with no path). When the body
+    ends, by any path, the child is killed and reaped.
     """
     child = _fork(part, cut) if cut is not None and _two_cpus() else None
     if child is None:
@@ -171,7 +158,7 @@ def parts(part: Part, path: str | Path | None, cut: int | None,
         nonlocal reading
         yield from part(0, cut)
         reading = True
-        yield from _messages(pipe, failure)
+        yield from _messages(pipe, path)
 
     try:
         with os.fdopen(readable, "rb") as pipe, closing(stream()) as messages:

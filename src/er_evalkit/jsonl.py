@@ -180,15 +180,15 @@ class _Range(io.RawIOBase):
         return count
 
 
-@contextmanager
-def open_text(path: str | Path, start: int = 0,
-              end: int | None = None) -> Iterator[Iterator[str]]:
+def open_text(path: str | Path, start: int = 0, end: int | None = None,
+              numbered: bool = False) -> Iterator[Any]:
     """The lines of bytes ``start`` to ``end`` (the file's end if None) of
     ``path``, as UTF-8 text with universal newlines, streamed, each
     :func:`checked` as it comes (lines count from 1 at ``start``); only a
-    range that starts at byte 0 drops a byte-order mark. Each range a file
-    is cut into at line starts (:func:`middle_line`) reads the lines a
-    whole read would.
+    range that starts at byte 0 drops a byte-order mark. With ``numbered``,
+    (line number, line stripped) of each nonblank line instead. Each range
+    a file is cut into at line starts (:func:`middle_line`) reads the lines
+    a whole read would.
 
     A file that cannot be opened, an OSError while the stream is open, or
     a line that is not UTF-8 is the IngestError ``cannot read PATH: ...``.
@@ -200,21 +200,20 @@ def open_text(path: str | Path, start: int = 0,
             with io.TextIOWrapper(
                     raw if end is None else _Range(raw, end - start),
                     encoding="utf-8", errors="surrogateescape") as text:
-                yield _checked_lines(path, text, not start)
+                for lineno, line in enumerate(text, start=1):
+                    if not line.isascii():
+                        try:
+                            line = checked(line, lineno,
+                                           not start and lineno == 1)
+                        except ValueError as exc:
+                            raise IngestError(
+                                f"cannot read {path}: {exc}") from exc
+                    if not numbered:
+                        yield line
+                    elif line := line.strip():
+                        yield lineno, line
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-
-
-def _checked_lines(path: str | Path, text: IO[str],
-                   bom: bool) -> Iterator[str]:
-    """Each line of ``text``, :func:`checked` unless it is ASCII."""
-    for lineno, line in enumerate(text, start=1):
-        if not line.isascii():
-            try:
-                line = checked(line, lineno, bom and lineno == 1)
-            except ValueError as exc:
-                raise IngestError(f"cannot read {path}: {exc}") from exc
-        yield line
 
 
 def middle_line(path: str | Path) -> int | None:
@@ -237,24 +236,19 @@ def middle_line(path: str | Path) -> int | None:
 
 def read_lines(path: str | Path, start: int = 0,
                end: int | None = None) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, raw_line) pairs of bytes ``start`` to ``end`` of
-    ``path`` (:func:`open_text`), numbered from 1 at ``start``, skipping
-    blank lines.
+    """(line_number, stripped line) of each nonblank line of bytes
+    ``start`` to ``end`` of ``path`` (:func:`open_text`), numbered from 1
+    at ``start``.
 
     A file that cannot be opened or is not UTF-8 is an IngestError naming it.
     """
-    with open_text(path, start, end) as lines:
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if stripped:
-                yield lineno, stripped
+    return open_text(path, start, end, numbered=True)
 
 
 def count_lines(path: str | Path, end: int) -> int:
     """How many lines, blank ones included, :func:`read_lines` numbers in
     the first ``end`` bytes of ``path``."""
-    with open_text(path, 0, end) as lines:
-        return sum(1 for _ in lines)
+    return sum(1 for _ in open_text(path, 0, end))
 
 
 # The decoder's own scanner, called once per value; see decode.

@@ -31,6 +31,8 @@ from .jsonl import (as_records, checked, decode, dumps, fields, middle_line,
                     read_lines, require, write_jsonl, write_lines)
 
 log = logging.getLogger(__name__)
+# The warning about a ranked list's first rising pair (:func:`_rising`).
+RISING = "query %r: score increases down the ranking (%s < %s)"
 
 DEFAULT_K = 5
 
@@ -68,12 +70,12 @@ class RankedEntity:
 class RunResult:
     """One query's retrieved list as columns, in the system's rank order.
 
-    ``RunResult(query, ranked)`` builds the columns from RankedEntity rows;
-    ``columns=(ids, scores, levels)`` takes them as they are. Either way the
-    columns are checked in passes that run in C: a repeated entity_id is an
-    error, and a score that increases down the list only logs a warning,
-    naming the first such pair. The order given is authoritative; scores
-    are never re-sorted here.
+    ``RunResult(query, ranked)`` builds the columns from RankedEntity rows
+    and logs a warning naming the first pair of scores that rises down the
+    list (:func:`_rising`); ``columns=(ids, scores, levels)``, the raw
+    constructor the run reader and simulate use, takes them as they are.
+    Either way a repeated entity_id is an error, found by a pass that runs
+    in C. The order given is authoritative; scores are never re-sorted.
     """
 
     query: str
@@ -83,21 +85,21 @@ class RunResult:
 
     def __init__(self, query: str, ranked: Iterable[RankedEntity] = (), *,
                  columns: tuple[tuple, tuple, bytes] | None = None):
+        rising = None
         if columns is None:
             ranked = tuple(ranked)
             columns = (tuple(item.entity_id for item in ranked),
                        tuple(item.score for item in ranked),
                        bytes(_LEVEL[item.bin.value] for item in ranked))
-        ids, scores, _ = columns
+            rising = _rising(columns[1])
+        ids = columns[0]
         if len(set(ids)) != len(ids):
             seen: set[str] = set()
             repeated = next(i for i in ids if i in seen or seen.add(i))
             raise ValueError(f"query {query!r}: duplicate entity_id "
                              f"{repeated!r} in ranked list")
-        if any(map(operator.lt, scores, scores[1:])):
-            at = list(map(operator.lt, scores, scores[1:])).index(True)
-            log.warning("query %r: score increases down the ranking "
-                        "(%s < %s)", query, scores[at], scores[at + 1])
+        if rising:
+            log.warning(RISING, query, *rising)
         for name, value in zip(("query", "ids", "scores", "levels"),
                                (query, *columns)):
             object.__setattr__(self, name, value)
@@ -106,6 +108,15 @@ class RunResult:
     def ranked(self) -> tuple[RankedEntity, ...]:
         return tuple(map(RankedEntity, self.ids, self.scores,
                          map(BINS.__getitem__, self.levels)))
+
+
+def _rising(scores: tuple[float, ...]) -> tuple[float, float] | None:
+    """The first pair of ``scores`` that increases down the list, found by
+    passes that run in C, or None."""
+    if any(map(operator.lt, scores, scores[1:])):
+        at = list(map(operator.lt, scores, scores[1:])).index(True)
+        return scores[at], scores[at + 1]
+    return None
 
 
 def _check_k(k: int):
@@ -322,11 +333,12 @@ def render_rows(header: tuple[str, ...], widths: tuple[int, ...],
 
 def _run_lines(path: str | Path, start: int = 0, end: int | None = None,
                then: Callable[[RunResult], object] = lambda result: result
-               ) -> Iterator[object]:
+               ) -> Iterator[tuple]:
     """The run records of bytes ``start`` to ``end`` of ``path``, read and
     checked, each as two messages: (line, query) once its query is read,
-    then ``then`` of its RunResult. Lines count from 1 at ``start``. The
-    caller checks each query against those before it (:func:`_unique`),
+    then (its list's rising pair (:func:`_rising`) or None, ``then`` of its
+    RunResult). Lines count from 1 at ``start``. The caller checks each
+    query against those before it and logs the warning (:func:`_unique`),
     so a repeat is named before anything else wrong with its line."""
     for lineno, line in read_lines(path, start, end):
         try:
@@ -339,22 +351,25 @@ def _run_lines(path: str | Path, start: int = 0, end: int | None = None,
                 raise ValueError(f"bad run record: {exc}") from exc
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
-        yield then(result)
+        yield _rising(result.scores), then(result)
 
 
 def _listed(run: Iterable[RunResult],
-            then: Callable[[RunResult], object]) -> Iterator[object]:
-    """:func:`_run_lines`' messages for RunResults, each line None."""
+            then: Callable[[RunResult], object]) -> Iterator[tuple]:
+    """:func:`_run_lines`' messages for RunResults, each line and rising
+    pair None: a RunResult built from rows warned when it was built."""
     for result in run:
         yield None, result.query
-        yield then(result)
+        yield None, then(result)
 
 
-def _unique(run: object, messages: Iterator, seen: set[str]
+def _unique(run: object, messages: Iterator[tuple], seen: set[str]
             ) -> Iterator[tuple]:
-    """(query, its next message) for each (line, query) message of ``run``;
-    a query in ``seen`` is an error naming it, and its line in ``run`` unless
-    that is None. Each query is added to ``seen``."""
+    """(query, its value) for each pair of :func:`_run_lines` messages of
+    ``run``; a query in ``seen`` is an error naming it, and its line in
+    ``run`` unless that is None. Each query is added to ``seen``, and a
+    rising pair is logged as a warning just before its query is yielded,
+    so warnings come in file order from either half of a run file."""
     for line, query in messages:
         if query in seen:
             raise (ValueError(f"duplicate query in run: {query!r}")
@@ -362,7 +377,10 @@ def _unique(run: object, messages: Iterator, seen: set[str]
                        f"{run}:{line}: bad run record: duplicate query "
                        f"{query!r}"))
         seen.add(query)
-        yield query, next(messages)
+        rising, value = next(messages)
+        if rising:
+            log.warning(RISING, query, *rising)
+        yield query, value
 
 
 def scan_run(qrels, run: Iterable[RunResult] | str | os.PathLike, k: int,
@@ -388,9 +406,7 @@ def scan_run(qrels, run: Iterable[RunResult] | str | os.PathLike, k: int,
     seen: set[str] = set()
     evaluated = 0
     with (parts(functools.partial(_run_lines, run, then=scan), run,
-                middle_line(run), f"the process scanning the second half "
-                f"of {run} ended without its scans")
-          if isinstance(run, (str, os.PathLike))
+                middle_line(run)) if isinstance(run, (str, os.PathLike))
           else closing(_listed(run, scan))) as messages:
         for query, scanned in _unique(run, messages, seen):
             if scanned is not None:
@@ -472,8 +488,9 @@ def iter_run(path: str | Path) -> Iterator[RunResult]:
     results is the rank order. Each list's types, scores and bins are
     checked a column at a time, and one that fails a check or overflows a
     float is walked again item by item to name its first bad item.
-    RunResult checks for repeated ids and rising scores. Each RunResult is
-    yielded as its line is read, so a caller that drops it holds one list
+    RunResult checks for repeated ids, and a list whose scores rise logs a
+    warning just before it is yielded. Each RunResult is yielded as its
+    line is read, so a caller that drops it holds one list
     at a time.
     """
     return (result for _, result in _unique(path, _run_lines(path), set()))

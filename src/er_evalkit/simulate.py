@@ -343,9 +343,7 @@ def run_mock_er(catalog: Catalog, queries: list[tuple[str, str]],
             yield query, (tuple(entity_id for _, entity_id in top), scores,
                           bytes((s < t_high) + (s < t_medium) for s in scores))
 
-    with parts(part, None, len(queries) // 2 or None,
-               "the process scoring the second half of the queries ended "
-               "without their lists") as lists:
+    with parts(part, None, len(queries) // 2 or None) as lists:
         return [RunResult(query, columns=columns) for query, columns in lists]
 
 

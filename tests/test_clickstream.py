@@ -691,8 +691,8 @@ class TestTwoHalves:
             code, stdout, err = run_cli(capsys, "aggregate-ctr", "--events",
                                         events, "--out", out)
         assert (code, stdout, err) == (1, "", (
-            f"error: the process counting the second half of {events} "
-            "ended without its counts\n"))
+            f"error: the process reading the second half of {events} "
+            "ended early\n"))
         assert not out.exists()
         assert no_child_left()
 

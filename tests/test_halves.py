@@ -1,11 +1,10 @@
 """The contract of halves.parts, on a toy part that yields a file's
-numbered lines: the two parts equal one pass, with the same records
-logged in the same places and the same errors, whole-file line numbers
+numbered lines: the two parts equal one pass, with the same warnings
+in the same places and the same errors, whole-file line numbers
 included, and no child process is left behind on any path, nor alive
 after its parent is killed."""
 
 import io
-import logging
 import marshal
 import os
 import signal
@@ -24,9 +23,6 @@ from er_evalkit import halves
 from er_evalkit.errors import IngestError
 from er_evalkit.jsonl import middle_line, read_lines
 
-log = logging.getLogger("er_evalkit.toy")
-FAILURE = "the toy child ended without its lines"
-
 
 def no_child_left():
     """True when this process has no child, running or unreaped."""
@@ -39,12 +35,12 @@ def no_child_left():
 
 def toy(path):
     """A part yielding (line, text) of each nonblank line: a line
-    ``warn...`` logs a warning first, and a line holding ``bad`` is an
-    error naming it."""
+    ``warn...`` yields the warning (None, text) first, and a line holding
+    ``bad`` is an error naming it."""
     def part(start, end):
         for lineno, line in read_lines(path, start, end):
             if line.startswith("warn"):
-                log.warning("warned at %r", line)
+                yield None, f"warned at {line!r}"
             if "bad" in line:
                 raise IngestError(f"{path}:{lineno}: bad line {line!r}")
             yield lineno, line
@@ -53,26 +49,20 @@ def toy(path):
 
 def events(path, cpus=(0, 1), stop=None):
     """What reading ``path`` through parts shows, in order: ("text", line)
-    per message, ("log", message) per record and ("error", text) for an
+    per line, ("log", text) per warning and ("error", text) for an
     IngestError. The body raises its own error, naming the message's
     line, at the line ``stop``."""
     shown = []
-    handler = logging.Handler()
-    handler.emit = lambda record: shown.append(("log", record.getMessage()))
-    log.addHandler(handler)
     try:
         with mock.patch.object(os, "sched_getaffinity",
                                return_value=set(cpus), create=True), \
-                halves.parts(toy(path), path, middle_line(path),
-                             FAILURE) as messages:
+                halves.parts(toy(path), path, middle_line(path)) as messages:
             for lineno, line in messages:
                 if line == stop:
                     raise IngestError(f"{path}:{lineno}: stopped")
-                shown.append(("text", line))
+                shown.append(("log" if lineno is None else "text", line))
     except IngestError as exc:
         shown.append(("error", str(exc)))
-    finally:
-        log.removeHandler(handler)
     assert no_child_left()
     return shown
 
@@ -120,8 +110,7 @@ class TestParts:
 
         with mock.patch.object(os, "sched_getaffinity", return_value={0, 1},
                                create=True), \
-                halves.parts(part, path, middle_line(path),
-                             FAILURE) as messages:
+                halves.parts(part, path, middle_line(path)) as messages:
             (first, here), (second, there) = messages
         assert (first, here) == (0, parent)
         assert second == middle_line(path) and there != parent
@@ -156,20 +145,6 @@ class TestParts:
         path.write_bytes(numbered(100, at10="badx"))
         assert events(path)[-1] == ("error", f"{path}:10: bad line 'badx'")
 
-    def test_a_record_comes_out_before_the_message_it_preceded(
-            self, tmp_path):
-        path = tmp_path / "lines.txt"
-        path.write_bytes(numbered(100, at70="warn70", at71="warn71",
-                                  at99="warnbad"))
-        shown = events(path)
-        at = shown.index(("log", "warned at 'warn70'"))
-        assert shown[at:at + 4] == [
-            ("log", "warned at 'warn70'"), ("text", "warn70"),
-            ("log", "warned at 'warn71'"), ("text", "warn71")]
-        assert shown[-3:] == [("text", "line98"),
-                              ("log", "warned at 'warnbad'"),
-                              ("error", f"{path}:99: bad line 'warnbad'")]
-
     @pytest.mark.parametrize("call, error", [
         ("fork", BlockingIOError(11, "Resource temporarily unavailable")),
         ("pipe", OSError(24, "Too many open files"))])
@@ -193,34 +168,39 @@ class TestParts:
 
         with mock.patch.object(os, "sched_getaffinity", return_value={0, 1},
                                create=True):
-            with pytest.raises(ChildProcessError, match=FAILURE):
-                with halves.parts(part, path, middle_line(path),
-                                  FAILURE) as messages:
+            with pytest.raises(ChildProcessError) as failed:
+                with halves.parts(part, path, middle_line(path)) as messages:
                     list(messages)
+        assert str(failed.value) == (
+            f"the process reading the second half of {path} ended early")
         assert no_child_left()
 
     def test_a_frame_holds_messages_per_frame_messages(self):
         """A child's messages cross in frames of MESSAGES_PER_FRAME, the
-        last of them shorter, then the end frame."""
+        last of them shorter and holding the end."""
         size = halves.MESSAGES_PER_FRAME
 
         def part(start, end):
             yield from range(start, 2 * size + 3)
 
-        with mock.patch.object(logging.Logger, "handle"):
-            frames = [marshal.loads(frame) for frame in halves._frames(
-                part, 1)]
-        assert frames == [([], list(range(1, size + 1))),
-                          ([], list(range(size + 1, 2 * size + 1))),
-                          ([], [2 * size + 1, 2 * size + 2]), ([], [], None)]
+        frames = [marshal.loads(frame) for frame in halves._frames(part, 1)]
+        assert frames == [(list(range(1, size + 1)),),
+                          (list(range(size + 1, 2 * size + 1)),),
+                          ([2 * size + 1, 2 * size + 2], None)]
 
     def test_a_pipe_that_ends_inside_a_frame_is_the_failure(self):
-        frame = marshal.dumps(([], [1, 2], None))
+        """The failure names the file's second half, or with no path the
+        second half of the work."""
+        frame = marshal.dumps(([1, 2], None))
         sent = len(frame).to_bytes(8, "little") + frame
-        for cut in range(len(sent)):
-            with pytest.raises(ChildProcessError, match=FAILURE):
-                list(halves._messages(io.BytesIO(sent[:cut]), FAILURE))
-        assert list(halves._messages(io.BytesIO(sent), FAILURE)) == [1, 2]
+        for path, half in [("lines.txt", "reading the second half of "
+                                         "lines.txt"),
+                           (None, "working on the second half")]:
+            for cut in range(len(sent)):
+                with pytest.raises(ChildProcessError) as failed:
+                    list(halves._messages(io.BytesIO(sent[:cut]), path))
+                assert str(failed.value) == f"the process {half} ended early"
+            assert list(halves._messages(io.BytesIO(sent), path)) == [1, 2]
 
     @pytest.mark.parametrize("end", ["success", "error", "interrupt",
                                      "early stop"])
@@ -231,8 +211,7 @@ class TestParts:
         path.write_bytes(numbered(10000))
 
         def read():
-            with halves.parts(toy(path), path, middle_line(path),
-                              FAILURE) as messages:
+            with halves.parts(toy(path), path, middle_line(path)) as messages:
                 for lineno, line in messages:
                     if line == "line9000" and end == "interrupt":
                         raise KeyboardInterrupt
@@ -272,7 +251,7 @@ def part(start, end):
     yield start
 
 
-with halves.parts(part, None, 1, "the child ended") as messages:
+with halves.parts(part, None, 1) as messages:
     list(messages)
 """
 

@@ -164,20 +164,17 @@ class TestTextRanges:
         path.write_bytes("\ufeffa\r\nb\rc\n\nd\ne\n".encode())
         split = middle_line(path)
         assert path.read_bytes()[split - 1:split] == b"\n"
-        with open_text(path) as whole:
-            lines = list(whole)
-        with open_text(path, 0, split) as first, \
-                open_text(path, split) as second:
-            assert list(first) + list(second) == lines
+        lines = list(open_text(path))
+        assert list(open_text(path, 0, split)) + list(
+            open_text(path, split)) == lines
         assert lines[0] == "a\n"
 
     def test_only_the_range_at_byte_zero_drops_a_mark(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_bytes("\ufeffa\n\ufeffb\n".encode())
         split = middle_line(path)
-        with open_text(path, 0, split) as first, \
-                open_text(path, split) as second:
-            assert (list(first), list(second)) == (["a\n"], ["\ufeffb\n"])
+        assert (list(open_text(path, 0, split)), list(open_text(
+            path, split))) == (["a\n"], ["\ufeffb\n"])
 
     @pytest.mark.parametrize("data", [b"", b"x", b"x\n",
                                       b"one line\r", b"1\r2\r3\n"])

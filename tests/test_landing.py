@@ -267,6 +267,64 @@ class TestNonUtf8Paths:
         assert json.loads(done.stdout)["out_dir"] == os.fsdecode(out)
 
 
+@pytest.fixture(scope="module")
+def large_inputs(tmp_path_factory):
+    """A click log, qrels and a run whose CTR records and report each take
+    over 1 MB."""
+    d = tmp_path_factory.mktemp("large")
+    (d / "events.jsonl").write_text("".join(json.dumps({
+        "query": f"q{i}", "impressions": [f"e{i}x{j}" for j in range(10)],
+        "clicked": f"e{i}x0"}) + "\n" for i in range(1600)),
+        encoding="utf-8")
+    (d / "qrels.jsonl").write_text("".join(json.dumps({
+        "query": f"q{i}", "relevant": ["a"]}) + "\n" for i in range(6000)),
+        encoding="utf-8")
+    (d / "run.jsonl").write_text("".join(json.dumps({
+        "query": f"q{i}", "results": [
+            {"entity_id": "a", "score": 1, "bin": "high"}]}) + "\n"
+        for i in range(6000)), encoding="utf-8")
+    return d
+
+
+@pytest.mark.skipif(sys.platform == "win32",
+                    reason="needs resource limits in a child process")
+class TestFileSizeCap:
+    """A stage run with its file size capped (RLIMIT_FSIZE; Python ignores
+    SIGXFSZ, so the write fails with EFBIG) exits 1 with one ``cannot
+    write`` line and leaves its output directory as it found it: no
+    target, no temp file, no out-dir it made."""
+
+    @pytest.mark.parametrize("cap", [1, 4096, 1 << 20])
+    @pytest.mark.parametrize("stage", ["aggregate-ctr", "simulate",
+                                       "evaluate"])
+    def test_a_capped_stage_lands_nothing(self, tmp_path, large_inputs,
+                                          stage, cap):
+        import resource
+
+        d = large_inputs
+        out = tmp_path / "out"
+        argv = {
+            "aggregate-ctr": ["aggregate-ctr", "--events",
+                              d / "events.jsonl", "--min-impressions", "1",
+                              "--min-ctr", "0", "--out", out],
+            "simulate": ["simulate", "--n-titles", "50", "--n-queries",
+                         "30", "--seed", "1", "--out-dir", out],
+            "evaluate": ["evaluate", "--qrels", d / "qrels.jsonl", "--run",
+                         d / "run.jsonl", "--out", out],
+        }[stage]
+        done = subprocess.run(
+            CLI + [str(arg) for arg in argv], capture_output=True, env=ENV,
+            timeout=120, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_FSIZE, (cap, cap)))
+        targets = [out / name for name in SIM_FILES] if (
+            stage == "simulate") else [out]
+        assert done.returncode == 1
+        assert done.stderr.decode() in {
+            f"error: cannot write {target}: [Errno 27] File too large\n"
+            for target in targets}
+        assert snapshot(tmp_path) == {}
+
+
 def test_one_rename_in_the_package():
     """os.replace is named once under src/er_evalkit/, in jsonl.landing, so
     no stage can land a file by a second rule."""

@@ -217,6 +217,20 @@ class TestRunResult:
             RunResult(query="q", ranked=ranked)
         assert any("score increases" in r.message for r in caplog.records)
 
+    def test_rows_warn_once_naming_the_first_rising_pair(self, caplog):
+        """Built from rows, a list warns about its scores, never its bins,
+        naming the first rising pair; ``columns=``, the raw constructor,
+        does not warn."""
+        falling = (RankedEntity("A", 0.9, HIGH), RankedEntity("B", 0.8, LOW))
+        rising = (RankedEntity("A", 0.9, HIGH), RankedEntity("B", 0.5, MEDIUM),
+                  RankedEntity("C", 0.7, LOW), RankedEntity("D", 0.8, LOW))
+        with caplog.at_level(logging.WARNING):
+            RunResult(query="q", ranked=falling)
+            built = RunResult(query="r", ranked=rising)
+            RunResult("r", columns=(built.ids, built.scores, built.levels))
+        assert [r.getMessage() for r in caplog.records] == [
+            "query 'r': score increases down the ranking (0.5 < 0.7)"]
+
 
 class TestEvaluateRun:
     def qrels(self):

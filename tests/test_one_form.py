@@ -83,6 +83,29 @@ def test_one_fork():
             for alias in node.names} == {"parts"}
 
 
+def test_one_channel_from_a_child():
+    """A forked child's messages are its one channel: halves names no
+    ``logging``, so nothing a child logs is carried back, and a warning is
+    logged (``.warning``) only where a RunResult is built from rows and
+    where the run fold logs a line's rising pair, each in the process that
+    prints. A warning logged inside a part would print from the child, out
+    of file order."""
+    def names_logging(node):
+        return (isinstance(node, ast.Name) and node.id == "logging"
+                or isinstance(node, ast.alias)
+                and node.name.split(".")[0] == "logging"
+                or isinstance(node, ast.ImportFrom)
+                and node.module == "logging")
+
+    assert not [node for owner, node in owned_nodes()
+                if owner.split(".")[0] == "halves" and names_logging(node)]
+    assert {owner for owner, node in owned_nodes()
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "warning"} == {
+        "metrics.RunResult.__init__", "metrics._unique"}
+
+
 def opens_for_reading(node):
     """A call that opens a file to read it: ``read_text``, ``read_bytes``,
     or an ``open`` other than ``os.open`` whose mode does not write."""

@@ -283,8 +283,8 @@ class TestTwoHalves:
                                      "--run", str(run), "--out", str(out)])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", (
-            f"error: the process scanning the second half of {run} ended "
-            "without its scans\n"))
+            f"error: the process reading the second half of {run} ended "
+            "early\n"))
         assert not out.exists()
         assert no_child_left()
 

@@ -22,6 +22,8 @@ catches. The operators:
     const-1   an int or float literal minus one
     raise     a ``raise`` statement replaced by ``pass``
     return    a ``return`` statement replaced by ``pass``
+    drop      an expression statement (a call, a ``yield``) replaced by
+              ``pass``; a docstring is left alone
 
 Expressions inside f-strings are left alone. Standard library only, and
 outside the tests' collection, so no test run starts it. The last line of
@@ -76,6 +78,9 @@ def mutations(source: str) -> list[tuple[str, ast.AST, str]]:
             found.append(("raise", node, "pass"))
         elif isinstance(node, ast.Return):
             found.append(("return", node, "pass"))
+        elif (isinstance(node, ast.Expr)
+              and not isinstance(node.value, ast.Constant)):
+            found.append(("drop", node, "pass"))
     return found
 
 
