@@ -245,8 +245,9 @@ def _count_all(path: str | Path, cut: int | None, strict: bool,
     The part from byte 0 is counted here into the tables returned. A later
     part, counted in a forked child, sends its ParseStats tallies, then its
     tables as (query, nimp counts, nclick counts) rows of plain dicts,
-    which marshal takes, and they are merged into those tables. An error
-    naming a line of either part names it in the whole file.
+    which marshal takes, and they are merged into those tables. Either
+    part's error names its line in the whole file, as the reader numbers
+    it (:func:`jsonl.read_lines`).
     """
     tables: _Tables
 

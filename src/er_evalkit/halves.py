@@ -11,21 +11,21 @@ one pass and each part run the same function, and folds the messages:
 aggregate-ctr merges count tables, evaluate and diagnose visit a run
 file's scans, and simulate's matcher collects its top lists. Messages
 are the one channel from a child, which sends nothing it logs: a warning
-a part finds travels in a message for the fold to log.
+a part finds travels in a message for the fold to log. The reader numbers
+a part's lines in the whole file, so nothing here reads or rewrites the
+text of an error.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
-import re
 import signal
 from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import IO, Any, Callable, Generator, Iterator
 
 from .errors import IngestError
-from .jsonl import count_lines
 
 # Messages per frame: a child's messages cross the pipe a slice at a time,
 # marshalled as they are made, so it never holds them as objects.
@@ -109,20 +109,6 @@ def _messages(pipe: IO[bytes], path: str | Path | None) -> Iterator[Any]:
             return
 
 
-def _renumber(exc: IngestError, path: str | Path, cut: int) -> None:
-    """Renumber in the whole file the line of an error whose text starts
-    ``PATH:LINE:`` or names a bad byte ``on line LINE`` of ``path``
-    (:func:`jsonl.checked`), LINE counted from 1 at ``cut``."""
-    text, name = str(exc), re.escape(f"{path}:")
-    found = (re.match(rf"{name}(\d+): ", text)
-             or re.match(rf"cannot read {name} 'utf-8' codec can't decode "
-                         rf"byte 0x[0-9a-f]{{2}} on line (\d+) at ", text))
-    if found:
-        exc.args = (f"{text[:found.start(1)]}"
-                    f"{count_lines(path, cut) + int(found[1])}"
-                    f"{text[found.end(1):]}",)
-
-
 @contextmanager
 def parts(part: Part, path: str | Path | None,
           cut: int | None) -> Iterator[Iterator[Any]]:
@@ -136,15 +122,14 @@ def parts(part: Part, path: str | Path | None,
     the child's messages. Otherwise (no cut, one CPU, no ``os.fork``, or no
     pipe or child) it yields ``part(0, None)``'s.
 
-    The child numbers lines from 1 at ``cut``: an IngestError naming a
-    line of ``path`` (``PATH:LINE``, or a bad byte's line), raised by the
-    child or by the body while it reads the child's messages, is
-    renumbered in the whole file (:func:`_renumber`),
-    so only such an error counts the lines before ``cut``. A child that
-    ends without all its messages, as by any other exception, is the
-    ChildProcessError ``the process reading the second half of PATH ended
-    early`` (``working on the second half`` with no path). When the body
-    ends, by any path, the child is killed and reaped.
+    A part names a line of ``path`` by its number in the whole file, as
+    the reader gives it (:func:`jsonl.open_text`), so an error from either
+    part, or from the body while it reads the child's messages, passes
+    through as it was raised. A child that ends without all its messages,
+    as by any other exception, is the ChildProcessError ``the process
+    reading the second half of PATH ended early`` (``working on the second
+    half`` with no path). When the body ends, by any path, the child is
+    killed and reaped.
     """
     child = _fork(part, cut) if cut is not None and _two_cpus() else None
     if child is None:
@@ -152,21 +137,14 @@ def parts(part: Part, path: str | Path | None,
             yield messages
         return
     pid, readable = child
-    reading = False
 
     def stream() -> Iterator[Any]:
-        nonlocal reading
         yield from part(0, cut)
-        reading = True
         yield from _messages(pipe, path)
 
     try:
         with os.fdopen(readable, "rb") as pipe, closing(stream()) as messages:
             yield messages
-    except IngestError as exc:
-        if reading and path is not None:
-            _renumber(exc, path, cut)
-        raise
     finally:
         # A child whose messages were not all read may still be at work.
         os.kill(pid, signal.SIGKILL)

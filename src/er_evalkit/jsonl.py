@@ -165,6 +165,10 @@ def checked(text: str, lineno: int = 1, bom: bool = False) -> str:
     return text.removeprefix("\ufeff") if bom else text
 
 
+# Characters per read of the bytes before a range, whose line breaks it counts.
+_HEAD_CHUNK = 1 << 16
+
+
 class _Range(io.RawIOBase):
     """The next ``left`` bytes of a binary file."""
 
@@ -184,27 +188,34 @@ def open_text(path: str | Path, start: int = 0, end: int | None = None,
               numbered: bool = False) -> Iterator[Any]:
     """The lines of bytes ``start`` to ``end`` (the file's end if None) of
     ``path``, as UTF-8 text with universal newlines, streamed, each
-    :func:`checked` as it comes (lines count from 1 at ``start``); only a
-    range that starts at byte 0 drops a byte-order mark. With ``numbered``,
-    (line number, line stripped) of each nonblank line instead. Each range
-    a file is cut into at line starts (:func:`middle_line`) reads the lines
-    a whole read would.
+    :func:`checked` as it comes under its line number in the whole file;
+    only line 1 drops a byte-order mark. With ``numbered``, (line number,
+    line stripped) of each nonblank line instead. Each range a file is cut
+    into at line starts (:func:`middle_line`) reads, and numbers, the
+    lines a whole read would.
+
+    A range past byte 0 first counts the line breaks before ``start``,
+    decoded as its own lines are, ``_HEAD_CHUNK`` characters at a time; a
+    bad byte there is left for the range that holds it to report.
 
     A file that cannot be opened, an OSError while the stream is open, or
     a line that is not UTF-8 is the IngestError ``cannot read PATH: ...``.
     """
     try:
         with open(path, "rb") as raw:
+            first = 1
             if start:
-                raw.seek(start)
+                with io.TextIOWrapper(_Range(raw, start), encoding="utf-8",
+                                      errors="surrogateescape") as head:
+                    first += sum(chunk.count("\n") for chunk in iter(
+                        lambda: head.read(_HEAD_CHUNK), ""))
             with io.TextIOWrapper(
                     raw if end is None else _Range(raw, end - start),
                     encoding="utf-8", errors="surrogateescape") as text:
-                for lineno, line in enumerate(text, start=1):
+                for lineno, line in enumerate(text, start=first):
                     if not line.isascii():
                         try:
-                            line = checked(line, lineno,
-                                           not start and lineno == 1)
+                            line = checked(line, lineno, lineno == 1)
                         except ValueError as exc:
                             raise IngestError(
                                 f"cannot read {path}: {exc}") from exc
@@ -237,18 +248,12 @@ def middle_line(path: str | Path) -> int | None:
 def read_lines(path: str | Path, start: int = 0,
                end: int | None = None) -> Iterator[tuple[int, str]]:
     """(line_number, stripped line) of each nonblank line of bytes
-    ``start`` to ``end`` of ``path`` (:func:`open_text`), numbered from 1
-    at ``start``.
+    ``start`` to ``end`` of ``path`` (:func:`open_text`), numbered in the
+    whole file.
 
     A file that cannot be opened or is not UTF-8 is an IngestError naming it.
     """
     return open_text(path, start, end, numbered=True)
-
-
-def count_lines(path: str | Path, end: int) -> int:
-    """How many lines, blank ones included, :func:`read_lines` numbers in
-    the first ``end`` bytes of ``path``."""
-    return sum(1 for _ in open_text(path, 0, end))
 
 
 # The decoder's own scanner, called once per value; see decode.

@@ -337,9 +337,10 @@ def _run_lines(path: str | Path, start: int = 0, end: int | None = None,
     """The run records of bytes ``start`` to ``end`` of ``path``, read and
     checked, each as two messages: (line, query) once its query is read,
     then (its list's rising pair (:func:`_rising`) or None, ``then`` of its
-    RunResult). Lines count from 1 at ``start``. The caller checks each
-    query against those before it and logs the warning (:func:`_unique`),
-    so a repeat is named before anything else wrong with its line."""
+    RunResult). Lines are numbered in the whole file, as the reader gives
+    them (:func:`jsonl.read_lines`). The caller checks each query against
+    those before it and logs the warning (:func:`_unique`), so a repeat is
+    named before anything else wrong with its line."""
     for lineno, line in read_lines(path, start, end):
         try:
             rec = decode(line)
@@ -388,7 +389,7 @@ def scan_run(qrels, run: Iterable[RunResult] | str | os.PathLike, k: int,
     """Call ``visit(query, scan)`` once per qrels query, reading ``run`` once.
 
     ``run`` is RunResults, or the path of a run file, read as
-    :func:`iter_run` reads it, with the same warnings and errors, in two
+    :func:`load_run` reads it, with the same warnings and errors, in two
     parts at once where it can (:func:`_run_lines` through
     :func:`halves.parts`). An answered query is scanned as its list
     arrives, and no list is kept; the unanswered ones are scanned last, as
@@ -481,7 +482,7 @@ def _run_result(query: str, results: list) -> RunResult:
         ids, tuple(map(float, scores)), bytes(levels)))
 
 
-def iter_run(path: str | Path) -> Iterator[RunResult]:
+def load_run(path: str | Path) -> list[RunResult]:
     """Read run JSONL: {"query", "results": [{entity_id, score, bin},…]}.
 
     Ids are strings and a score is a finite int or float; the file order of
@@ -489,16 +490,10 @@ def iter_run(path: str | Path) -> Iterator[RunResult]:
     checked a column at a time, and one that fails a check or overflows a
     float is walked again item by item to name its first bad item.
     RunResult checks for repeated ids, and a list whose scores rise logs a
-    warning just before it is yielded. Each RunResult is yielded as its
-    line is read, so a caller that drops it holds one list
-    at a time.
+    warning as its line is read, so warnings come in file order. A query
+    appearing twice is an error naming its line.
     """
-    return (result for _, result in _unique(path, _run_lines(path), set()))
-
-
-def load_run(path: str | Path) -> list[RunResult]:
-    """Every RunResult of a run file, as :func:`iter_run` reads them."""
-    return list(iter_run(path))
+    return [result for _, result in _unique(path, _run_lines(path), set())]
 
 
 def save_run(run: Iterable[RunResult], path: str | Path) -> int:

@@ -7,11 +7,12 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from er_evalkit import jsonl
 from er_evalkit.cli import dispatch
 from er_evalkit.errors import IngestError
 from er_evalkit.jsonl import (as_records, atomic_open, decode, dumps,
-                              middle_line, open_text, optional, read_lines,
-                              require, write_jsonl)
+                              iter_records, middle_line, open_text, optional,
+                              read_lines, require, write_jsonl)
 
 
 def failing_records(n_good):
@@ -87,6 +88,15 @@ class TestRecordTables:
 
 
 class TestReadLines:
+    def test_iter_records_names_the_line_a_parse_refuses(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"n":1}\n\n{"m":2}\n{"n":3}\n', encoding="utf-8")
+        records = iter_records(path, lambda rec: rec["n"], "thing")
+        assert next(records) == 1
+        with pytest.raises(IngestError) as raised:
+            next(records)
+        assert str(raised.value) == f"{path}:3: bad thing: 'n'"
+
     def test_a_missing_file_is_an_ingest_error_naming_it(self, tmp_path):
         path = tmp_path / "absent.jsonl"
         with pytest.raises(IngestError) as raised:
@@ -175,6 +185,24 @@ class TestTextRanges:
         split = middle_line(path)
         assert (list(open_text(path, 0, split)), list(open_text(
             path, split))) == (["a\n"], ["\ufeffb\n"])
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+    def test_a_range_numbers_its_lines_in_the_whole_file(self, tmp_path,
+                                                          monkeypatch, chunk):
+        """The seven lines before the cut, read in chunks of any size, end
+        in CRLF, a lone CR and LF, and hold a byte-order mark, blank lines
+        and a bad byte, which only a read of its own range reports."""
+        monkeypatch.setattr(jsonl, "_HEAD_CHUNK", chunk, raising=False)
+        path = tmp_path / "log.jsonl"
+        head = b"\xef\xbb\xbfa\r\nb\rc\n\nx\xffy\r\n\r\n\n"
+        path.write_bytes(head + b"d\ne\xfe\n")
+        lines = read_lines(path, len(head))
+        assert next(lines) == (8, "d")
+        with pytest.raises(IngestError) as failed:
+            next(lines)
+        assert str(failed.value) == (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xfe on "
+            "line 9 at byte offset 1: invalid start byte")
 
     @pytest.mark.parametrize("data", [b"", b"x", b"x\n",
                                       b"one line\r", b"1\r2\r3\n"])
